@@ -7,8 +7,10 @@
 //
 // With -baseline, the run is also a regression gate: every gated
 // benchmark (engine-step, sharded-cluster, trace-binary-decode,
-// trace-binary-encode, predicted-dispatch) may be at most -max-regress slower in ns/op
-// than the baseline report, otherwise the process exits non-zero.
+// trace-binary-encode, predicted-dispatch, host-pipeline) may be at most
+// -max-regress slower in ns/op, and make at most -max-regress more
+// allocations per op, than in the baseline report, otherwise the
+// process exits non-zero.
 // Benchmarks the baseline predates are noted and skipped, so adding a
 // scenario doesn't break the gate until a baseline containing it is
 // checked in. Passing `-baseline auto` picks the lexically-newest
@@ -33,7 +35,7 @@ func main() {
 		out        = flag.String("out", ".", "directory to write BENCH_<date>.json into")
 		workers    = flag.Int("workers", runtime.NumCPU(), "worker count for the experiment-suite timing")
 		baseline   = flag.String("baseline", "", "baseline BENCH_*.json to gate against, or 'auto' for the newest in the repo root")
-		maxRegress = flag.Float64("max-regress", 0.25, "maximum allowed ns/op regression vs the baseline for each gated benchmark (0.25 = +25%)")
+		maxRegress = flag.Float64("max-regress", 0.25, "maximum allowed ns/op and allocs/op regression vs the baseline for each gated benchmark (0.25 = +25%)")
 		skipExp    = flag.Bool("skip-experiments", false, "skip the experiment-suite wall-clock phase")
 	)
 	flag.Parse()
@@ -112,8 +114,8 @@ func main() {
 		}
 		cur, _ := rep.Find(name)
 		baseB, _ := base.Find(name)
-		fmt.Printf("regression gate vs %s passed: %s %.0f ns/op (baseline %.0f, limit +%.0f%%)\n",
-			basePath, name, cur.NsPerOp, baseB.NsPerOp, 100**maxRegress)
+		fmt.Printf("regression gate vs %s passed: %s %.0f ns/op, %d allocs/op (baseline %.0f, %d; limit +%.0f%%)\n",
+			basePath, name, cur.NsPerOp, cur.AllocsPerOp, baseB.NsPerOp, baseB.AllocsPerOp, 100**maxRegress)
 	}
 	if failed {
 		os.Exit(1)

@@ -175,6 +175,7 @@ type SFS struct {
 	sinceRecalc int
 
 	ents map[*task.Task]*ent
+	free []*ent // ents of tasks SFS no longer schedules, for reuse
 
 	// Stat holds the run's internal counters and timelines.
 	Stat Stats
@@ -265,14 +266,28 @@ func (s *SFS) QueueLen() int {
 	return n
 }
 
-// entOf returns (creating if needed) the SFS state for t.
+// entOf returns (creating if needed) the SFS state for t. A new state
+// reuses a dropped one when the free list has any, fully reset.
 func (s *SFS) entOf(t *task.Task) *ent {
 	e := s.ents[t]
 	if e == nil {
-		e = &ent{worker: -1, seq: -1}
+		if n := len(s.free); n > 0 {
+			e = s.free[n-1]
+			s.free = s.free[:n-1]
+		} else {
+			e = new(ent)
+		}
+		*e = ent{worker: -1, seq: -1}
 		s.ents[t] = e
 	}
 	return e
+}
+
+// dropEnt forgets t's SFS state once SFS no longer schedules t: it
+// finished in FILTER mode or now belongs to the second level.
+func (s *SFS) dropEnt(t *task.Task, e *ent) {
+	delete(s.ents, t)
+	s.free = append(s.free, e)
 }
 
 // Enqueue implements cpusim.Scheduler: requests enter the global queue;
@@ -302,7 +317,7 @@ func (s *SFS) Enqueue(now simtime.Time, t *task.Task) {
 			t.SliceLeft -= now - e.blockStart
 			if t.SliceLeft <= 0 {
 				s.detach(w, e)
-				s.demote(now, t)
+				s.demote(now, t, e)
 				return
 			}
 			w.state = wResumePending
@@ -313,7 +328,7 @@ func (s *SFS) Enqueue(now simtime.Time, t *task.Task) {
 			w.ev = simtime.EventRef{}
 			if now >= e.deadline {
 				s.detach(w, e)
-				s.demote(now, t)
+				s.demote(now, t, e)
 				return
 			}
 			w.state = wResumePending
@@ -339,7 +354,6 @@ func (s *SFS) Enqueue(now simtime.Time, t *task.Task) {
 		s.haveArrival = true
 	}
 	e.enq = now
-	t.EnqueuedSFS = now
 	s.queues[e.queue] = append(s.queues[e.queue], t)
 }
 
@@ -389,12 +403,12 @@ func (s *SFS) recordDelay(now simtime.Time, t *task.Task, e *ent) {
 	}
 	e.delayRecorded = true
 	delay := now - e.enq
-	t.QueueDelay = delay
 	s.Stat.QueueDelays = append(s.Stat.QueueDelays, DelayPoint{Seq: e.seq, T: now, Delay: delay})
 }
 
 // demote hands a FILTER task over to the CFS level permanently.
-func (s *SFS) demote(now simtime.Time, t *task.Task) {
+func (s *SFS) demote(now simtime.Time, t *task.Task, e *ent) {
+	s.dropEnt(t, e)
 	t.DemotedToCFS = true
 	s.Stat.Demotions++
 	if t.State == task.StateRunnable {
@@ -433,7 +447,7 @@ func (s *SFS) PickNext(now simtime.Time, core int) (*task.Task, time.Duration) {
 		}
 		if budget <= 0 {
 			s.detach(w, e)
-			s.demote(now, t)
+			s.demote(now, t, e)
 			break // fall to the free path
 		}
 		w.state = wRunning
@@ -463,6 +477,7 @@ func (s *SFS) PickNext(now simtime.Time, core int) (*task.Task, time.Duration) {
 		if s.overloaded(delay) {
 			// Transient overload: bypass FILTER and let CFS drain the
 			// backlog (§V-E).
+			s.dropEnt(t, e)
 			t.DemotedToCFS = true
 			s.Stat.OverloadRouted++
 			s.cfs.Enqueue(now, t)
@@ -480,7 +495,7 @@ func (s *SFS) PickNext(now simtime.Time, core int) (*task.Task, time.Duration) {
 			budget = e.deadline - now
 		}
 		if budget <= 0 {
-			s.demote(now, t)
+			s.demote(now, t, e)
 			continue
 		}
 		w.t = t
@@ -520,12 +535,12 @@ func (s *SFS) Descheduled(now simtime.Time, core int, t *task.Task, ran time.Dur
 	case cpusim.ReasonFinished:
 		s.Stat.FilterCompletions++
 		s.detach(w, e)
-		delete(s.ents, t)
+		s.dropEnt(t, e)
 	case cpusim.ReasonPreempted:
 		// Slice exhausted (the engine only preempts FILTER tasks at
 		// their budget; SFS never volunteers them for preemption).
 		s.detach(w, e)
-		s.demote(now, t)
+		s.demote(now, t, e)
 	case cpusim.ReasonBlocked:
 		e.blockStart = now
 		if s.cfg.IOAware {
@@ -568,7 +583,7 @@ func (s *SFS) onBlockDetected(now simtime.Time, core int) {
 	t.SliceLeft -= now - e.blockStart
 	s.detach(w, e)
 	if t.SliceLeft <= 0 {
-		s.demote(now, t)
+		s.demote(now, t, e)
 	}
 	// The freed worker may immediately fetch the next request,
 	// preempting any CFS task that sneaked onto the core.
@@ -587,7 +602,7 @@ func (s *SFS) onObliviousDeadline(now simtime.Time, core int) {
 	e := s.entOf(t)
 	w.ev = simtime.EventRef{}
 	s.detach(w, e)
-	s.demote(now, t)
+	s.demote(now, t, e)
 	s.api.Reschedule(core)
 }
 

@@ -7,7 +7,8 @@
 // quick scale (Compare refuses quick-vs-full comparisons); CI
 // regenerates the measurements on every push and fails when any gated
 // benchmark (see GatedBenchmarks) regresses more than a configured
-// fraction against the newest checked-in baseline (see Compare).
+// fraction in ns/op or allocs/op against the newest checked-in baseline
+// (see Compare).
 //
 // The scenarios are ordinary testing.B functions, so `go test -bench`
 // exercises the exact same code through bench_test.go while cmd/perfbench
@@ -666,13 +667,14 @@ func (r *Report) Find(name string) (Benchmark, bool) {
 
 // Compare enforces the regression gate: current's benchmark `name` may
 // be at most maxRegress (e.g. 0.25 for +25%) slower in ns/op than
-// baseline's. When both reports carry a calibration measurement, the
-// current ns/op is first normalized by the machine-speed ratio
-// (currentCalib / baselineCalib), so a baseline recorded on different
-// hardware — e.g. the checked-in trajectory point vs a CI runner —
-// gates code changes rather than CPU differences. Scale mismatches
-// (quick vs full) are an error rather than a silent apples-to-oranges
-// pass.
+// baseline's, and may make at most maxRegress more allocations per op.
+// When both reports carry a calibration measurement, the current ns/op
+// is first normalized by the machine-speed ratio (currentCalib /
+// baselineCalib), so a baseline recorded on different hardware — e.g.
+// the checked-in trajectory point vs a CI runner — gates code changes
+// rather than CPU differences. Allocation counts depend on the code
+// alone, so they are compared raw. Scale mismatches (quick vs full) are
+// an error rather than a silent apples-to-oranges pass.
 func Compare(current, baseline *Report, name string, maxRegress float64) error {
 	if current.Quick != baseline.Quick {
 		return fmt.Errorf("perfbench: scale mismatch: current quick=%v, baseline quick=%v",
@@ -699,6 +701,10 @@ func Compare(current, baseline *Report, name string, maxRegress float64) error {
 	if normalized > limit {
 		return fmt.Errorf("perfbench: %s regressed: %.0f ns/op %s (raw %.0f) vs baseline %.0f ns/op (limit %.0f, +%.0f%%)",
 			name, normalized, how, cur.NsPerOp, base.NsPerOp, limit, 100*(normalized/base.NsPerOp-1))
+	}
+	if allocLimit := float64(base.AllocsPerOp) * (1 + maxRegress); float64(cur.AllocsPerOp) > allocLimit {
+		return fmt.Errorf("perfbench: %s regressed: %d allocs/op vs baseline %d allocs/op (limit %.0f)",
+			name, cur.AllocsPerOp, base.AllocsPerOp, allocLimit)
 	}
 	return nil
 }

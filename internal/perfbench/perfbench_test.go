@@ -4,22 +4,31 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
-// TestCompareGate: the regression gate trips on >maxRegress slowdowns,
-// passes within tolerance, and refuses scale mismatches.
+// TestCompareGate: the regression gate trips on >maxRegress slowdowns
+// or allocation growth, passes within tolerance, and refuses scale
+// mismatches.
 func TestCompareGate(t *testing.T) {
-	base := &Report{Quick: true, Benchmarks: []Benchmark{{Name: EngineStepBenchmark, NsPerOp: 1000}}}
-	ok := &Report{Quick: true, Benchmarks: []Benchmark{{Name: EngineStepBenchmark, NsPerOp: 1200}}}
-	bad := &Report{Quick: true, Benchmarks: []Benchmark{{Name: EngineStepBenchmark, NsPerOp: 1300}}}
-	full := &Report{Quick: false, Benchmarks: []Benchmark{{Name: EngineStepBenchmark, NsPerOp: 1000}}}
+	bench := func(ns float64, allocs int64) []Benchmark {
+		return []Benchmark{{Name: EngineStepBenchmark, NsPerOp: ns, AllocsPerOp: allocs}}
+	}
+	base := &Report{Quick: true, Benchmarks: bench(1000, 100)}
+	ok := &Report{Quick: true, Benchmarks: bench(1200, 120)}
+	bad := &Report{Quick: true, Benchmarks: bench(1300, 100)}
+	allocHeavy := &Report{Quick: true, Benchmarks: bench(900, 130)}
+	full := &Report{Quick: false, Benchmarks: bench(1000, 100)}
 
 	if err := Compare(ok, base, EngineStepBenchmark, 0.25); err != nil {
 		t.Fatalf("+20%% should pass a 25%% gate: %v", err)
 	}
 	if err := Compare(bad, base, EngineStepBenchmark, 0.25); err == nil {
 		t.Fatal("+30% must fail a 25% gate")
+	}
+	if err := Compare(allocHeavy, base, EngineStepBenchmark, 0.25); err == nil || !strings.Contains(err.Error(), "allocs/op") {
+		t.Fatalf("+30%% allocs/op must fail a 25%% gate even when faster: %v", err)
 	}
 	if err := Compare(full, base, EngineStepBenchmark, 0.25); err == nil {
 		t.Fatal("quick/full scale mismatch must be an error")

@@ -14,6 +14,15 @@
 // of several equal-key entries is exact. The tree is not safe for
 // concurrent use; schedulers are single-threaded inside the simulator's
 // event loop by design.
+//
+// Deleted nodes are reused: each tree keeps a free list of the nodes it
+// has deleted, and Insert takes from it before allocating, so a tree
+// never owns more nodes than its peak size and steady-state
+// re-queueing (a preempted task going back on its runqueue) allocates
+// nothing. A node handle is therefore dead once Delete or PopMin has
+// removed it; callers that keep handles must drop them at that point.
+// Reuse is per tree, not a global pool, so which node an Insert returns
+// is a deterministic function of the tree's operation history.
 package rbtree
 
 type color bool
@@ -34,6 +43,7 @@ type Node[V any] struct {
 type Tree[V any] struct {
 	root *Node[V]
 	min  *Node[V] // cached leftmost node
+	free *Node[V] // deleted nodes, linked through right, Value zeroed
 	size int
 	less func(a, b V) bool
 }
@@ -54,9 +64,18 @@ func (t *Tree[V]) Len() int { return t.size }
 func (t *Tree[V]) Min() *Node[V] { return t.min }
 
 // Insert adds v and returns its node handle, which remains valid until the
-// node is deleted.
+// node is deleted. The node is a previously deleted one when the tree
+// has any, so Insert allocates only while the tree grows past its
+// previous peak size.
 func (t *Tree[V]) Insert(v V) *Node[V] {
-	n := &Node[V]{Value: v, color: red}
+	n := t.free
+	if n == nil {
+		n = &Node[V]{}
+	} else {
+		t.free = n.right
+		n.right = nil
+	}
+	n.Value, n.color = v, red
 	if t.root == nil {
 		n.color = black
 		t.root = n
@@ -91,8 +110,9 @@ func (t *Tree[V]) Insert(v V) *Node[V] {
 	return n
 }
 
-// Delete removes node n from the tree. Passing a node that is not in the
-// tree results in undefined behaviour; callers track membership.
+// Delete removes node n from the tree and keeps it for reuse by a later
+// Insert, so n must not be used afterwards. Passing a node that is not
+// in the tree results in undefined behaviour; callers track membership.
 func (t *Tree[V]) Delete(n *Node[V]) {
 	if n == nil {
 		return
@@ -136,11 +156,13 @@ func (t *Tree[V]) Delete(n *Node[V]) {
 	if yOriginalColor == black {
 		t.deleteFixup(x, xParent)
 	}
-	n.parent, n.left, n.right = nil, nil, nil
+	var zero V
+	n.Value, n.parent, n.left = zero, nil, nil
+	n.right, t.free = t.free, n
 }
 
-// PopMin removes and returns the smallest node's value. The second result
-// is false if the tree is empty.
+// PopMin removes and returns the smallest node's value, recycling its
+// node like Delete. The second result is false if the tree is empty.
 func (t *Tree[V]) PopMin() (V, bool) {
 	var zero V
 	if t.min == nil {

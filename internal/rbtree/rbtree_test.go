@@ -139,17 +139,32 @@ func TestAscendEarlyStop(t *testing.T) {
 
 // TestRandomOpsInvariants is a property test: a random interleaving of
 // inserts and deletes must preserve red-black invariants, ordering, size,
-// and min tracking at every step.
+// and min tracking at every step. The insert probability swings between
+// growing and draining phases, so most inserts land on recycled nodes and
+// the invariant checks cover them; the tree must own exactly as many
+// distinct nodes as its peak size, with every spare one on the free list.
 func TestRandomOpsInvariants(t *testing.T) {
 	r := rng.New(42)
 	tr := intTree()
 	var live []*Node[int]
 	counts := map[int]int{}
-	for step := 0; step < 3000; step++ {
-		if len(live) == 0 || r.Float64() < 0.6 {
+	seen := map[*Node[int]]bool{}
+	peak, reused := 0, 0
+	for step := 0; step < 6000; step++ {
+		pInsert := 0.7
+		if step/500%2 == 1 {
+			pInsert = 0.3
+		}
+		if len(live) == 0 || r.Float64() < pInsert {
 			v := r.Intn(64)
-			live = append(live, tr.Insert(v))
+			n := tr.Insert(v)
+			if seen[n] {
+				reused++
+			}
+			seen[n] = true
+			live = append(live, n)
 			counts[v]++
+			peak = max(peak, len(live))
 		} else {
 			i := r.Intn(len(live))
 			n := live[i]
@@ -170,6 +185,22 @@ func TestRandomOpsInvariants(t *testing.T) {
 	if ok, msg := tr.CheckInvariants(); !ok {
 		t.Fatalf("final: %s", msg)
 	}
+	if reused < 1000 {
+		t.Fatalf("only %d inserts reused a node", reused)
+	}
+	if len(seen) != peak {
+		t.Fatalf("tree allocated %d nodes for a peak size of %d", len(seen), peak)
+	}
+	spare := 0
+	for n := tr.free; n != nil; n = n.right {
+		if n.Value != 0 || n.parent != nil || n.left != nil {
+			t.Fatal("free-list node not cleared")
+		}
+		spare++
+	}
+	if tr.Len()+spare != peak {
+		t.Fatalf("len %d + free %d != peak %d", tr.Len(), spare, peak)
+	}
 	// Final multiset check.
 	got := map[int]int{}
 	for _, v := range tr.Values() {
@@ -179,6 +210,52 @@ func TestRandomOpsInvariants(t *testing.T) {
 		if c != 0 && got[v] != c {
 			t.Fatalf("value %d: count %d want %d", v, got[v], c)
 		}
+	}
+}
+
+// TestSteadyStateAllocFree: once a tree has reached its working size,
+// re-queueing through either removal path allocates nothing, and a
+// deleted value is not retained by the node kept for reuse.
+func TestSteadyStateAllocFree(t *testing.T) {
+	popped := intTree()
+	for i := 0; i < 64; i++ {
+		popped.Insert(i)
+	}
+	if a := testing.AllocsPerRun(1000, func() {
+		v, _ := popped.PopMin()
+		popped.Insert(v + 64)
+	}); a != 0 {
+		t.Fatalf("Insert+PopMin: %v allocs per cycle, want 0", a)
+	}
+
+	deleted := intTree()
+	nodes := make([]*Node[int], 64)
+	for i := range nodes {
+		nodes[i] = deleted.Insert(i)
+	}
+	i := 0
+	if a := testing.AllocsPerRun(1000, func() {
+		k := i % len(nodes)
+		deleted.Delete(nodes[k])
+		nodes[k] = deleted.Insert(i)
+		i++
+	}); a != 0 {
+		t.Fatalf("Insert+Delete: %v allocs per cycle, want 0", a)
+	}
+	for _, tr := range []*Tree[int]{popped, deleted} {
+		if ok, msg := tr.CheckInvariants(); !ok || tr.Len() != 64 {
+			t.Fatalf("len %d: %s", tr.Len(), msg)
+		}
+	}
+
+	ptrs := New(func(a, b *int) bool { return *a < *b })
+	n := ptrs.Insert(new(int))
+	ptrs.Delete(n)
+	if n.Value != nil || ptrs.free != n {
+		t.Fatal("a deleted node must be cleared and kept for reuse")
+	}
+	if ptrs.Insert(new(int)) != n {
+		t.Fatal("Insert did not reuse the deleted node")
 	}
 }
 

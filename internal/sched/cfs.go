@@ -73,6 +73,7 @@ type CFS struct {
 	rqs  []runqueue
 	cur  []*cfsEnt // per-core currently running entity (nil if none)
 	ents map[*task.Task]*cfsEnt
+	free []*cfsEnt // zeroed entities of finished tasks, for reuse
 
 	// Stats.
 	Steals int64 // idle-balance migrations between runqueues
@@ -155,7 +156,8 @@ func (c *CFS) leastLoaded() int {
 func (c *CFS) Enqueue(now simtime.Time, t *task.Task) {
 	ent := c.ents[t]
 	if ent == nil {
-		ent = &cfsEnt{t: t}
+		ent = reuse(&c.free)
+		ent.t = t
 		c.ents[t] = ent
 	}
 	rq := c.leastLoaded()
@@ -180,6 +182,18 @@ func (c *CFS) Enqueue(now simtime.Time, t *task.Task) {
 		}
 	}
 	ent.node = c.rqs[rq].tree.Insert(ent)
+}
+
+// reuse pops a zeroed entity off free, or allocates one when the list
+// is empty.
+func reuse[E any](free *[]*E) *E {
+	n := len(*free)
+	if n == 0 {
+		return new(E)
+	}
+	e := (*free)[n-1]
+	*free = (*free)[:n-1]
+	return e
 }
 
 // PickNext implements cpusim.Scheduler: run the leftmost entity of the
@@ -260,6 +274,8 @@ func (c *CFS) Descheduled(now simtime.Time, core int, t *task.Task, ran time.Dur
 		// Entity leaves the queue; vruntime is retained for wake placement.
 	case cpusim.ReasonFinished:
 		delete(c.ents, t)
+		*ent = cfsEnt{}
+		c.free = append(c.free, ent)
 	}
 	c.updateMin(core)
 }

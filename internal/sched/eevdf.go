@@ -58,6 +58,7 @@ type EEVDF struct {
 	rqs  []eevdfRQ
 	cur  []*eevdfEnt
 	ents map[*task.Task]*eevdfEnt
+	free []*eevdfEnt // zeroed entities of finished tasks, for reuse
 
 	// Steals counts idle-balance migrations.
 	Steals int64
@@ -144,7 +145,8 @@ func (e *EEVDF) removeNode(ent *eevdfEnt) {
 func (e *EEVDF) Enqueue(now simtime.Time, t *task.Task) {
 	ent := e.ents[t]
 	if ent == nil {
-		ent = &eevdfEnt{t: t}
+		ent = reuse(&e.free)
+		ent.t = t
 		e.ents[t] = ent
 	}
 	rq := e.leastLoaded()
@@ -248,6 +250,8 @@ func (e *EEVDF) Descheduled(now simtime.Time, core int, t *task.Task, ran time.D
 		// Lag is retained for the wake-time clamp.
 	case cpusim.ReasonFinished:
 		delete(e.ents, t)
+		*ent = eevdfEnt{}
+		e.free = append(e.free, ent)
 	}
 }
 

@@ -54,8 +54,10 @@ const DefaultWeight = 1024
 
 // Task is one function invocation request.
 //
-// Scheduling fields (VRuntime, SchedData, SliceLeft, Mode) are owned by
-// whichever scheduler the task runs under; the engine never touches them.
+// The scheduling fields (DemotedToCFS, SliceLeft) are owned by SFS, the
+// one scheduler that keeps per-task state on the Task; the engine never
+// touches them. Every other scheduler keeps its per-task state in its
+// own entities.
 type Task struct {
 	ID      int
 	App     string // function application name, e.g. "fib26", "md", "sa"
@@ -78,14 +80,10 @@ type Task struct {
 	lastReady    simtime.Time  // when the task last became runnable
 	lastCore     int           // core of previous dispatch (-1 initially)
 	wokeAt       simtime.Time  // when the task last woke from sleep
-	EnqueuedSFS  simtime.Time  // SFS global-queue enqueue time (scheduler-owned)
-	QueueDelay   time.Duration // initial global-queue delay observed by SFS
 	DemotedToCFS bool          // true once a FILTER task is demoted (SFS only)
 
 	// --- scheduler-owned scratch ---
-	VRuntime  time.Duration // CFS virtual runtime
 	SliceLeft time.Duration // SFS: remaining FILTER slice budget
-	SchedData any           // arbitrary per-scheduler state
 }
 
 // New constructs a task with the mandatory fields set and accounting
