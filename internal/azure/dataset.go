@@ -1,7 +1,6 @@
 package azure
 
 import (
-	"io"
 	"strconv"
 	"time"
 )
@@ -44,104 +43,10 @@ func msField(s string) (time.Duration, error) {
 	return time.Duration(v * float64(time.Millisecond)), nil
 }
 
-// LoadDurations parses a function_durations_percentiles CSV stream
-// into a materialized slice. Unknown extra columns are ignored; rows
-// with unparsable core fields are rejected with a row-numbered error.
-// For multi-GB files prefer ScanDurations/DurationsIndex, which never
-// hold more than one row.
-func LoadDurations(r io.Reader) ([]DurationRow, error) {
-	var rows []DurationRow
-	err := ScanDurations(r, func(row DurationRow) error {
-		rows = append(rows, row)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
-// LoadInvocations parses an invocations_per_function CSV stream into a
-// materialized slice. For multi-GB files prefer ScanInvocations or
-// IngestTape, which never hold more than one row.
-func LoadInvocations(r io.Reader) ([]InvocationRow, error) {
-	var rows []InvocationRow
-	err := ScanInvocations(r, func(row InvocationRow) error {
-		// The scanner reuses its PerMinute buffer; keep a copy.
-		row.PerMinute = append([]int(nil), row.PerMinute...)
-		rows = append(rows, row)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
 func indexColumns(header []string) map[string]int {
 	col := make(map[string]int, len(header))
 	for i, h := range header {
 		col[h] = i
 	}
 	return col
-}
-
-// FromDataset assembles a Trace from parsed duration and invocation
-// rows, joined on (owner, app, function). Functions present in only one
-// file are kept with the fields that are known; the paper's workload
-// generation (median durations, Day-1 invocation counts) needs both.
-func FromDataset(durations []DurationRow, invocations []InvocationRow) *Trace {
-	type key struct{ o, a, f string }
-	inv := make(map[key]*InvocationRow, len(invocations))
-	for i := range invocations {
-		r := &invocations[i]
-		inv[key{r.Owner, r.App, r.Function}] = r
-	}
-	tr := &Trace{}
-	for i, d := range durations {
-		avg := d.Average
-		if d.P50 > 0 {
-			// The paper takes the median as the expected execution time
-			// to rule out outliers (§VII).
-			avg = d.P50
-		}
-		app := App{
-			ID:          i,
-			AvgDuration: avg,
-			MinDuration: d.Minimum,
-			MaxDuration: d.Maximum,
-			Invocations: d.Count,
-		}
-		if r, ok := inv[key{d.Owner, d.App, d.Function}]; ok {
-			app.Invocations = r.Total
-			app.Bursty = burstyFromMinutes(r.PerMinute)
-		}
-		tr.Apps = append(tr.Apps, app)
-	}
-	return tr
-}
-
-// burstyFromMinutes classifies an invocation profile as bursty when its
-// per-minute counts have a peak-to-mean ratio above 8 — transient
-// concurrency spikes in the sense of §V-E.
-func burstyFromMinutes(perMin []int) bool {
-	if len(perMin) == 0 {
-		return false
-	}
-	sum, max := 0, 0
-	active := 0
-	for _, v := range perMin {
-		sum += v
-		if v > max {
-			max = v
-		}
-		if v > 0 {
-			active++
-		}
-	}
-	if sum == 0 || active == 0 {
-		return false
-	}
-	mean := float64(sum) / float64(len(perMin))
-	return float64(max) > 8*mean
 }

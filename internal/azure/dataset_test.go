@@ -1,6 +1,7 @@
 package azure
 
 import (
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -18,11 +19,36 @@ o1,a1,f2,queue,0,0,500,0,1,0,0,0,0,0,0,0
 o9,a9,f9,timer,1,1,1,1,1,1,1,1,1,1,1,1
 `
 
-func TestLoadDurations(t *testing.T) {
-	rows, err := LoadDurations(strings.NewReader(durationCSV))
-	if err != nil {
+// scanDurations collects every row ScanDurations visits.
+func scanDurations(t *testing.T, r io.Reader) []DurationRow {
+	t.Helper()
+	var rows []DurationRow
+	if err := ScanDurations(r, func(row DurationRow) error {
+		rows = append(rows, row)
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
+	return rows
+}
+
+// scanInvocations collects every row ScanInvocations visits, copying
+// each PerMinute out of the scanner's reused buffer.
+func scanInvocations(t *testing.T, r io.Reader) []InvocationRow {
+	t.Helper()
+	var rows []InvocationRow
+	if err := ScanInvocations(r, func(row InvocationRow) error {
+		row.PerMinute = append([]int(nil), row.PerMinute...)
+		rows = append(rows, row)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
+func TestScanDurations(t *testing.T) {
+	rows := scanDurations(t, strings.NewReader(durationCSV))
 	if len(rows) != 3 {
 		t.Fatalf("got %d rows", len(rows))
 	}
@@ -44,21 +70,8 @@ func TestLoadDurations(t *testing.T) {
 	}
 }
 
-func TestLoadDurationsErrors(t *testing.T) {
-	if _, err := LoadDurations(strings.NewReader("HashOwner,HashApp\no,a\n")); err == nil {
-		t.Fatal("missing columns accepted")
-	}
-	bad := "HashOwner,HashApp,HashFunction,Average,Count,Minimum,Maximum\no,a,f,notanumber,1,1,1\n"
-	if _, err := LoadDurations(strings.NewReader(bad)); err == nil {
-		t.Fatal("bad Average accepted")
-	}
-}
-
-func TestLoadInvocations(t *testing.T) {
-	rows, err := LoadInvocations(strings.NewReader(invocationCSV))
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestScanInvocations(t *testing.T) {
+	rows := scanInvocations(t, strings.NewReader(invocationCSV))
 	if len(rows) != 3 {
 		t.Fatalf("got %d rows", len(rows))
 	}
@@ -76,67 +89,48 @@ func TestLoadInvocations(t *testing.T) {
 	}
 }
 
-func TestFromDatasetJoin(t *testing.T) {
-	durations, err := LoadDurations(strings.NewReader(durationCSV))
+// TestIngestTapeJoin: the streaming join of the two files on (owner,
+// app, function). A joined function is serviced at its median, not its
+// Average; its arrivals come from the invocation file's per-minute
+// counts; a function with no durations row gets DefaultDuration, and a
+// durations row with no invocation row emits nothing.
+func TestIngestTapeJoin(t *testing.T) {
+	idx, err := DurationsIndex(strings.NewReader(durationCSV))
 	if err != nil {
 		t.Fatal(err)
 	}
-	invocations, err := LoadInvocations(strings.NewReader(invocationCSV))
+	const fallback = 7 * time.Millisecond
+	tp, stats, err := IngestTape(strings.NewReader(invocationCSV), idx,
+		IngestConfig{DefaultDuration: fallback, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := FromDataset(durations, invocations)
-	if len(tr.Apps) != 3 {
-		t.Fatalf("apps %d", len(tr.Apps))
+	if stats.Rows != 3 || stats.Functions != 3 || stats.Invocations != 124+501+12 || stats.NoDuration != 12 {
+		t.Fatalf("stats %+v", stats)
 	}
-	// f1: joined; median used as expected duration; counts from the
-	// invocation file.
-	if tr.Apps[0].AvgDuration != 100*time.Millisecond {
-		t.Fatalf("f1 avg %v (want the median)", tr.Apps[0].AvgDuration)
+	perService := map[time.Duration]int{}
+	inMinute3 := 0
+	for _, tk := range tp.Materialize(nil) {
+		perService[tk.Service]++
+		if tk.Service == 30*time.Millisecond {
+			if at := time.Duration(tk.Arrival); at >= 2*time.Minute && at < 3*time.Minute {
+				inMinute3++
+			}
+		}
 	}
-	if tr.Apps[0].Invocations != 124 {
-		t.Fatalf("f1 invocations %d", tr.Apps[0].Invocations)
+	// f1 (median 100ms, Average 120.5ms), f2 (median 30ms), f9 (no
+	// durations row); f3 (median 4.5s) has no invocation row.
+	want := map[time.Duration]int{100 * time.Millisecond: 124, 30 * time.Millisecond: 501, fallback: 12}
+	if len(perService) != len(want) {
+		t.Fatalf("services %v, want %v", perService, want)
 	}
-	if tr.Apps[0].Bursty {
-		t.Fatal("f1 steady profile classified bursty")
+	for d, n := range want {
+		if perService[d] != n {
+			t.Errorf("%d invocations at %v, want %d", perService[d], d, n)
+		}
 	}
-	// f2: 500 of 501 invocations in one minute — clearly bursty.
-	if !tr.Apps[1].Bursty {
-		t.Fatal("f2 spike profile not classified bursty")
-	}
-	// f3: no invocation row; falls back to the duration file's count.
-	if tr.Apps[2].Invocations != 15 {
-		t.Fatalf("f3 invocations %d", tr.Apps[2].Invocations)
-	}
-}
-
-func TestFromDatasetFeedsWorkloadPipeline(t *testing.T) {
-	durations, _ := LoadDurations(strings.NewReader(durationCSV))
-	invocations, _ := LoadInvocations(strings.NewReader(invocationCSV))
-	tr := FromDataset(durations, invocations)
-	// The loaded trace must work with the same APIs the synthetic one
-	// does.
-	hot := tr.SampleHotApps(10, 50, 1)
-	if len(hot) == 0 {
-		t.Fatal("no hot apps in loaded dataset")
-	}
-	iats := tr.IATTrace(hot, 200, 10*time.Millisecond, 2)
-	if len(iats) == 0 {
-		t.Fatal("no IATs generated from loaded dataset")
-	}
-}
-
-func TestBurstyFromMinutes(t *testing.T) {
-	if burstyFromMinutes(nil) {
-		t.Fatal("empty profile bursty")
-	}
-	if burstyFromMinutes([]int{5, 5, 5, 5}) {
-		t.Fatal("flat profile bursty")
-	}
-	if !burstyFromMinutes([]int{0, 0, 100, 0, 0, 0, 0, 0, 0, 0}) {
-		t.Fatal("spike profile not bursty")
-	}
-	if burstyFromMinutes([]int{0, 0, 0}) {
-		t.Fatal("all-zero profile bursty")
+	// f2's spike stays a spike: 500 of its 501 invocations land in minute 3.
+	if inMinute3 != 500 {
+		t.Errorf("f2 minute-3 arrivals = %d, want 500", inMinute3)
 	}
 }

@@ -15,12 +15,11 @@ import (
 
 // This file is the memory-bounded path through the real Azure Functions
 // dataset: the 2019 release's invocation file is a multi-GB CSV (one
-// row per function x 1440 minute columns), far past what LoadDurations/
-// LoadInvocations' materializing slices should be fed. The Scan*
-// iterators visit one row at a time with a reused record buffer, and
-// IngestTape drives them straight onto a compact trace.Tape — memory is
-// bounded by the emitted invocations and the per-function duration
-// index, never by the CSV size.
+// row per function x 1440 minute columns). The Scan* iterators visit
+// one row at a time with a reused record buffer, and IngestTape drives
+// them straight onto a compact trace.Tape — memory is bounded by the
+// emitted invocations and the per-function duration index, never by
+// the CSV size.
 
 // ScanDurations streams a function_durations_percentiles CSV, calling
 // fn for each row. The DurationRow passed to fn is only valid during

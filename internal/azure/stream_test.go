@@ -20,48 +20,23 @@ func openFixture(t *testing.T, name string) *os.File {
 	return f
 }
 
-// TestScanMatchesLoad: the streaming scanners and the materializing
-// loaders must agree row for row — Load* are thin wrappers now, but the
-// copy semantics around the reused buffers are what this pins down.
-func TestScanMatchesLoad(t *testing.T) {
-	loaded, err := LoadDurations(openFixture(t, "durations_sample.csv"))
-	if err != nil {
-		t.Fatal(err)
+// TestScanFixtures: the scanners read the checked-in dataset samples
+// the ingest golden is built from.
+func TestScanFixtures(t *testing.T) {
+	durations := scanDurations(t, openFixture(t, "durations_sample.csv"))
+	if len(durations) != 3 {
+		t.Fatalf("%d duration rows, want 3", len(durations))
 	}
-	var scanned []DurationRow
-	err = ScanDurations(openFixture(t, "durations_sample.csv"), func(row DurationRow) error {
-		scanned = append(scanned, row)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(loaded) != 3 || len(scanned) != 3 {
-		t.Fatalf("rows: loaded %d, scanned %d, want 3", len(loaded), len(scanned))
-	}
-	for i := range loaded {
-		if loaded[i] != scanned[i] {
-			t.Errorf("duration row %d: loaded %+v vs scanned %+v", i, loaded[i], scanned[i])
-		}
-	}
-	if loaded[0].P50 != 180*time.Millisecond {
-		t.Errorf("P50 = %v, want 180ms", loaded[0].P50)
+	if durations[0].P50 != 180*time.Millisecond {
+		t.Errorf("P50 = %v, want 180ms", durations[0].P50)
 	}
 
-	inv, err := LoadInvocations(openFixture(t, "invocations_sample.csv"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	inv := scanInvocations(t, openFixture(t, "invocations_sample.csv"))
 	if len(inv) != 4 {
 		t.Fatalf("%d invocation rows, want 4", len(inv))
 	}
 	if inv[0].Total != 105 || inv[1].Total != 40 || inv[2].Total != 5 || inv[3].Total != 32 {
 		t.Errorf("totals = %d %d %d %d", inv[0].Total, inv[1].Total, inv[2].Total, inv[3].Total)
-	}
-	// The loader must have detached its PerMinute copies from the
-	// scanner's reused buffer.
-	if &inv[0].PerMinute[0] == &inv[1].PerMinute[0] {
-		t.Error("PerMinute slices share a buffer")
 	}
 }
 
@@ -233,8 +208,10 @@ func TestScanErrors(t *testing.T) {
 		t.Errorf("bad Average: err = %v", err)
 	}
 
-	if err := ScanDurations(strings.NewReader("Nope\n"), func(DurationRow) error { return nil }); err == nil {
-		t.Error("missing columns accepted")
+	for _, header := range []string{"Nope\n", "HashOwner,HashApp\no,a\n"} {
+		if err := ScanDurations(strings.NewReader(header), func(DurationRow) error { return nil }); err == nil {
+			t.Errorf("missing columns accepted: %q", header)
+		}
 	}
 
 	stop := strings.NewReader("HashOwner,HashApp,HashFunction,1\no,a,f,1\no,a,g,1\n")

@@ -22,28 +22,32 @@
 // dispatchers and the chain coordinator tap completions through
 // further stages on the same pipeline.
 //
-// The simulation is deterministic: every engine is driven from one
-// global loop that always fires the globally-earliest pending event
-// (host ties break by index, host events before same-instant arrivals),
-// dispatchers are deterministic functions of seed and observed state,
-// container expiry and pre-warm events are processed in the same global
-// time order, and sources are deterministic in their spec — so the same
-// spec/seed/host-count/policy yields identical metrics on every run.
+// One coordinator drives every run (Cluster.Run). Hosts are partitioned
+// into shards, each a host.Group, and the coordinator alternates two
+// phases: settle, which hands completions to a completion-observing
+// dispatcher, re-offers held work and admits released chain stages;
+// and advance. Serial mode (Config.Shards == 0) is the one-shard,
+// event-granular case: each advance fires the single globally-earliest
+// host event (host ties break by index, host events before same-instant
+// arrivals) or admits one arrival and delivers it at once, so the
+// dispatcher sees the zero-latency cluster. With Config.Shards > 0 each
+// advance admits a whole lookahead window of arrivals and runs the
+// shards through it in parallel (sharded.go), modeling a non-zero
+// dispatcher→host latency.
 //
-// With Config.Shards > 0 the run switches to the sharded
-// discrete-event engine (sharded.go): hosts are partitioned into
-// shards that advance in parallel between epoch barriers spaced by the
-// modeled dispatch latency. Sharded output is deterministic in the
-// same strong sense — identical at any shard and worker count — but
-// models a non-zero dispatcher→host latency, so it is a distinct
-// (coarser-grained) simulation from the zero-latency serial path. Both
-// paths drive hosts through the same host.Group advance primitives, so
-// a stage wired once works at any -shards count.
+// The simulation is deterministic: dispatchers are deterministic
+// functions of seed and observed state, container expiry and pre-warm
+// events are processed in global time order, and sources are
+// deterministic in their spec — so the same spec/seed/host-count/policy
+// yields identical metrics on every run, and sharded output is
+// identical at any shard and worker count.
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"time"
 
@@ -109,8 +113,9 @@ type Config struct {
 	Chain *chain.Config
 	// Shards, when > 0, partitions the hosts into that many contiguous
 	// shards advanced in parallel between epoch barriers (see
-	// sharded.go). Shard counts above Hosts are clamped. 0 selects the
-	// legacy zero-latency serial loop.
+	// sharded.go). Shard counts above Hosts are clamped. 0 selects
+	// serial mode: one shard, advanced one event at a time, with zero
+	// dispatch latency.
 	Shards int
 	// DispatchLatency is the modeled dispatcher→host latency in sharded
 	// mode; it is the conservative lookahead between barriers, so every
@@ -127,13 +132,14 @@ type Config struct {
 // node pairs one host runtime with its dispatch accounting and
 // (optionally) its container lifecycle manager. It implements the Host
 // view dispatchers decide from. The runtime (and its stage pipeline)
-// is wired at Run start, because the stage set depends on the
-// execution mode.
+// is wired at Run start, because its completions report into the shard
+// that owns the host.
 type node struct {
 	idx        int
 	eng        *cpusim.Engine
 	mgr        *lifecycle.Manager // nil when lifecycle modeling is off
 	rt         *host.Runtime      // set at Run start
+	sh         *shard             // owning shard, set at Run start
 	speed      float64
 	dispatched int
 }
@@ -163,8 +169,7 @@ func (n *node) Queued() int {
 // submitted to its engine (sharded mode defers submission into the
 // owning shard's window). Folding it into the dispatcher's view keeps
 // same-window assignments visible to later placement decisions; it is
-// always zero on the serial path and at barriers after a window has
-// run.
+// always zero in serial mode and at barriers after a window has run.
 func (n *node) assigned() int {
 	if n.rt == nil {
 		return 0
@@ -217,9 +222,9 @@ type Result struct {
 	// Workflows holds per-workflow end-to-end results when Config.Chain
 	// was set (empty otherwise).
 	Workflows metrics.WorkflowRun
-	// Shards records how many shards the run used (0 = serial path);
-	// Lookahead is the epoch-barrier lookahead that applied (zero on
-	// the serial path).
+	// Shards records how many shards the run used (0 = serial mode);
+	// Lookahead is the epoch-barrier lookahead that applied (zero in
+	// serial mode).
 	Shards    int
 	Lookahead time.Duration
 	// Aborted reports that the run ended with unfinished work: a
@@ -282,7 +287,8 @@ func (res *Result) RenderPerHost() string {
 	return b.String()
 }
 
-// Cluster simulates N hosts behind one dispatcher.
+// Cluster simulates N hosts behind one dispatcher. It is single-use,
+// so the coordinator's run state lives here too.
 type Cluster struct {
 	cfg    Config
 	nodes  []*node
@@ -290,6 +296,14 @@ type Cluster struct {
 	inj    *chain.Injector    // nil unless Config.Chain was set
 	obs    CompletionObserver // the dispatcher, when it wants completions
 	netRNG *rng.RNG           // nil unless Config.NetDelay was set
+
+	shards  []*shard
+	records []record
+	central []int // indices into records of held invocations, FIFO
+	maxQ    int
+	now     simtime.Time // coordinator clock
+	lcNow   simtime.Time // instant the lifecycle managers were last advanced to
+	merged  []finishRec  // settle's merge buffer, reused across steps
 }
 
 // netDelayOf draws the next dispatch's network delay (zero when the
@@ -371,201 +385,83 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// wireRuntimes wraps every node's engine in a host.Runtime running the
-// given per-node stage pipeline (nil entries are dropped) and returns
-// the fleet as a slice for host.Group. stagesFor is consulted once per
-// node, in index order.
-func (c *Cluster) wireRuntimes(stagesFor func(n *node) []host.Stage) []*host.Runtime {
-	rts := make([]*host.Runtime, len(c.nodes))
-	for i, n := range c.nodes {
-		n.rt = host.New(n.eng, stagesFor(n)...)
-		rts[i] = n.rt
-	}
-	return rts
-}
-
 // Run pulls the source to exhaustion through the dispatcher and drives
-// every host engine to completion in global virtual-time order. A
-// Cluster is single-use: build a fresh one per run.
+// every host engine to completion, alternating settle with a per-mode
+// advance (see the package doc). A Cluster is single-use: build a fresh
+// one per run.
 func (c *Cluster) Run(src trace.Source) (*Result, error) {
-	if c.cfg.Shards > 0 {
-		return c.runSharded(src)
-	}
 	deadline := c.cfg.Deadline
 	if deadline == 0 {
 		deadline = simtime.Infinity
 	}
-
-	var (
-		records []record
-		central []int // indices into records of held invocations, FIFO
-		maxQ    int
-		now     simtime.Time
-		aborted bool
-	)
-
-	// Per-host stage pipelines, hooked in the serial loop's completion
-	// order: the lifecycle stage releases the finished invocation's
-	// container back to the warm pool, a completion-observing
-	// dispatcher (PREDICTED) is notified synchronously at the finish
-	// event — before the freed capacity is re-offered below — and
-	// completions are collected for the chain injector, which may
-	// release downstream stages back through the dispatcher.
-	var finished []*task.Task
-	g := host.NewGroup(c.wireRuntimes(func(n *node) []host.Stage {
-		var stages []host.Stage
-		if n.mgr != nil {
-			stages = append(stages, lifecycle.NewHostStage(n.mgr))
-		}
-		if c.obs != nil {
-			hi := n.idx
-			stages = append(stages, host.FinishFunc(func(at simtime.Time, t *task.Task) {
-				c.obs.TaskFinished(at, hi, t)
-			}))
-		}
-		if c.inj != nil {
-			stages = append(stages, host.FinishFunc(func(at simtime.Time, t *task.Task) {
-				finished = append(finished, t)
-			}))
-		}
-		return stages
-	}))
-
-	// offer asks the dispatcher to place records[ri], parking it in the
-	// central queue on Hold.
-	offer := func(at simtime.Time, ri int) bool {
-		rec := &records[ri]
-		if c.cfg.NewLifecycle != nil {
-			// Age out expired containers first so affinity-aware
-			// policies (and the lifecycle stage's acquire inside Deliver)
-			// see the warm pools as of the decision instant.
-			for _, n := range c.nodes {
-				n.mgr.AdvanceTo(at)
-			}
-		}
-		idx := c.cfg.Dispatcher.Pick(at, rec.t, c.views)
-		if idx == Hold {
-			return false
-		}
-		if idx < 0 || idx >= len(c.nodes) {
-			panic(fmt.Sprintf("cluster: dispatcher %s picked host %d of %d", c.cfg.Dispatcher.Name(), idx, len(c.nodes)))
-		}
-		rec.host = idx
-		rec.at = at
-		// A held invocation is claimed after its arrival; move its
-		// engine-visible arrival to the claim instant so the host's
-		// event order stays causal. The original arrival is restored
-		// before metrics are computed.
-		if at > rec.t.Arrival {
-			rec.t.Arrival = at
-		}
-		// Network delay between dispatcher and host postpones the
-		// instant the invocation is runnable; the dispatch instant itself
-		// (rec.at, queue-delay accounting) is unaffected. The chosen
-		// host's lifecycle stage then acquires a container inside
-		// Deliver; a cold start further delays runnability there.
-		rec.t.Arrival += c.netDelayOf()
-		g.Deliver(idx, at, rec.t)
-		c.nodes[idx].dispatched++
-		return true
+	serial := c.cfg.Shards == 0
+	nShards, lookahead := 1, time.Duration(0)
+	if !serial {
+		nShards = min(c.cfg.Shards, len(c.nodes))
+		lookahead = cmp.Or(c.cfg.DispatchLatency, DefaultDispatchLatency)
 	}
+	c.partition(nShards)
+	runWindow, stop := c.windowRunner()
+	defer stop()
 
-	// drainCentral re-offers held work oldest-first, stopping at the
-	// first invocation the dispatcher still declines (FIFO order is part
-	// of the pull-based contract).
-	drainCentral := func(at simtime.Time) {
-		for len(central) > 0 {
-			if !offer(at, central[0]) {
-				return
-			}
-			central = central[1:]
-		}
-	}
-
-	// admit registers an invocation arriving at `at` and offers it to
-	// the dispatcher, parking it behind any already-held work so nothing
-	// overtakes the central queue's FIFO order.
-	admit := func(t *task.Task, at simtime.Time) {
-		records = append(records, record{t: t, orig: t.Arrival, host: Hold, at: -1})
-		ri := len(records) - 1
-		if len(central) > 0 || !offer(at, ri) {
-			central = append(central, ri)
-			if len(central) > maxQ {
-				maxQ = len(central)
-			}
-		}
-	}
-
+	aborted := false
 	next, more := src.Next()
 	for {
-		// The globally-earliest host event, among hosts that still have
-		// unfinished work (ties break by lowest host index, mirroring
-		// the heap's comparator).
-		heHost, heTime := g.Min()
-		arrTime := simtime.Infinity
+		if err := c.settle(); err != nil {
+			return nil, err
+		}
+		// Earliest future event anywhere: source arrival, undelivered
+		// submission, or host engine event.
+		earliest := simtime.Infinity
 		if more {
-			arrTime = next.Arrival
+			earliest = next.Arrival
+		}
+		for _, sh := range c.shards {
+			_, ht := sh.grp.Min()
+			earliest = min(earliest, ht, sh.grp.NextSubmissionTime())
+		}
+		if earliest == simtime.Infinity {
+			if len(c.central) > 0 {
+				// Work still held with every host idle: the dispatcher
+				// declined placement with the whole cluster free. That
+				// is a policy bug; report rather than spin.
+				return nil, fmt.Errorf("cluster: dispatcher %s stalled with %d invocations held and all hosts idle",
+					c.cfg.Dispatcher.Name(), len(c.central))
+			}
+			break
+		}
+		if earliest > deadline {
+			aborted = true
+			break
 		}
 
-		if heTime < simtime.Infinity && heTime <= arrTime {
+		if serial {
+			c.now = max(c.now, earliest)
 			// Host events fire before same-instant arrivals so a
 			// completion frees capacity the dispatcher can see.
-			if heTime > deadline {
-				aborted = true
-				break
+			if hi, ht := c.shards[0].grp.Min(); ht == earliest {
+				c.shards[0].step(hi)
+				continue
 			}
-			before := c.nodes[heHost].eng.Pending()
-			g.Step(heHost)
-			if heTime > now {
-				now = heTime
-			}
-			if c.nodes[heHost].eng.Pending() < before {
-				drainCentral(now)
-			}
-			// A completion may release downstream chain stages: they
-			// re-enter dispatch as arrivals at the completion instant,
-			// after held work has had its chance at the freed capacity.
-			if c.inj != nil && len(finished) > 0 {
-				for _, ft := range finished {
-					for _, dt := range c.inj.OnFinish(ft) {
-						admit(dt, now)
-					}
-				}
-				finished = finished[:0]
-			}
-			continue
-		}
-
-		if more {
-			if arrTime > deadline {
-				aborted = true
-				break
-			}
-			if arrTime > now {
-				now = arrTime
-			}
-			if c.inj != nil {
-				// A chained request expands into its root stages, all
-				// arriving at the request instant; the request task
-				// itself is stage 0.
-				for _, rt := range c.inj.Expand(next) {
-					admit(rt, now)
-				}
-			} else {
-				admit(next, now)
+			if err := c.admitArrival(next, c.now); err != nil {
+				return nil, err
 			}
 			next, more = src.Next()
 			continue
 		}
 
-		if len(central) > 0 {
-			// No host events, no arrivals, work still held: the
-			// dispatcher declined placement with the whole cluster
-			// idle. That is a policy bug; report rather than spin.
-			return nil, fmt.Errorf("cluster: dispatcher %s stalled with %d invocations held and all hosts idle",
-				c.cfg.Dispatcher.Name(), len(central))
+		bound := windowBound(earliest, c.now, lookahead, deadline)
+		// Placement sees host state as of the window's start plus this
+		// window's own assignments.
+		for more && next.Arrival < bound {
+			if err := c.admitArrival(next, next.Arrival); err != nil {
+				return nil, err
+			}
+			next, more = src.Next()
 		}
-		break
+		runWindow(bound)
+		c.now = bound
+		c.syncLifecycle()
 	}
 	if err := trace.Err(src); err != nil {
 		return nil, err
@@ -579,17 +475,168 @@ func (c *Cluster) Run(src trace.Source) (*Result, error) {
 		}
 	}
 
-	return c.result(records, maxQ, aborted), nil
+	res := c.result(aborted)
+	if !serial {
+		res.Shards, res.Lookahead = nShards, lookahead
+	}
+	return res, nil
+}
+
+// settle handles what the last step or window reported, in the same
+// order in both modes. Completions are merged across shards in (time,
+// host) order; equal keys come from one shard, whose append order the
+// stable sort keeps. A completion-observing dispatcher learns of them
+// first, held work then gets its claim on the freed capacity (FIFO),
+// and chain stages those completions released re-enter dispatch last.
+func (c *Cluster) settle() error {
+	completions := 0
+	merged := c.merged[:0]
+	for _, sh := range c.shards {
+		completions += sh.completions
+		sh.completions = 0
+		merged = append(merged, sh.finished...)
+		sh.finished = sh.finished[:0]
+	}
+	c.merged = merged
+	if completions == 0 {
+		return nil
+	}
+	slices.SortStableFunc(merged, func(a, b finishRec) int {
+		if a.at != b.at {
+			return cmp.Compare(a.at, b.at)
+		}
+		return cmp.Compare(a.host, b.host)
+	})
+	if c.obs != nil {
+		for _, fr := range merged {
+			c.obs.TaskFinished(fr.at, fr.host, fr.t)
+		}
+	}
+	if err := c.drainCentral(); err != nil {
+		return err
+	}
+	if c.inj != nil {
+		for _, fr := range merged {
+			for _, dt := range c.inj.OnFinish(fr.t) {
+				if err := c.admit(dt, c.now); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// syncLifecycle advances every container lifecycle manager to the
+// coordinator clock, so affinity-aware policies (and the lifecycle
+// stage's acquire) see warm pools as of that instant. A manager never
+// schedules an event at or before the instant it was advanced to, so a
+// repeat call at the same instant is skipped: serial mode calls this
+// before every decision and must not pay O(hosts) per event.
+func (c *Cluster) syncLifecycle() {
+	if c.cfg.NewLifecycle == nil || c.lcNow >= c.now {
+		return
+	}
+	for _, n := range c.nodes {
+		n.mgr.AdvanceTo(c.now)
+	}
+	c.lcNow = c.now
+}
+
+// offer asks the dispatcher to place records[ri] at instant at. It
+// returns false, leaving the record for the caller to park, when the
+// dispatcher holds it, and an error when the dispatcher picks a host
+// that does not exist.
+func (c *Cluster) offer(at simtime.Time, ri int) (bool, error) {
+	c.syncLifecycle()
+	rec := &c.records[ri]
+	idx := c.cfg.Dispatcher.Pick(at, rec.t, c.views)
+	if idx == Hold {
+		return false, nil
+	}
+	if idx < 0 || idx >= len(c.nodes) {
+		return false, fmt.Errorf("cluster: dispatcher %s picked host %d of %d", c.cfg.Dispatcher.Name(), idx, len(c.nodes))
+	}
+	rec.host = idx
+	rec.at = at
+	// A held invocation is claimed after its arrival; move its
+	// engine-visible arrival to the claim instant so the host's event
+	// order stays causal. The original arrival is restored before
+	// metrics are computed.
+	if at > rec.t.Arrival {
+		rec.t.Arrival = at
+	}
+	// Network delay between dispatcher and host postpones the instant
+	// the invocation is runnable; the dispatch instant itself (rec.at,
+	// queue-delay accounting) is unaffected. Delays are drawn in global
+	// dispatch order, so the stream is identical at any shard count.
+	// The host's lifecycle stage acquires a container on delivery; a
+	// cold start further delays runnability there.
+	rec.t.Arrival += c.netDelayOf()
+	n := c.nodes[idx]
+	n.dispatched++
+	if c.cfg.Shards == 0 {
+		n.sh.grp.Deliver(idx-n.sh.base, at, rec.t)
+	} else {
+		n.sh.grp.Enqueue(idx-n.sh.base, at, rec.t)
+	}
+	return true, nil
+}
+
+// drainCentral re-offers held work oldest-first at the coordinator
+// clock, stopping at the first invocation the dispatcher still declines
+// (FIFO order is part of the pull-based contract).
+func (c *Cluster) drainCentral() error {
+	for len(c.central) > 0 {
+		placed, err := c.offer(c.now, c.central[0])
+		if err != nil || !placed {
+			return err
+		}
+		c.central = c.central[1:]
+	}
+	return nil
+}
+
+// admit registers an invocation arriving at `at` and offers it to the
+// dispatcher, parking it behind any already-held work so nothing
+// overtakes the central queue's FIFO order.
+func (c *Cluster) admit(t *task.Task, at simtime.Time) error {
+	c.records = append(c.records, record{t: t, orig: t.Arrival, host: Hold, at: -1})
+	ri := len(c.records) - 1
+	if len(c.central) == 0 {
+		if placed, err := c.offer(at, ri); placed || err != nil {
+			return err
+		}
+	}
+	c.central = append(c.central, ri)
+	c.maxQ = max(c.maxQ, len(c.central))
+	return nil
+}
+
+// admitArrival admits one source arrival. A chained request expands
+// into its root stages, all arriving at the request instant; the
+// request task itself is stage 0.
+func (c *Cluster) admitArrival(t *task.Task, at simtime.Time) error {
+	if c.inj == nil {
+		return c.admit(t, at)
+	}
+	for _, st := range c.inj.Expand(t) {
+		if err := c.admit(st, at); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // result restores original arrivals and assembles per-host and merged
 // metrics.
-func (c *Cluster) result(records []record, maxQ int, aborted bool) *Result {
+func (c *Cluster) result(aborted bool) *Result {
+	records := c.records
 	schedName := c.cfg.NewScheduler().Name()
 	res := &Result{
 		Scheduler:       schedName,
 		Dispatcher:      c.cfg.Dispatcher.Name(),
-		CentralQueueMax: maxQ,
+		CentralQueueMax: c.maxQ,
 		Aborted:         aborted,
 	}
 

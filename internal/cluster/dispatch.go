@@ -66,12 +66,12 @@ const Hold = -1
 
 // CompletionObserver is implemented by dispatchers that learn from (or
 // release accounting on) task completions, such as PREDICTED. The
-// cluster delivers every finish to the dispatcher that placed it: on
-// the serial path synchronously at the completion event, in sharded
-// mode at the next barrier, merged across shards in deterministic
-// (time, host) order. Either way the observer runs single-threaded on
-// the coordinating goroutine and always before the freed capacity is
-// re-offered to held work.
+// cluster delivers every finish to the dispatcher that placed it when
+// the coordinator next settles: in serial mode right after the
+// completing event, in sharded mode at the next barrier, merged across
+// shards in deterministic (time, host) order. Either way the observer
+// runs single-threaded on the coordinating goroutine and always before
+// the freed capacity is re-offered to held work.
 type CompletionObserver interface {
 	// TaskFinished reports that t completed on host at virtual time now.
 	TaskFinished(now simtime.Time, host int, t *task.Task)

@@ -145,9 +145,10 @@ func TestShardedDeterminismMatrix(t *testing.T) {
 // including the shaped ones (diurnal, flashcrowd, multitenant,
 // trigger) whose bursts concentrate arrivals in ways the uniform
 // matrix above never does — the sharded engine at 8 shards must
-// reproduce the serial engine byte-identically. Runs under -race via
-// the usual test invocation; workers stays at GOMAXPROCS so the
-// parallel window path is exercised.
+// reproduce its -shards 1 run byte-identically. (Serial mode is
+// compared in TestSerialShardedOracle.) Runs under -race via the usual
+// test invocation; workers stays at GOMAXPROCS so the parallel window
+// path is exercised.
 func TestShardedFamilyParity(t *testing.T) {
 	const hosts, cores, seed = 16, 2, 11
 	mk := func(family string) trace.Source {

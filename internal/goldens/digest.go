@@ -2,6 +2,7 @@ package goldens
 
 import (
 	"fmt"
+	"hash/fnv"
 	"sort"
 	"strings"
 	"time"
@@ -14,6 +15,7 @@ import (
 	"github.com/serverless-sched/sfs/internal/metrics"
 	"github.com/serverless-sched/sfs/internal/sched"
 	"github.com/serverless-sched/sfs/internal/schedulers"
+	"github.com/serverless-sched/sfs/internal/simtime"
 	"github.com/serverless-sched/sfs/internal/task"
 	"github.com/serverless-sched/sfs/internal/trace"
 	"github.com/serverless-sched/sfs/internal/workload"
@@ -262,4 +264,159 @@ func TriggerChainDigest() (string, error) {
 	fmt.Fprintf(&b, "workflows: completed=%d mean-slowdown=%.2fx p50=%.2fx p99=%.2fx\n",
 		wfr.Completed(), wfr.MeanSlowdown(), slow[0], slow[1])
 	return b.String(), nil
+}
+
+// Cluster-matrix dimensions: RR plus every dispatcher that reads host
+// state, and keep-alive policies whose expirations show when each mode
+// advances the lifecycle clocks.
+var (
+	clusterDispatchers = []string{"RR", "JSQ", "LEASTLOADED", "PULL", "PREDICTED", "WARMFIRST"}
+	clusterKeepalives  = []string{"", "TTL", "HIST"}
+)
+
+const (
+	clusterHosts = 4
+	// clusterTTL is short against the trace's ~50 s span, so containers
+	// expire mid-run and the instants at which the coordinator advances
+	// lifecycle clocks show in the expiration and cold-start counts.
+	clusterTTL = 2 * time.Second
+	// clusterDeadline cuts the aborted cells' run mid-trace.
+	clusterDeadline = simtime.Time(10 * time.Second)
+)
+
+// clusterCell is one cell of the cluster matrix.
+type clusterCell struct {
+	sched, dispatch, keepalive string // keepalive "" = lifecycle off
+	chain                      bool
+	shards                     int // 0 = serial
+	deadline                   simtime.Time
+}
+
+// ClusterMatrixDigest pins the cluster coordinator's absolute output:
+// one line per cell of {SFS, CFS} × clusterDispatchers × keep-alive
+// {off, TTL, HIST} × chain {off, on} × {serial, -shards 1}, plus one
+// deadline-aborted cell per mode. Each line holds the cell's headline
+// numbers and an fnv64 of its full per-task, per-host, lifecycle and
+// queue fingerprint, so any change to placement, completion handling
+// or lifecycle timing in either mode moves a line.
+func ClusterMatrixDigest() (string, error) {
+	var cells []clusterCell
+	for _, shards := range []int{0, 1} {
+		for _, sc := range digestScheds {
+			for _, dp := range clusterDispatchers {
+				for _, ka := range clusterKeepalives {
+					for _, withChain := range []bool{false, true} {
+						cells = append(cells, clusterCell{sched: sc, dispatch: dp, keepalive: ka, chain: withChain, shards: shards})
+					}
+				}
+			}
+		}
+		cells = append(cells, clusterCell{sched: "SFS", dispatch: "JSQ", keepalive: "TTL", chain: true, shards: shards, deadline: clusterDeadline})
+	}
+
+	var b strings.Builder
+	fmt.Fprintf(&b, "digest v1: cluster-matrix n=%d hosts=%d cores=%d ttl=%s seed=%d\n",
+		digestN, clusterHosts, digestCores/clusterHosts, fd(clusterTTL), digestSeed)
+	for _, cell := range cells {
+		res, err := runClusterCell(cell)
+		if err != nil {
+			return "", err
+		}
+		ka, chained, mode := "off", "off", "serial"
+		if cell.keepalive != "" {
+			ka = cell.keepalive
+		}
+		if cell.chain {
+			chained = "on"
+		}
+		if cell.shards > 0 {
+			mode = fmt.Sprintf("shards=%d", cell.shards)
+		}
+		if cell.deadline > 0 {
+			mode += " deadline=" + fd(time.Duration(cell.deadline))
+		}
+		sum := res.Merged.Summarize(50, 99)
+		ps := sum.Percentiles()
+		fmt.Fprintf(&b, "%s %s ka=%s chain=%s %s: p50=%s p99=%s mean=%s makespan=%s qmax=%d cold=%d exp=%d wf=%d aborted=%v fp=%016x\n",
+			cell.sched, cell.dispatch, ka, chained, mode,
+			fd(ps[0]), fd(ps[1]), fd(sum.Mean()), fd(time.Duration(res.Makespan)),
+			res.CentralQueueMax, res.Lifecycle.ColdStarts, res.Lifecycle.Expirations,
+			res.Workflows.Completed(), res.Aborted, clusterFP(res))
+	}
+	return b.String(), nil
+}
+
+// runClusterCell builds and runs one matrix cell from scratch.
+func runClusterCell(cell clusterCell) (*cluster.Result, error) {
+	d, err := cluster.NewDispatcher(cell.dispatch, cluster.FactoryConfig{Hosts: clusterHosts, Seed: digestSeed})
+	if err != nil {
+		return nil, err
+	}
+	if _, err := schedulers.New(cell.sched); err != nil {
+		return nil, err
+	}
+	cfg := cluster.Config{
+		Hosts:        clusterHosts,
+		CoresPerHost: digestCores / clusterHosts,
+		NewScheduler: func() cpusim.Scheduler {
+			s, _ := schedulers.New(cell.sched) // validated above
+			return s
+		},
+		Dispatcher: d,
+		Deadline:   cell.deadline,
+		Shards:     cell.shards,
+	}
+	if cell.keepalive != "" {
+		if _, err := lifecycle.NewByName(cell.keepalive, 0, clusterTTL, digestSeed); err != nil {
+			return nil, err
+		}
+		cfg.NewLifecycle = func() *lifecycle.Manager {
+			m, _ := lifecycle.NewByName(cell.keepalive, 0, clusterTTL, digestSeed) // validated above
+			return m
+		}
+	}
+	var src trace.Source
+	if cell.chain {
+		chainSrc, ccfg, err := workload.ChainStream(workload.ChainSpec{
+			N: digestN / 2, Cores: digestCores, Family: "LINEAR", Depth: 3, Seed: digestSeed,
+		})
+		if err != nil {
+			return nil, err
+		}
+		cfg.Chain = &ccfg
+		src = chainSrc
+	} else {
+		src, err = workload.NewFamily("MULTITENANT", workload.FamilyConfig{
+			N: digestN, Cores: digestCores, Seed: digestSeed,
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	cl, err := cluster.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return cl.Run(src)
+}
+
+// clusterFP hashes every observable of a cluster result that rendered
+// output derives from: per-task accounting in source order, per-host
+// counters, queue and lifecycle stats, workflow count.
+func clusterFP(res *cluster.Result) uint64 {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%s|%s|makespan=%d|qmax=%d|qdmax=%d|qdmean=%d|aborted=%v\n",
+		res.Scheduler, res.Dispatcher, res.Makespan, res.CentralQueueMax,
+		res.QueueDelayMax, res.QueueDelayMean, res.Aborted)
+	fmt.Fprintf(h, "lifecycle=%+v\n", res.Lifecycle)
+	fmt.Fprintf(h, "workflows=%d\n", len(res.Workflows.Workflows))
+	for _, tk := range res.Merged.Tasks {
+		fmt.Fprintf(h, "t%d app=%s arr=%d svc=%d start=%d fin=%d wait=%d io=%d cpu=%d ctx=%d disp=%d mig=%d\n",
+			tk.ID, tk.App, tk.Arrival, tk.Service, tk.Start, tk.Finish,
+			tk.WaitTime, tk.IOTime, tk.CPUUsed, tk.CtxSwitches, tk.Dispatches, tk.Migrations)
+	}
+	for i, hr := range res.PerHost {
+		fmt.Fprintf(h, "h%d disp=%d ctx=%d tasks=%d\n", i, hr.Dispatches, hr.CtxSwitches, len(hr.Run.Tasks))
+	}
+	return h.Sum64()
 }

@@ -27,11 +27,15 @@ func TestGoldenFamilies(t *testing.T) {
 	}
 }
 
-// TestGoldenFixtureSync: every family and prediction fixture on disk
-// corresponds to a registered family — deleted families must take
+// TestGoldenFixtureSync: every fixture on disk belongs to a digest
+// this package still renders — deleted families and digests must take
 // their goldens along.
 func TestGoldenFixtureSync(t *testing.T) {
-	known := map[string]bool{}
+	known := map[string]bool{
+		"azure-ingest.golden":   true,
+		"cluster-matrix.golden": true,
+		"trigger-chain.golden":  true,
+	}
 	for _, f := range workload.FamilyNames() {
 		known["family-"+strings.ToLower(f)+".golden"] = true
 	}
@@ -43,13 +47,8 @@ func TestGoldenFixtureSync(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasSuffix(name, ".golden") ||
-			(!strings.HasPrefix(name, "family-") && !strings.HasPrefix(name, "predicted-")) {
-			continue
-		}
-		if !known[name] {
-			t.Errorf("fixture %s has no registered scenario family; delete it or restore the family", name)
+		if name := e.Name(); strings.HasSuffix(name, ".golden") && !known[name] {
+			t.Errorf("fixture %s has no digest rendering it; delete it or restore the digest", name)
 		}
 	}
 }
@@ -76,6 +75,18 @@ func TestGoldenTriggerChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	Check(t, "trigger-chain", got)
+}
+
+// TestGoldenClusterMatrix pins the cluster coordinator's absolute
+// output in both execution modes: the shard-parity tests only compare
+// runs with each other, so a change that moved serial and sharded
+// results together would pass them.
+func TestGoldenClusterMatrix(t *testing.T) {
+	got, err := ClusterMatrixDigest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	Check(t, "cluster-matrix", got)
 }
 
 // TestGoldenAzureIngest pins the streaming CSV ingestion path: the

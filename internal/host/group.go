@@ -14,13 +14,13 @@ type submission struct {
 	idx int // group-local runtime index
 }
 
-// Group drives a fleet of Runtimes in global next-event order. It is
-// the host-advance core both cluster loops share: the serial loop
-// steps the globally-earliest runtime one event at a time (Min, Step,
-// Deliver), while the sharded engine builds one Group per shard and
-// advances whole windows (Enqueue, Advance) — either way every event
-// and delivery flows through the same primitives, so replays are
-// byte-identical at any partitioning.
+// Group drives a fleet of Runtimes in global next-event order: it is
+// one shard of the cluster coordinator. Serial mode is one Group over
+// every host, stepped one event at a time with immediate delivery
+// (Min, Step, Deliver); sharded mode builds one Group per shard and
+// advances whole windows of queued submissions (Enqueue, Advance).
+// Either way every event and delivery flows through the same
+// primitives, so replays are byte-identical at any partitioning.
 type Group struct {
 	rts     []*Runtime
 	hh      *Heap
@@ -34,25 +34,23 @@ func NewGroup(rts []*Runtime) *Group {
 	return &Group{rts: rts, hh: NewHeap(len(rts))}
 }
 
-// Len is the number of runtimes in the group.
-func (g *Group) Len() int { return len(g.rts) }
-
-// Runtime returns the i'th runtime.
-func (g *Group) Runtime(i int) *Runtime { return g.rts[i] }
-
 // Min returns the runtime with the earliest pending engine event
 // (lowest index on ties) and that event's time; idle runtimes report
 // simtime.Infinity.
 func (g *Group) Min() (idx int, at simtime.Time) { return g.hh.Min() }
 
-// Step fires runtime i's earliest pending event and re-keys it.
-func (g *Group) Step(i int) {
-	g.rts[i].StepEvent()
-	g.hh.Update(i, g.rts[i].NextEventTime())
+// Step fires runtime i's earliest pending event, re-keys it, and
+// returns the number of tasks that completed.
+func (g *Group) Step(i int) (completions int) {
+	rt := g.rts[i]
+	before := rt.eng.Pending()
+	rt.StepEvent()
+	g.hh.Update(i, rt.NextEventTime())
+	return before - rt.eng.Pending()
 }
 
 // Deliver hands t to runtime i at instant `at` — through the runtime's
-// full stage pipeline — and re-keys it. This is the serial path's
+// full stage pipeline — and re-keys it. This is serial mode's
 // immediate delivery; Advance uses it for queued submissions.
 func (g *Group) Deliver(i int, at simtime.Time, t *task.Task) {
 	g.rts[i].Place(at, t)
@@ -61,7 +59,7 @@ func (g *Group) Deliver(i int, at simtime.Time, t *task.Task) {
 
 // Enqueue defers delivery of t to runtime i until Advance reaches
 // instant `at`. Submissions must be enqueued in non-decreasing `at`
-// order (the sharded coordinator's dispatch order guarantees this);
+// order (the coordinator's dispatch order guarantees this);
 // the runtime's Queued count reflects the assignment immediately so
 // dispatchers see same-window placements.
 func (g *Group) Enqueue(i int, at simtime.Time, t *task.Task) {
@@ -84,11 +82,6 @@ func (g *Group) NextSubmissionTime() simtime.Time {
 // returns the number of tasks that completed. Between barriers a
 // sharded window touches its group only through this method.
 func (g *Group) Advance(bound simtime.Time) (completions int) {
-	pendingBefore := 0
-	for _, rt := range g.rts {
-		pendingBefore += rt.eng.Pending()
-	}
-	submitted := 0
 	for {
 		hi, ht := g.hh.Min()
 		st := g.NextSubmissionTime()
@@ -97,24 +90,19 @@ func (g *Group) Advance(bound simtime.Time) (completions int) {
 		}
 		if ht <= st {
 			// Engine events fire before same-instant submissions, exactly
-			// as the serial loop fires host events before same-instant
+			// as serial mode fires host events before same-instant
 			// arrivals.
-			g.Step(hi)
+			completions += g.Step(hi)
 			continue
 		}
 		sub := g.subs[g.subHead]
 		g.subHead++
 		g.rts[sub.idx].queued--
 		g.Deliver(sub.idx, sub.at, sub.t)
-		submitted++
-	}
-	pendingAfter := 0
-	for _, rt := range g.rts {
-		pendingAfter += rt.eng.Pending()
 	}
 	if g.subHead == len(g.subs) {
 		g.subs = g.subs[:0]
 		g.subHead = 0
 	}
-	return pendingBefore + submitted - pendingAfter
+	return completions
 }

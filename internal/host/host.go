@@ -1,14 +1,11 @@
 // Package host is the unified per-host runtime at the center of every
 // simulation driver in this repository.
 //
-// Before this package existed the repo had five near-duplicate
-// discrete-event drive loops — the faas platform, lifecycle.Run,
-// chain.Run, and the serial and sharded cluster loops — each
-// hand-wiring the same concerns (container acquire/release, workflow
-// stage release, completion observation) into its own event loop. A
-// Runtime collapses them into one composable core: it owns a cpusim
-// engine plus an ordered pipeline of pluggable Stages, and guarantees
-// one deterministic hook ordering everywhere:
+// A Runtime is one composable core for the concerns every driver
+// shares (container acquire/release, workflow stage release,
+// completion observation): it owns a cpusim engine plus an ordered
+// pipeline of pluggable Stages, and guarantees one deterministic hook
+// ordering everywhere:
 //
 //   - engine events fire before same-instant arrivals, so a completion
 //     frees capacity (and warm containers) the next arrival can see;
@@ -22,14 +19,15 @@
 //
 // The public drivers are thin shells over this core: lifecycle.Run and
 // chain.Run are stage configurations of Runtime.Drive, the faas
-// platform composes both, and the cluster layer drives many Runtimes
-// through a Group — the serial loop steps the globally-earliest host
-// one event at a time while the sharded engine advances whole windows,
-// but both deliver work through the same Runtime.Place hook path, so a
-// stage written once works standalone, on the serial cluster, and at
-// any -shards count. A standalone Runtime.Drive is byte-identical to a
-// one-host cluster under a trivial dispatcher (the degenerate-case
-// parity pinned by TestStandaloneClusterParity).
+// platform composes both, and the cluster coordinator drives many
+// Runtimes through one Group per shard — serial mode steps a single
+// Group over every host one event at a time, sharded mode advances
+// each shard's Group through whole windows — and every delivery takes
+// the same Runtime.Place hook path, so a stage written once works
+// standalone and at any -shards count, serial included. A standalone
+// Runtime.Drive is byte-identical to a one-host cluster under a
+// trivial dispatcher (the degenerate-case parity pinned by
+// TestStandaloneClusterParity).
 package host
 
 import (
@@ -157,8 +155,8 @@ func (rt *Runtime) StepEvent() bool { return rt.eng.StepEvent() }
 // Place runs the pipeline's BeforeSubmit hooks for t at instant at —
 // each returned delay postpones the engine-visible arrival — and hands
 // the task to the engine. This is the single submit path shared by
-// every driver: the standalone Drive loop, the serial cluster's
-// dispatch, and sharded window delivery.
+// every driver: the standalone Drive loop and the cluster's delivery in
+// either mode.
 func (rt *Runtime) Place(at simtime.Time, t *task.Task) {
 	for _, s := range rt.stages {
 		if d := s.BeforeSubmit(at, t); d > 0 {
@@ -197,8 +195,8 @@ func (rt *Runtime) expand(t *task.Task) []*task.Task {
 // the engine to completion on one event loop — the standalone (1-host)
 // driver every single-host entry point shells out to. Engine events
 // fire before same-instant arrivals, and released arrivals precede
-// same-instant source arrivals, exactly as the cluster loops order
-// them. Turnarounds measured afterwards are end-to-end: original
+// same-instant source arrivals, exactly as the cluster coordinator
+// orders them. Turnarounds measured afterwards are end-to-end: original
 // arrivals are restored, so stage-injected delays (cold starts) count
 // against the request.
 func (rt *Runtime) Drive(src trace.Source) (simtime.Time, error) {
