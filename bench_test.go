@@ -133,7 +133,7 @@ func BenchmarkTracePipeline(b *testing.B) {
 // completions per second of wall time under each scheduler.
 func BenchmarkEngineThroughput(b *testing.B) {
 	const cores = 16
-	w := workload.Generate(workload.Spec{N: 2000, Cores: cores, Load: 1.0, Seed: 7})
+	w := trace.Collect(workload.Stream(workload.Spec{N: 2000, Cores: cores, Load: 1.0, Seed: 7}))
 	for _, mk := range []struct {
 		name string
 		mk   func() cpusim.Scheduler
@@ -148,7 +148,7 @@ func BenchmarkEngineThroughput(b *testing.B) {
 		b.Run(mk.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				eng := cpusim.NewEngine(cpusim.Config{Cores: cores, Deadline: 100 * time.Hour}, mk.mk())
-				eng.Submit(w.Clone()...)
+				eng.Submit(trace.CloneTasks(w)...)
 				eng.Run()
 			}
 			b.ReportMetric(float64(2000*b.N)/b.Elapsed().Seconds(), "tasks/s")
@@ -161,12 +161,12 @@ func BenchmarkEngineThroughput(b *testing.B) {
 // on the trace workload.
 func BenchmarkSpeedupSummary(b *testing.B) {
 	const cores = 12
-	w := workload.AzureSampled(workload.AzureSampledSpec{N: 2000, Cores: cores, Load: 1.0, Seed: 5})
+	w := trace.Collect(workload.AzureSampledStream(workload.AzureSampledSpec{N: 2000, Cores: cores, Load: 1.0, Seed: 5}))
 	var sum metrics.SpeedupSummary
 	for i := 0; i < b.N; i++ {
 		run := func(s cpusim.Scheduler) metrics.Run {
 			eng := cpusim.NewEngine(cpusim.Config{Cores: cores, Deadline: 100 * time.Hour}, s)
-			tasks := w.Clone()
+			tasks := trace.CloneTasks(w)
 			eng.Submit(tasks...)
 			eng.Run()
 			return metrics.Run{Scheduler: s.Name(), Tasks: tasks}

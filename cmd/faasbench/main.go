@@ -189,15 +189,25 @@ func newGenFlags(name string) *genFlags {
 	}
 }
 
+// parse parses the subcommand's flags and rejects the generation flags
+// no family can honour: -n must be positive for every family but synth
+// (where 0 means "until -horizon"; the others would panic or stream
+// forever), and -cores at least 1.
+func (g *genFlags) parse(args []string) {
+	g.fs.Parse(args)
+	if *g.n < 0 || *g.n == 0 && *g.arrivals != "synth" {
+		fatal(fmt.Errorf("-n must be positive with -arrivals %s (only synth takes -n 0, meaning until -horizon)", *g.arrivals))
+	}
+	if *g.cores < 1 {
+		fatal(fmt.Errorf("-cores must be at least 1"))
+	}
+}
+
 func (g *genFlags) apps() []workload.AppChoice {
 	if !*g.mix {
 		return nil
 	}
-	return []workload.AppChoice{
-		{Profile: workload.AppFib, Weight: 0.5},
-		{Profile: workload.AppMd, Weight: 0.25},
-		{Profile: workload.AppSa, Weight: 0.25},
-	}
+	return workload.OpenLambdaMix()
 }
 
 // source builds the configured scenario family as a trace.Source.
@@ -244,7 +254,7 @@ func (g *genFlags) source() trace.Source {
 func cmdGen(args []string) {
 	g := newGenFlags("gen")
 	emit := g.fs.Bool("emit", false, "emit the trace as per-invocation CSV to stdout instead of a summary")
-	g.fs.Parse(args)
+	g.parse(args)
 	src := g.source()
 	if *emit {
 		fmt.Println("id,app,arrival_ms,service_ms,io_ops,io_total_ms")
@@ -270,7 +280,7 @@ func cmdExport(args []string) {
 	g := newGenFlags("export")
 	out := g.fs.String("o", "", "output path (default stdout); replayable by faasbench replay and sfs-sim -workload")
 	format := g.fs.String("format", "csv", "output format: csv or binary (the length-prefixed SFTB codec)")
-	g.fs.Parse(args)
+	g.parse(args)
 	if *format != "csv" && *format != "binary" {
 		fatal(fmt.Errorf("unknown -format %q (want csv or binary)", *format))
 	}
@@ -369,6 +379,9 @@ func cmdReplay(args []string) {
 	if *in == "" {
 		fatal(fmt.Errorf("replay needs -in trace.csv"))
 	}
+	if *cores < 1 {
+		fatal(fmt.Errorf("-cores must be at least 1"))
+	}
 	ka.validate()
 	f, err := os.Open(*in)
 	if err != nil {
@@ -444,7 +457,7 @@ func cmdCluster(args []string) {
 	speedSpec := g.fs.String("speeds", "", "per-host speed factors, e.g. \"1.5x4,0.5x4\" or a single value for all hosts (empty = uniform 1.0)")
 	netDelaySpec := g.fs.String("net-delay", "", "dispatcher->host network delay, e.g. \"500us\" or \"200us-2ms\" (uniform)")
 	ka := newKAFlags(g.fs)
-	g.fs.Parse(args)
+	g.parse(args)
 	if *hosts < 1 || *hostCores < 1 {
 		fatal(fmt.Errorf("cluster needs -hosts >= 1 and -host-cores >= 1"))
 	}
@@ -537,7 +550,7 @@ func cmdChain(args []string) {
 	depth := g.fs.Int("depth", 3, "workflow scale: LINEAR stages / DIAMOND branches")
 	schedName := g.fs.String("sched", "SFS", "scheduler: "+strings.Join(schedulers.Names(), ", "))
 	ka := newKAFlags(g.fs)
-	g.fs.Parse(args)
+	g.parse(args)
 	ka.validate()
 
 	var src trace.Source

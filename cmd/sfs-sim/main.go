@@ -31,6 +31,7 @@ import (
 	"github.com/serverless-sched/sfs/internal/dist"
 	"github.com/serverless-sched/sfs/internal/lifecycle"
 	"github.com/serverless-sched/sfs/internal/metrics"
+	"github.com/serverless-sched/sfs/internal/queueing"
 	"github.com/serverless-sched/sfs/internal/sched"
 	"github.com/serverless-sched/sfs/internal/schedulers"
 	"github.com/serverless-sched/sfs/internal/stats"
@@ -145,8 +146,14 @@ func main() {
 	)
 	flag.Parse()
 
-	if *hosts < 1 {
-		fmt.Fprintln(os.Stderr, "-hosts must be at least 1")
+	if *hosts < 1 || *cores < 1 {
+		fmt.Fprintln(os.Stderr, "-hosts and -cores must be at least 1")
+		os.Exit(1)
+	}
+	// Every family but synth (where -n 0 means "until -horizon") needs
+	// a positive count: the others would panic or stream forever.
+	if *wlFile == "" && (*n < 0 || *n == 0 && *arrivals != "synth") {
+		fmt.Fprintf(os.Stderr, "-n must be positive with -arrivals %s (only synth takes -n 0, meaning until -horizon)\n", *arrivals)
 		os.Exit(1)
 	}
 	if (*speedSpec != "" || *netDelaySp != "") && *hosts == 1 {
@@ -215,18 +222,18 @@ func main() {
 	// CPU demand (stage count x per-request demand) for the calibrated
 	// arrival families; synth arrivals follow their explicit RPS profile.
 	genLoad := *load / ch.loadDivisor()
-	var w *workload.Workload
+	var src trace.Source
 	switch *arrivals {
 	case "poisson":
-		w = workload.Generate(workload.Spec{
+		src = workload.Stream(workload.Spec{
 			N: *n, Cores: totalCores, Load: genLoad, Seed: *seed, IOFraction: *ioFraction,
 		})
 	case "trace":
-		w = workload.AzureSampled(workload.AzureSampledSpec{
+		src = workload.AzureSampledStream(workload.AzureSampledSpec{
 			N: *n, Cores: totalCores, Load: genLoad, Seed: *seed, IOFraction: *ioFraction,
 		})
 	case "synth":
-		w = workload.Synthetic(workload.SyntheticSpec{
+		src = workload.SyntheticStream(workload.SyntheticSpec{
 			Shape: trace.ShapeRamp, StartRPS: *startRPS, TargetRPS: *targetRPS,
 			Horizon: *horizon, N: *n, Seed: *seed, IOFraction: *ioFraction,
 		})
@@ -235,7 +242,7 @@ func main() {
 		// multitenant, trigger, ... — poisson and trace were handled
 		// above with their extra knobs).
 		var err error
-		w, err = workload.NewFamilyWorkload(*arrivals, workload.FamilyConfig{
+		src, err = workload.NewFamily(*arrivals, workload.FamilyConfig{
 			N: *n, Cores: totalCores, Load: genLoad, Seed: *seed,
 		})
 		if err != nil {
@@ -243,8 +250,12 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	fmt.Printf("workload: %s (mean service %v, mean IAT %v, offered load %.2f)\n",
-		w.Description, w.MeanService, w.MeanIAT, w.OfferedLoad(totalCores))
+	tasks := trace.Collect(src)
+	if err := trace.Err(src); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	describe(src.String(), tasks, totalCores)
 	if ch.enabled() {
 		if *arrivals == "synth" {
 			fmt.Printf("chain: %s depth %d applied to every request (synth follows its RPS profile; no load recalibration)\n",
@@ -256,10 +267,29 @@ func main() {
 	}
 
 	if *hosts > 1 {
-		runCluster(w.Source(), *schedName, *dispatch, *hosts, *cores, *shards, *dispatchL, *seed, *fixedSlice, *poll, *noHybrid, *noIO, ka, ch, fleet)
+		runCluster(trace.FromTasks(src.String(), tasks), *schedName, *dispatch, *hosts, *cores, *shards, *dispatchL, *seed, *fixedSlice, *poll, *noHybrid, *noIO, ka, ch, fleet)
 		return
 	}
-	runReplay(w.Clone(), *schedName, *cores, *fixedSlice, *poll, *noHybrid, *noIO, ka, ch)
+	runReplay(tasks, *schedName, *cores, *fixedSlice, *poll, *noHybrid, *noIO, ka, ch)
+}
+
+// describe prints the generated workload's line: its description, mean
+// ideal duration (I/O included), mean inter-arrival time (the span over
+// n-1 gaps) and the offered CPU load on cores.
+func describe(desc string, tasks []*task.Task, cores int) {
+	var ideal, cpu, meanSvc, meanCPU, meanIAT time.Duration
+	for _, t := range tasks {
+		ideal += t.IdealDuration()
+		cpu += t.Service
+	}
+	if n := len(tasks); n > 0 {
+		meanSvc, meanCPU = ideal/time.Duration(n), cpu/time.Duration(n)
+	}
+	if n := len(tasks); n > 1 {
+		meanIAT = time.Duration(tasks[n-1].Arrival-tasks[0].Arrival) / time.Duration(n-1)
+	}
+	fmt.Printf("workload: %s (mean service %v, mean IAT %v, offered load %.2f)\n",
+		desc, meanSvc, meanIAT, queueing.OfferedLoad(meanCPU, meanIAT, cores))
 }
 
 // mkFactory builds the per-host scheduler constructor for cluster mode,

@@ -20,8 +20,10 @@ import (
 
 const cores = 12
 
-func replay(w *workload.Workload, s cpusim.Scheduler) metrics.Run {
-	tasks := trace.Collect(w.Source())
+// replay runs src under s. The same spec and seed regenerate a stream
+// byte for byte, so each run opens its own.
+func replay(src trace.Source, s cpusim.Scheduler) metrics.Run {
+	tasks := trace.Collect(src)
 	eng := cpusim.NewEngine(cpusim.Config{Cores: cores, Deadline: 100 * time.Hour}, s)
 	eng.Submit(tasks...)
 	eng.Run()
@@ -33,11 +35,9 @@ func main() {
 	header := []string{"load", "SFS p50", "CFS p50", "SFS RTE>=.95", "CFS RTE>=.95"}
 	var rows [][]string
 	for _, load := range []float64{0.65, 0.8, 1.0} {
-		w := workload.AzureSampled(workload.AzureSampledSpec{
-			N: 4000, Cores: cores, Load: load, Seed: 11,
-		})
-		sfs := replay(w, core.New(core.DefaultConfig()))
-		cfs := replay(w, sched.NewCFS(sched.CFSConfig{}))
+		spec := workload.AzureSampledSpec{N: 4000, Cores: cores, Load: load, Seed: 11}
+		sfs := replay(workload.AzureSampledStream(spec), core.New(core.DefaultConfig()))
+		cfs := replay(workload.AzureSampledStream(spec), sched.NewCFS(sched.CFSConfig{}))
 		rows = append(rows, []string{
 			fmt.Sprintf("%.0f%%", load*100),
 			metrics.FormatDuration(sfs.Percentiles([]float64{50})[0]),
@@ -49,15 +49,15 @@ func main() {
 	fmt.Print(metrics.Table(header, rows))
 
 	fmt.Println("\n== transient overload (5 injected spikes, Fig 12 setup) ==")
-	w := workload.AzureSampled(workload.AzureSampledSpec{
+	spikes := workload.AzureSampledSpec{
 		N: 4000, Cores: cores, Load: 0.9, Seed: 11,
 		Spikes: 5, SpikeWidth: 200,
-	})
+	}
 	for _, hybrid := range []bool{true, false} {
 		cfg := core.DefaultConfig()
 		cfg.Hybrid = hybrid
 		s := core.New(cfg)
-		replay(w, s)
+		replay(workload.AzureSampledStream(spikes), s)
 		var maxDelay time.Duration
 		for _, d := range s.Stat.QueueDelays {
 			if d.Delay > maxDelay {

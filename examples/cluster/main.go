@@ -28,17 +28,13 @@ const (
 
 // source regenerates the identical Azure-sampled stream on every call:
 // sources are deterministic in (spec, seed), so each policy sees the
-// exact same arrivals — the cluster equivalent of Workload.Clone.
+// exact same arrivals.
 func source() trace.Source {
 	return workload.AzureSampledStream(workload.AzureSampledSpec{
 		N: n, Cores: hosts * coresPerHost, Load: 0.95, Seed: seed,
 		// The fib/md/sa mix gives HASH affinity something to pin: each
 		// application sticks to one host.
-		Apps: []workload.AppChoice{
-			{Profile: workload.AppFib, Weight: 0.5},
-			{Profile: workload.AppMd, Weight: 0.25},
-			{Profile: workload.AppSa, Weight: 0.25},
-		},
+		Apps: workload.OpenLambdaMix(),
 	})
 }
 

@@ -34,11 +34,7 @@ const (
 func source() trace.Source {
 	return workload.AzureSampledStream(workload.AzureSampledSpec{
 		N: n, Cores: cores, Load: 0.85, Seed: seed,
-		Apps: []workload.AppChoice{
-			{Profile: workload.AppFib, Weight: 0.5},
-			{Profile: workload.AppMd, Weight: 0.25},
-			{Profile: workload.AppSa, Weight: 0.25},
-		},
+		Apps: workload.OpenLambdaMix(),
 	})
 }
 
@@ -155,11 +151,7 @@ func main() {
 		}
 		res, err := cl.Run(workload.AzureSampledStream(workload.AzureSampledSpec{
 			N: n, Cores: 16, Load: 0.85, Seed: seed,
-			Apps: []workload.AppChoice{
-				{Profile: workload.AppFib, Weight: 0.5},
-				{Profile: workload.AppMd, Weight: 0.25},
-				{Profile: workload.AppSa, Weight: 0.25},
-			},
+			Apps: workload.OpenLambdaMix(),
 		}))
 		if err != nil {
 			panic(err)

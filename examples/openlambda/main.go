@@ -15,14 +15,17 @@ import (
 	"github.com/serverless-sched/sfs/internal/faas"
 	"github.com/serverless-sched/sfs/internal/metrics"
 	"github.com/serverless-sched/sfs/internal/sched"
+	"github.com/serverless-sched/sfs/internal/trace"
 )
 
 func main() {
 	const cores = 24 // scaled-down deployment; the paper uses 72
 	const n = 4000
 
-	w := faas.OpenLambdaWorkload(n, cores, 0.9, 3)
-	fmt.Printf("workload: %s\n", w.Description)
+	// The same arguments regenerate the stream byte for byte, so each
+	// deployment opens its own.
+	open := func() trace.Source { return faas.OpenLambdaWorkload(n, cores, 0.9, 3) }
+	fmt.Printf("workload: %s\n", open())
 
 	cfsPlatform := faas.New(faas.Config{
 		Cores:         cores,
@@ -30,7 +33,7 @@ func main() {
 		CtxSwitchCost: 150 * time.Microsecond,
 		Seed:          4,
 	})
-	cfsRes := cfsPlatform.Run(w, sched.NewCFS(sched.CFSConfig{}))
+	cfsRes := cfsPlatform.RunTrace(open(), sched.NewCFS(sched.CFSConfig{}))
 
 	sfs := core.New(core.DefaultConfig())
 	sfsPlatform := faas.New(faas.Config{
@@ -40,7 +43,7 @@ func main() {
 		SFSPort:       true, // sandbox -> SFS UDP notification hop
 		Seed:          4,
 	})
-	sfsRes := sfsPlatform.Run(w, sfs)
+	sfsRes := sfsPlatform.RunTrace(open(), sfs)
 
 	fmt.Printf("mean dispatch overhead: %v (CFS) / %v (SFS incl. UDP hop)\n\n",
 		cfsRes.MeanDispatchOverhead.Round(time.Microsecond),

@@ -22,19 +22,25 @@ func main() {
 
 	// 1. A FaaSBench workload: Table I durations, Poisson arrivals
 	//    calibrated to 100% offered CPU load on 8 cores.
-	w := workload.Generate(workload.Spec{
+	src := workload.Stream(workload.Spec{
 		N:     3000,
 		Cores: cores,
 		Load:  1.0,
 		Seed:  1,
 	})
-	fmt.Printf("workload: %s\n", w.Description)
-	fmt.Printf("mean service %v, mean IAT %v\n\n", w.MeanService, w.MeanIAT)
+	w := trace.Collect(src)
+	var ideal time.Duration
+	for _, t := range w {
+		ideal += t.IdealDuration()
+	}
+	span := time.Duration(w[len(w)-1].Arrival - w[0].Arrival)
+	fmt.Printf("workload: %s\n", src)
+	fmt.Printf("mean service %v, mean IAT %v\n\n", ideal/time.Duration(len(w)), span/time.Duration(len(w)-1))
 
 	// 2. Replay the identical invocation stream under each scheduler,
-	//    pulling it through the trace pipeline each time.
+	//    on a fresh copy of the collected tasks each time.
 	run := func(s cpusim.Scheduler) metrics.Run {
-		tasks := trace.Collect(w.Source())
+		tasks := trace.CloneTasks(w)
 		eng := cpusim.NewEngine(cpusim.Config{Cores: cores, Deadline: 100 * time.Hour}, s)
 		eng.Submit(tasks...)
 		makespan := eng.Run()

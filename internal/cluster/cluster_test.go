@@ -174,11 +174,7 @@ func TestHashAffinityIsSticky(t *testing.T) {
 	const n, hosts, cores = 400, 4, 2
 	src := workload.AzureSampledStream(workload.AzureSampledSpec{
 		N: n, Cores: hosts * cores, Load: 0.8, Seed: 5,
-		Apps: []workload.AppChoice{
-			{Profile: workload.AppFib, Weight: 0.5},
-			{Profile: workload.AppMd, Weight: 0.25},
-			{Profile: workload.AppSa, Weight: 0.25},
-		},
+		Apps: workload.OpenLambdaMix(),
 	})
 	c := mkCluster(t, hosts, cores, "CFS", "HASH", 5)
 	res, err := c.Run(src)

@@ -9,6 +9,7 @@ import (
 	"github.com/serverless-sched/sfs/internal/dist"
 	"github.com/serverless-sched/sfs/internal/lifecycle"
 	"github.com/serverless-sched/sfs/internal/sched"
+	"github.com/serverless-sched/sfs/internal/trace"
 	"github.com/serverless-sched/sfs/internal/workload"
 )
 
@@ -49,14 +50,12 @@ func lifecycleCluster(t *testing.T, hosts int, dispatch, policy string, memoryMB
 	return cl
 }
 
-func mixSource(n, cores int, seed uint64) *workload.Workload {
-	return workload.AzureSampled(workload.AzureSampledSpec{
+// mixSource streams n fib/md/sa invocations; the same arguments
+// regenerate the stream byte for byte.
+func mixSource(n, cores int, seed uint64) trace.Source {
+	return workload.AzureSampledStream(workload.AzureSampledSpec{
 		N: n, Cores: cores, Load: 0.8, Seed: seed,
-		Apps: []workload.AppChoice{
-			{Profile: workload.AppFib, Weight: 0.5},
-			{Profile: workload.AppMd, Weight: 0.25},
-			{Profile: workload.AppSa, Weight: 0.25},
-		},
+		Apps: workload.OpenLambdaMix(),
 	})
 }
 
@@ -64,10 +63,9 @@ func mixSource(n, cores int, seed uint64) *workload.Workload {
 // byte-identical metrics and lifecycle counters — the cluster half of
 // the determinism criterion.
 func TestClusterLifecycleDeterminism(t *testing.T) {
-	w := mixSource(800, 8, 21)
 	run := func() *Result {
 		cl := lifecycleCluster(t, 2, "WARMFIRST", "HIST", 2048)
-		res, err := cl.Run(w.Source())
+		res, err := cl.Run(mixSource(800, 8, 21))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,15 +94,15 @@ func TestClusterLifecycleDeterminism(t *testing.T) {
 // TestClusterLifecycleAccounting: merged counters must cover every
 // invocation exactly once, and cold starts must appear in RenderPerHost.
 func TestClusterLifecycleAccounting(t *testing.T) {
-	w := mixSource(600, 8, 22)
+	const n = 600
 	cl := lifecycleCluster(t, 2, "RR", "TTL", 0)
-	res, err := cl.Run(w.Source())
+	res, err := cl.Run(mixSource(n, 8, 22))
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := res.Lifecycle
-	if st.Invocations != len(w.Tasks) {
-		t.Fatalf("lifecycle saw %d invocations, want %d", st.Invocations, len(w.Tasks))
+	if st.Invocations != n {
+		t.Fatalf("lifecycle saw %d invocations, want %d", st.Invocations, n)
 	}
 	if st.WarmHits()+st.ColdStarts != st.Invocations {
 		t.Fatalf("warm %d + cold %d != invocations %d", st.WarmHits(), st.ColdStarts, st.Invocations)
@@ -124,10 +122,9 @@ func TestClusterLifecycleAccounting(t *testing.T) {
 // at least the warm-hit ratio of affinity-blind spreading under the
 // same trace, memory, and policy.
 func TestWarmFirstBeatsSpreadOnWarmHits(t *testing.T) {
-	w := mixSource(1000, 16, 23)
 	ratio := func(dispatch string) float64 {
 		cl := lifecycleCluster(t, 4, dispatch, "TTL", 512)
-		res, err := cl.Run(w.Source())
+		res, err := cl.Run(mixSource(1000, 16, 23))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,9 +140,8 @@ func TestWarmFirstBeatsSpreadOnWarmHits(t *testing.T) {
 // TestColdStartDelaysClusterTasks: a task dispatched cold must not
 // start before its cold-start latency has elapsed.
 func TestColdStartDelaysClusterTasks(t *testing.T) {
-	w := mixSource(200, 8, 24)
 	cl := lifecycleCluster(t, 2, "RR", "NONE", 0)
-	res, err := cl.Run(w.Source())
+	res, err := cl.Run(mixSource(200, 8, 24))
 	if err != nil {
 		t.Fatal(err)
 	}

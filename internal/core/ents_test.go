@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/serverless-sched/sfs/internal/cpusim"
+	"github.com/serverless-sched/sfs/internal/trace"
 	"github.com/serverless-sched/sfs/internal/workload"
 )
 
@@ -13,16 +14,16 @@ import (
 // overload routing all hand the state back, so a run that exercises
 // every exit ends with none left, in both I/O modes.
 func TestEntsDroppedOnceTasksLeaveFilter(t *testing.T) {
-	w := workload.AzureSampled(workload.AzureSampledSpec{
+	w := trace.Collect(workload.AzureSampledStream(workload.AzureSampledSpec{
 		N: 3000, Cores: 4, Load: 1.0, Seed: 42,
 		IOFraction: 0.3, Spikes: 3, SpikeWidth: 200,
-	})
+	}))
 	for _, aware := range []bool{true, false} {
 		cfg := DefaultConfig()
 		cfg.IOAware = aware
 		s := New(cfg)
 		eng := cpusim.NewEngine(cpusim.Config{Cores: 4, Deadline: 1000 * time.Hour}, s)
-		eng.Submit(w.Clone()...)
+		eng.Submit(trace.CloneTasks(w)...)
 		eng.Run()
 		if eng.Aborted() {
 			t.Fatal("simulation aborted")

@@ -9,6 +9,7 @@ import (
 	"github.com/serverless-sched/sfs/internal/metrics"
 	"github.com/serverless-sched/sfs/internal/sched"
 	"github.com/serverless-sched/sfs/internal/task"
+	"github.com/serverless-sched/sfs/internal/trace"
 	"github.com/serverless-sched/sfs/internal/workload"
 )
 
@@ -36,13 +37,13 @@ func runWorkload(t *testing.T, name string, s cpusim.Scheduler, cores int, tasks
 	return metrics.Run{Scheduler: name, Tasks: tasks}
 }
 
-func testWorkload(cores int, n int, load float64, seed uint64) *workload.Workload {
-	return workload.Generate(workload.Spec{
+func testWorkload(cores int, n int, load float64, seed uint64) []*task.Task {
+	return trace.Collect(workload.Stream(workload.Spec{
 		N:     n,
 		Cores: cores,
 		Load:  load,
 		Seed:  seed,
-	})
+	}))
 }
 
 // TestAllSchedulersComplete runs the Azure-sampled workload under every
@@ -60,7 +61,7 @@ func TestAllSchedulersComplete(t *testing.T) {
 	for name, mk := range scheds {
 		name, mk := name, mk
 		t.Run(name, func(t *testing.T) {
-			runWorkload(t, name, mk(), cores, w.Clone())
+			runWorkload(t, name, mk(), cores, trace.CloneTasks(w))
 		})
 	}
 }
@@ -72,8 +73,8 @@ func TestSFSBeatsCFSForShortFunctions(t *testing.T) {
 	const cores = 8
 	w := testWorkload(cores, 2000, 1.0, 7)
 
-	cfsRun := runWorkload(t, "CFS", sched.NewCFS(sched.CFSConfig{}), cores, w.Clone())
-	sfsRun := runWorkload(t, "SFS", core.New(core.DefaultConfig()), cores, w.Clone())
+	cfsRun := runWorkload(t, "CFS", sched.NewCFS(sched.CFSConfig{}), cores, trace.CloneTasks(w))
+	sfsRun := runWorkload(t, "SFS", core.New(core.DefaultConfig()), cores, trace.CloneTasks(w))
 
 	sum := metrics.CompareRuns(cfsRun, sfsRun)
 	t.Logf("short fraction=%.2f speedup=%.1fx; long fraction=%.2f slowdown=%.2fx; median speedup=%.2fx",
@@ -110,9 +111,9 @@ func TestSRTFBeatsCFS(t *testing.T) {
 	const cores = 4
 	w := testWorkload(cores, 1000, 1.0, 99)
 
-	srtf := runWorkload(t, "SRTF", sched.NewSRTF(), cores, w.Clone())
-	cfs := runWorkload(t, "CFS", sched.NewCFS(sched.CFSConfig{}), cores, w.Clone())
-	fifo := runWorkload(t, "FIFO", sched.NewFIFO(), cores, w.Clone())
+	srtf := runWorkload(t, "SRTF", sched.NewSRTF(), cores, trace.CloneTasks(w))
+	cfs := runWorkload(t, "CFS", sched.NewCFS(sched.CFSConfig{}), cores, trace.CloneTasks(w))
+	fifo := runWorkload(t, "FIFO", sched.NewFIFO(), cores, trace.CloneTasks(w))
 
 	if srtf.MeanTurnaround() >= cfs.MeanTurnaround() {
 		t.Errorf("SRTF mean %v should beat CFS %v", srtf.MeanTurnaround(), cfs.MeanTurnaround())

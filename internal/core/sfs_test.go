@@ -8,6 +8,7 @@ import (
 	"github.com/serverless-sched/sfs/internal/cpusim"
 	"github.com/serverless-sched/sfs/internal/dist"
 	"github.com/serverless-sched/sfs/internal/task"
+	"github.com/serverless-sched/sfs/internal/trace"
 	"github.com/serverless-sched/sfs/internal/workload"
 )
 
@@ -372,8 +373,8 @@ func TestPerCoreQueueLoadImbalance(t *testing.T) {
 func TestPerCoreQueueStillCompletesEverything(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.PerCoreQueue = true
-	w := workload.Generate(workload.Spec{N: 500, Cores: 4, Load: 0.9, Seed: 33, IOFraction: 0.3})
-	s, eng := runSFS(t, cfg, 4, w.Clone()...)
+	w := trace.Collect(workload.Stream(workload.Spec{N: 500, Cores: 4, Load: 0.9, Seed: 33, IOFraction: 0.3}))
+	s, eng := runSFS(t, cfg, 4, w...)
 	if eng.Pending() != 0 {
 		t.Fatal("unfinished tasks under per-core queues")
 	}
@@ -384,22 +385,22 @@ func TestPerCoreQueueStillCompletesEverything(t *testing.T) {
 
 func TestWorkloadIntegrationWithIOKnob(t *testing.T) {
 	// Fig 11 setup: 75% of requests carry one leading 10-100ms I/O op.
-	w := workload.Generate(workload.Spec{
+	w := trace.Collect(workload.Stream(workload.Spec{
 		N: 300, Cores: 2, Load: 0.8, Seed: 21,
 		IOFraction: 0.75,
 		Duration:   dist.Uniform{Lo: ms(5), Hi: ms(80)},
-	})
+	}))
 	withIO := 0
-	for _, tk := range w.Tasks {
+	for _, tk := range w {
 		if len(tk.IOOps) > 0 {
 			withIO++
 		}
 	}
-	frac := float64(withIO) / float64(len(w.Tasks))
+	frac := float64(withIO) / float64(len(w))
 	if frac < 0.65 || frac > 0.85 {
 		t.Fatalf("IO fraction %.2f, want ~0.75", frac)
 	}
-	s, eng := runSFS(t, core.DefaultConfig(), 2, w.Clone()...)
+	s, eng := runSFS(t, core.DefaultConfig(), 2, w...)
 	_ = s
 	if eng.Pending() != 0 {
 		t.Fatal("unfinished tasks")

@@ -8,6 +8,7 @@ import (
 	"github.com/serverless-sched/sfs/internal/cpusim"
 	"github.com/serverless-sched/sfs/internal/metrics"
 	"github.com/serverless-sched/sfs/internal/sched"
+	"github.com/serverless-sched/sfs/internal/trace"
 	"github.com/serverless-sched/sfs/internal/workload"
 )
 
@@ -20,12 +21,12 @@ func TestBurstyTraceMagnitudes(t *testing.T) {
 		t.Skip("trace replay is slow")
 	}
 	const cores = 12
-	w := workload.AzureSampled(workload.AzureSampledSpec{
+	w := trace.Collect(workload.AzureSampledStream(workload.AzureSampledSpec{
 		N: 10000, Cores: cores, Load: 1.0, Seed: 5,
-	})
+	}))
 
 	run := func(name string, s cpusim.Scheduler) metrics.Run {
-		tasks := w.Clone()
+		tasks := trace.CloneTasks(w)
 		eng := cpusim.NewEngine(cpusim.Config{Cores: cores, Deadline: 1000 * time.Hour}, s)
 		eng.Submit(tasks...)
 		eng.Run()

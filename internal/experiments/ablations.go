@@ -8,6 +8,8 @@ import (
 	"github.com/serverless-sched/sfs/internal/cpusim"
 	"github.com/serverless-sched/sfs/internal/metrics"
 	"github.com/serverless-sched/sfs/internal/sched"
+	"github.com/serverless-sched/sfs/internal/task"
+	"github.com/serverless-sched/sfs/internal/trace"
 	"github.com/serverless-sched/sfs/internal/workload"
 )
 
@@ -24,7 +26,7 @@ func init() {
 }
 
 // ablationWorkload is the shared high-load trace workload.
-func ablationWorkload(cfg Config, cores int) *workload.Workload {
+func ablationWorkload(cfg Config, cores int) []*task.Task {
 	n := scaleN(cfg, 10000)
 	return azureWorkload(cfg, n, cores, 0.9, nil, 0)
 }
@@ -71,7 +73,7 @@ func runAblationSecondLevel(cfg Config) *Report {
 	}
 	medians := map[string]time.Duration{}
 	for _, v := range variants {
-		r, _ := runOn(v.mk(), cores, w.Clone(), 0.9)
+		r, _ := runOn(v.mk(), cores, trace.CloneTasks(w), 0.9)
 		summarize(rep, v.name, r)
 		medians[v.name] = r.Percentiles([]float64{50})[0]
 	}
@@ -106,7 +108,7 @@ func runAblationBaselines(cfg Config) *Report {
 		{"Lottery", func() cpusim.Scheduler { return sched.NewLottery(0, cfg.Seed) }},
 	}
 	for _, v := range variants {
-		r, eng := runOn(v.mk(), cores, w.Clone(), 0.9)
+		r, eng := runOn(v.mk(), cores, trace.CloneTasks(w), 0.9)
 		summarize(rep, v.name, r)
 		if v.name == "CoreGranular" {
 			rep.Notes = append(rep.Notes, fmt.Sprintf(
@@ -132,7 +134,7 @@ func runAblationWindow(cfg Config) *Report {
 		c := core.DefaultConfig()
 		c.WindowSize = n
 		s := core.New(c)
-		r, _ := runOn(s, cores, w.Clone(), 0.9)
+		r, _ := runOn(s, cores, trace.CloneTasks(w), 0.9)
 		ps := r.Percentiles([]float64{50, 99})
 		rep.Rows = append(rep.Rows, []string{
 			fmt.Sprintf("SFS N=%d", n),
@@ -155,10 +157,10 @@ func runAblationOverload(cfg Config) *Report {
 	if width < 150 {
 		width = 150
 	}
-	w := workload.AzureSampled(workload.AzureSampledSpec{
+	w := trace.Collect(workload.AzureSampledStream(workload.AzureSampledSpec{
 		N: n, Cores: cores, Load: derate(0.9), Seed: cfg.Seed,
 		Spikes: 5, SpikeWidth: width,
-	})
+	}))
 	rep := &Report{
 		ID:     "ablation-overload",
 		Title:  "Sensitivity to the overload factor O (paper sets O=3)",
@@ -169,7 +171,7 @@ func runAblationOverload(cfg Config) *Report {
 		c := core.DefaultConfig()
 		c.OverloadFactor = o
 		s := core.New(c)
-		r, _ := runOn(s, cores, w.Clone(), 0.9)
+		r, _ := runOn(s, cores, trace.CloneTasks(w), 0.9)
 		var maxD time.Duration
 		for _, d := range s.Stat.QueueDelays {
 			if d.Delay > maxD {
@@ -212,7 +214,7 @@ func runAblationQueueing(cfg Config) *Report {
 	}{{"SFS (global queue)", false}, {"SFS (per-core queues)", true}} {
 		c := core.DefaultConfig()
 		c.PerCoreQueue = v.perCore
-		r, _ := runOn(core.New(c), cores, w.Clone(), 0.9)
+		r, _ := runOn(core.New(c), cores, trace.CloneTasks(w), 0.9)
 		summarize(rep, v.name, r)
 	}
 	rep.Notes = append(rep.Notes,
@@ -237,7 +239,7 @@ func runAblationTail(cfg Config) *Report {
 		if tail == "pareto224s" {
 			spec.Duration = workload.AzureTailDistribution()
 		}
-		w := workload.Generate(spec)
+		w := trace.Collect(workload.Stream(spec))
 		for _, mk := range []struct {
 			name string
 			mk   func() cpusim.Scheduler
@@ -245,7 +247,7 @@ func runAblationTail(cfg Config) *Report {
 			{"SFS", func() cpusim.Scheduler { return core.New(core.DefaultConfig()) }},
 			{"CFS", func() cpusim.Scheduler { return sched.NewCFS(sched.CFSConfig{}) }},
 		} {
-			r, _ := runOn(mk.mk(), cores, w.Clone(), 0.9)
+			r, _ := runOn(mk.mk(), cores, trace.CloneTasks(w), 0.9)
 			ps := r.Percentiles([]float64{50, 99})
 			rep.Rows = append(rep.Rows, []string{
 				tail, mk.name,

@@ -15,6 +15,7 @@ import (
 	"github.com/serverless-sched/sfs/internal/metrics"
 	"github.com/serverless-sched/sfs/internal/stats"
 	"github.com/serverless-sched/sfs/internal/task"
+	"github.com/serverless-sched/sfs/internal/trace"
 	"github.com/serverless-sched/sfs/internal/workload"
 )
 
@@ -235,17 +236,17 @@ func derate(load float64) float64 { return load / smtYield }
 // poissonWorkload builds the §VIII-A standalone workload: Table I
 // durations with Poisson IATs calibrated to the nominal load (derated
 // for SMT; see smtYield).
-func poissonWorkload(cfg Config, n, cores int, load float64) *workload.Workload {
-	return workload.Generate(workload.Spec{
+func poissonWorkload(cfg Config, n, cores int, load float64) []*task.Task {
+	return trace.Collect(workload.Stream(workload.Spec{
 		N: n, Cores: cores, Load: derate(load), Seed: cfg.Seed,
-	})
+	}))
 }
 
 // azureWorkload builds the canonical trace-driven workload (nominal
 // load derated for SMT; see smtYield).
-func azureWorkload(cfg Config, n, cores int, load float64, apps []workload.AppChoice, ioFrac float64) *workload.Workload {
-	return workload.AzureSampled(workload.AzureSampledSpec{
+func azureWorkload(cfg Config, n, cores int, load float64, apps []workload.AppChoice, ioFrac float64) []*task.Task {
+	return trace.Collect(workload.AzureSampledStream(workload.AzureSampledSpec{
 		N: n, Cores: cores, Load: derate(load), Seed: cfg.Seed,
 		Apps: apps, IOFraction: ioFrac,
-	})
+	}))
 }

@@ -94,11 +94,7 @@ func runKeepalive(cfg Config) *Report {
 	}
 	ratios := map[key]map[string]float64{}
 
-	mix := []workload.AppChoice{
-		{Profile: workload.AppFib, Weight: 0.5},
-		{Profile: workload.AppMd, Weight: 0.25},
-		{Profile: workload.AppSa, Weight: 0.25},
-	}
+	mix := workload.OpenLambdaMix()
 	mkSource := func(family string) trace.Source {
 		if family == "periodic" {
 			return periodicApps(nPeriodic, apps, cfg.Seed)
@@ -236,11 +232,7 @@ func runKeepalive(cfg Config) *Report {
 		}
 		src := workload.AzureSampledStream(workload.AzureSampledSpec{
 			N: nAzure, Cores: hosts * hostCores, Load: derate(0.8), Seed: cfg.Seed,
-			Apps: []workload.AppChoice{
-				{Profile: workload.AppFib, Weight: 0.5},
-				{Profile: workload.AppMd, Weight: 0.25},
-				{Profile: workload.AppSa, Weight: 0.25},
-			},
+			Apps: workload.OpenLambdaMix(),
 		})
 		res, err := cl.Run(src)
 		if err != nil {

@@ -9,6 +9,7 @@ import (
 	"github.com/serverless-sched/sfs/internal/metrics"
 	"github.com/serverless-sched/sfs/internal/sched"
 	"github.com/serverless-sched/sfs/internal/stats"
+	"github.com/serverless-sched/sfs/internal/trace"
 	"github.com/serverless-sched/sfs/internal/workload"
 )
 
@@ -93,13 +94,12 @@ func fig2Runs(cfg Config) ([]metrics.Run, metrics.Run) {
 	for _, load := range []float64{0.8, 1.0} {
 		w := azureWorkload(cfg, n, cores, load, nil, 0)
 		for _, mk := range motivationSchedulers() {
-			r, _ := runOn(mk(), cores, w.Clone(), load)
+			r, _ := runOn(mk(), cores, trace.CloneTasks(w), load)
 			runs = append(runs, r)
 		}
 	}
 	// IDEAL: zero contention (load label 0 means "IDEAL").
-	w := azureWorkload(cfg, n, cores, 1.0, nil, 0)
-	tasks := w.Clone()
+	tasks := azureWorkload(cfg, n, cores, 1.0, nil, 0)
 	sched.RunIdeal(tasks)
 	ideal := metrics.Run{Scheduler: "IDEAL", Load: 0, Tasks: tasks}
 	return runs, ideal

@@ -10,6 +10,7 @@ import (
 	"github.com/serverless-sched/sfs/internal/metrics"
 	"github.com/serverless-sched/sfs/internal/sched"
 	"github.com/serverless-sched/sfs/internal/stats"
+	"github.com/serverless-sched/sfs/internal/trace"
 	"github.com/serverless-sched/sfs/internal/workload"
 )
 
@@ -27,15 +28,6 @@ const olCores = 72
 
 // olLoads are the §IX load levels.
 var olLoads = []float64{0.8, 0.9, 1.0}
-
-// olApps is the fib/md/sa mix of §IX-A.
-func olApps() []workload.AppChoice {
-	return []workload.AppChoice{
-		{Profile: workload.AppFib, Weight: 0.5},
-		{Profile: workload.AppMd, Weight: 0.25},
-		{Profile: workload.AppSa, Weight: 0.25},
-	}
-}
 
 type olRun struct {
 	sfs metrics.Run
@@ -55,10 +47,10 @@ func olSweep(cfg Config, pollInterval time.Duration) map[float64]olRun {
 	// own capacity while SFS's run-to-completion FILTER avoids it.
 	const olSwitchCost = 150 * time.Microsecond
 	for _, load := range olLoads {
-		w := azureWorkload(cfg, n, cores, load, olApps(), 0)
+		w := azureWorkload(cfg, n, cores, load, workload.OpenLambdaMix(), 0)
 		cfsP := faas.New(faas.Config{Cores: cores, Overheads: faas.DefaultOverheads(),
 			CtxSwitchCost: olSwitchCost, Seed: cfg.Seed})
-		cfsRes := cfsP.Run(w, sched.NewCFS(sched.CFSConfig{}))
+		cfsRes := cfsP.RunTrace(trace.FromTasks("openlambda", w), sched.NewCFS(sched.CFSConfig{}))
 		cc := core.DefaultConfig()
 		if pollInterval > 0 {
 			cc.PollInterval = pollInterval
@@ -66,7 +58,7 @@ func olSweep(cfg Config, pollInterval time.Duration) map[float64]olRun {
 		s := core.New(cc)
 		sfsP := faas.New(faas.Config{Cores: cores, Overheads: faas.DefaultOverheads(),
 			CtxSwitchCost: olSwitchCost, SFSPort: true, Seed: cfg.Seed})
-		sfsRes := sfsP.Run(w, s)
+		sfsRes := sfsP.RunTrace(trace.FromTasks("openlambda", w), s)
 		sfsRun := sfsRes.Run
 		sfsRun.Scheduler, sfsRun.Load = "OL+SFS", load
 		cfsRun := cfsRes.Run

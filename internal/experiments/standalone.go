@@ -2,14 +2,14 @@ package experiments
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"github.com/serverless-sched/sfs/internal/core"
 	"github.com/serverless-sched/sfs/internal/metrics"
-	"sort"
-
 	"github.com/serverless-sched/sfs/internal/sched"
 	"github.com/serverless-sched/sfs/internal/stats"
+	"github.com/serverless-sched/sfs/internal/trace"
 	"github.com/serverless-sched/sfs/internal/workload"
 )
 
@@ -40,11 +40,11 @@ func loadSweep(cfg Config) (sfs, cfs map[float64]metrics.Run, sfsScheds map[floa
 	for _, load := range standaloneLoads {
 		w := poissonWorkload(cfg, n, standaloneCores, load)
 		s := core.New(core.DefaultConfig())
-		r, _ := runOn(s, standaloneCores, w.Clone(), load)
+		r, _ := runOn(s, standaloneCores, trace.CloneTasks(w), load)
 		r.Scheduler = "SFS"
 		sfs[load] = r
 		sfsScheds[load] = s
-		rc, _ := runOn(sched.NewCFS(sched.CFSConfig{}), standaloneCores, w.Clone(), load)
+		rc, _ := runOn(sched.NewCFS(sched.CFSConfig{}), standaloneCores, trace.CloneTasks(w), load)
 		cfs[load] = rc
 	}
 	return sfs, cfs, sfsScheds
@@ -158,7 +158,7 @@ func runFig9(cfg Config) *Report {
 	for _, v := range variants {
 		c := core.DefaultConfig()
 		c.FixedSlice = v.fixed
-		r, _ := runOn(core.New(c), cores, w.Clone(), 0.8)
+		r, _ := runOn(core.New(c), cores, trace.CloneTasks(w), 0.8)
 		r.Scheduler = v.name
 		rep.Series = append(rep.Series, Series{Name: v.name, Points: r.DurationCDF()})
 		means[v.name] = r.MeanTurnaround()
@@ -176,7 +176,7 @@ func runFig10(cfg Config) *Report {
 	n := scaleN(cfg, 10000)
 	w := azureWorkload(cfg, n, cores, 0.8, nil, 0)
 	s := core.New(core.DefaultConfig())
-	runOn(s, cores, w.Clone(), 0.8)
+	runOn(s, cores, trace.CloneTasks(w), 0.8)
 	rep := &Report{
 		ID:     "fig10",
 		Title:  "Timeline of time slice changes vs IATs during the workload",
@@ -230,7 +230,7 @@ func runFig11(cfg Config) *Report {
 			c.PollInterval = v.poll
 		}
 		s := core.New(c)
-		r, _ := runOn(s, cores, w.Clone(), 0.8)
+		r, _ := runOn(s, cores, trace.CloneTasks(w), 0.8)
 		rep.Series = append(rep.Series, Series{Name: v.name, Points: r.DurationCDF()})
 		means[v.name] = r.MeanTurnaround()
 		demotions[v.name] = s.Stat.Demotions
@@ -258,16 +258,16 @@ func fig12Runs(cfg Config) (hybrid, plain *core.SFS, hr, pr metrics.Run) {
 	if width < 150 {
 		width = 150
 	}
-	w := workload.AzureSampled(workload.AzureSampledSpec{
+	w := trace.Collect(workload.AzureSampledStream(workload.AzureSampledSpec{
 		N: n, Cores: cores, Load: derate(0.9), Seed: cfg.Seed,
 		Spikes: 5, SpikeWidth: width,
-	})
+	}))
 	hybrid = core.New(core.DefaultConfig())
-	hr, _ = runOn(hybrid, cores, w.Clone(), 1.0)
+	hr, _ = runOn(hybrid, cores, trace.CloneTasks(w), 1.0)
 	c := core.DefaultConfig()
 	c.Hybrid = false
 	plain = core.New(c)
-	pr, _ = runOn(plain, cores, w.Clone(), 1.0)
+	pr, _ = runOn(plain, cores, trace.CloneTasks(w), 1.0)
 	return hybrid, plain, hr, pr
 }
 

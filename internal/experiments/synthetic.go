@@ -37,10 +37,11 @@ func runSynthRamp(cfg Config) *Report {
 		N:         n,
 		Seed:      cfg.Seed,
 	}
-	w := workload.Synthetic(spec)
+	src := workload.SyntheticStream(spec)
+	w := trace.Collect(src)
 
-	sfsRun, _ := runOn(core.New(core.DefaultConfig()), cores, w.Clone(), 0)
-	cfsRun, _ := runOn(sched.NewCFS(sched.CFSConfig{}), cores, w.Clone(), 0)
+	sfsRun, _ := runOn(core.New(core.DefaultConfig()), cores, trace.CloneTasks(w), 0)
+	cfsRun, _ := runOn(sched.NewCFS(sched.CFSConfig{}), cores, trace.CloneTasks(w), 0)
 
 	rep := &Report{
 		ID:    "synth-ramp",
@@ -52,7 +53,7 @@ func runSynthRamp(cfg Config) *Report {
 	// scheduler's tail detach?
 	quarters := 4
 	header := []string{"ramp quarter", "offered rps", "SFS p99", "CFS p99", "SFS mean", "CFS mean"}
-	span := w.Tasks[len(w.Tasks)-1].Arrival
+	span := w[len(w)-1].Arrival
 	for q := 0; q < quarters; q++ {
 		lo := span * time.Duration(q) / time.Duration(quarters)
 		hi := span * time.Duration(q+1) / time.Duration(quarters)
@@ -80,7 +81,7 @@ func runSynthRamp(cfg Config) *Report {
 	rep.Notes = append(rep.Notes,
 		fmt.Sprintf("across the whole ramp: %.0f%% of requests improved under SFS (mean %.1fx), %.0f%% regressed (mean %.2fx)",
 			100*sum.ShortFraction, sum.ShortSpeedupArith, 100*sum.LongFraction, sum.LongSlowdownArith),
-		fmt.Sprintf("trace: %s", w.Description))
+		fmt.Sprintf("trace: %s", src.String()))
 	return rep
 }
 

@@ -14,7 +14,7 @@ import (
 // chainPlatformRun executes a chained workload on the platform model.
 func chainPlatformRun(t *testing.T) Result {
 	t.Helper()
-	w := workload.Generate(workload.Spec{
+	w := workload.Stream(workload.Spec{
 		N: 200, Cores: 8, Load: 0.7, Seed: 9,
 		Apps: []workload.AppChoice{{Profile: workload.AppProfile{Name: "wf", CPUFraction: 1}, Weight: 1}},
 	})
@@ -26,7 +26,7 @@ func chainPlatformRun(t *testing.T) Result {
 			Specs: map[string]chain.Spec{"wf": chain.Linear(chain.FamilyConfig{Depth: 3})},
 		},
 	})
-	return p.Run(w, core.New(core.DefaultConfig()))
+	return p.RunTrace(w, core.New(core.DefaultConfig()))
 }
 
 // TestPlatformChainEndToEnd: the platform expands chained requests,
@@ -75,7 +75,7 @@ func TestPlatformChainDeterministic(t *testing.T) {
 // chain path degrades to the bare simulator — a single constant-service
 // chain on an idle host completes at exactly its critical path.
 func TestPlatformChainZeroOverheads(t *testing.T) {
-	w := workload.Generate(workload.Spec{
+	w := workload.Stream(workload.Spec{
 		N: 1, Cores: 4, Duration: dist.Constant{Value: 10 * time.Millisecond}, Seed: 1,
 		Apps: []workload.AppChoice{{Profile: workload.AppProfile{Name: "wf", CPUFraction: 1}, Weight: 1}},
 	})
@@ -84,7 +84,7 @@ func TestPlatformChainZeroOverheads(t *testing.T) {
 		Seed:  1,
 		Chain: &chain.Config{Specs: map[string]chain.Spec{"wf": chain.Linear(chain.FamilyConfig{Depth: 4})}},
 	})
-	res := p.Run(w, core.New(core.DefaultConfig()))
+	res := p.RunTrace(w, core.New(core.DefaultConfig()))
 	if res.Workflows.Completed() != 1 {
 		t.Fatalf("%d workflows complete, want 1", res.Workflows.Completed())
 	}
@@ -102,7 +102,7 @@ func TestPlatformChainZeroOverheads(t *testing.T) {
 // be dropped for every pass-through invocation).
 func TestPlatformChainPassThroughKeepsResponsePath(t *testing.T) {
 	run := func(withChain bool) Result {
-		w := workload.Generate(workload.Spec{
+		w := workload.Stream(workload.Spec{
 			N: 100, Cores: 8, Load: 0.7, Seed: 5,
 			Apps: []workload.AppChoice{{Profile: workload.AppProfile{Name: "plain", CPUFraction: 1}, Weight: 1}},
 		})
@@ -112,7 +112,7 @@ func TestPlatformChainPassThroughKeepsResponsePath(t *testing.T) {
 				Specs: map[string]chain.Spec{"wf": chain.Linear(chain.FamilyConfig{Depth: 2})},
 			}
 		}
-		return New(cfg).Run(w, core.New(core.DefaultConfig()))
+		return New(cfg).RunTrace(w, core.New(core.DefaultConfig()))
 	}
 	res := run(true)
 	base := run(false)

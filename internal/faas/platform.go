@@ -160,11 +160,6 @@ func sample(d dist.Distribution, r *rng.RNG) time.Duration {
 	return v
 }
 
-// Run executes the workload on the platform under the given scheduler.
-func (p *Platform) Run(w *workload.Workload, s cpusim.Scheduler) Result {
-	return p.RunTrace(w.Source(), s)
-}
-
 // RunTrace executes an invocation stream on the platform under the given
 // scheduler. The stream's Arrival fields are interpreted as HTTP
 // invocation times; the engine sees them shifted by the sampled dispatch
@@ -322,16 +317,11 @@ func (p *Platform) RunTrace(src trace.Source, s cpusim.Scheduler) Result {
 	return res
 }
 
-// OpenLambdaWorkload builds the §IX workload: the Azure-sampled trace
+// OpenLambdaWorkload streams the §IX workload: the Azure-sampled trace
 // with the fib/md/sa application mix on the 72-core deployment.
-func OpenLambdaWorkload(n, cores int, load float64, seed uint64) *workload.Workload {
-	return workload.AzureSampled(workload.AzureSampledSpec{
-		N: n, Cores: cores, Load: load, Seed: seed,
-		Apps: []workload.AppChoice{
-			{Profile: workload.AppFib, Weight: 0.5},
-			{Profile: workload.AppMd, Weight: 0.25},
-			{Profile: workload.AppSa, Weight: 0.25},
-		},
+func OpenLambdaWorkload(n, cores int, load float64, seed uint64) trace.Source {
+	return workload.AzureSampledStream(workload.AzureSampledSpec{
+		N: n, Cores: cores, Load: load, Seed: seed, Apps: workload.OpenLambdaMix(),
 	})
 }
 

@@ -5,25 +5,29 @@ import (
 	"time"
 
 	"github.com/serverless-sched/sfs/internal/core"
+	"github.com/serverless-sched/sfs/internal/cpusim"
 	"github.com/serverless-sched/sfs/internal/dist"
 	"github.com/serverless-sched/sfs/internal/lifecycle"
 	"github.com/serverless-sched/sfs/internal/metrics"
 	"github.com/serverless-sched/sfs/internal/sched"
+	"github.com/serverless-sched/sfs/internal/task"
+	"github.com/serverless-sched/sfs/internal/trace"
 	"github.com/serverless-sched/sfs/internal/workload"
 )
 
 func ms(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 
-func smallWorkload(cores int, seed uint64) *workload.Workload {
-	return workload.Generate(workload.Spec{
+func smallWorkload(cores int, seed uint64) []*task.Task {
+	return trace.Collect(workload.Stream(workload.Spec{
 		N: 300, Cores: cores, Load: 0.8, Seed: seed,
 		Duration: dist.Uniform{Lo: ms(5), Hi: ms(200)},
-		Apps: []workload.AppChoice{
-			{Profile: workload.AppFib, Weight: 0.5},
-			{Profile: workload.AppMd, Weight: 0.25},
-			{Profile: workload.AppSa, Weight: 0.25},
-		},
-	})
+		Apps:     workload.OpenLambdaMix(),
+	}))
+}
+
+// replay runs tasks on p under s.
+func replay(p *Platform, tasks []*task.Task, s cpusim.Scheduler) Result {
+	return p.RunTrace(trace.FromTasks("small", tasks), s)
 }
 
 func TestPlatformAddsOverheads(t *testing.T) {
@@ -32,10 +36,10 @@ func TestPlatformAddsOverheads(t *testing.T) {
 
 	// Bare engine run (no platform).
 	bare := New(Config{Cores: cores, Seed: 2}) // zero overheads
-	bareRes := bare.Run(w, sched.NewCFS(sched.CFSConfig{}))
+	bareRes := replay(bare, w, sched.NewCFS(sched.CFSConfig{}))
 
 	loaded := New(Config{Cores: cores, Overheads: DefaultOverheads(), Seed: 2})
-	loadedRes := loaded.Run(w, sched.NewCFS(sched.CFSConfig{}))
+	loadedRes := replay(loaded, w, sched.NewCFS(sched.CFSConfig{}))
 
 	if loadedRes.MeanDispatchOverhead == 0 {
 		t.Fatal("no dispatch overhead sampled")
@@ -54,10 +58,10 @@ func TestPlatformRestoresEndToEndTimestamps(t *testing.T) {
 	const cores = 2
 	w := smallWorkload(cores, 3)
 	p := New(Config{Cores: cores, Overheads: DefaultOverheads(), Seed: 4})
-	res := p.Run(w, sched.NewFIFO())
+	res := replay(p, w, sched.NewFIFO())
 	for i, tk := range res.Run.Tasks {
-		if tk.Arrival != w.Tasks[i].Arrival {
-			t.Fatalf("task %d arrival not restored: %v vs %v", i, tk.Arrival, w.Tasks[i].Arrival)
+		if tk.Arrival != w[i].Arrival {
+			t.Fatalf("task %d arrival not restored: %v vs %v", i, tk.Arrival, w[i].Arrival)
 		}
 		// End-to-end turnaround strictly exceeds the ideal (overheads).
 		if tk.Turnaround() <= tk.IdealDuration() {
@@ -70,18 +74,11 @@ func TestSFSPortStillWinsUnderPlatform(t *testing.T) {
 	// §IX headline: with platform overheads, OL+SFS still beats OL+CFS
 	// for the short majority.
 	const cores = 8
-	w := workload.AzureSampled(workload.AzureSampledSpec{
-		N: 3000, Cores: cores, Load: 0.9, Seed: 17,
-		Apps: []workload.AppChoice{
-			{Profile: workload.AppFib, Weight: 0.5},
-			{Profile: workload.AppMd, Weight: 0.25},
-			{Profile: workload.AppSa, Weight: 0.25},
-		},
-	})
+	w := func() trace.Source { return OpenLambdaWorkload(3000, cores, 0.9, 17) }
 	cfsP := New(Config{Cores: cores, Overheads: DefaultOverheads(), Seed: 18})
-	cfsRes := cfsP.Run(w, sched.NewCFS(sched.CFSConfig{}))
+	cfsRes := cfsP.RunTrace(w(), sched.NewCFS(sched.CFSConfig{}))
 	sfsP := New(Config{Cores: cores, Overheads: DefaultOverheads(), SFSPort: true, Seed: 18})
-	sfsRes := sfsP.Run(w, core.New(core.DefaultConfig()))
+	sfsRes := sfsP.RunTrace(w(), core.New(core.DefaultConfig()))
 
 	sum := metrics.CompareRuns(cfsRes.Run, sfsRes.Run)
 	t.Logf("OL: improved=%.0f%% arith=%.1fx regressed=%.0f%% (slowdown %.2fx)",
@@ -119,9 +116,9 @@ func TestColdStartInjection(t *testing.T) {
 	}
 
 	// NONE: every invocation pays the constant 100ms cold start.
-	none := New(Config{Cores: cores, Lifecycle: lc(lifecycle.NewNone()), Seed: 6}).Run(w, sched.NewFIFO())
-	if none.ColdStarts != len(w.Tasks) {
-		t.Fatalf("NONE cold starts %d, want every one of %d", none.ColdStarts, len(w.Tasks))
+	none := replay(New(Config{Cores: cores, Lifecycle: lc(lifecycle.NewNone()), Seed: 6}), w, sched.NewFIFO())
+	if none.ColdStarts != len(w) {
+		t.Fatalf("NONE cold starts %d, want every one of %d", none.ColdStarts, len(w))
 	}
 	if r := none.Lifecycle.WarmHitRatio(); r != 0 {
 		t.Fatalf("NONE warm-hit ratio %.2f, want 0", r)
@@ -129,7 +126,7 @@ func TestColdStartInjection(t *testing.T) {
 
 	// A generous TTL turns most of those into warm hits and lowers mean
 	// turnaround accordingly.
-	ttl := New(Config{Cores: cores, Lifecycle: lc(lifecycle.NewFixedTTL(time.Minute)), Seed: 6}).Run(w, sched.NewFIFO())
+	ttl := replay(New(Config{Cores: cores, Lifecycle: lc(lifecycle.NewFixedTTL(time.Minute)), Seed: 6}), w, sched.NewFIFO())
 	if ttl.Lifecycle.WarmHitRatio() < 0.5 {
 		t.Fatalf("TTL warm-hit ratio %.2f, want most invocations warm", ttl.Lifecycle.WarmHitRatio())
 	}
@@ -148,12 +145,12 @@ func TestColdStartDeterminismWithLifecycle(t *testing.T) {
 	const cores = 2
 	w := smallWorkload(cores, 9)
 	run := func() Result {
-		return New(Config{
+		return replay(New(Config{
 			Cores:     cores,
 			Overheads: DefaultOverheads(),
 			Lifecycle: &lifecycle.Config{Policy: lifecycle.NewHistogram(0), MemoryMB: 2048, Seed: 9},
 			Seed:      9,
-		}).Run(w, sched.NewCFS(sched.CFSConfig{}))
+		}), w, sched.NewCFS(sched.CFSConfig{}))
 	}
 	r1, r2 := run(), run()
 	if r1.Lifecycle != r2.Lifecycle {
@@ -169,8 +166,8 @@ func TestColdStartDeterminismWithLifecycle(t *testing.T) {
 func TestPlatformDeterminism(t *testing.T) {
 	const cores = 2
 	w := smallWorkload(cores, 7)
-	r1 := New(Config{Cores: cores, Overheads: DefaultOverheads(), Seed: 8}).Run(w, sched.NewFIFO())
-	r2 := New(Config{Cores: cores, Overheads: DefaultOverheads(), Seed: 8}).Run(w, sched.NewFIFO())
+	r1 := replay(New(Config{Cores: cores, Overheads: DefaultOverheads(), Seed: 8}), w, sched.NewFIFO())
+	r2 := replay(New(Config{Cores: cores, Overheads: DefaultOverheads(), Seed: 8}), w, sched.NewFIFO())
 	for i := range r1.Run.Tasks {
 		if r1.Run.Tasks[i].Finish != r2.Run.Tasks[i].Finish {
 			t.Fatalf("same-seed platform runs diverge at task %d", i)

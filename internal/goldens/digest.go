@@ -3,6 +3,7 @@ package goldens
 import (
 	"fmt"
 	"hash/fnv"
+	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"github.com/serverless-sched/sfs/internal/cluster"
 	"github.com/serverless-sched/sfs/internal/cpusim"
 	"github.com/serverless-sched/sfs/internal/dist"
+	"github.com/serverless-sched/sfs/internal/experiments"
 	"github.com/serverless-sched/sfs/internal/lifecycle"
 	"github.com/serverless-sched/sfs/internal/metrics"
 	"github.com/serverless-sched/sfs/internal/sched"
@@ -418,5 +420,36 @@ func clusterFP(res *cluster.Result) uint64 {
 	for i, hr := range res.PerHost {
 		fmt.Fprintf(h, "h%d disp=%d ctx=%d tasks=%d\n", i, hr.Dispatches, hr.CtxSwitches, len(hr.Run.Tasks))
 	}
+	return h.Sum64()
+}
+
+// experimentsQuickSeed is the experiments CLI's default -seed.
+const experimentsQuickSeed = 42
+
+// ExperimentsQuickDigest pins the experiment suite's absolute output at
+// quick scale, as `experiments -all -quick` renders it: one line per
+// report in registry order with an fnv64 of its Render() and of its
+// CSV(), then an fnv64 over every Render()+CSV() in order. The worker
+// count cannot move a byte (RunAll's contract), so the digest runs on
+// GOMAXPROCS workers.
+func ExperimentsQuickDigest() string {
+	reports := experiments.RunAll(experiments.Config{Quick: true, Seed: experimentsQuickSeed}, runtime.GOMAXPROCS(0))
+	var b strings.Builder
+	fmt.Fprintf(&b, "digest v1: experiments-quick seed=%d\n", experimentsQuickSeed)
+	total := fnv.New64a()
+	for _, r := range reports {
+		render, csv := r.Render(), r.CSV()
+		total.Write([]byte(render))
+		total.Write([]byte(csv))
+		fmt.Fprintf(&b, "%s render=%016x csv=%016x\n", r.ID, fnv64(render), fnv64(csv))
+	}
+	fmt.Fprintf(&b, "total=%016x\n", total.Sum64())
+	return b.String()
+}
+
+// fnv64 is FNV-64a over s.
+func fnv64(s string) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte(s))
 	return h.Sum64()
 }

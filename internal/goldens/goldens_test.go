@@ -32,9 +32,10 @@ func TestGoldenFamilies(t *testing.T) {
 // their goldens along.
 func TestGoldenFixtureSync(t *testing.T) {
 	known := map[string]bool{
-		"azure-ingest.golden":   true,
-		"cluster-matrix.golden": true,
-		"trigger-chain.golden":  true,
+		"azure-ingest.golden":      true,
+		"cluster-matrix.golden":    true,
+		"experiments-quick.golden": true,
+		"trigger-chain.golden":     true,
 	}
 	for _, f := range workload.FamilyNames() {
 		known["family-"+strings.ToLower(f)+".golden"] = true
@@ -87,6 +88,16 @@ func TestGoldenClusterMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	Check(t, "cluster-matrix", got)
+}
+
+// TestGoldenExperimentsQuick pins the experiment suite's absolute
+// output: TestRunAllDeterministicAcrossWorkers only compares worker
+// counts with each other.
+func TestGoldenExperimentsQuick(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the whole experiment suite")
+	}
+	Check(t, "experiments-quick", ExperimentsQuickDigest())
 }
 
 // TestGoldenAzureIngest pins the streaming CSV ingestion path: the

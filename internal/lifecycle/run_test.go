@@ -99,11 +99,7 @@ func TestRunDeterministic(t *testing.T) {
 	run := func() ([]time.Duration, lifecycle.Stats) {
 		src := workload.AzureSampledStream(workload.AzureSampledSpec{
 			N: 400, Cores: 4, Load: 0.9, Seed: 42,
-			Apps: []workload.AppChoice{
-				{Profile: workload.AppFib, Weight: 0.5},
-				{Profile: workload.AppMd, Weight: 0.25},
-				{Profile: workload.AppSa, Weight: 0.25},
-			},
+			Apps: workload.OpenLambdaMix(),
 		})
 		mgr, err := lifecycle.New(lifecycle.Config{
 			Policy:   lifecycle.NewHistogram(0),

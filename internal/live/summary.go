@@ -2,8 +2,9 @@ package live
 
 import (
 	"fmt"
-	"sort"
 	"time"
+
+	"github.com/serverless-sched/sfs/internal/metrics"
 )
 
 // Summary aggregates finished invocation results into the paper's
@@ -18,41 +19,32 @@ type Summary struct {
 }
 
 // Summarize computes a Summary over results. Unfinished (zero-valued)
-// results are skipped.
+// results are skipped. Turnarounds go through metrics.Summary, so live
+// percentiles are defined exactly as the simulator's.
 func Summarize(results []Result) Summary {
 	var s Summary
-	var tas []time.Duration
-	var sum time.Duration
+	ta := metrics.NewSummary(50, 90, 99)
 	for _, r := range results {
 		if r.Finished.IsZero() {
 			continue
 		}
-		s.N++
 		if r.Mode == ModeFilter {
 			s.FilterComplete++
 		} else {
 			s.CFSComplete++
 		}
-		ta := r.Turnaround()
-		tas = append(tas, ta)
-		sum += ta
+		ta.Add(r.Turnaround())
 		if r.QueueDelay > s.MaxQueueDelay {
 			s.MaxQueueDelay = r.QueueDelay
 		}
 	}
+	s.N = int(ta.N())
 	if s.N == 0 {
 		return s
 	}
-	s.MeanTurnaround = sum / time.Duration(s.N)
-	sort.Slice(tas, func(i, j int) bool { return tas[i] < tas[j] })
-	pct := func(p float64) time.Duration {
-		idx := int(p/100*float64(len(tas)-1) + 0.5)
-		if idx >= len(tas) {
-			idx = len(tas) - 1
-		}
-		return tas[idx]
-	}
-	s.P50, s.P90, s.P99 = pct(50), pct(90), pct(99)
+	s.MeanTurnaround = ta.Mean()
+	ps := ta.Percentiles()
+	s.P50, s.P90, s.P99 = ps[0], ps[1], ps[2]
 	return s
 }
 

@@ -185,15 +185,15 @@ func Scenarios(quick bool, seed uint64) []Scenario {
 			Name: EngineStepBenchmark,
 			Bench: func(b *testing.B) {
 				n := size(quick, 4000)
-				w := workload.AzureSampled(workload.AzureSampledSpec{
+				tasks := trace.Collect(workload.AzureSampledStream(workload.AzureSampledSpec{
 					N: n, Cores: 16, Load: 1.0, Seed: seed,
-				})
+				}))
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					eng := cpusim.NewEngine(cpusim.Config{Cores: 16, Deadline: 1000 * time.Hour},
 						core.New(core.DefaultConfig()))
-					eng.Submit(w.Clone()...)
+					eng.Submit(trace.CloneTasks(tasks)...)
 					eng.Run()
 				}
 				b.ReportMetric(float64(n*b.N)/b.Elapsed().Seconds(), "tasks/s")
@@ -409,11 +409,11 @@ func Scenarios(quick bool, seed uint64) []Scenario {
 			Name: "trace-encode",
 			Bench: func(b *testing.B) {
 				n := size(quick, 8000)
-				w := workload.Generate(workload.Spec{N: n, Cores: 16, Load: 0.9, Seed: seed})
+				tasks := trace.Collect(workload.Stream(workload.Spec{N: n, Cores: 16, Load: 0.9, Seed: seed}))
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := trace.WriteCSV(io.Discard, w.Source()); err != nil {
+					if _, err := trace.WriteCSV(io.Discard, trace.FromTasks("bench", tasks)); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -454,11 +454,11 @@ func Scenarios(quick bool, seed uint64) []Scenario {
 			Name: "trace-binary-encode",
 			Bench: func(b *testing.B) {
 				n := size(quick, 8000)
-				w := workload.Generate(workload.Spec{N: n, Cores: 16, Load: 0.9, Seed: seed})
+				tasks := trace.Collect(workload.Stream(workload.Spec{N: n, Cores: 16, Load: 0.9, Seed: seed}))
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := trace.WriteBinary(io.Discard, w.Source()); err != nil {
+					if _, err := trace.WriteBinary(io.Discard, trace.FromTasks("bench", tasks)); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -516,8 +516,7 @@ func Scenarios(quick bool, seed uint64) []Scenario {
 			Name: "metrics-summary",
 			Bench: func(b *testing.B) {
 				n := size(quick, 8000)
-				w := workload.Generate(workload.Spec{N: n, Cores: 16, Load: 0.9, Seed: seed})
-				tasks := w.Clone()
+				tasks := trace.Collect(workload.Stream(workload.Spec{N: n, Cores: 16, Load: 0.9, Seed: seed}))
 				for i, t := range tasks {
 					t.CPUUsed = t.Service
 					t.MarkFinished(t.Arrival + time.Duration(i%997)*time.Millisecond)

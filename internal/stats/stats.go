@@ -13,8 +13,8 @@
 //     bucket full samples and are meant for end-of-run reporting, where
 //     the paper's figures need exact (not approximated) quantiles.
 //
-// Percentiles use the nearest-rank definition on a sorted copy; inputs
-// are never mutated. CDFPoint slices are what internal/experiments
+// Percentiles interpolate linearly between the two nearest ranks of a
+// sorted copy; inputs are never mutated. CDFPoint slices are what internal/experiments
 // plots as figure series.
 package stats
 

@@ -29,7 +29,7 @@ import (
 //	        uvarint Dur, microseconds
 //
 // Timestamps are truncated to microseconds exactly as the CSV codec
-// truncates them, so CSV→binary→CSV and binary→CSV→binary conversions
+// truncates them (a positive sub-µs service becomes 1 µs), so CSV→binary→CSV and binary→CSV→binary conversions
 // are lossless fixed points, and export→import→export of a binary
 // trace is byte-identical. Arrival deltas being unsigned encodes the
 // Source contract (non-decreasing arrivals) into the format itself.
@@ -84,7 +84,7 @@ func WriteBinary(w io.Writer, src Source) (int, error) {
 			payload = append(payload, t.App...)
 		}
 		payload = binary.AppendUvarint(payload, uint64(arrUS-prevArrUS))
-		payload = binary.AppendUvarint(payload, uint64(t.Service.Microseconds()))
+		payload = binary.AppendUvarint(payload, uint64(serviceMicros(t.Service)))
 		payload = binary.AppendUvarint(payload, uint64(len(t.IOOps)))
 		prevAtUS := int64(0)
 		for _, op := range t.IOOps {

@@ -117,6 +117,66 @@ func TestBinaryCSVCrossConversion(t *testing.T) {
 	}
 }
 
+// TestSubMicrosecondService: both writers write a positive service
+// under 1 µs as 1 µs, with or without I/O, so the exported trace reads
+// back through every reader (all of which reject a zero service) and
+// export→import→export stays a fixed point in both codecs.
+func TestSubMicrosecondService(t *testing.T) {
+	const svc = 526 * time.Nanosecond
+	withIO := task.New(1, time.Millisecond, svc)
+	withIO.WithIO(0, 2*time.Millisecond)
+	tasks := []*task.Task{task.New(0, 0, svc), withIO}
+	check := func(reader string, got []*task.Task) {
+		t.Helper()
+		if len(got) != len(tasks) {
+			t.Fatalf("%s: %d tasks, want %d", reader, len(got), len(tasks))
+		}
+		for i, g := range got {
+			if g.Service != time.Microsecond {
+				t.Errorf("%s: task %d service %v, want 1µs", reader, i, g.Service)
+			}
+			if len(g.IOOps) != len(tasks[i].IOOps) {
+				t.Errorf("%s: task %d has %d io ops, want %d", reader, i, len(g.IOOps), len(tasks[i].IOOps))
+			}
+		}
+	}
+
+	var csv1, csv2 bytes.Buffer
+	if _, err := WriteCSV(&csv1, FromTasks("sub-us", tasks)); err != nil {
+		t.Fatal(err)
+	}
+	fromCSV, err := ReadCSV(bytes.NewReader(csv1.Bytes()))
+	if err != nil {
+		t.Fatalf("ReadCSV: %v", err)
+	}
+	check("ReadCSV", fromCSV)
+	if _, err := WriteCSV(&csv2, FromTasks("again", fromCSV)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(csv1.Bytes(), csv2.Bytes()) {
+		t.Errorf("CSV export→import→export not a fixed point:\n%s\nvs\n%s", csv1.Bytes(), csv2.Bytes())
+	}
+
+	bin := encodeBinary(t, tasks)
+	src, err := NewBinarySource(bytes.NewReader(bin))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromBin := Collect(src)
+	if err := Err(src); err != nil {
+		t.Fatalf("NewBinarySource: %v", err)
+	}
+	check("NewBinarySource", fromBin)
+	tp, err := ReadBinaryTape(bytes.NewReader(bin))
+	if err != nil {
+		t.Fatalf("ReadBinaryTape: %v", err)
+	}
+	check("ReadBinaryTape", tp.Materialize(nil))
+	if again := encodeBinary(t, fromBin); !bytes.Equal(bin, again) {
+		t.Errorf("binary export→import→export not a fixed point:\n% x\nvs\n% x", bin, again)
+	}
+}
+
 func TestBinaryHeaderErrors(t *testing.T) {
 	for _, tc := range []struct {
 		name string

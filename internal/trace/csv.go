@@ -24,8 +24,10 @@ import (
 //
 // Schema: id,app,arrival_us,service_us,io_ops
 // where io_ops is a semicolon-separated list of at_us:dur_us pairs.
-// Timestamps are truncated to microseconds; one truncation is a fixed
-// point, so export → import → export is byte-identical.
+// Timestamps are truncated to microseconds, except that a positive
+// service under 1 µs is written as 1 µs (see serviceMicros); one
+// truncation is a fixed point, so export → import → export is
+// byte-identical.
 
 // csvHeader is the exported schema.
 var csvHeader = []string{"id", "app", "arrival_us", "service_us", "io_ops"}
@@ -64,13 +66,6 @@ func WriteCSV(w io.Writer, src Source) (int, error) {
 	return n, bw.Flush()
 }
 
-// WriteTasksCSV serializes an already-materialized task slice (the
-// legacy entry point kept for workload archives).
-func WriteTasksCSV(w io.Writer, tasks []*task.Task) error {
-	_, err := WriteCSV(w, FromTasks("tasks", tasks))
-	return err
-}
-
 // appendRecord renders one invocation as a CSV row (with trailing
 // newline) onto buf without allocating.
 func appendRecord(buf []byte, t *task.Task) []byte {
@@ -80,7 +75,7 @@ func appendRecord(buf []byte, t *task.Task) []byte {
 	buf = append(buf, ',')
 	buf = strconv.AppendInt(buf, t.Arrival.Microseconds(), 10)
 	buf = append(buf, ',')
-	buf = strconv.AppendInt(buf, t.Service.Microseconds(), 10)
+	buf = strconv.AppendInt(buf, serviceMicros(t.Service), 10)
 	buf = append(buf, ',')
 	for i, op := range t.IOOps {
 		if i > 0 {
@@ -91,6 +86,18 @@ func appendRecord(buf []byte, t *task.Task) []byte {
 		buf = strconv.AppendInt(buf, op.Dur.Microseconds(), 10)
 	}
 	return append(buf, '\n')
+}
+
+// serviceMicros is the service time both codecs write: whole
+// microseconds, truncated like every other timestamp, except that a
+// positive service under 1 µs is written as 1 µs. Both readers reject
+// a zero service, so truncating it would export a trace that cannot be
+// read back.
+func serviceMicros(d time.Duration) int64 {
+	if us := d.Microseconds(); us > 0 || d <= 0 {
+		return us
+	}
+	return 1
 }
 
 // appendField appends a free-form field (the app name), quoting it

@@ -88,7 +88,7 @@ func Derive(desc string, next func() (*task.Task, bool), from ...Source) Source 
 
 // FromTasks returns a Source that replays tasks in order, yielding a
 // fresh copy of each with accounting reset — the streaming equivalent of
-// Workload.Clone, so one materialized trace can feed many runs.
+// CloneTasks, so one collected trace can feed many runs.
 func FromTasks(desc string, tasks []*task.Task) Source {
 	i := 0
 	return New(desc, func() (*task.Task, bool) {
@@ -114,8 +114,10 @@ func CloneTask(t *task.Task) *task.Task {
 // CloneTasks deep-copies a whole task slice the way CloneTask does, but
 // block-allocates: one backing array for all task structs and one for
 // all I/O ops, instead of 2N individual allocations. Replay paths that
-// clone a materialized workload per run (benchmarks, experiment sweeps)
-// use this to keep per-run allocation cost flat.
+// run one collected stream under several schedulers (benchmarks,
+// experiment sweeps) clone it per run with this: it allocates exactly
+// the slice it returns, where Tape.Materialize carves 4,096-task arena
+// blocks and re-pulling FromTasks allocates per task.
 func CloneTasks(tasks []*task.Task) []*task.Task {
 	nIO := 0
 	for _, t := range tasks {

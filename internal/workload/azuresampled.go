@@ -105,23 +105,8 @@ func azureDescription(spec AzureSampledSpec) string {
 // once (the merged MMPP needs a global sort), but invocations are built
 // lazily as the stream is pulled.
 func AzureSampledStream(spec AzureSampledSpec) trace.Source {
-	src, _ := stream(azureSpec(spec))
+	src := Stream(azureSpec(spec))
 	return trace.Derive(azureDescription(spec), src.Next, src)
-}
-
-// AzureSampled materializes the trace-driven workload by collecting its
-// stream.
-func AzureSampled(spec AzureSampledSpec) *Workload {
-	gen := azureSpec(spec)
-	src, stats := stream(gen)
-	tasks := trace.Collect(src)
-	return &Workload{
-		Tasks:       tasks,
-		Spec:        gen,
-		MeanService: stats.meanService(),
-		MeanIAT:     stats.meanIAT(),
-		Description: azureDescription(spec),
-	}
 }
 
 // AddSpikes returns a copy of iats with k transient-overload spikes: at

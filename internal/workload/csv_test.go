@@ -6,37 +6,44 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"github.com/serverless-sched/sfs/internal/trace"
 )
 
 func TestCSVRoundTrip(t *testing.T) {
-	w := Generate(Spec{
+	tasks := trace.Collect(Stream(Spec{
 		N: 200, Cores: 4, Load: 0.8, Seed: 31, IOFraction: 0.5,
 		Apps: []AppChoice{
 			{Profile: AppFib, Weight: 1},
 			{Profile: AppMd, Weight: 1},
 		},
-	})
+	}))
 	var buf bytes.Buffer
-	if err := WriteCSV(&buf, w.Tasks); err != nil {
+	if _, err := trace.WriteCSV(&buf, trace.FromTasks("csv", tasks)); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCSV(&buf)
+	got, err := trace.ReadCSV(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(w.Tasks) {
-		t.Fatalf("round trip lost tasks: %d vs %d", len(got), len(w.Tasks))
+	if len(got) != len(tasks) {
+		t.Fatalf("round trip lost tasks: %d vs %d", len(got), len(tasks))
 	}
-	for i, orig := range w.Tasks {
+	for i, orig := range tasks {
 		g := got[i]
 		if g.ID != orig.ID || g.App != orig.App {
 			t.Fatalf("task %d identity mismatch", i)
 		}
-		// Microsecond resolution: values are truncated, not perturbed.
+		// Microsecond resolution: values are truncated, not perturbed,
+		// except that a positive service under 1 µs is written as 1 µs.
 		if g.Arrival != orig.Arrival.Truncate(time.Microsecond) {
 			t.Fatalf("task %d arrival %v vs %v", i, g.Arrival, orig.Arrival)
 		}
-		if g.Service != orig.Service.Truncate(time.Microsecond) {
+		wantSvc := orig.Service.Truncate(time.Microsecond)
+		if wantSvc == 0 {
+			wantSvc = time.Microsecond
+		}
+		if g.Service != wantSvc {
 			t.Fatalf("task %d service %v vs %v", i, g.Service, orig.Service)
 		}
 		if len(g.IOOps) != len(orig.IOOps) {
@@ -47,22 +54,22 @@ func TestCSVRoundTrip(t *testing.T) {
 
 func TestCSVRoundTripProperty(t *testing.T) {
 	f := func(seed uint64, n uint8) bool {
-		w := Generate(Spec{N: int(n%50) + 1, Cores: 2, Load: 0.5, Seed: seed, IOFraction: 0.3})
+		tasks := trace.Collect(Stream(Spec{N: int(n%50) + 1, Cores: 2, Load: 0.5, Seed: seed, IOFraction: 0.3}))
 		var buf bytes.Buffer
-		if WriteCSV(&buf, w.Tasks) != nil {
+		if _, err := trace.WriteCSV(&buf, trace.FromTasks("csv", tasks)); err != nil {
 			return false
 		}
-		got, err := ReadCSV(&buf)
-		if err != nil || len(got) != len(w.Tasks) {
+		got, err := trace.ReadCSV(&buf)
+		if err != nil || len(got) != len(tasks) {
 			return false
 		}
 		// Writing the read-back workload must be byte-identical (fixed
 		// point after one truncation).
 		var buf2 bytes.Buffer
-		if WriteCSV(&buf2, got) != nil {
+		if _, err := trace.WriteCSV(&buf2, trace.FromTasks("csv", got)); err != nil {
 			return false
 		}
-		got2, err := ReadCSV(&buf2)
+		got2, err := trace.ReadCSV(&buf2)
 		if err != nil || len(got2) != len(got) {
 			return false
 		}
@@ -88,14 +95,14 @@ func TestReadCSVErrors(t *testing.T) {
 		"invalid svc": "id,app,arrival_us,service_us,io_ops\n0,fib,0,0,\n",
 	}
 	for name, data := range cases {
-		if _, err := ReadCSV(strings.NewReader(data)); err == nil {
+		if _, err := trace.ReadCSV(strings.NewReader(data)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
 }
 
 func TestReadCSVEmpty(t *testing.T) {
-	tasks, err := ReadCSV(strings.NewReader("id,app,arrival_us,service_us,io_ops\n"))
+	tasks, err := trace.ReadCSV(strings.NewReader("id,app,arrival_us,service_us,io_ops\n"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,11 +89,6 @@ func (spec DiurnalSpec) withDefaults() DiurnalSpec {
 // lazily, and each invocation is built through the shared
 // app-mix/I/O-knob pipeline. Same spec → byte-identical stream.
 func DiurnalStream(spec DiurnalSpec) trace.Source {
-	src, _ := diurnalStream(spec)
-	return src
-}
-
-func diurnalStream(spec DiurnalSpec) (trace.Source, *genStats) {
 	spec = spec.withDefaults()
 	if spec.N <= 0 && spec.DayLength <= 0 {
 		panic("workload: diurnal spec needs N or DayLength")
@@ -152,37 +147,17 @@ func diurnalStream(spec DiurnalSpec) (trace.Source, *genStats) {
 	return builderStream(inner, spec.Apps, spec.IOFraction, spec.IOMin, spec.IOMax, spec.Seed, desc)
 }
 
-// Diurnal materializes the diurnal workload by collecting its stream.
-func Diurnal(spec DiurnalSpec) *Workload {
-	src, stats := diurnalStream(spec)
-	tasks := trace.Collect(src)
-	return &Workload{
-		Tasks:       tasks,
-		MeanService: stats.meanService(),
-		MeanIAT:     stats.meanIAT(),
-		Description: src.String(),
-	}
-}
-
 // builderStream pipes an inner duration-sampled source (each task's
 // Service holds the sampled ideal duration) through the shared
-// app-mix/I/O-knob builder, accumulating realized stream statistics —
-// the post-processing stage every rate-profile family shares.
-func builderStream(inner trace.Source, apps []AppChoice, ioFraction float64, ioMin, ioMax time.Duration, seed uint64, desc string) (trace.Source, *genStats) {
+// app-mix/I/O-knob builder — the post-processing stage every
+// rate-profile family shares.
+func builderStream(inner trace.Source, apps []AppChoice, ioFraction float64, ioMin, ioMax time.Duration, seed uint64, desc string) trace.Source {
 	r := rng.New(seed)
 	appR := r.Split()
 	ioR := r.Split()
 	b := newBuilder(apps, ioFraction, ioMin, ioMax, appR, ioR)
-	stats := &genStats{}
-	var last task.Task
 	src := trace.Map(inner, func(t *task.Task) *task.Task {
-		if stats.n > 0 {
-			stats.iatSum += t.Arrival - last.Arrival
-		}
-		last.Arrival = t.Arrival
-		stats.idealSum += t.Service
-		stats.n++
 		return b.build(t.ID, t.Arrival, t.Service)
 	})
-	return trace.Derive(desc, src.Next, src), stats
+	return trace.Derive(desc, src.Next, src)
 }

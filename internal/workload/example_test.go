@@ -4,26 +4,33 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/serverless-sched/sfs/internal/queueing"
 	"github.com/serverless-sched/sfs/internal/task"
+	"github.com/serverless-sched/sfs/internal/trace"
 	"github.com/serverless-sched/sfs/internal/workload"
 )
 
-// ExampleGenerate builds a small FaaSBench workload calibrated to 80%
+// ExampleStream builds a small FaaSBench workload calibrated to 80%
 // offered load on 4 cores.
-func ExampleGenerate() {
-	w := workload.Generate(workload.Spec{
+func ExampleStream() {
+	tasks := trace.Collect(workload.Stream(workload.Spec{
 		N:     1000,
 		Cores: 4,
 		Load:  0.8,
 		Seed:  1,
-	})
-	load := w.OfferedLoad(4)
+	}))
+	var cpu time.Duration
+	for _, t := range tasks {
+		cpu += t.Service
+	}
+	span := time.Duration(tasks[len(tasks)-1].Arrival - tasks[0].Arrival)
+	load := queueing.OfferedLoad(cpu/time.Duration(len(tasks)), span/time.Duration(len(tasks)-1), 4)
 	fmt.Printf("%d tasks, offered load within 10%% of target: %v\n",
-		len(w.Tasks), load > 0.72 && load < 0.88)
+		len(tasks), load > 0.72 && load < 0.88)
 	// Arrival times are non-decreasing and every task is valid.
 	ok := true
-	for i, t := range w.Tasks {
-		if t.Validate() != nil || (i > 0 && t.Arrival < w.Tasks[i-1].Arrival) {
+	for i, t := range tasks {
+		if t.Validate() != nil || (i > 0 && t.Arrival < tasks[i-1].Arrival) {
 			ok = false
 		}
 	}

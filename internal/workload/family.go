@@ -58,34 +58,6 @@ func NewFamily(name string, cfg FamilyConfig) (trace.Source, error) {
 	return mk(cfg), nil
 }
 
-// NewFamilyWorkload materializes a scenario family into a Workload,
-// deriving the realized mean service and inter-arrival times from the
-// collected stream — the slice-shaped registry entry point for callers
-// (sfs-sim, experiments) that replay one trace under many schedulers.
-func NewFamilyWorkload(name string, cfg FamilyConfig) (*Workload, error) {
-	src, err := NewFamily(name, cfg)
-	if err != nil {
-		return nil, err
-	}
-	tasks := trace.Collect(src)
-	if err := trace.Err(src); err != nil {
-		return nil, err
-	}
-	w := &Workload{Tasks: tasks, Description: src.String()}
-	if len(tasks) > 0 {
-		var ideal time.Duration
-		for _, t := range tasks {
-			ideal += t.IdealDuration()
-		}
-		w.MeanService = ideal / time.Duration(len(tasks))
-	}
-	if len(tasks) > 1 {
-		span := time.Duration(tasks[len(tasks)-1].Arrival - tasks[0].Arrival)
-		w.MeanIAT = span / time.Duration(len(tasks)-1)
-	}
-	return w, nil
-}
-
 // sortedFamilyNames is used by tests to compare registries without
 // caring about presentation order.
 func sortedFamilyNames() []string { return reg.SortedNames() }

@@ -79,11 +79,6 @@ func (spec FlashCrowdSpec) withDefaults() FlashCrowdSpec {
 // FlashCrowdStream returns the flash-crowd family as a pull-based
 // trace.Source. Same spec → byte-identical stream.
 func FlashCrowdStream(spec FlashCrowdSpec) trace.Source {
-	src, _ := flashCrowdStream(spec)
-	return src
-}
-
-func flashCrowdStream(spec FlashCrowdSpec) (trace.Source, *genStats) {
 	spec = spec.withDefaults()
 	if spec.N <= 0 {
 		panic("workload: flash-crowd spec needs N")
@@ -158,15 +153,7 @@ func flashCrowdStream(spec FlashCrowdSpec) (trace.Source, *genStats) {
 	ioR := r.Split()
 	skewR := r.Split()
 	b := newBuilder(spec.Apps, spec.IOFraction, spec.IOMin, spec.IOMax, appR, ioR)
-	stats := &genStats{}
-	var last task.Task
 	src := trace.Map(inner, func(t *task.Task) *task.Task {
-		if stats.n > 0 {
-			stats.iatSum += t.Arrival - last.Arrival
-		}
-		last.Arrival = t.Arrival
-		stats.idealSum += t.Service
-		stats.n++
 		built := b.build(t.ID, t.Arrival, t.Service)
 		// One skew draw per arrival keeps the base stream identical
 		// whether or not a window is active.
@@ -178,18 +165,5 @@ func flashCrowdStream(spec FlashCrowdSpec) (trace.Source, *genStats) {
 		}
 		return built
 	})
-	return trace.Derive(desc, src.Next, src), stats
-}
-
-// FlashCrowd materializes the flash-crowd workload by collecting its
-// stream.
-func FlashCrowd(spec FlashCrowdSpec) *Workload {
-	src, stats := flashCrowdStream(spec)
-	tasks := trace.Collect(src)
-	return &Workload{
-		Tasks:       tasks,
-		MeanService: stats.meanService(),
-		MeanIAT:     stats.meanIAT(),
-		Description: src.String(),
-	}
+	return trace.Derive(desc, src.Next, src)
 }

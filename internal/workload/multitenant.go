@@ -86,11 +86,6 @@ const heavyDuty = 0.1
 // MultiTenantStream returns the multi-tenant family as a pull-based
 // trace.Source. Same spec → byte-identical stream.
 func MultiTenantStream(spec MultiTenantSpec) trace.Source {
-	src, _ := multiTenantStream(spec)
-	return src
-}
-
-func multiTenantStream(spec MultiTenantSpec) (trace.Source, *genStats) {
 	spec = spec.withDefaults()
 	if spec.N <= 0 {
 		panic("workload: multi-tenant spec needs N")
@@ -153,32 +148,11 @@ func multiTenantStream(spec MultiTenantSpec) (trace.Source, *genStats) {
 	// Build CPU/I-O structure from the mix but keep the tenant identity
 	// as the application name — keep-alive pools are per tenant here.
 	b := newBuilder(spec.Apps, spec.IOFraction, spec.IOMin, spec.IOMax, appR, ioR)
-	stats := &genStats{}
-	var last task.Task
 	src := trace.Map(merged, func(t *task.Task) *task.Task {
-		if stats.n > 0 {
-			stats.iatSum += t.Arrival - last.Arrival
-		}
-		last.Arrival = t.Arrival
-		stats.idealSum += t.Service
-		stats.n++
 		tenant := t.App
 		built := b.build(t.ID, t.Arrival, t.Service)
 		built.App = tenant
 		return built
 	})
-	return trace.Derive(desc, src.Next, src), stats
-}
-
-// MultiTenant materializes the multi-tenant workload by collecting its
-// stream.
-func MultiTenant(spec MultiTenantSpec) *Workload {
-	src, stats := multiTenantStream(spec)
-	tasks := trace.Collect(src)
-	return &Workload{
-		Tasks:       tasks,
-		MeanService: stats.meanService(),
-		MeanIAT:     stats.meanIAT(),
-		Description: src.String(),
-	}
+	return trace.Derive(desc, src.Next, src)
 }

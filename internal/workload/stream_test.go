@@ -8,28 +8,6 @@ import (
 	"github.com/serverless-sched/sfs/internal/trace"
 )
 
-// TestStreamMatchesGenerate: Generate is defined as Collect(Stream), so
-// the two entry points must realize identical invocation streams.
-func TestStreamMatchesGenerate(t *testing.T) {
-	spec := Spec{N: 400, Cores: 4, Load: 0.9, Seed: 17, IOFraction: 0.4,
-		Apps: []AppChoice{{Profile: AppFib, Weight: 1}, {Profile: AppMd, Weight: 1}}}
-	w := Generate(spec)
-	src := Stream(spec)
-	for i, want := range w.Tasks {
-		got, ok := src.Next()
-		if !ok {
-			t.Fatalf("stream ended at %d", i)
-		}
-		if got.ID != want.ID || got.Arrival != want.Arrival || got.Service != want.Service ||
-			got.App != want.App || len(got.IOOps) != len(want.IOOps) {
-			t.Fatalf("task %d: stream %v vs generate %v", i, got, want)
-		}
-	}
-	if _, ok := src.Next(); ok {
-		t.Fatal("stream longer than generated workload")
-	}
-}
-
 // TestStreamUnbounded: N == 0 streams past any fixed count and stays
 // monotone.
 func TestStreamUnbounded(t *testing.T) {
@@ -43,60 +21,23 @@ func TestStreamUnbounded(t *testing.T) {
 	}
 }
 
-// TestWorkloadSourceReplays: Workload.Source must be a replayable view —
-// repeated pulls yield isolated copies of the same stream.
-func TestWorkloadSourceReplays(t *testing.T) {
-	w := Generate(Spec{N: 50, Cores: 2, Load: 0.8, Seed: 5})
-	a := trace.Collect(w.Source())
-	a[0].CPUUsed = time.Second
-	b := trace.Collect(w.Source())
-	if len(a) != 50 || len(b) != 50 {
-		t.Fatalf("collected %d and %d", len(a), len(b))
-	}
-	if b[0].CPUUsed != 0 || w.Tasks[0].CPUUsed != 0 {
-		t.Fatal("Source copies share state")
-	}
-	for i := range a {
-		if a[i].Arrival != b[i].Arrival || a[i].Service != b[i].Service {
-			t.Fatalf("replays diverge at %d", i)
-		}
-	}
-}
-
-func TestAzureSampledStreamMatchesWorkload(t *testing.T) {
-	spec := AzureSampledSpec{N: 300, Cores: 4, Load: 1.0, Seed: 9, Spikes: 2}
-	w := AzureSampled(spec)
-	got := trace.Collect(AzureSampledStream(spec))
-	if len(got) != len(w.Tasks) {
-		t.Fatalf("stream %d tasks, workload %d", len(got), len(w.Tasks))
-	}
-	for i := range got {
-		if got[i].Arrival != w.Tasks[i].Arrival || got[i].Service != w.Tasks[i].Service {
-			t.Fatalf("diverge at %d", i)
-		}
-	}
-}
-
 func TestSyntheticWorkload(t *testing.T) {
 	spec := SyntheticSpec{
 		Shape: trace.ShapeRamp, StartRPS: 100, TargetRPS: 400,
 		Horizon: 30 * time.Second, Seed: 21, IOFraction: 0.5,
 		Apps: []AppChoice{{Profile: AppFib, Weight: 1}, {Profile: AppSa, Weight: 1}},
 	}
-	w := Synthetic(spec)
-	if len(w.Tasks) == 0 {
+	tasks := trace.Collect(SyntheticStream(spec))
+	if len(tasks) == 0 {
 		t.Fatal("empty synthetic workload")
-	}
-	if w.MeanService <= 0 || w.MeanIAT <= 0 {
-		t.Fatalf("stats not populated: svc=%v iat=%v", w.MeanService, w.MeanIAT)
 	}
 	apps := map[string]int{}
 	withIO := 0
-	for i, tk := range w.Tasks {
+	for i, tk := range tasks {
 		if err := tk.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		if i > 0 && tk.Arrival < w.Tasks[i-1].Arrival {
+		if i > 0 && tk.Arrival < tasks[i-1].Arrival {
 			t.Fatal("arrivals not monotone")
 		}
 		apps[tk.App]++
@@ -107,7 +48,7 @@ func TestSyntheticWorkload(t *testing.T) {
 	if apps["fib"] == 0 || apps["sa"] == 0 {
 		t.Fatalf("app mix not applied: %v", apps)
 	}
-	if frac := float64(withIO) / float64(len(w.Tasks)); frac < 0.4 {
+	if frac := float64(withIO) / float64(len(tasks)); frac < 0.4 {
 		t.Fatalf("I/O knob fraction %.2f (sa profile + knob should exceed 0.4)", frac)
 	}
 	// Determinism across the full pipeline, via CSV bytes.

@@ -39,11 +39,6 @@ type SyntheticSpec struct {
 // non-homogeneous Poisson process, and each invocation is built through
 // the same app-mix/I/O-knob pipeline as the other scenario families.
 func SyntheticStream(spec SyntheticSpec) trace.Source {
-	src, _ := syntheticStream(spec)
-	return src
-}
-
-func syntheticStream(spec SyntheticSpec) (trace.Source, *genStats) {
 	if spec.Duration == nil {
 		spec.Duration = TableIDistribution()
 	}
@@ -65,17 +60,4 @@ func syntheticStream(spec SyntheticSpec) (trace.Source, *genStats) {
 	// builder splits it into CPU and I/O per the app profile.
 	desc := fmt.Sprintf("%s × %d apps", inner, len(spec.Apps))
 	return builderStream(inner, spec.Apps, spec.IOFraction, spec.IOMin, spec.IOMax, spec.Seed, desc)
-}
-
-// Synthetic materializes the synthetic workload by collecting its
-// stream.
-func Synthetic(spec SyntheticSpec) *Workload {
-	src, stats := syntheticStream(spec)
-	tasks := trace.Collect(src)
-	return &Workload{
-		Tasks:       tasks,
-		MeanService: stats.meanService(),
-		MeanIAT:     stats.meanIAT(),
-		Description: src.String(),
-	}
 }

@@ -90,11 +90,6 @@ func timerApp(i int) string { return fmt.Sprintf("timer%02d", i) }
 // spec. The error is always nil today (the signature mirrors
 // ChainStream so callers treat families uniformly).
 func TriggerStream(spec TriggerSpec) (trace.Source, chain.Config, error) {
-	src, cfg, _, err := triggerStream(spec)
-	return src, cfg, err
-}
-
-func triggerStream(spec TriggerSpec) (trace.Source, chain.Config, *genStats, error) {
 	spec = spec.withDefaults()
 	if spec.N <= 0 {
 		panic("workload: trigger spec needs N")
@@ -159,30 +154,19 @@ func triggerStream(spec TriggerSpec) (trace.Source, chain.Config, *genStats, err
 	desc := fmt.Sprintf("trigger(n=%d, http/queue/timer=%.2f/%.2f/%.2f, batch=%d, timers=%d, load=%.2f on %d cores, seed=%d)",
 		spec.N, spec.HTTPShare, spec.QueueShare, spec.TimerShare, spec.Batch, spec.Timers,
 		spec.Load, spec.Cores, spec.Seed)
-	stats := &genStats{}
-	var last task.Task
-	src := trace.Map(merged, func(t *task.Task) *task.Task {
-		if stats.n > 0 {
-			stats.iatSum += t.Arrival - last.Arrival
-		}
-		last.Arrival = t.Arrival
-		stats.idealSum += t.Service
-		stats.n++
-		return t
-	})
 
 	specs := map[string]chain.Spec{"http": httpWF, "queue": queueWF}
 	for i := 0; i < spec.Timers; i++ {
 		specs[timerApp(i)] = timerWF
 	}
 	cfg := chain.Config{Specs: specs, Seed: spec.Seed}
-	return trace.Derive(desc, src.Next, src), cfg, stats, nil
+	return trace.Derive(desc, merged.Next, merged), cfg, nil
 }
 
 // TriggerSource returns only the merged trigger stream (the family
 // registry's plain-invocation view, no workflow expansion).
 func TriggerSource(spec TriggerSpec) trace.Source {
-	src, _, _, _ := triggerStream(spec)
+	src, _, _ := TriggerStream(spec)
 	return src
 }
 
@@ -257,17 +241,4 @@ func periodicSource(app string, period, horizon time.Duration, d dist.Distributi
 		id++
 		return t, true
 	})
-}
-
-// Trigger materializes the trigger-mix workload (plain invocations, no
-// workflow expansion) by collecting its stream.
-func Trigger(spec TriggerSpec) *Workload {
-	src, _, stats, _ := triggerStream(spec)
-	tasks := trace.Collect(src)
-	return &Workload{
-		Tasks:       tasks,
-		MeanService: stats.meanService(),
-		MeanIAT:     stats.meanIAT(),
-		Description: src.String(),
-	}
 }

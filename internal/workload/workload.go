@@ -5,10 +5,11 @@
 // fib/md/sa application mix used in the OpenLambda evaluation.
 //
 // Generation is streaming: every scenario family (Poisson/Table I,
-// Azure-sampled replays, synthetic RPS shapes) is exposed as a
-// trace.Source — a pull-based iterator that never materializes the
-// invocation stream — and Generate/AzureSampled/Synthetic are thin
-// collectors over those sources for consumers that need slices.
+// Azure-sampled replays, synthetic RPS shapes, diurnal, flash-crowd,
+// multi-tenant and trigger mixes) exists only as a trace.Source — a
+// pull-based iterator that never materializes the invocation stream.
+// Consumers that replay one stream under several schedulers collect it
+// once with trace.Collect and clone it per run with trace.CloneTasks.
 package workload
 
 import (
@@ -253,13 +254,14 @@ type AppChoice struct {
 	Weight  float64
 }
 
-// Workload is a generated invocation stream plus its provenance.
-type Workload struct {
-	Tasks       []*task.Task
-	Spec        Spec
-	MeanService time.Duration // mean ideal duration of the generated tasks
-	MeanIAT     time.Duration
-	Description string
+// OpenLambdaMix returns the OpenLambda evaluation's application mix
+// (§IX-A): half fib, a quarter each md and sa.
+func OpenLambdaMix() []AppChoice {
+	return []AppChoice{
+		{Profile: AppFib, Weight: 0.5},
+		{Profile: AppMd, Weight: 0.25},
+		{Profile: AppSa, Weight: 0.25},
+	}
 }
 
 // withDefaults fills the spec's derivable fields.
@@ -325,32 +327,14 @@ func (b *builder) build(id int, at simtime.Time, ideal time.Duration) *task.Task
 	return t
 }
 
-// genStats accumulates realized stream statistics as invocations are
-// pulled, so collectors can report MeanService/MeanIAT without a second
-// pass.
-type genStats struct {
-	n        int
-	idealSum time.Duration
-	iatSum   time.Duration
-}
-
-func (g *genStats) meanService() time.Duration {
-	if g.n == 0 {
-		return 0
-	}
-	return g.idealSum / time.Duration(g.n)
-}
-
-func (g *genStats) meanIAT() time.Duration {
-	if g.n <= 1 {
-		return 0
-	}
-	return g.iatSum / time.Duration(g.n-1)
-}
-
-// stream is the streaming generation core shared by Stream, Generate,
-// and the Azure-sampled wrappers.
-func stream(spec Spec) (trace.Source, *genStats) {
+// Stream returns the spec's invocation stream as a pull-based
+// trace.Source. A spec with N == 0 streams forever; consumers bound it
+// with trace.Limit or their own cutoff. Re-invoking Stream with the same
+// spec replays the identical stream. Without an explicit Arrival, the
+// Poisson arrival process is calibrated to the requested load from the
+// duration distribution's analytic mean, mirroring the paper's
+// proportional IAT adjustment (§VIII-A).
+func Stream(spec Spec) trace.Source {
 	spec = spec.withDefaults()
 	r := rng.New(spec.Seed)
 	durR := r.Split()
@@ -376,75 +360,28 @@ func stream(spec Spec) (trace.Source, *genStats) {
 	}
 
 	b := newBuilder(spec.Apps, spec.IOFraction, spec.IOMin, spec.IOMax, appR, ioR)
-	stats := &genStats{}
+	n := 0
 	var at simtime.Time
 	desc := fmt.Sprintf("faasbench(n=%d, dur=%s, arr=%s, cores=%d)", spec.N, spec.Duration, arrival, spec.Cores)
-	src := trace.New(desc, func() (*task.Task, bool) {
-		if spec.N > 0 && stats.n >= spec.N {
+	return trace.New(desc, func() (*task.Task, bool) {
+		if spec.N > 0 && n >= spec.N {
 			return nil, false
 		}
-		if stats.n > 0 {
+		if n > 0 {
 			iat := arrival.NextIAT(arrR)
 			if iat < 0 {
 				iat = 0
 			}
 			at += iat
-			stats.iatSum += iat
 		}
 		d := spec.Duration.Sample(durR)
 		if d <= 0 {
 			d = time.Millisecond
 		}
-		t := b.build(stats.n, at, d)
-		stats.idealSum += d
-		stats.n++
+		t := b.build(n, at, d)
+		n++
 		return t, true
 	})
-	return src, stats
-}
-
-// Stream returns the spec's invocation stream as a pull-based
-// trace.Source. A spec with N == 0 streams forever; consumers bound it
-// with trace.Limit or their own cutoff. Re-invoking Stream with the same
-// spec replays the identical stream.
-func Stream(spec Spec) trace.Source {
-	src, _ := stream(spec)
-	return src
-}
-
-// Generate materializes a workload from the spec by collecting its
-// stream — the slice-shaped entry point the simulator consumes. The
-// arrival process is calibrated to the requested load from the duration
-// distribution's analytic mean, mirroring the paper's proportional IAT
-// adjustment (§VIII-A).
-func Generate(spec Spec) *Workload {
-	if spec.N <= 0 {
-		panic("workload: N must be positive")
-	}
-	src, stats := stream(spec)
-	tasks := trace.Collect(src)
-	return &Workload{
-		Tasks:       tasks,
-		Spec:        spec,
-		MeanService: stats.meanService(),
-		MeanIAT:     stats.meanIAT(),
-		Description: src.String(),
-	}
-}
-
-// Clone returns a deep copy of the workload's tasks with accounting
-// reset, so the same invocation stream can be replayed under multiple
-// schedulers.
-func (w *Workload) Clone() []*task.Task {
-	return trace.CloneTasks(w.Tasks)
-}
-
-// Source returns the workload as a replayable trace.Source: each pull
-// yields a fresh copy of the next invocation, so one materialized
-// workload can feed any number of runs through the same interface the
-// streaming generators use.
-func (w *Workload) Source() trace.Source {
-	return trace.FromTasks(w.Description, w.Tasks)
 }
 
 // meanCPUFraction returns the weight-averaged CPU fraction of an app
@@ -462,18 +399,4 @@ func meanCPUFraction(apps []AppChoice) float64 {
 		return 1
 	}
 	return num / den
-}
-
-// OfferedLoad returns the workload's average offered CPU utilization on
-// c cores (CPU demand only; blocked I/O time occupies no core).
-func (w *Workload) OfferedLoad(c int) float64 {
-	if w.MeanIAT <= 0 {
-		return math.Inf(1)
-	}
-	var cpu time.Duration
-	for _, t := range w.Tasks {
-		cpu += t.Service
-	}
-	meanCPU := cpu / time.Duration(len(w.Tasks))
-	return queueing.OfferedLoad(meanCPU, w.MeanIAT, c)
 }

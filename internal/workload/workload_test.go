@@ -6,8 +6,10 @@ import (
 	"time"
 
 	"github.com/serverless-sched/sfs/internal/dist"
+	"github.com/serverless-sched/sfs/internal/queueing"
 	"github.com/serverless-sched/sfs/internal/rng"
 	"github.com/serverless-sched/sfs/internal/task"
+	"github.com/serverless-sched/sfs/internal/trace"
 )
 
 func ms(n int) time.Duration { return time.Duration(n) * time.Millisecond }
@@ -131,28 +133,39 @@ func TestAppProfiles(t *testing.T) {
 	}
 }
 
-func TestGenerateLoadCalibration(t *testing.T) {
+// offeredLoad is a collected stream's average offered CPU load on c
+// cores: mean CPU demand over the mean inter-arrival time.
+func offeredLoad(tasks []*task.Task, c int) float64 {
+	var cpu time.Duration
+	for _, tk := range tasks {
+		cpu += tk.Service
+	}
+	span := time.Duration(tasks[len(tasks)-1].Arrival - tasks[0].Arrival)
+	return queueing.OfferedLoad(cpu/time.Duration(len(tasks)), span/time.Duration(len(tasks)-1), c)
+}
+
+func TestStreamLoadCalibration(t *testing.T) {
 	for _, load := range []float64{0.5, 0.8, 1.0} {
-		w := Generate(Spec{N: 20000, Cores: 8, Load: load, Seed: 3})
-		got := w.OfferedLoad(8)
+		tasks := trace.Collect(Stream(Spec{N: 20000, Cores: 8, Load: load, Seed: 3}))
+		got := offeredLoad(tasks, 8)
 		if math.Abs(got-load)/load > 0.08 {
 			t.Errorf("load %.2f: offered %.3f", load, got)
 		}
 	}
 }
 
-func TestGenerateDeterminism(t *testing.T) {
-	a := Generate(Spec{N: 500, Cores: 4, Load: 0.8, Seed: 9})
-	b := Generate(Spec{N: 500, Cores: 4, Load: 0.8, Seed: 9})
-	for i := range a.Tasks {
-		if a.Tasks[i].Service != b.Tasks[i].Service || a.Tasks[i].Arrival != b.Tasks[i].Arrival {
+func TestStreamDeterminism(t *testing.T) {
+	a := trace.Collect(Stream(Spec{N: 500, Cores: 4, Load: 0.8, Seed: 9}))
+	b := trace.Collect(Stream(Spec{N: 500, Cores: 4, Load: 0.8, Seed: 9}))
+	for i := range a {
+		if a[i].Service != b[i].Service || a[i].Arrival != b[i].Arrival {
 			t.Fatalf("same-seed workloads diverge at %d", i)
 		}
 	}
-	c := Generate(Spec{N: 500, Cores: 4, Load: 0.8, Seed: 10})
+	c := trace.Collect(Stream(Spec{N: 500, Cores: 4, Load: 0.8, Seed: 10}))
 	diff := false
-	for i := range a.Tasks {
-		if a.Tasks[i].Service != c.Tasks[i].Service {
+	for i := range a {
+		if a[i].Service != c[i].Service {
 			diff = true
 			break
 		}
@@ -162,22 +175,22 @@ func TestGenerateDeterminism(t *testing.T) {
 	}
 }
 
-func TestGenerateArrivalsMonotone(t *testing.T) {
-	w := Generate(Spec{N: 1000, Cores: 4, Load: 1.0, Seed: 4})
-	for i := 1; i < len(w.Tasks); i++ {
-		if w.Tasks[i].Arrival < w.Tasks[i-1].Arrival {
+func TestStreamArrivalsMonotone(t *testing.T) {
+	tasks := trace.Collect(Stream(Spec{N: 1000, Cores: 4, Load: 1.0, Seed: 4}))
+	for i := 1; i < len(tasks); i++ {
+		if tasks[i].Arrival < tasks[i-1].Arrival {
 			t.Fatalf("arrivals not monotone at %d", i)
 		}
 	}
 }
 
-func TestGenerateIOKnob(t *testing.T) {
-	w := Generate(Spec{
+func TestStreamIOKnob(t *testing.T) {
+	tasks := trace.Collect(Stream(Spec{
 		N: 2000, Cores: 4, Load: 0.8, Seed: 5,
 		IOFraction: 0.75, IOMin: ms(10), IOMax: ms(100),
-	})
+	}))
 	withIO := 0
-	for _, tk := range w.Tasks {
+	for _, tk := range tasks {
 		if len(tk.IOOps) > 0 {
 			withIO++
 			op := tk.IOOps[0]
@@ -192,26 +205,26 @@ func TestGenerateIOKnob(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	frac := float64(withIO) / float64(len(w.Tasks))
+	frac := float64(withIO) / float64(len(tasks))
 	if math.Abs(frac-0.75) > 0.05 {
 		t.Fatalf("IO fraction %.3f, want ~0.75", frac)
 	}
 }
 
-func TestGenerateAppMix(t *testing.T) {
-	w := Generate(Spec{
+func TestStreamAppMix(t *testing.T) {
+	tasks := trace.Collect(Stream(Spec{
 		N: 3000, Cores: 4, Load: 0.8, Seed: 6,
 		Apps: []AppChoice{
 			{Profile: AppFib, Weight: 2},
 			{Profile: AppMd, Weight: 1},
 			{Profile: AppSa, Weight: 1},
 		},
-	})
+	}))
 	counts := map[string]int{}
-	for _, tk := range w.Tasks {
+	for _, tk := range tasks {
 		counts[tk.App]++
 	}
-	fibFrac := float64(counts["fib"]) / float64(len(w.Tasks))
+	fibFrac := float64(counts["fib"]) / float64(len(tasks))
 	if math.Abs(fibFrac-0.5) > 0.05 {
 		t.Fatalf("fib fraction %.3f, want ~0.5 (counts %v)", fibFrac, counts)
 	}
@@ -220,27 +233,51 @@ func TestGenerateAppMix(t *testing.T) {
 	}
 }
 
+// TestOpenLambdaMix pins the §IX-A mix: the order and weights decide
+// which app each draw picks, so any change moves every mixed stream.
+// Each call returns its own slice, so one caller's edit stays local.
+func TestOpenLambdaMix(t *testing.T) {
+	want := []AppChoice{
+		{Profile: AppFib, Weight: 0.5},
+		{Profile: AppMd, Weight: 0.25},
+		{Profile: AppSa, Weight: 0.25},
+	}
+	mix := OpenLambdaMix()
+	if len(mix) != len(want) {
+		t.Fatalf("mix has %d apps, want %d", len(mix), len(want))
+	}
+	for i := range want {
+		if mix[i] != want[i] {
+			t.Fatalf("mix[%d] = %+v, want %+v", i, mix[i], want[i])
+		}
+	}
+	mix[0].Weight = 0
+	if OpenLambdaMix()[0].Weight != 0.5 {
+		t.Fatal("OpenLambdaMix shares its slice between calls")
+	}
+}
+
 func TestCloneIsolation(t *testing.T) {
-	w := Generate(Spec{N: 50, Cores: 2, Load: 0.8, Seed: 7})
-	c1 := w.Clone()
+	tasks := trace.Collect(Stream(Spec{N: 50, Cores: 2, Load: 0.8, Seed: 7}))
+	c1 := trace.CloneTasks(tasks)
 	c1[0].CPUUsed = ms(5)
 	c1[0].CtxSwitches = 3
-	c2 := w.Clone()
+	c2 := trace.CloneTasks(tasks)
 	if c2[0].CPUUsed != 0 || c2[0].CtxSwitches != 0 {
 		t.Fatal("clones share accounting state")
 	}
-	if w.Tasks[0].CPUUsed != 0 {
+	if tasks[0].CPUUsed != 0 {
 		t.Fatal("clone mutated the original")
 	}
 }
 
 func TestCustomArrivalProcess(t *testing.T) {
-	w := Generate(Spec{
+	tasks := trace.Collect(Stream(Spec{
 		N: 4, Cores: 1, Seed: 8,
 		Arrival: dist.NewTraceProcess([]time.Duration{ms(10), ms(20), ms(30)}),
-	})
+	}))
 	want := []time.Duration{0, ms(10), ms(30), ms(60)}
-	for i, tk := range w.Tasks {
+	for i, tk := range tasks {
 		if tk.Arrival != want[i] {
 			t.Fatalf("arrival %d = %v, want %v", i, tk.Arrival, want[i])
 		}
