@@ -1,21 +1,21 @@
 // Command faasbench generates, exports, and replays FaaS invocation
 // traces through the streaming trace pipeline (the paper's FaaSBench,
-// §VII, plus an invitro-style synthetic RPS synthesizer).
+// §VII, plus an invitro-style synthetic RPS synthesizer), simulating
+// them on one host or on a cluster of hosts behind a dispatch policy.
 //
 // Subcommands:
 //
 //	faasbench gen     [flags]              # generate and summarize (default)
 //	faasbench export  [flags] -o out.csv   # generate and stream to CSV or
 //	                                       # binary (-format binary)
-//	faasbench replay  -in out.csv [flags]  # replay a CSV or binary trace in
-//	                                       # the simulator (format sniffed)
+//	faasbench replay  [flags]              # simulate a trace (-in, format
+//	                                       # sniffed; else the -arrivals family)
+//	                                       # on one host, or -hosts N behind a
+//	                                       # -dispatch policy (-shards N: the
+//	                                       # sharded engine); -chain expands each
+//	                                       # request into a workflow
 //	faasbench convert -in a.csv -o a.sftb  # convert a trace between CSV and
 //	                                       # the binary (SFTB) format
-//	faasbench cluster [flags]              # fan a trace across -hosts simulated
-//	                                       # hosts behind a -dispatch policy;
-//	                                       # -shards N runs the sharded engine
-//	faasbench chain   [flags]              # expand each request into a -family
-//	                                       # workflow and report end-to-end stats
 //	faasbench ingest  -invocations f.csv   # stream a real Azure Functions 2019
 //	                                       # dataset CSV onto a replayable trace
 //
@@ -29,31 +29,31 @@
 //	diurnal      sine-on-trend day/night cycle with a weekend dip
 //	flashcrowd   exponential-decay 50x spikes with correlated app skew
 //	multitenant  one heavy bursty tenant against many light steady ones
-//	trigger      timer/queue/http mixes; under chain, each class feeds its
-//	             own workflow shape
+//	trigger      timer/queue/http mixes; under replay -chain, each class
+//	             feeds its own workflow shape
 //
 // Examples:
 //
 //	faasbench gen -n 10000 -cores 16 -load 0.8
 //	faasbench gen -arrivals trace -spikes 5
 //	faasbench gen -arrivals diurnal -n 100000 -cores 16 -load 0.7
-//	faasbench cluster -arrivals flashcrowd -hosts 8 -dispatch JSQ
-//	faasbench chain -arrivals trigger -sched SFS -n 20000
 //	faasbench ingest -invocations invocations_per_function_md.anon.d01.csv \
 //	    -durations function_durations_percentiles.anon.d01.csv \
 //	    -minutes 540:600 -scale 0.1 -o azure-d01.sftb
 //	faasbench export -arrivals synth -shape ramp -start-rps 50 -target-rps 500 -horizon 60s -o ramp.csv
 //	faasbench replay -in ramp.csv -sched SFS -cores 16
 //	faasbench replay -in ramp.csv -sched SFS -keepalive HIST -memory 2048
+//	faasbench replay -sched CFS -n 10000 -load 0.8 -arrivals trace
+//	faasbench replay -fixed-slice 100ms -io-fraction 0.75
 //	faasbench export -arrivals trace -n 1000000 -format binary -o big.sftb
 //	faasbench convert -in ramp.csv -o ramp.sftb
-//	faasbench cluster -hosts 4 -host-cores 8 -dispatch PULL -sched SFS -arrivals trace
-//	faasbench cluster -in ramp.csv -hosts 2 -host-cores 16 -dispatch JSQ
-//	faasbench cluster -in big.sftb -hosts 1000 -host-cores 4 -dispatch RR -shards 16
-//	faasbench cluster -hosts 4 -dispatch WARMFIRST -keepalive TTL -memory 1024 -arrivals trace
-//	faasbench cluster -hosts 8 -dispatch PREDICTED -sched PSRTF -speeds 1.5x4,0.5x4 -net-delay 200us-2ms
-//	faasbench chain -family LINEAR -depth 4 -sched SFS -arrivals trace -load 0.9
-//	faasbench chain -family DIAMOND -sched CFS -keepalive HIST -memory 2048
+//	faasbench replay -hosts 4 -cores 8 -dispatch PULL -arrivals trace
+//	faasbench replay -in big.sftb -hosts 1000 -cores 4 -dispatch RR -shards 16
+//	faasbench replay -hosts 4 -dispatch WARMFIRST -keepalive TTL -memory 1024 -arrivals flashcrowd
+//	faasbench replay -hosts 8 -cores 8 -dispatch PREDICTED -sched PSRTF -speeds 1.5x4,0.5x4 -net-delay 200us-2ms
+//	faasbench replay -chain LINEAR -chain-depth 4 -arrivals trace -load 0.9
+//	faasbench replay -chain DIAMOND -sched CFS -keepalive HIST -memory 2048
+//	faasbench replay -arrivals trigger -chain LINEAR -hosts 64 -cores 4 -dispatch PREDICTED
 package main
 
 import (
@@ -66,60 +66,18 @@ import (
 	"github.com/serverless-sched/sfs/internal/azure"
 	"github.com/serverless-sched/sfs/internal/chain"
 	"github.com/serverless-sched/sfs/internal/cluster"
+	"github.com/serverless-sched/sfs/internal/core"
 	"github.com/serverless-sched/sfs/internal/cpusim"
 	"github.com/serverless-sched/sfs/internal/lifecycle"
 	"github.com/serverless-sched/sfs/internal/metrics"
+	"github.com/serverless-sched/sfs/internal/queueing"
+	"github.com/serverless-sched/sfs/internal/sched"
 	"github.com/serverless-sched/sfs/internal/schedulers"
 	"github.com/serverless-sched/sfs/internal/stats"
 	"github.com/serverless-sched/sfs/internal/task"
 	"github.com/serverless-sched/sfs/internal/trace"
 	"github.com/serverless-sched/sfs/internal/workload"
 )
-
-// kaFlags is the container keep-alive flag set shared by the replay and
-// cluster subcommands.
-type kaFlags struct {
-	policy *string
-	memory *int
-	ttl    *time.Duration
-}
-
-func newKAFlags(fs *flag.FlagSet) *kaFlags {
-	return &kaFlags{
-		policy: fs.String("keepalive", "", "container keep-alive policy: "+strings.Join(lifecycle.PolicyNames(), ", ")+" (empty = pre-warmed, no cold starts)"),
-		memory: fs.Int("memory", 0, "container memory capacity in MB per host (0 = unlimited; needs -keepalive)"),
-		ttl:    fs.Duration("keepalive-ttl", lifecycle.DefaultTTL, "fixed keep-alive window (TTL policy) and HIST fallback"),
-	}
-}
-
-func (k *kaFlags) enabled() bool { return *k.policy != "" }
-
-// newManager builds one host's manager; call only when enabled (the
-// name and capacity were checked by validate, so errors here are
-// internal).
-func (k *kaFlags) newManager(seed uint64) *lifecycle.Manager {
-	m, err := lifecycle.NewByName(*k.policy, *k.memory, *k.ttl, seed)
-	if err != nil {
-		fatal(err)
-	}
-	return m
-}
-
-func (k *kaFlags) validate() {
-	if !k.enabled() {
-		if *k.memory != 0 {
-			fatal(fmt.Errorf("-memory needs -keepalive (pre-warmed runs model no containers)"))
-		}
-		return
-	}
-	if _, err := lifecycle.NewByName(*k.policy, *k.memory, *k.ttl, 0); err != nil {
-		fatal(err)
-	}
-}
-
-func (k *kaFlags) report(st lifecycle.Stats) {
-	fmt.Println(st.Summary(*k.policy))
-}
 
 func main() {
 	args := os.Args[1:]
@@ -136,19 +94,16 @@ func main() {
 		cmdReplay(args)
 	case "convert":
 		cmdConvert(args)
-	case "cluster":
-		cmdCluster(args)
-	case "chain":
-		cmdChain(args)
 	case "ingest":
 		cmdIngest(args)
 	default:
-		fmt.Fprintf(os.Stderr, "unknown subcommand %q (want gen, export, replay, convert, cluster, chain, or ingest)\n", cmd)
+		fmt.Fprintf(os.Stderr, "unknown subcommand %q (want gen, export, replay, convert, or ingest)\n", cmd)
 		os.Exit(1)
 	}
 }
 
-// genFlags holds the generation flag set shared by gen and export.
+// genFlags holds the generation flag set shared by gen, export and
+// replay.
 type genFlags struct {
 	fs         *flag.FlagSet
 	n          *int
@@ -173,8 +128,8 @@ func newGenFlags(name string) *genFlags {
 	return &genFlags{
 		fs:         fs,
 		n:          fs.Int("n", 10000, "number of invocations (synth: cap, 0 = until horizon)"),
-		cores:      fs.Int("cores", 16, "cores the load is calibrated for"),
-		load:       fs.Float64("load", 0.8, "offered CPU load fraction (poisson/trace)"),
+		cores:      fs.Int("cores", 16, "cores the load is calibrated for (replay: cores per host)"),
+		load:       fs.Float64("load", 0.8, "offered CPU load fraction (replay: of -hosts x -cores)"),
 		arrivals:   fs.String("arrivals", "poisson", "scenario family: synth, or one of "+strings.Join(workload.FamilyNames(), ", ")+" (trace = azure)"),
 		seed:       fs.Uint64("seed", 42, "RNG seed"),
 		ioFraction: fs.Float64("io-fraction", 0, "fraction of requests with a leading I/O op"),
@@ -189,17 +144,26 @@ func newGenFlags(name string) *genFlags {
 	}
 }
 
-// parse parses the subcommand's flags and rejects the generation flags
-// no family can honour: -n must be positive for every family but synth
-// (where 0 means "until -horizon"; the others would panic or stream
-// forever), and -cores at least 1.
+// parse parses the subcommand's flags and rejects -cores < 1.
 func (g *genFlags) parse(args []string) {
 	g.fs.Parse(args)
+	if *g.cores < 1 {
+		fatal(fmt.Errorf("-cores must be at least 1"))
+	}
+}
+
+// check rejects the generation flags no family can honour: -n must be
+// positive for every family but synth (where 0 means "until -horizon";
+// the others would panic or stream forever), and the synth flags must
+// give a positive rate over a positive span.
+func (g *genFlags) check() {
 	if *g.n < 0 || *g.n == 0 && *g.arrivals != "synth" {
 		fatal(fmt.Errorf("-n must be positive with -arrivals %s (only synth takes -n 0, meaning until -horizon)", *g.arrivals))
 	}
-	if *g.cores < 1 {
-		fatal(fmt.Errorf("-cores must be at least 1"))
+	if *g.arrivals == "synth" {
+		if err := g.synthSpec().Validate(); err != nil {
+			fatal(fmt.Errorf("bad synth flags (-start-rps, -target-rps, -horizon, -slots, -slot-dur): %v", err))
+		}
 	}
 }
 
@@ -210,39 +174,45 @@ func (g *genFlags) apps() []workload.AppChoice {
 	return workload.OpenLambdaMix()
 }
 
-// source builds the configured scenario family as a trace.Source.
-func (g *genFlags) source() trace.Source {
+func (g *genFlags) synthSpec() workload.SyntheticSpec {
+	shape, err := trace.ParseShape(*g.shape)
+	if err != nil {
+		fatal(err)
+	}
+	spec := workload.SyntheticSpec{
+		Shape: shape, StartRPS: *g.startRPS, TargetRPS: *g.targetRPS,
+		Slots: *g.slots, SlotDur: *g.slotDur, N: *g.n,
+		IOFraction: *g.ioFraction, Apps: g.apps(), Seed: *g.seed,
+	}
+	if shape != trace.ShapeStep {
+		spec.Horizon = *g.horizon
+	}
+	return spec
+}
+
+// source checks the flags and builds the configured scenario family as
+// a trace.Source, its load calibrated to cores.
+func (g *genFlags) source(cores int) trace.Source {
+	g.check()
 	switch *g.arrivals {
 	case "poisson":
 		return workload.Stream(workload.Spec{
-			N: *g.n, Cores: *g.cores, Load: *g.load, Seed: *g.seed,
+			N: *g.n, Cores: cores, Load: *g.load, Seed: *g.seed,
 			IOFraction: *g.ioFraction, Apps: g.apps(),
 		})
 	case "trace":
 		return workload.AzureSampledStream(workload.AzureSampledSpec{
-			N: *g.n, Cores: *g.cores, Load: *g.load, Seed: *g.seed,
+			N: *g.n, Cores: cores, Load: *g.load, Seed: *g.seed,
 			IOFraction: *g.ioFraction, Apps: g.apps(), Spikes: *g.spikes,
 		})
 	case "synth":
-		shape, err := trace.ParseShape(*g.shape)
-		if err != nil {
-			fatal(err)
-		}
-		spec := workload.SyntheticSpec{
-			Shape: shape, StartRPS: *g.startRPS, TargetRPS: *g.targetRPS,
-			Slots: *g.slots, SlotDur: *g.slotDur, N: *g.n,
-			IOFraction: *g.ioFraction, Apps: g.apps(), Seed: *g.seed,
-		}
-		if shape != trace.ShapeStep {
-			spec.Horizon = *g.horizon
-		}
-		return workload.SyntheticStream(spec)
+		return workload.SyntheticStream(g.synthSpec())
 	default:
 		// Any registered scenario family (diurnal, flashcrowd,
 		// multitenant, trigger, ...); poisson/trace/synth were handled
 		// above with their extra knobs.
 		src, err := workload.NewFamily(*g.arrivals, workload.FamilyConfig{
-			N: *g.n, Cores: *g.cores, Load: *g.load, Seed: *g.seed, Apps: g.apps(),
+			N: *g.n, Cores: cores, Load: *g.load, Seed: *g.seed, Apps: g.apps(),
 		})
 		if err != nil {
 			fatal(err)
@@ -255,7 +225,7 @@ func cmdGen(args []string) {
 	g := newGenFlags("gen")
 	emit := g.fs.Bool("emit", false, "emit the trace as per-invocation CSV to stdout instead of a summary")
 	g.parse(args)
-	src := g.source()
+	src := g.source(*g.cores)
 	if *emit {
 		fmt.Println("id,app,arrival_ms,service_ms,io_ops,io_total_ms")
 		for {
@@ -278,36 +248,42 @@ func cmdGen(args []string) {
 
 func cmdExport(args []string) {
 	g := newGenFlags("export")
-	out := g.fs.String("o", "", "output path (default stdout); replayable by faasbench replay and sfs-sim -workload")
+	out := g.fs.String("o", "", "output path (default stdout); replayable by faasbench replay -in")
 	format := g.fs.String("format", "csv", "output format: csv or binary (the length-prefixed SFTB codec)")
 	g.parse(args)
 	if *format != "csv" && *format != "binary" {
 		fatal(fmt.Errorf("unknown -format %q (want csv or binary)", *format))
 	}
-	src := g.source()
-	w := os.Stdout
-	var f *os.File
-	if *out != "" {
-		var err error
-		if f, err = os.Create(*out); err != nil {
-			fatal(err)
-		}
-		w = f
-	}
-	write := trace.WriteCSV
-	if *format == "binary" {
-		write = trace.WriteBinary
-	}
-	n, err := write(w, src)
+	src := g.source(*g.cores)
+	n, err := writeTrace(src, *out, *format)
 	if err != nil {
 		fatal(err)
 	}
-	if f != nil {
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
+	if *out != "" {
 		fmt.Printf("wrote %d invocations to %s (%s, %s)\n", n, *out, src, *format)
 	}
+}
+
+// writeTrace encodes src in format ("csv" or "binary") to the file at
+// path, or to stdout when path is empty, and returns the records
+// written.
+func writeTrace(src trace.Source, path, format string) (int, error) {
+	write := trace.WriteCSV
+	if format == "binary" {
+		write = trace.WriteBinary
+	}
+	if path == "" {
+		return write(os.Stdout, src)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return 0, err
+	}
+	n, err := write(f, src)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return n, err
 }
 
 // cmdConvert re-encodes a trace between the CSV and binary formats.
@@ -323,15 +299,8 @@ func cmdConvert(args []string) {
 	if *in == "" {
 		fatal(fmt.Errorf("convert needs -in trace"))
 	}
-	f, err := os.Open(*in)
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-	src, err := trace.DetectSource(f)
-	if err != nil {
-		fatal(err)
-	}
+	src, closeIn := openTrace(*in)
+	defer closeIn()
 	target := *to
 	if target == "" {
 		if src.String() == "binary" {
@@ -340,173 +309,248 @@ func cmdConvert(args []string) {
 			target = "binary"
 		}
 	}
-	write := trace.WriteCSV
-	switch target {
-	case "csv":
-	case "binary":
-		write = trace.WriteBinary
-	default:
+	if target != "csv" && target != "binary" {
 		fatal(fmt.Errorf("unknown -to format %q (want csv or binary)", target))
 	}
-	w := os.Stdout
-	var of *os.File
-	if *out != "" {
-		if of, err = os.Create(*out); err != nil {
-			fatal(err)
-		}
-		w = of
-	}
-	n, err := write(w, src)
+	n, err := writeTrace(src, *out, target)
 	if err != nil {
 		fatal(err)
 	}
-	if of != nil {
-		if err := of.Close(); err != nil {
-			fatal(err)
-		}
+	if *out != "" {
 		fmt.Printf("converted %d invocations: %s (%s) -> %s (%s)\n", n, *in, src, *out, target)
 	}
 }
 
-func cmdReplay(args []string) {
-	fs := flag.NewFlagSet("replay", flag.ExitOnError)
-	in := fs.String("in", "", "trace to replay, CSV or binary (required; format sniffed)")
-	schedName := fs.String("sched", "", "simulate the trace under a scheduler ("+strings.Join(schedulers.Names(), ", ")+"); empty = summarize only")
-	cores := fs.Int("cores", 16, "cores of the simulated host")
-	seed := fs.Uint64("seed", 42, "RNG seed for cold-start sampling")
-	ka := newKAFlags(fs)
-	fs.Parse(args)
-	if *in == "" {
-		fatal(fmt.Errorf("replay needs -in trace.csv"))
-	}
-	if *cores < 1 {
-		fatal(fmt.Errorf("-cores must be at least 1"))
-	}
-	ka.validate()
-	f, err := os.Open(*in)
+// openTrace opens a CSV or binary trace file, sniffing its format. The
+// caller runs the returned close once done with the source.
+func openTrace(path string) (trace.Source, func() error) {
+	f, err := os.Open(path)
 	if err != nil {
 		fatal(err)
 	}
-	defer f.Close()
 	src, err := trace.DetectSource(f)
 	if err != nil {
 		fatal(err)
 	}
-	if *schedName == "" {
-		summarize(src, *cores)
-		return
-	}
-	s := mkScheduler(*schedName)
-	tasks := trace.Collect(src)
-	checkErr(src)
-	if len(tasks) == 0 {
-		fatal(fmt.Errorf("empty trace"))
-	}
-	eng := cpusim.NewEngine(cpusim.Config{Cores: *cores, Deadline: 10000 * time.Hour}, s)
-	start := time.Now()
-	var makespan time.Duration
-	var mgr *lifecycle.Manager
-	if ka.enabled() {
-		mgr = ka.newManager(*seed)
-		if makespan, err = lifecycle.Run(trace.FromTasks(*in, tasks), mgr, eng); err != nil {
-			fatal(err)
-		}
-		tasks = eng.Tasks()
-	} else {
-		eng.Submit(tasks...)
-		makespan = eng.Run()
-	}
-	fmt.Printf("replayed %d invocations from %s under %s on %d cores\n", len(tasks), *in, s.Name(), *cores)
-	fmt.Printf("simulated %v of virtual time in %v wall time (%d ctx switches, %.0f%% utilization)\n",
-		makespan.Round(time.Millisecond), time.Since(start).Round(time.Millisecond),
-		eng.TotalCtxSwitches, eng.Utilization()*100)
-	if mgr != nil {
-		ka.report(mgr.Stats())
-	}
-	r := metrics.Run{Scheduler: s.Name(), Tasks: tasks}
-	ps := r.Percentiles([]float64{50, 90, 99, 99.9})
-	fmt.Printf("turnaround: p50=%s p90=%s p99=%s p99.9=%s mean=%s\n",
-		metrics.FormatDuration(ps[0]), metrics.FormatDuration(ps[1]),
-		metrics.FormatDuration(ps[2]), metrics.FormatDuration(ps[3]),
-		metrics.FormatDuration(r.MeanTurnaround()))
-	for _, bound := range []float64{0.5, 0.95} {
-		fmt.Printf("RTE >= %.2f: %.1f%% of requests\n", bound, 100*r.FractionRTEAtLeast(bound))
-	}
+	return src, f.Close
 }
 
-func mkScheduler(name string) cpusim.Scheduler {
-	s, err := schedulers.New(name)
-	if err != nil {
-		fatal(err)
-	}
-	return s
-}
-
-// cmdCluster fans a generated or replayed trace out across N simulated
-// hosts behind a dispatch policy, each host running its own scheduler
-// instance, and reports merged plus per-host metrics.
-func cmdCluster(args []string) {
-	g := newGenFlags("cluster")
-	hosts := g.fs.Int("hosts", 4, "number of simulated hosts")
-	hostCores := g.fs.Int("host-cores", 8, "cores per host (load calibration uses hosts x host-cores, overriding -cores)")
-	dispatch := g.fs.String("dispatch", "RR", "dispatch policy: "+strings.Join(cluster.Names(), ", "))
-	schedName := g.fs.String("sched", "SFS", "per-host scheduler: "+strings.Join(schedulers.Names(), ", "))
-	in := g.fs.String("in", "", "replay this trace (CSV or binary, sniffed) instead of generating (gen flags ignored)")
-	shards := g.fs.Int("shards", 0, "run the sharded parallel engine with this many shards (0 = serial)")
-	dispatchLatency := g.fs.Duration("dispatch-latency", 0, "sharded mode: dispatcher->host latency and lookahead window (default 1ms)")
-	speedSpec := g.fs.String("speeds", "", "per-host speed factors, e.g. \"1.5x4,0.5x4\" or a single value for all hosts (empty = uniform 1.0)")
-	netDelaySpec := g.fs.String("net-delay", "", "dispatcher->host network delay, e.g. \"500us\" or \"200us-2ms\" (uniform)")
-	ka := newKAFlags(g.fs)
+// cmdReplay simulates a trace, read from -in or generated by the
+// -arrivals family calibrated to -hosts x -cores, on one host or, with
+// -hosts > 1, on a cluster behind a -dispatch policy, and prints one
+// report. With an empty -sched it only summarizes the trace.
+func cmdReplay(args []string) {
+	g := newGenFlags("replay")
+	fs := g.fs
+	in := fs.String("in", "", "trace to replay, CSV or binary (format sniffed); empty = generate one from -arrivals")
+	schedName := fs.String("sched", "SFS", "scheduler: "+strings.Join(schedulers.Names(), ", ")+", or IDEAL (single host only); empty = summarize the trace only")
+	hosts := fs.Int("hosts", 1, "simulated hosts; > 1 runs a cluster behind -dispatch")
+	dispatch := fs.String("dispatch", "RR", "cluster dispatch policy: "+strings.Join(cluster.Names(), ", "))
+	shards := fs.Int("shards", 0, "cluster: run the sharded parallel engine with this many shards (0 = serial)")
+	dispatchLatency := fs.Duration("dispatch-latency", 0, "sharded cluster: dispatcher->host latency and lookahead window (default 1ms)")
+	speedSpec := fs.String("speeds", "", "cluster: per-host speed factors, e.g. \"1.5x4,0.5x4\" or a single value for all hosts (empty = uniform 1.0)")
+	netDelaySpec := fs.String("net-delay", "", "cluster: dispatcher->host network delay, e.g. \"500us\" or \"200us-2ms\" (uniform)")
+	sfsCfg := core.DefaultConfig()
+	fs.DurationVar(&sfsCfg.FixedSlice, "fixed-slice", sfsCfg.FixedSlice, "pin the SFS time slice (0 = adaptive)")
+	fs.DurationVar(&sfsCfg.PollInterval, "poll", sfsCfg.PollInterval, "SFS kernel-status polling interval")
+	noHybrid := fs.Bool("no-hybrid", false, "disable SFS overload fallback")
+	noIO := fs.Bool("io-oblivious", false, "disable SFS I/O-aware polling")
+	keepalive := fs.String("keepalive", "", "container keep-alive policy: "+strings.Join(lifecycle.PolicyNames(), ", ")+" (empty = pre-warmed, no cold starts)")
+	memory := fs.Int("memory", 0, "container memory capacity in MB per host (0 = unlimited; needs -keepalive)")
+	ttl := fs.Duration("keepalive-ttl", lifecycle.DefaultTTL, "fixed keep-alive window (TTL policy) and HIST fallback")
+	chainName := fs.String("chain", "", "expand each request into a workflow: "+strings.Join(chain.FamilyNames(), ", ")+" (with -arrivals trigger: the family's own per-class workflows; generated loads count every stage)")
+	chainDepth := fs.Int("chain-depth", 3, "workflow scale: LINEAR stages / DIAMOND branches")
 	g.parse(args)
-	if *hosts < 1 || *hostCores < 1 {
-		fatal(fmt.Errorf("cluster needs -hosts >= 1 and -host-cores >= 1"))
+
+	// Resolve every flag before simulating anything.
+	if *hosts < 1 {
+		fatal(fmt.Errorf("-hosts must be at least 1"))
 	}
-	ka.validate()
+	totalCores := *hosts * *g.cores
+	if (*speedSpec != "" || *netDelaySpec != "") && *hosts == 1 {
+		fatal(fmt.Errorf("-speeds and -net-delay model the cluster fleet; they need -hosts > 1"))
+	}
 	speeds, err := cluster.ParseSpeeds(*speedSpec, *hosts)
 	if err != nil {
-		fatal(err)
+		fatal(fmt.Errorf("-speeds: %w", err))
 	}
 	netDelay, err := cluster.ParseNetDelay(*netDelaySpec)
 	if err != nil {
-		fatal(err)
-	}
-
-	var src trace.Source
-	if *in != "" {
-		f, err := os.Open(*in)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		if src, err = trace.DetectSource(f); err != nil {
-			fatal(err)
-		}
-	} else {
-		*g.cores = *hosts * *hostCores // calibrate offered load to the whole cluster
-		src = g.source()
-	}
-
-	if _, err := schedulers.New(*schedName); err != nil {
-		fatal(err)
-	}
-	d, err := cluster.NewDispatcher(*dispatch, cluster.FactoryConfig{Hosts: *hosts, Seed: *g.seed})
-	if err != nil {
-		fatal(err)
+		fatal(fmt.Errorf("-net-delay: %w", err))
 	}
 	cfg := cluster.Config{
 		Hosts:           *hosts,
-		CoresPerHost:    *hostCores,
-		NewScheduler:    func() cpusim.Scheduler { return mkScheduler(*schedName) },
-		Dispatcher:      d,
+		CoresPerHost:    *g.cores,
 		Shards:          *shards,
 		DispatchLatency: *dispatchLatency,
 		Speeds:          speeds,
 		NetDelay:        netDelay,
 		NetDelaySeed:    *g.seed,
 	}
-	if ka.enabled() {
-		cfg.NewLifecycle = func() *lifecycle.Manager { return ka.newManager(*g.seed) }
+	if *keepalive != "" {
+		if _, err := lifecycle.NewByName(*keepalive, *memory, *ttl, *g.seed); err != nil {
+			fatal(err)
+		}
+		cfg.NewLifecycle = func() *lifecycle.Manager {
+			m, _ := lifecycle.NewByName(*keepalive, *memory, *ttl, *g.seed) // validated above
+			return m
+		}
+	} else if *memory != 0 {
+		fatal(fmt.Errorf("-memory needs -keepalive (pre-warmed runs model no containers)"))
 	}
+	var family *chain.Spec
+	if *chainName != "" {
+		spec, err := chain.NewFamily(*chainName, chain.FamilyConfig{Depth: *chainDepth})
+		if err != nil {
+			fatal(err)
+		}
+		family = &spec
+	}
+	if strings.EqualFold(*schedName, "IDEAL") {
+		// IDEAL is the analytic zero-interference oracle; silently
+		// dropping hosts, cold starts or chain expansion would make
+		// baseline comparisons unfair, so refuse rather than ignore the
+		// flags.
+		if *hosts > 1 {
+			fatal(fmt.Errorf("-sched IDEAL is single host only (the oracle models no cluster)"))
+		}
+		if *keepalive != "" || family != nil {
+			fatal(fmt.Errorf("-keepalive and -chain are not supported with -sched IDEAL (the oracle models no containers or workflows)"))
+		}
+	} else if *schedName != "" {
+		sfsCfg.Hybrid, sfsCfg.IOAware = !*noHybrid, !*noIO
+		cfg.NewScheduler = newScheduler(*schedName, sfsCfg)
+	}
+
+	var src trace.Source
+	name := *in
+	if *in != "" {
+		var closeIn func() error
+		src, closeIn = openTrace(*in)
+		defer closeIn()
+	} else if family != nil && *g.arrivals == "trigger" {
+		// The trigger family feeds each class its own workflow, with
+		// the load already calibrated to the whole chains.
+		g.check()
+		trig, chainCfg, err := workload.TriggerStream(workload.TriggerSpec{
+			N: *g.n, Cores: totalCores, Load: *g.load, Seed: *g.seed,
+		})
+		if err != nil {
+			fatal(err)
+		}
+		src, cfg.Chain = trig, &chainCfg
+	} else {
+		// Stages inherit each request's sampled service, so a chain
+		// multiplies per-request CPU demand by its stage count; divide
+		// the load so the whole chain offers the requested -load.
+		if family != nil {
+			*g.load /= family.ServiceFactor(0)
+		}
+		src = g.source(totalCores)
+	}
+	if name == "" {
+		name = src.String()
+	}
+	if family != nil && cfg.Chain == nil {
+		cfg.Chain = &chain.Config{Default: family, Seed: *g.seed}
+	}
+
+	switch {
+	case *schedName == "":
+		summarize(src, totalCores)
+	case *hosts > 1:
+		d, err := cluster.NewDispatcher(*dispatch, cluster.FactoryConfig{Hosts: *hosts, Seed: *g.seed})
+		if err != nil {
+			fatal(err)
+		}
+		cfg.Dispatcher = d
+		runCluster(src, cfg, *keepalive)
+	default:
+		runHost(name, src, cfg, *keepalive)
+	}
+}
+
+// newScheduler validates a scheduler name and returns its constructor.
+// SFS is built from sfsCfg, the SFS flags applied to
+// core.DefaultConfig, so at the flags' defaults it is exactly the
+// registry's SFS.
+func newScheduler(name string, sfsCfg core.Config) func() cpusim.Scheduler {
+	if strings.EqualFold(name, "SFS") {
+		return func() cpusim.Scheduler { return core.New(sfsCfg) }
+	}
+	if _, err := schedulers.New(name); err != nil {
+		fatal(err)
+	}
+	return func() cpusim.Scheduler {
+		s, _ := schedulers.New(name) // validated above
+		return s
+	}
+}
+
+// runHost collects the trace and simulates it on one host of
+// cfg.CoresPerHost cores: plainly, through the keep-alive layer, or
+// expanded into workflows. A nil cfg.NewScheduler is the IDEAL oracle.
+func runHost(name string, src trace.Source, cfg cluster.Config, keepalive string) {
+	tasks := trace.Collect(src)
+	checkErr(src)
+	if len(tasks) == 0 {
+		fatal(fmt.Errorf("empty trace"))
+	}
+	if cfg.NewScheduler == nil {
+		sched.RunIdeal(tasks)
+		fmt.Printf("replayed %d invocations from %s under IDEAL on %d cores\n", len(tasks), name, cfg.CoresPerHost)
+		report(metrics.Run{Scheduler: "IDEAL", Tasks: tasks}, "", lifecycle.Stats{}, nil)
+		return
+	}
+	s := cfg.NewScheduler()
+	eng := cpusim.NewEngine(cpusim.Config{Cores: cfg.CoresPerHost, Deadline: 10000 * time.Hour}, s)
+	var mgr *lifecycle.Manager
+	if cfg.NewLifecycle != nil {
+		mgr = cfg.NewLifecycle()
+	}
+	var inj *chain.Injector
+	start := time.Now()
+	var makespan time.Duration
+	var err error
+	switch {
+	case cfg.Chain != nil:
+		if inj, err = chain.NewInjector(*cfg.Chain); err != nil {
+			fatal(err)
+		}
+		makespan, err = chain.Run(trace.FromTasks(name, tasks), inj, mgr, eng)
+	case mgr != nil:
+		makespan, err = lifecycle.Run(trace.FromTasks(name, tasks), mgr, eng)
+	default:
+		eng.Submit(tasks...)
+		makespan = eng.Run()
+	}
+	if err != nil {
+		fatal(err)
+	}
+	tasks = eng.Tasks()
+	fmt.Printf("replayed %d invocations from %s under %s on %d cores\n", len(tasks), name, s.Name(), cfg.CoresPerHost)
+	fmt.Printf("simulated %v of virtual time in %v wall time (%d ctx switches, %.0f%% utilization)\n",
+		makespan.Round(time.Millisecond), time.Since(start).Round(time.Millisecond),
+		eng.TotalCtxSwitches, eng.Utilization()*100)
+	var st lifecycle.Stats
+	if mgr != nil {
+		st = mgr.Stats()
+	}
+	var wf *metrics.WorkflowRun
+	if inj != nil {
+		wf = &metrics.WorkflowRun{Scheduler: s.Name(), Workflows: inj.Workflows()}
+	}
+	report(metrics.Run{Scheduler: s.Name(), Tasks: tasks}, keepalive, st, wf)
+	if sfs, ok := s.(*core.SFS); ok {
+		fmt.Printf("SFS: S=%v, %d requests, %d FILTER completions, %d demotions, %d overload-routed\n",
+			sfs.Slice(), sfs.Stat.Requests, sfs.Stat.FilterCompletions,
+			sfs.Stat.Demotions, sfs.Stat.OverloadRouted)
+	}
+}
+
+// runCluster streams the trace across cfg.Hosts hosts behind
+// cfg.Dispatcher and reports merged plus per-host metrics.
+func runCluster(src trace.Source, cfg cluster.Config, keepalive string) {
 	cl, err := cluster.New(cfg)
 	if err != nil {
 		fatal(err)
@@ -516,113 +560,41 @@ func cmdCluster(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-
 	fmt.Printf("cluster: %d hosts x %d cores, %s dispatch, %s per host\n",
-		*hosts, *hostCores, res.Dispatcher, res.Scheduler)
+		cfg.Hosts, cfg.CoresPerHost, res.Dispatcher, res.Scheduler)
 	if res.Shards > 0 {
 		fmt.Printf("sharded engine: %d shards, %v lookahead\n", res.Shards, res.Lookahead)
 	}
 	fmt.Printf("simulated %v of virtual time in %v wall time\n",
 		res.Makespan.Round(time.Millisecond), time.Since(start).Round(time.Millisecond))
 	fmt.Print(res.RenderPerHost())
-	if ka.enabled() {
-		ka.report(res.Lifecycle)
+	var wf *metrics.WorkflowRun
+	if cfg.Chain != nil {
+		wf = &res.Workflows
 	}
-	ps := res.Merged.Percentiles([]float64{50, 90, 99, 99.9})
-	fmt.Printf("cluster-wide turnaround: p50=%s p90=%s p99=%s p99.9=%s mean=%s\n",
-		metrics.FormatDuration(ps[0]), metrics.FormatDuration(ps[1]),
-		metrics.FormatDuration(ps[2]), metrics.FormatDuration(ps[3]),
-		metrics.FormatDuration(res.Merged.MeanTurnaround()))
-	for _, bound := range []float64{0.5, 0.95} {
-		fmt.Printf("RTE >= %.2f: %.1f%% of requests\n", bound, 100*res.Merged.FractionRTEAtLeast(bound))
-	}
+	report(res.Merged, keepalive, res.Lifecycle, wf)
 }
 
-// cmdChain expands every generated request into a workflow of the
-// selected family and simulates it on one host, reporting per-stage
-// percentiles alongside per-workflow end-to-end turnaround and slowdown
-// — the metric per-invocation tables cannot show. The generated load is
-// divided by the chain's stage count so the whole chain offers the
-// requested -load.
-func cmdChain(args []string) {
-	g := newGenFlags("chain")
-	family := g.fs.String("family", "LINEAR", "workflow family: "+strings.Join(chain.FamilyNames(), ", "))
-	depth := g.fs.Int("depth", 3, "workflow scale: LINEAR stages / DIAMOND branches")
-	schedName := g.fs.String("sched", "SFS", "scheduler: "+strings.Join(schedulers.Names(), ", "))
-	ka := newKAFlags(g.fs)
-	g.parse(args)
-	ka.validate()
-
-	var src trace.Source
-	var injCfg chain.Config
-	var familyDesc string
-	if *g.arrivals == "trigger" {
-		// The trigger family carries its own per-class workflow map
-		// (http/queue/timer chains); -family and -depth are ignored and
-		// the load is already calibrated to the whole chains.
-		var cfg chain.Config
-		var err error
-		src, cfg, err = workload.TriggerStream(workload.TriggerSpec{
-			N: *g.n, Cores: *g.cores, Load: *g.load, Seed: *g.seed,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		injCfg = cfg
-		familyDesc = "TRIGGER mix"
-	} else {
-		spec, err := chain.NewFamily(*family, chain.FamilyConfig{Depth: *depth})
-		if err != nil {
-			fatal(err)
-		}
-		// Stages inherit each request's sampled service, so the chain
-		// multiplies per-request CPU demand by the stage count;
-		// recalibrate the calibrated families to the whole chain.
-		if *g.arrivals != "synth" {
-			*g.load /= spec.ServiceFactor(0)
-		}
-		src = g.source()
-		injCfg = chain.Config{Default: &spec, Seed: *g.seed}
-		familyDesc = fmt.Sprintf("%s depth %d", strings.ToUpper(*family), *depth)
+// report prints the lines every simulation mode shares: the keep-alive
+// summary (with -keepalive), the turnaround percentiles and RTE lines,
+// and the workflow summary and end-to-end slowdown (with -chain).
+func report(r metrics.Run, keepalive string, st lifecycle.Stats, wf *metrics.WorkflowRun) {
+	if keepalive != "" {
+		fmt.Println(st.Summary(keepalive))
 	}
-	inj, err := chain.NewInjector(injCfg)
-	if err != nil {
-		fatal(err)
-	}
-	s := mkScheduler(*schedName)
-	eng := cpusim.NewEngine(cpusim.Config{Cores: *g.cores, Deadline: 10000 * time.Hour}, s)
-	var mgr *lifecycle.Manager
-	if ka.enabled() {
-		mgr = ka.newManager(*g.seed)
-	}
-	start := time.Now()
-	makespan, err := chain.Run(src, inj, mgr, eng)
-	if err != nil {
-		fatal(err)
-	}
-	tasks := eng.Tasks()
-	if len(tasks) == 0 {
-		fatal(fmt.Errorf("empty trace"))
-	}
-
-	fmt.Printf("chained %d invocations (%s) under %s on %d cores\n",
-		len(tasks), familyDesc, s.Name(), *g.cores)
-	fmt.Printf("simulated %v of virtual time in %v wall time (%d ctx switches, %.0f%% utilization)\n",
-		makespan.Round(time.Millisecond), time.Since(start).Round(time.Millisecond),
-		eng.TotalCtxSwitches, eng.Utilization()*100)
-	if mgr != nil {
-		ka.report(mgr.Stats())
-	}
-	r := metrics.Run{Scheduler: s.Name(), Tasks: tasks}
 	ps := r.Percentiles([]float64{50, 90, 99, 99.9})
-	fmt.Printf("per-stage turnaround: p50=%s p90=%s p99=%s p99.9=%s mean=%s\n",
+	fmt.Printf("turnaround: p50=%s p90=%s p99=%s p99.9=%s mean=%s\n",
 		metrics.FormatDuration(ps[0]), metrics.FormatDuration(ps[1]),
 		metrics.FormatDuration(ps[2]), metrics.FormatDuration(ps[3]),
 		metrics.FormatDuration(r.MeanTurnaround()))
-	wfr := metrics.WorkflowRun{Scheduler: s.Name(), Workflows: inj.Workflows()}
-	fmt.Println(wfr.Render())
-	slow := wfr.SlowdownPercentiles(50, 99)
-	fmt.Printf("e2e slowdown: p50=%.2fx p99=%.2fx\n", slow[0], slow[1])
+	for _, bound := range []float64{0.5, 0.95} {
+		fmt.Printf("RTE >= %.2f: %.1f%% of requests\n", bound, 100*r.FractionRTEAtLeast(bound))
+	}
+	if wf != nil {
+		fmt.Println(wf.Render())
+		slow := wf.SlowdownPercentiles(50, 99)
+		fmt.Printf("e2e slowdown: p50=%.2fx p99=%.2fx\n", slow[0], slow[1])
+	}
 }
 
 // summarize streams a source once, printing the headline statistics and
@@ -659,7 +631,7 @@ func summarize(src trace.Source, cores int) {
 	offered := 0.0
 	if len(tasks) > 1 && span > 0 {
 		meanIAT = span / time.Duration(len(tasks)-1)
-		offered = float64(meanCPU) / float64(meanIAT) / float64(cores)
+		offered = queueing.OfferedLoad(meanCPU, meanIAT, cores)
 	}
 
 	fmt.Printf("trace: %s\n", src)
@@ -702,7 +674,7 @@ func cmdIngest(args []string) {
 	max := fs.Int("max", 0, "stop after this many invocations (0 = unlimited)")
 	defaultMS := fs.Int("default-ms", 100, "service time in ms for functions without a durations row")
 	seed := fs.Uint64("seed", 42, "RNG seed for thinning and within-minute placement")
-	out := fs.String("o", "", "output path (default stdout); replayable by faasbench replay and sfs-sim -workload")
+	out := fs.String("o", "", "output path (default stdout); replayable by faasbench replay -in")
 	format := fs.String("format", "binary", "output format: csv or binary (the length-prefixed SFTB codec)")
 	fs.Parse(args)
 	if *invPath == "" {
@@ -746,27 +718,9 @@ func cmdIngest(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-
-	w := os.Stdout
-	var f *os.File
-	if *out != "" {
-		if f, err = os.Create(*out); err != nil {
-			fatal(err)
-		}
-		w = f
-	}
-	write := trace.WriteCSV
-	if *format == "binary" {
-		write = trace.WriteBinary
-	}
-	n, err := write(w, tp.Source())
+	n, err := writeTrace(tp.Source(), *out, *format)
 	if err != nil {
 		fatal(err)
-	}
-	if f != nil {
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
 	}
 	truncated := ""
 	if st.Truncated {

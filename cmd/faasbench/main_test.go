@@ -3,13 +3,16 @@ package main
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/serverless-sched/sfs/internal/goldens"
 	"github.com/serverless-sched/sfs/internal/trace"
 	"github.com/serverless-sched/sfs/internal/workload"
 )
@@ -27,16 +30,17 @@ func TestMain(m *testing.M) {
 }
 
 // runCLI runs faasbench with args in a child process and returns its
-// exit code and standard error. A child still running after 20 s fails
-// the test, so a hang is reported rather than waited out.
-func runCLI(t *testing.T, args ...string) (int, string) {
+// exit code, standard output and standard error. A child still running
+// after 20 s fails the test, so a hang is reported rather than waited
+// out.
+func runCLI(t *testing.T, args ...string) (int, string, string) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	cmd := exec.CommandContext(ctx, os.Args[0], args...)
 	cmd.Env = append(os.Environ(), runMainEnv+"=1")
-	var stderr strings.Builder
-	cmd.Stderr = &stderr
+	var stdout, stderr strings.Builder
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
 	err := cmd.Run()
 	if ctx.Err() != nil {
 		t.Fatalf("faasbench %s: still running after 20 s", strings.Join(args, " "))
@@ -45,25 +49,34 @@ func runCLI(t *testing.T, args ...string) (int, string) {
 	if err != nil && !errors.As(err, &exit) {
 		t.Fatalf("faasbench %s: %v", strings.Join(args, " "), err)
 	}
-	return cmd.ProcessState.ExitCode(), stderr.String()
+	return cmd.ProcessState.ExitCode(), stdout.String(), stderr.String()
 }
 
-// TestMalformedFlagsExitOne checks that a non-positive -n (outside
-// synth) or -cores < 1 exits 1 with an error naming the flag, where
-// these used to panic or stream forever. The -n rows go through
-// genFlags, which also guards chain's trigger branch.
-func TestMalformedFlagsExitOne(t *testing.T) {
-	csv := filepath.Join(t.TempDir(), "f.csv")
-	f, err := os.Create(csv)
+// writeCSV writes a small Poisson trace, calibrated to 8 cores at load
+// 0.9, to a temporary CSV file and returns its path.
+func writeCSV(t *testing.T, n int) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "T.csv")
+	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := trace.WriteCSV(f, workload.Stream(workload.Spec{N: 20, Cores: 16, Load: 0.8, Seed: 42})); err != nil {
+	if _, err := trace.WriteCSV(f, workload.Stream(workload.Spec{N: n, Cores: 8, Load: 0.9, Seed: 42})); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return path
+}
+
+// TestMalformedFlagsExitOne checks that malformed flags exit 1 with an
+// error naming the flag rather than panic, stream forever or exhaust
+// memory: a non-positive -n (outside synth), -cores < 1, synth flags
+// giving no positive rate or span, and a -speeds count far beyond
+// -hosts. The subcommands folded into replay must be unknown.
+func TestMalformedFlagsExitOne(t *testing.T) {
+	csv := writeCSV(t, 20)
 	for _, tc := range []struct {
 		args []string
 		flag string
@@ -72,15 +85,27 @@ func TestMalformedFlagsExitOne(t *testing.T) {
 		{[]string{"gen", "-n", "0", "-arrivals", "trace"}, "-n "},
 		{[]string{"gen", "-n", "0", "-arrivals", "multitenant"}, "-n "},
 		{[]string{"export", "-n", "-5"}, "-n "},
-		{[]string{"cluster", "-n", "0"}, "-n "},
-		{[]string{"chain", "-n", "0"}, "-n "},
-		{[]string{"chain", "-n", "0", "-arrivals", "trigger"}, "-n "},
+		{[]string{"gen", "-arrivals", "synth", "-start-rps", "0", "-target-rps", "0"}, "-start-rps"},
+		{[]string{"gen", "-arrivals", "synth", "-shape", "sine", "-start-rps", "10", "-target-rps", "-10"}, "-start-rps"},
+		{[]string{"gen", "-arrivals", "synth", "-shape", "step", "-slot-dur", "0"}, "-slot-dur"},
+		{[]string{"replay", "-n", "0"}, "-n "},
+		{[]string{"replay", "-n", "0", "-arrivals", "trace"}, "-n "},
+		{[]string{"replay", "-n", "0", "-arrivals", "diurnal"}, "-n "},
+		{[]string{"replay", "-n", "-3", "-arrivals", "flashcrowd"}, "-n "},
+		{[]string{"replay", "-n", "0", "-chain", "LINEAR"}, "-n "},
+		{[]string{"replay", "-n", "0", "-arrivals", "trigger", "-chain", "LINEAR"}, "-n "},
+		{[]string{"replay", "-n", "10", "-cores", "0"}, "-cores"},
+		{[]string{"replay", "-n", "10", "-chain", "LINEAR", "-cores", "0"}, "-cores"},
+		{[]string{"replay", "-in", csv, "-cores", "0"}, "-cores"},
 		{[]string{"replay", "-in", csv, "-sched", "SFS", "-cores", "0"}, "-cores"},
-		{[]string{"chain", "-n", "10", "-cores", "0"}, "-cores"},
+		{[]string{"replay", "-n", "50", "-arrivals", "synth", "-start-rps", "-5"}, "-start-rps"},
+		{[]string{"replay", "-n", "10", "-hosts", "2", "-speeds", "1x500000000"}, "-speeds"},
+		{[]string{"cluster", "-n", "10"}, "unknown subcommand"},
+		{[]string{"chain", "-n", "10"}, "unknown subcommand"},
 	} {
 		name := strings.ReplaceAll(strings.Join(tc.args, " "), csv, "f.csv")
 		t.Run(name, func(t *testing.T) {
-			code, stderr := runCLI(t, tc.args...)
+			code, _, stderr := runCLI(t, tc.args...)
 			if code != 1 || strings.Contains(stderr, "panic:") {
 				t.Fatalf("exit %d, want 1 without a panic; stderr:\n%s", code, stderr)
 			}
@@ -92,9 +117,63 @@ func TestMalformedFlagsExitOne(t *testing.T) {
 }
 
 // TestSynthZeroNRunsToHorizon checks that -n 0 keeps meaning "until
-// -horizon" for synth arrivals.
+// -horizon" for synth arrivals, when generating and when simulating.
 func TestSynthZeroNRunsToHorizon(t *testing.T) {
-	if code, stderr := runCLI(t, "gen", "-n", "0", "-arrivals", "synth", "-horizon", "2s"); code != 0 {
-		t.Fatalf("exit %d, want 0; stderr:\n%s", code, stderr)
+	for _, cmd := range []string{"gen", "replay"} {
+		if code, _, stderr := runCLI(t, cmd, "-n", "0", "-arrivals", "synth", "-horizon", "2s"); code != 0 {
+			t.Fatalf("%s: exit %d, want 0; stderr:\n%s", cmd, code, stderr)
+		}
+	}
+}
+
+var wallTime = regexp.MustCompile(`in \S+ wall time`)
+
+// TestGoldenReplay pins replay's report in each of its modes to
+// testdata/replay.golden, with the wall-clock time masked. Bless a
+// deliberate change with `go test ./cmd/faasbench -run Golden -update`.
+// Under RR, which reads no host state, the serial and sharded reports
+// must also differ only in the sharded engine line.
+func TestGoldenReplay(t *testing.T) {
+	csv := writeCSV(t, 300)
+	var golden strings.Builder
+	reports := map[string]string{}
+	for _, cmd := range []string{
+		"-in T.csv -cores 8 -sched SFS -keepalive HIST -memory 1024",
+		"-in T.csv -cores 8 -sched IDEAL",
+		"-in T.csv -sched ''",
+		"-in T.csv -hosts 4 -cores 2 -dispatch RR",
+		"-in T.csv -hosts 4 -cores 2 -dispatch RR -shards 2",
+		"-n 200 -chain LINEAR -keepalive TTL",
+		"-n 300 -arrivals trigger -chain LINEAR -hosts 4 -dispatch PREDICTED",
+	} {
+		args := []string{"replay"}
+		for _, f := range strings.Fields(cmd) {
+			switch f {
+			case "T.csv":
+				f = csv
+			case "''":
+				f = ""
+			}
+			args = append(args, f)
+		}
+		code, stdout, stderr := runCLI(t, args...)
+		if code != 0 {
+			t.Fatalf("faasbench replay %s: exit %d; stderr:\n%s", cmd, code, stderr)
+		}
+		out := wallTime.ReplaceAllString(strings.ReplaceAll(stdout, csv, "T.csv"), "in <wall> wall time")
+		reports[cmd] = out
+		fmt.Fprintf(&golden, "$ faasbench replay %s\n%s\n", cmd, out)
+	}
+	goldens.Check(t, "replay", golden.String())
+
+	serial := reports["-in T.csv -hosts 4 -cores 2 -dispatch RR"]
+	var sharded []string
+	for _, l := range strings.SplitAfter(reports["-in T.csv -hosts 4 -cores 2 -dispatch RR -shards 2"], "\n") {
+		if !strings.HasPrefix(l, "sharded engine:") {
+			sharded = append(sharded, l)
+		}
+	}
+	if got := strings.Join(sharded, ""); got != serial {
+		t.Errorf("RR serial and sharded reports differ beyond the sharded engine line:\nserial:\n%s\nsharded:\n%s", serial, got)
 	}
 }

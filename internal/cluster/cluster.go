@@ -235,9 +235,9 @@ type Result struct {
 	Aborted bool
 }
 
-// RenderPerHost returns the human-readable per-host breakdown both
-// CLIs print: an optional central-queue summary line followed by one
-// table row per host.
+// RenderPerHost returns the human-readable per-host breakdown a cluster
+// run of faasbench replay prints: an optional central-queue summary
+// line followed by one table row per host.
 func (res *Result) RenderPerHost() string {
 	var b strings.Builder
 	if res.QueueDelayMax > 0 {

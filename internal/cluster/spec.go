@@ -55,11 +55,16 @@ func ParseSpeeds(spec string, hosts int) ([]float64, error) {
 				return nil, fmt.Errorf("speed spec entry %q: count must be at least 1", e)
 			}
 		}
+		// Reject an oversized count before expanding it, so a huge
+		// count fails fast instead of exhausting memory.
+		if count > hosts-len(out) {
+			return nil, fmt.Errorf("speed spec %q covers more than the cluster's %d hosts", spec, hosts)
+		}
 		for i := 0; i < count; i++ {
 			out = append(out, sp)
 		}
 	}
-	if len(out) != hosts {
+	if len(out) < hosts {
 		return nil, fmt.Errorf("speed spec %q covers %d hosts, cluster has %d", spec, len(out), hosts)
 	}
 	return out, nil

@@ -28,7 +28,8 @@ var update = flag.Bool("update", false, "rewrite golden fixtures from the curren
 // path returns the fixture location for a digest name.
 func path(name string) string { return filepath.Join("testdata", name+".golden") }
 
-// Check compares got against the named fixture. With -update it
+// Check compares got against the named fixture under the calling
+// package's testdata directory. With -update it
 // (re)writes the fixture instead and always passes. On a mismatch it
 // writes testdata/<name>.got and fails with the first differing line
 // and the -update hint.
@@ -50,7 +51,7 @@ func Check(t *testing.T, name, got string) {
 	}
 	want, err := os.ReadFile(p)
 	if err != nil {
-		t.Fatalf("golden fixture %s missing (%v) — run `go test ./internal/goldens -run Golden -update` and commit the result", p, err)
+		t.Fatalf("golden fixture %s missing (%v) — rerun the test with -update (e.g. `go test ./internal/goldens -run Golden -update`) and commit the result", p, err)
 	}
 	if string(want) == got {
 		os.Remove(gotPath(name))
@@ -59,7 +60,7 @@ func Check(t *testing.T, name, got string) {
 	if err := os.WriteFile(gotPath(name), []byte(got), 0o644); err != nil {
 		t.Errorf("writing %s: %v", gotPath(name), err)
 	}
-	t.Errorf("golden digest %q drifted from %s:\n%s\nfull digest written to %s\nif the change is intended: go test ./internal/goldens -run Golden -update",
+	t.Errorf("golden digest %q drifted from %s:\n%s\nfull digest written to %s\nif the change is intended, rerun the test with -update (e.g. go test ./internal/goldens -run Golden -update)",
 		name, p, firstDiff(string(want), got), gotPath(name))
 }
 

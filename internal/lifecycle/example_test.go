@@ -58,8 +58,8 @@ func ExampleNewPolicy() {
 	// unknown keep-alive policy "FOREVER" (want one of NONE, TTL, LRU, HIST)
 }
 
-// ExamplePolicyNames enumerates the registry, the same list both CLIs
-// print in their -h output.
+// ExamplePolicyNames enumerates the registry, the same list faasbench
+// replay prints in its -h output.
 func ExamplePolicyNames() {
 	for _, n := range lifecycle.PolicyNames() {
 		fmt.Println(n)

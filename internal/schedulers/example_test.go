@@ -23,8 +23,8 @@ func ExampleNew() {
 	// unknown scheduler "O(1)" (want one of SFS, CFS, EEVDF, FIFO, RR, SRTF, PSRTF, COREGRANULAR, LOTTERY)
 }
 
-// ExampleNames enumerates the registry, the same list both CLIs print
-// in their -h output.
+// ExampleNames enumerates the registry, the same list faasbench replay
+// prints in its -h output.
 func ExampleNames() {
 	for _, n := range schedulers.Names() {
 		fmt.Println(n)

@@ -30,8 +30,9 @@ var reg = registry.New[func() cpusim.Scheduler]("scheduler").
 func Names() []string { return reg.Names() }
 
 // New constructs a scheduler by case-insensitive name with its default
-// configuration. Callers needing tuned configurations (e.g. sfs-sim's
-// SFS knobs) construct those directly and fall back here for the rest.
+// configuration. Callers needing tuned configurations (e.g. faasbench
+// replay's SFS flags) construct those directly and fall back here for
+// the rest.
 func New(name string) (cpusim.Scheduler, error) {
 	mk, err := reg.Lookup(name)
 	if err != nil {

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -107,6 +108,25 @@ func (s SynthSpec) peakRPS() float64 {
 	return math.Max(s.StartRPS, s.TargetRPS)
 }
 
+// Validate reports why the spec cannot drive a synthetic source: a
+// negative rate, no positive rate, or no positive span (a zero
+// TargetRPS stands for StartRPS, as in NewSynthetic). NewSynthetic
+// panics with the same messages.
+func (s SynthSpec) Validate() error {
+	if s.TargetRPS == 0 {
+		s.TargetRPS = s.StartRPS
+	}
+	switch {
+	case s.StartRPS < 0 || s.TargetRPS < 0:
+		return errors.New("trace: negative RPS")
+	case s.peakRPS() <= 0:
+		return errors.New("trace: synthetic trace needs a positive StartRPS or TargetRPS")
+	case s.horizon() <= 0:
+		return errors.New("trace: synthetic trace needs Horizon or Slots*SlotDur")
+	}
+	return nil
+}
+
 // synthSource generates arrivals lazily via thinning of a
 // non-homogeneous Poisson process: candidate arrivals are drawn at the
 // peak rate and accepted with probability rate(t)/peak, so no arrival
@@ -131,14 +151,8 @@ func NewSynthetic(spec SynthSpec) Source {
 	if spec.TargetRPS == 0 {
 		spec.TargetRPS = spec.StartRPS
 	}
-	if spec.StartRPS < 0 || spec.TargetRPS < 0 {
-		panic("trace: negative RPS")
-	}
-	if spec.peakRPS() <= 0 {
-		panic("trace: synthetic trace needs a positive StartRPS or TargetRPS")
-	}
-	if spec.horizon() <= 0 {
-		panic("trace: synthetic trace needs Horizon or Slots*SlotDur")
+	if err := spec.Validate(); err != nil {
+		panic(err.Error())
 	}
 	if spec.Duration == nil {
 		panic("trace: synthetic trace needs a duration distribution")

@@ -148,19 +148,33 @@ func TestParseShape(t *testing.T) {
 	}
 }
 
+// TestSyntheticSpecPanics: NewSynthetic panics on an unusable spec, and
+// for the rate and span checks Validate returns the panic's message.
 func TestSyntheticSpecPanics(t *testing.T) {
-	for name, spec := range map[string]SynthSpec{
-		"no rate":    {Shape: ShapeConstant, Horizon: time.Second, Duration: dist.Constant{Value: ms(1)}},
-		"no horizon": {Shape: ShapeRamp, StartRPS: 1, Duration: dist.Constant{Value: ms(1)}},
-		"no dist":    {Shape: ShapeRamp, StartRPS: 1, Horizon: time.Second},
+	d := dist.Constant{Value: ms(1)}
+	for name, tc := range map[string]struct {
+		spec  SynthSpec
+		valid bool // passes Validate (it checks no duration distribution)
+	}{
+		"no rate":       {SynthSpec{Shape: ShapeConstant, Horizon: time.Second, Duration: d}, false},
+		"negative rate": {SynthSpec{Shape: ShapeSine, StartRPS: 10, TargetRPS: -10, Horizon: time.Second, Duration: d}, false},
+		"no horizon":    {SynthSpec{Shape: ShapeRamp, StartRPS: 1, Duration: d}, false},
+		"no dist":       {SynthSpec{Shape: ShapeRamp, StartRPS: 1, Horizon: time.Second}, true},
 	} {
+		err := tc.spec.Validate()
+		if (err == nil) != tc.valid {
+			t.Errorf("%s: Validate() = %v", name, err)
+		}
 		func() {
 			defer func() {
-				if recover() == nil {
+				r := recover()
+				if r == nil {
 					t.Errorf("%s: no panic", name)
+				} else if err != nil && r != err.Error() {
+					t.Errorf("%s: panicked with %q, Validate returned %q", name, r, err)
 				}
 			}()
-			NewSynthetic(spec)
+			NewSynthetic(tc.spec)
 		}()
 	}
 }

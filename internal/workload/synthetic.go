@@ -45,7 +45,20 @@ func SyntheticStream(spec SyntheticSpec) trace.Source {
 	if len(spec.Apps) == 0 {
 		spec.Apps = []AppChoice{{Profile: AppFib, Weight: 1}}
 	}
-	inner := trace.NewSynthetic(trace.SynthSpec{
+	inner := trace.NewSynthetic(spec.arrivals())
+	// The inner source's Service is the sampled ideal duration; the
+	// builder splits it into CPU and I/O per the app profile.
+	desc := fmt.Sprintf("%s × %d apps", inner, len(spec.Apps))
+	return builderStream(inner, spec.Apps, spec.IOFraction, spec.IOMin, spec.IOMax, spec.Seed, desc)
+}
+
+// Validate reports why the spec's arrival profile is unusable — the
+// rate and span checks SyntheticStream would otherwise panic on.
+func (spec SyntheticSpec) Validate() error { return spec.arrivals().Validate() }
+
+// arrivals maps the spec onto the trace layer's synthetic source spec.
+func (spec SyntheticSpec) arrivals() trace.SynthSpec {
+	return trace.SynthSpec{
 		Shape:     spec.Shape,
 		StartRPS:  spec.StartRPS,
 		TargetRPS: spec.TargetRPS,
@@ -55,9 +68,5 @@ func SyntheticStream(spec SyntheticSpec) trace.Source {
 		N:         spec.N,
 		Duration:  spec.Duration,
 		Seed:      spec.Seed,
-	})
-	// The inner source's Service is the sampled ideal duration; the
-	// builder splits it into CPU and I/O per the app profile.
-	desc := fmt.Sprintf("%s × %d apps", inner, len(spec.Apps))
-	return builderStream(inner, spec.Apps, spec.IOFraction, spec.IOMin, spec.IOMax, spec.Seed, desc)
+	}
 }
