@@ -138,7 +138,7 @@ func BenchmarkEngineThroughput(b *testing.B) {
 		name string
 		mk   func() cpusim.Scheduler
 	}{
-		{"CFS", func() cpusim.Scheduler { return sched.NewCFS(sched.CFSConfig{}) }},
+		{"CFS", func() cpusim.Scheduler { return sched.NewCFS() }},
 		{"FIFO", func() cpusim.Scheduler { return sched.NewFIFO() }},
 		{"RR", func() cpusim.Scheduler { return sched.NewRR(0) }},
 		{"SRTF", func() cpusim.Scheduler { return sched.NewSRTF() }},
@@ -171,7 +171,7 @@ func BenchmarkSpeedupSummary(b *testing.B) {
 			eng.Run()
 			return metrics.Run{Scheduler: s.Name(), Tasks: tasks}
 		}
-		cfs := run(sched.NewCFS(sched.CFSConfig{}))
+		cfs := run(sched.NewCFS())
 		sfs := run(core.New(core.DefaultConfig()))
 		sum = metrics.CompareRuns(cfs, sfs)
 	}

@@ -59,6 +59,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"time"
@@ -106,6 +107,7 @@ func main() {
 // replay.
 type genFlags struct {
 	fs         *flag.FlagSet
+	names      map[string]bool // the generation flags, by name
 	n          *int
 	cores      *int
 	load       *float64
@@ -125,7 +127,7 @@ type genFlags struct {
 
 func newGenFlags(name string) *genFlags {
 	fs := flag.NewFlagSet(name, flag.ExitOnError)
-	return &genFlags{
+	g := &genFlags{
 		fs:         fs,
 		n:          fs.Int("n", 10000, "number of invocations (synth: cap, 0 = until horizon)"),
 		cores:      fs.Int("cores", 16, "cores the load is calibrated for (replay: cores per host)"),
@@ -142,29 +144,84 @@ func newGenFlags(name string) *genFlags {
 		slotDur:    fs.Duration("slot-dur", 10*time.Second, "synth step: duration of each RPS slot"),
 		horizon:    fs.Duration("horizon", 60*time.Second, "synth: total trace span (ramp/sine/constant)"),
 	}
+	g.names = map[string]bool{}
+	fs.VisitAll(func(f *flag.Flag) { g.names[f.Name] = true })
+	return g
 }
 
-// parse parses the subcommand's flags and rejects -cores < 1.
+// parse parses the subcommand's flags, rejects -cores < 1, and
+// canonicalizes -arrivals: lower case, with azure meaning trace.
 func (g *genFlags) parse(args []string) {
 	g.fs.Parse(args)
 	if *g.cores < 1 {
 		fatal(fmt.Errorf("-cores must be at least 1"))
 	}
+	if *g.arrivals = strings.ToLower(*g.arrivals); *g.arrivals == "azure" {
+		*g.arrivals = "trace"
+	}
 }
 
 // check rejects the generation flags no family can honour: -n must be
 // positive for every family but synth (where 0 means "until -horizon";
-// the others would panic or stream forever), and the synth flags must
-// give a positive rate over a positive span.
+// the others would panic or stream forever), -load positive and finite,
+// -io-fraction within [0, 1], and the synth flags must give a positive
+// rate over a positive span. A set flag the family ignores is an error
+// too, rather than a silent no-op.
 func (g *genFlags) check() {
-	if *g.n < 0 || *g.n == 0 && *g.arrivals != "synth" {
-		fatal(fmt.Errorf("-n must be positive with -arrivals %s (only synth takes -n 0, meaning until -horizon)", *g.arrivals))
+	family := *g.arrivals
+	g.fs.Visit(func(f *flag.Flag) {
+		if why := ignoredBy(f.Name, family, *g.shape); why != "" {
+			fatal(fmt.Errorf("-%s has no effect with -arrivals %s: %s", f.Name, family, why))
+		}
+	})
+	if *g.n < 0 || *g.n == 0 && family != "synth" {
+		fatal(fmt.Errorf("-n must be positive with -arrivals %s (only synth takes -n 0, meaning until -horizon)", family))
 	}
-	if *g.arrivals == "synth" {
+	if !(*g.load > 0) || math.IsInf(*g.load, 1) {
+		fatal(fmt.Errorf("-load must be positive and finite, got %v", *g.load))
+	}
+	if !(*g.ioFraction >= 0 && *g.ioFraction <= 1) {
+		fatal(fmt.Errorf("-io-fraction must be within [0, 1], got %v", *g.ioFraction))
+	}
+	if family == "synth" {
 		if err := g.synthSpec().Validate(); err != nil {
 			fatal(fmt.Errorf("bad synth flags (-start-rps, -target-rps, -horizon, -slots, -slot-dur): %v", err))
 		}
 	}
+}
+
+// ignoredBy says why the -arrivals family ignores the generation flag
+// name (with -shape shape), or returns "" when the family honours it.
+func ignoredBy(name, family, shape string) string {
+	switch name {
+	case "io-fraction":
+		if family != "poisson" && family != "trace" && family != "synth" {
+			return "only poisson, trace and synth honour it"
+		}
+	case "spikes":
+		if family != "trace" {
+			return "only trace honours it"
+		}
+	case "mix":
+		if family == "trigger" {
+			return "trigger fixes its own applications"
+		}
+	case "load":
+		if family == "synth" {
+			return "synth's rate comes from -start-rps and -target-rps"
+		}
+	case "shape", "start-rps", "target-rps", "slots", "slot-dur", "horizon":
+		step := shape == string(trace.ShapeStep)
+		switch {
+		case family != "synth":
+			return "only synth honours the shape flags"
+		case (name == "slots" || name == "slot-dur") && !step:
+			return "only -shape step honours it"
+		case name == "horizon" && step:
+			return "-shape step spans -slots x -slot-dur"
+		}
+	}
+	return ""
 }
 
 func (g *genFlags) apps() []workload.AppChoice {
@@ -363,8 +420,27 @@ func cmdReplay(args []string) {
 	g.parse(args)
 
 	// Resolve every flag before simulating anything.
+	if *in != "" {
+		g.fs.Visit(func(f *flag.Flag) {
+			if g.names[f.Name] && f.Name != "seed" && f.Name != "cores" {
+				fatal(fmt.Errorf("-%s has no effect with -in (it shapes generated traces)", f.Name))
+			}
+		})
+	}
 	if *hosts < 1 {
 		fatal(fmt.Errorf("-hosts must be at least 1"))
+	}
+	if sfsCfg.FixedSlice < 0 {
+		fatal(fmt.Errorf("-fixed-slice must not be negative (0 = adaptive), got %v", sfsCfg.FixedSlice))
+	}
+	if sfsCfg.PollInterval <= 0 {
+		fatal(fmt.Errorf("-poll must be positive, got %v", sfsCfg.PollInterval))
+	}
+	if *ttl <= 0 {
+		fatal(fmt.Errorf("-keepalive-ttl must be positive, got %v", *ttl))
+	}
+	if *chainDepth < 1 {
+		fatal(fmt.Errorf("-chain-depth must be at least 1, got %d", *chainDepth))
 	}
 	totalCores := *hosts * *g.cores
 	if (*speedSpec != "" || *netDelaySpec != "") && *hosts == 1 {
@@ -683,6 +759,15 @@ func cmdIngest(args []string) {
 	if *format != "csv" && *format != "binary" {
 		fatal(fmt.Errorf("unknown -format %q (want csv or binary)", *format))
 	}
+	if !(*scale > 0 && *scale <= 1) {
+		fatal(fmt.Errorf("-scale must be within (0, 1], got %v", *scale))
+	}
+	if *max < 0 {
+		fatal(fmt.Errorf("-max must not be negative (0 = unlimited), got %d", *max))
+	}
+	if *defaultMS < 1 {
+		fatal(fmt.Errorf("-default-ms must be at least 1, got %d", *defaultMS))
+	}
 	cfg := azure.IngestConfig{
 		Scale:           *scale,
 		MaxInvocations:  *max,
@@ -692,6 +777,9 @@ func cmdIngest(args []string) {
 	if *minutes != "" {
 		if _, err := fmt.Sscanf(*minutes, "%d:%d", &cfg.MinuteLo, &cfg.MinuteHi); err != nil {
 			fatal(fmt.Errorf("bad -minutes %q (want lo:hi, e.g. 60:120): %v", *minutes, err))
+		}
+		if cfg.MinuteLo < 1 || cfg.MinuteHi > 1440 || cfg.MinuteLo > cfg.MinuteHi {
+			fatal(fmt.Errorf("bad -minutes %q (want lo:hi with 1 <= lo <= hi <= 1440)", *minutes))
 		}
 	}
 

@@ -70,13 +70,31 @@ func writeCSV(t *testing.T, n int) string {
 	return path
 }
 
+// writeFile writes content to name under a temporary directory and
+// returns its path.
+func writeFile(t *testing.T, name, content string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), name)
+	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 // TestMalformedFlagsExitOne checks that malformed flags exit 1 with an
-// error naming the flag rather than panic, stream forever or exhaust
-// memory: a non-positive -n (outside synth), -cores < 1, synth flags
-// giving no positive rate or span, and a -speeds count far beyond
-// -hosts. The subcommands folded into replay must be unknown.
+// error naming the flag rather than panic, stream forever, exhaust
+// memory, or fall back to a default: a non-positive -n (outside synth),
+// -cores < 1, a -load that is not positive and finite, an -io-fraction
+// outside [0, 1], synth flags giving no positive finite rate or span, a
+// -speeds count far beyond -hosts, non-positive SFS, keep-alive and
+// chain knobs, out-of-range ingest knobs, and a set generation flag the
+// -arrivals family (or -in) ignores. The subcommands folded into replay
+// must be unknown, and a short Azure CSV row is an error.
 func TestMalformedFlagsExitOne(t *testing.T) {
 	csv := writeCSV(t, 20)
+	inv := writeFile(t, "inv.csv", "HashOwner,HashApp,HashFunction,Trigger,1,2\no,a,f,http,3,4\n")
+	shortInv := writeFile(t, "short.csv", "HashOwner,HashApp,HashFunction,Trigger,1,2\no,a,f,http,3,4\nx\n")
+	out := filepath.Join(t.TempDir(), "o.sftb")
 	for _, tc := range []struct {
 		args []string
 		flag string
@@ -102,8 +120,42 @@ func TestMalformedFlagsExitOne(t *testing.T) {
 		{[]string{"replay", "-n", "10", "-hosts", "2", "-speeds", "1x500000000"}, "-speeds"},
 		{[]string{"cluster", "-n", "10"}, "unknown subcommand"},
 		{[]string{"chain", "-n", "10"}, "unknown subcommand"},
+		{[]string{"gen", "-arrivals", "diurnal", "-load", "NaN", "-n", "100"}, "-load"},
+		{[]string{"gen", "-arrivals", "flashcrowd", "-load", "NaN", "-n", "100"}, "-load"},
+		{[]string{"gen", "-arrivals", "multitenant", "-load", "NaN", "-n", "100"}, "-load"},
+		{[]string{"gen", "-arrivals", "trigger", "-load", "NaN"}, "-load"},
+		{[]string{"replay", "-arrivals", "multitenant", "-load", "+Inf"}, "-load"},
+		{[]string{"replay", "-load", "NaN"}, "-load"},
+		{[]string{"replay", "-load", "0"}, "-load"},
+		{[]string{"replay", "-load", "-1"}, "-load"},
+		{[]string{"replay", "-n", "10", "-poll", "-1ms"}, "-poll"},
+		{[]string{"replay", "-n", "10", "-fixed-slice", "-1ms"}, "-fixed-slice"},
+		{[]string{"replay", "-n", "10", "-keepalive", "TTL", "-keepalive-ttl", "-1s"}, "-keepalive-ttl"},
+		{[]string{"replay", "-n", "10", "-chain", "LINEAR", "-chain-depth", "-3"}, "-chain-depth"},
+		{[]string{"gen", "-io-fraction", "2"}, "-io-fraction"},
+		{[]string{"gen", "-io-fraction", "NaN"}, "-io-fraction"},
+		{[]string{"gen", "-arrivals", "synth", "-start-rps", "NaN", "-target-rps", "5"}, "-start-rps"},
+		{[]string{"ingest", "-invocations", inv, "-o", out, "-scale", "NaN"}, "-scale"},
+		{[]string{"ingest", "-invocations", inv, "-o", out, "-scale", "-1"}, "-scale"},
+		{[]string{"ingest", "-invocations", inv, "-o", out, "-scale", "2"}, "-scale"},
+		{[]string{"ingest", "-invocations", inv, "-o", out, "-max", "-1"}, "-max"},
+		{[]string{"ingest", "-invocations", inv, "-o", out, "-default-ms", "0"}, "-default-ms"},
+		{[]string{"ingest", "-invocations", inv, "-o", out, "-default-ms", "-5"}, "-default-ms"},
+		{[]string{"ingest", "-invocations", inv, "-o", out, "-minutes", "5:2"}, "-minutes"},
+		{[]string{"ingest", "-invocations", inv, "-o", out, "-minutes", "0:10"}, "-minutes"},
+		{[]string{"ingest", "-invocations", inv, "-o", out, "-minutes", "1:1441"}, "-minutes"},
+		{[]string{"ingest", "-invocations", shortInv, "-o", out}, "invocation row 2"},
+		{[]string{"gen", "-arrivals", "diurnal", "-io-fraction", "0.5"}, "-io-fraction"},
+		{[]string{"gen", "-arrivals", "poisson", "-spikes", "3"}, "-spikes"},
+		{[]string{"gen", "-arrivals", "trigger", "-mix"}, "-mix"},
+		{[]string{"gen", "-arrivals", "flashcrowd", "-shape", "sine", "-start-rps", "5"}, "-shape"},
+		{[]string{"gen", "-arrivals", "synth", "-load", "1.0"}, "-load"},
+		{[]string{"gen", "-arrivals", "synth", "-shape", "ramp", "-slots", "4"}, "-slots"},
+		{[]string{"gen", "-arrivals", "synth", "-shape", "step", "-horizon", "10s"}, "-horizon"},
+		{[]string{"replay", "-in", csv, "-n", "10"}, "-n "},
+		{[]string{"replay", "-in", csv, "-arrivals", "trace"}, "-arrivals"},
 	} {
-		name := strings.ReplaceAll(strings.Join(tc.args, " "), csv, "f.csv")
+		name := strings.NewReplacer(csv, "f.csv", inv, "inv.csv", shortInv, "short.csv", out, "o.sftb").Replace(strings.Join(tc.args, " "))
 		t.Run(name, func(t *testing.T) {
 			code, _, stderr := runCLI(t, tc.args...)
 			if code != 1 || strings.Contains(stderr, "panic:") {
@@ -113,6 +165,32 @@ func TestMalformedFlagsExitOne(t *testing.T) {
 				t.Errorf("stderr %q does not name %s", stderr, strings.TrimSpace(tc.flag))
 			}
 		})
+	}
+}
+
+// TestArrivalsCaseInsensitive checks that -arrivals takes one path
+// whatever its case, azure included as another name for trace, so the
+// family's own flags apply under every spelling.
+func TestArrivalsCaseInsensitive(t *testing.T) {
+	for _, tc := range []struct {
+		a, b  string
+		flags []string
+	}{
+		{"Poisson", "poisson", []string{"-io-fraction", "0.5"}},
+		{"SYNTH", "synth", []string{"-shape", "sine", "-start-rps", "5"}},
+		{"AZURE", "trace", []string{"-spikes", "3"}},
+	} {
+		emit := func(family string) string {
+			args := append([]string{"gen", "-emit", "-n", "500", "-arrivals", family}, tc.flags...)
+			code, stdout, stderr := runCLI(t, args...)
+			if code != 0 {
+				t.Fatalf("faasbench %s: exit %d; stderr:\n%s", strings.Join(args, " "), code, stderr)
+			}
+			return stdout
+		}
+		if a, b := emit(tc.a), emit(tc.b); a != b {
+			t.Errorf("-arrivals %s and %s emit different traces with %s", tc.a, tc.b, strings.Join(tc.flags, " "))
+		}
 	}
 }
 

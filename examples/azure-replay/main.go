@@ -37,7 +37,7 @@ func main() {
 	for _, load := range []float64{0.65, 0.8, 1.0} {
 		spec := workload.AzureSampledSpec{N: 4000, Cores: cores, Load: load, Seed: 11}
 		sfs := replay(workload.AzureSampledStream(spec), core.New(core.DefaultConfig()))
-		cfs := replay(workload.AzureSampledStream(spec), sched.NewCFS(sched.CFSConfig{}))
+		cfs := replay(workload.AzureSampledStream(spec), sched.NewCFS())
 		rows = append(rows, []string{
 			fmt.Sprintf("%.0f%%", load*100),
 			metrics.FormatDuration(sfs.Percentiles([]float64{50})[0]),

@@ -33,7 +33,7 @@ func main() {
 		CtxSwitchCost: 150 * time.Microsecond,
 		Seed:          4,
 	})
-	cfsRes := cfsPlatform.RunTrace(open(), sched.NewCFS(sched.CFSConfig{}))
+	cfsRes := cfsPlatform.RunTrace(open(), sched.NewCFS())
 
 	sfs := core.New(core.DefaultConfig())
 	sfsPlatform := faas.New(faas.Config{

@@ -48,7 +48,7 @@ func main() {
 			s.Name(), makespan.Round(time.Millisecond), eng.TotalCtxSwitches)
 		return metrics.Run{Scheduler: s.Name(), Tasks: tasks}
 	}
-	cfs := run(sched.NewCFS(sched.CFSConfig{}))
+	cfs := run(sched.NewCFS())
 	sfs := run(core.New(core.DefaultConfig()))
 
 	// 3. The paper's metrics.

@@ -34,10 +34,9 @@ func ScanDurations(r io.Reader, fn func(DurationRow) error) error {
 		return fmt.Errorf("azure: reading duration header: %w", err)
 	}
 	col := indexColumns(header)
-	for _, need := range []string{"HashOwner", "HashApp", "HashFunction", "Average", "Count", "Minimum", "Maximum"} {
-		if _, ok := col[need]; !ok {
-			return fmt.Errorf("azure: duration file missing column %q", need)
-		}
+	width, err := requiredWidth(col, "duration", "HashOwner", "HashApp", "HashFunction", "Average", "Count", "Minimum", "Maximum")
+	if err != nil {
+		return err
 	}
 	p50Col, hasP50 := col["percentile_Average_50"]
 
@@ -48,6 +47,9 @@ func ScanDurations(r io.Reader, fn func(DurationRow) error) error {
 		}
 		if err != nil {
 			return fmt.Errorf("azure: duration row %d: %w", i, err)
+		}
+		if len(rec) < width {
+			return fmt.Errorf("azure: duration row %d: %d fields, the required columns need %d", i, len(rec), width)
 		}
 		row := DurationRow{
 			Owner:    rec[col["HashOwner"]],
@@ -93,10 +95,9 @@ func ScanInvocations(r io.Reader, fn func(InvocationRow) error) error {
 	hdr := make([]string, len(header))
 	copy(hdr, header)
 	col := indexColumns(hdr)
-	for _, need := range []string{"HashOwner", "HashApp", "HashFunction"} {
-		if _, ok := col[need]; !ok {
-			return fmt.Errorf("azure: invocation file missing column %q", need)
-		}
+	width, err := requiredWidth(col, "invocation", "HashOwner", "HashApp", "HashFunction")
+	if err != nil {
+		return err
 	}
 	type minuteCol struct{ header, idx int }
 	var minutes []minuteCol
@@ -116,6 +117,9 @@ func ScanInvocations(r io.Reader, fn func(InvocationRow) error) error {
 		if err != nil {
 			return fmt.Errorf("azure: invocation row %d: %w", i, err)
 		}
+		if len(rec) < width {
+			return fmt.Errorf("azure: invocation row %d: %d fields, the required columns need %d", i, len(rec), width)
+		}
 		row := InvocationRow{
 			Owner:    rec[col["HashOwner"]],
 			App:      rec[col["HashApp"]],
@@ -134,6 +138,9 @@ func ScanInvocations(r io.Reader, fn func(InvocationRow) error) error {
 			if err != nil {
 				return fmt.Errorf("azure: invocation row %d: bad minute %d: %w", i, mc.header, err)
 			}
+			if v < 0 {
+				return fmt.Errorf("azure: invocation row %d: negative count %d at minute %d", i, v, mc.header)
+			}
 			perMinute = append(perMinute, v)
 			row.Total += v
 		}
@@ -142,6 +149,21 @@ func ScanInvocations(r io.Reader, fn func(InvocationRow) error) error {
 			return err
 		}
 	}
+}
+
+// requiredWidth checks that the header has every needed column and
+// returns the row width they require. Rows may be ragged, so each row
+// is checked against it before the needed columns are read.
+func requiredWidth(col map[string]int, file string, need ...string) (int, error) {
+	width := 0
+	for _, name := range need {
+		i, ok := col[name]
+		if !ok {
+			return 0, fmt.Errorf("azure: %s file missing column %q", file, name)
+		}
+		width = max(width, i+1)
+	}
+	return width, nil
 }
 
 // FuncKey identifies one function across the dataset's files.

@@ -214,6 +214,22 @@ func TestScanErrors(t *testing.T) {
 		}
 	}
 
+	// A row shorter than the required columns, and a negative count,
+	// are row-numbered errors rather than a panic or a negative Total.
+	for _, tc := range []struct {
+		scan func(string) error
+		in   string
+		want string
+	}{
+		{scanDurationsString, shortDurations, "duration row 2"},
+		{scanInvocationsString, shortInvocations, "invocation row 2"},
+		{scanInvocationsString, "HashOwner,HashApp,HashFunction,1,2\no,a,f,3,-4\n", "invocation row 1: negative count"},
+	} {
+		if err := tc.scan(tc.in); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%q: err = %v, want %q", tc.in, err, tc.want)
+		}
+	}
+
 	stop := strings.NewReader("HashOwner,HashApp,HashFunction,1\no,a,f,1\no,a,g,1\n")
 	calls := 0
 	sentinel := os.ErrClosed

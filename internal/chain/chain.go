@@ -22,10 +22,9 @@
 //
 // Determinism: an Injector is a deterministic function of its Config
 // and the sequence of Expand/OnFinish calls. Drivers issue those calls
-// in simulation order — chain.Run, internal/cluster, and internal/faas
-// all process completions before same-instant arrivals — so the same
-// seed and chain spec replay byte-identically, standalone or across a
-// cluster.
+// in simulation order — chain.Run and internal/cluster both process
+// completions before same-instant arrivals — so the same seed and
+// chain spec replay byte-identically, standalone or across a cluster.
 package chain
 
 import (
@@ -120,12 +119,6 @@ type Config struct {
 	Default *Spec
 	// Seed drives stage payload sampling.
 	Seed uint64
-	// Hop, when non-nil, samples a per-release dispatch delay added to
-	// each downstream stage's arrival — the platform cost of the
-	// internal invocation hop (internal/faas wires its worker+sandbox
-	// overheads here). Nil models free internal dispatch, the simulator
-	// default.
-	Hop func() time.Duration
 }
 
 // stageIDBase is the first task ID the Injector assigns to sampled
@@ -159,7 +152,6 @@ type instance struct {
 	tasks     []*task.Task
 	waiting   []int // unfinished dependency count per stage
 	remaining int
-	last      *task.Task // last-finishing stage task, set at completion
 }
 
 // stageRef locates a task inside its workflow.
@@ -172,7 +164,6 @@ type stageRef struct {
 // is single-use and not safe for concurrent use; drivers call Expand
 // for requests and OnFinish for completions in simulation order.
 type Injector struct {
-	cfg       Config
 	specs     map[string]*compiled
 	def       *compiled
 	r         *rng.RNG
@@ -185,7 +176,6 @@ type Injector struct {
 // NewInjector validates every spec and builds the injector.
 func NewInjector(cfg Config) (*Injector, error) {
 	in := &Injector{
-		cfg:    cfg,
 		specs:  map[string]*compiled{},
 		r:      rng.New(cfg.Seed ^ 0xc4a1),
 		nextID: stageIDBase,
@@ -216,9 +206,6 @@ func (in *Injector) lookup(app string) *compiled {
 	}
 	return in.def
 }
-
-// Chained reports whether requests for app expand into a workflow.
-func (in *Injector) Chained(app string) bool { return in.lookup(app) != nil }
 
 // Expand consumes one request invocation. For an application with a
 // registered spec it instantiates the workflow — sampling every stage's
@@ -302,9 +289,9 @@ func (in *Injector) Expand(t *task.Task) []*task.Task {
 
 // OnFinish records a completed invocation at its Finish time and
 // returns the downstream stage tasks it releases, each arriving at the
-// completion instant (plus the configured Hop delay). It is safe to
-// call for tasks that are not chain stages (returns nil). The last
-// completion of a workflow seals its end-to-end result.
+// completion instant. It is safe to call for tasks that are not chain
+// stages (returns nil). The last completion of a workflow seals its
+// end-to-end result.
 func (in *Injector) OnFinish(t *task.Task) []*task.Task {
 	ref, ok := in.byTask[t]
 	if !ok {
@@ -315,7 +302,6 @@ func (in *Injector) OnFinish(t *task.Task) []*task.Task {
 	inst.remaining--
 	if inst.remaining == 0 {
 		inst.wf.Finish = t.Finish
-		inst.last = t
 		in.pending--
 	}
 	var released []*task.Task
@@ -324,11 +310,7 @@ func (in *Injector) OnFinish(t *task.Task) []*task.Task {
 		if inst.waiting[s] > 0 {
 			continue
 		}
-		at := t.Finish
-		if in.cfg.Hop != nil {
-			at += in.cfg.Hop()
-		}
-		inst.tasks[s].Arrival = at
+		inst.tasks[s].Arrival = t.Finish
 		released = append(released, inst.tasks[s])
 	}
 	return released
@@ -336,10 +318,6 @@ func (in *Injector) OnFinish(t *task.Task) []*task.Task {
 
 // Pending returns the number of workflows with unfinished stages.
 func (in *Injector) Pending() int { return in.pending }
-
-// Len returns the number of workflows instantiated so far (finished or
-// not) — the index domain of Final, AdjustFinish, and AdjustArrival.
-func (in *Injector) Len() int { return len(in.instances) }
 
 // Workflows returns every workflow's end-to-end result in request
 // arrival order (unfinished workflows report Finish -1).
@@ -350,28 +328,3 @@ func (in *Injector) Workflows() []metrics.Workflow {
 	}
 	return out
 }
-
-// Final returns workflow i's last-finishing stage task, or nil while
-// the workflow is unfinished. internal/faas uses it to charge the
-// response path to the stage that actually returns to the caller.
-func (in *Injector) Final(i int) *task.Task { return in.instances[i].last }
-
-// AdjustFinish shifts workflow i's recorded end-to-end finish by d —
-// the hook internal/faas uses to append the platform's response-path
-// overhead after the simulation completes. A no-op on unfinished
-// workflows.
-func (in *Injector) AdjustFinish(i int, d time.Duration) {
-	if in.instances[i].wf.Finish >= 0 {
-		in.instances[i].wf.Finish += d
-	}
-}
-
-// AdjustArrival shifts workflow i's recorded request arrival by d (the
-// faas pre-overhead restoration, mirroring what RunTrace does to task
-// arrivals).
-func (in *Injector) AdjustArrival(i int, d time.Duration) {
-	in.instances[i].wf.Arrival += d
-}
-
-// RootID returns workflow i's triggering request ID.
-func (in *Injector) RootID(i int) int { return in.instances[i].wf.ID }

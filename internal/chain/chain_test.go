@@ -152,37 +152,6 @@ func TestLinearInheritsRequestService(t *testing.T) {
 	}
 }
 
-// TestHopDelaysDownstreamStages: the configured hop cost shifts each
-// released stage's arrival past its upstream completion.
-func TestHopDelaysDownstreamStages(t *testing.T) {
-	inj, err := NewInjector(Config{
-		Specs: map[string]Spec{"wf": Linear(FamilyConfig{Depth: 2})},
-		Hop:   func() time.Duration { return ms(3) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := cpusim.NewEngine(cpusim.Config{Cores: 1}, sched.NewFIFO())
-	if _, err := Run(oneRequest("wf", ms(10)), inj, nil, eng); err != nil {
-		t.Fatal(err)
-	}
-	var second *task.Task
-	for _, tk := range eng.Tasks() {
-		if tk.App == "wf#1" {
-			second = tk
-		}
-	}
-	if second == nil {
-		t.Fatal("second stage missing")
-	}
-	if got := time.Duration(second.Arrival); got != ms(13) {
-		t.Fatalf("second stage arrival %v, want 13ms (10ms finish + 3ms hop)", got)
-	}
-	if w := inj.Workflows()[0]; w.Turnaround() != ms(23) {
-		t.Fatalf("turnaround %v, want 23ms", w.Turnaround())
-	}
-}
-
 // TestStageIDsDisjointFromTrace: sampled stage tasks get IDs in the
 // reserved high range; stage 0 keeps the request's ID (the workflow's
 // ID).
@@ -226,7 +195,7 @@ func chainRun(t *testing.T, depth int, mgr *lifecycle.Manager) ([]time.Duration,
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := cpusim.NewEngine(cpusim.Config{Cores: 2}, sched.NewCFS(sched.CFSConfig{}))
+	eng := cpusim.NewEngine(cpusim.Config{Cores: 2}, sched.NewCFS())
 	if _, err := Run(trace.FromTasks("det", tasks), inj, mgr, eng); err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@ func chainClusterRun(t *testing.T, hosts int, dispatch string, withLifecycle boo
 	cfg := Config{
 		Hosts:        hosts,
 		CoresPerHost: 2,
-		NewScheduler: func() cpusim.Scheduler { return sched.NewCFS(sched.CFSConfig{}) },
+		NewScheduler: func() cpusim.Scheduler { return sched.NewCFS() },
 		Dispatcher:   d,
 		Chain:        &ccfg,
 	}

@@ -69,8 +69,6 @@ type Config struct {
 	Hosts int
 	// CoresPerHost is each host's core count.
 	CoresPerHost int
-	// CtxSwitchCost is passed through to every host engine.
-	CtxSwitchCost time.Duration
 	// Speeds gives each host a relative CPU speed factor (1.0 =
 	// baseline): host i retires Speeds[i] seconds of CPU demand per
 	// second of wall time, modeling a heterogeneous fleet of machine
@@ -370,9 +368,8 @@ func New(cfg Config) (*Cluster, error) {
 			sp = cfg.Speeds[i]
 		}
 		n := &node{idx: i, speed: sp, eng: cpusim.NewEngine(cpusim.Config{
-			Cores:         cfg.CoresPerHost,
-			CtxSwitchCost: cfg.CtxSwitchCost,
-			Speed:         sp,
+			Cores: cfg.CoresPerHost,
+			Speed: sp,
 		}, cfg.NewScheduler())}
 		if cfg.NewLifecycle != nil {
 			if n.mgr = cfg.NewLifecycle(); n.mgr == nil {

@@ -137,7 +137,7 @@ func TestDispatcherOutOfRangeIsError(t *testing.T) {
 			cl, err := New(Config{
 				Hosts:        hosts,
 				CoresPerHost: 2,
-				NewScheduler: func() cpusim.Scheduler { return sched.NewCFS(sched.CFSConfig{}) },
+				NewScheduler: func() cpusim.Scheduler { return sched.NewCFS() },
 				Dispatcher:   &badDispatcher{valid: 50, pick: pick},
 				Shards:       shards,
 				Workers:      4,

@@ -24,7 +24,7 @@ func lifecycleCluster(t *testing.T, hosts int, dispatch, policy string, memoryMB
 	cl, err := New(Config{
 		Hosts:        hosts,
 		CoresPerHost: 4,
-		NewScheduler: func() cpusim.Scheduler { return sched.NewCFS(sched.CFSConfig{}) },
+		NewScheduler: func() cpusim.Scheduler { return sched.NewCFS() },
 		Dispatcher:   d,
 		NewLifecycle: func() *lifecycle.Manager {
 			p, err := lifecycle.NewPolicy(policy, lifecycle.PolicyConfig{TTL: time.Minute})

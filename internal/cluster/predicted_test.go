@@ -151,7 +151,7 @@ func TestFasterFleetFinishesSooner(t *testing.T) {
 	run := func(speeds []float64) simtime.Time {
 		cfg := validCfg(4)
 		cfg.Speeds = speeds
-		cfg.NewScheduler = func() cpusim.Scheduler { return sched.NewCFS(sched.CFSConfig{}) }
+		cfg.NewScheduler = func() cpusim.Scheduler { return sched.NewCFS() }
 		cl, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)

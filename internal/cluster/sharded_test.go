@@ -34,7 +34,7 @@ func shardedConfig(t *testing.T, tc shardedCase, hosts, cores, shards, workers i
 	cfg := Config{
 		Hosts:        hosts,
 		CoresPerHost: cores,
-		NewScheduler: func() cpusim.Scheduler { return sched.NewCFS(sched.CFSConfig{}) },
+		NewScheduler: func() cpusim.Scheduler { return sched.NewCFS() },
 		Dispatcher:   d,
 		Shards:       shards,
 		Workers:      workers,
@@ -170,7 +170,7 @@ func TestShardedFamilyParity(t *testing.T) {
 				cfg := Config{
 					Hosts:        hosts,
 					CoresPerHost: cores,
-					NewScheduler: func() cpusim.Scheduler { return sched.NewCFS(sched.CFSConfig{}) },
+					NewScheduler: func() cpusim.Scheduler { return sched.NewCFS() },
 					Dispatcher:   d,
 					Shards:       shards,
 				}
@@ -263,7 +263,7 @@ func TestShardedStallError(t *testing.T) {
 		cl, err := New(Config{
 			Hosts:        16,
 			CoresPerHost: 2,
-			NewScheduler: func() cpusim.Scheduler { return sched.NewCFS(sched.CFSConfig{}) },
+			NewScheduler: func() cpusim.Scheduler { return sched.NewCFS() },
 			Dispatcher:   holdDispatcher{},
 			Shards:       shards,
 		})

@@ -52,7 +52,7 @@ func TestAllSchedulersComplete(t *testing.T) {
 	const cores = 4
 	w := testWorkload(cores, 400, 0.8, 42)
 	scheds := map[string]func() cpusim.Scheduler{
-		"CFS":  func() cpusim.Scheduler { return sched.NewCFS(sched.CFSConfig{}) },
+		"CFS":  func() cpusim.Scheduler { return sched.NewCFS() },
 		"FIFO": func() cpusim.Scheduler { return sched.NewFIFO() },
 		"RR":   func() cpusim.Scheduler { return sched.NewRR(0) },
 		"SRTF": func() cpusim.Scheduler { return sched.NewSRTF() },
@@ -73,7 +73,7 @@ func TestSFSBeatsCFSForShortFunctions(t *testing.T) {
 	const cores = 8
 	w := testWorkload(cores, 2000, 1.0, 7)
 
-	cfsRun := runWorkload(t, "CFS", sched.NewCFS(sched.CFSConfig{}), cores, trace.CloneTasks(w))
+	cfsRun := runWorkload(t, "CFS", sched.NewCFS(), cores, trace.CloneTasks(w))
 	sfsRun := runWorkload(t, "SFS", core.New(core.DefaultConfig()), cores, trace.CloneTasks(w))
 
 	sum := metrics.CompareRuns(cfsRun, sfsRun)
@@ -112,7 +112,7 @@ func TestSRTFBeatsCFS(t *testing.T) {
 	w := testWorkload(cores, 1000, 1.0, 99)
 
 	srtf := runWorkload(t, "SRTF", sched.NewSRTF(), cores, trace.CloneTasks(w))
-	cfs := runWorkload(t, "CFS", sched.NewCFS(sched.CFSConfig{}), cores, trace.CloneTasks(w))
+	cfs := runWorkload(t, "CFS", sched.NewCFS(), cores, trace.CloneTasks(w))
 	fifo := runWorkload(t, "FIFO", sched.NewFIFO(), cores, trace.CloneTasks(w))
 
 	if srtf.MeanTurnaround() >= cfs.MeanTurnaround() {

@@ -54,11 +54,9 @@ type Config struct {
 	// Hybrid enables the overload fallback to CFS; when false SFS is
 	// "SFS w/o hybrid" (Fig 12).
 	Hybrid bool
-	// CFS configures the second-level scheduler.
-	CFS sched.CFSConfig
 	// SecondLevel optionally replaces the second-level scheduler
-	// entirely (SFS is OS-scheduler-agnostic, §V-A); nil uses CFS with
-	// the CFS config above. Used by the EEVDF ablation.
+	// entirely (SFS is OS-scheduler-agnostic, §V-A); nil uses CFS.
+	// Used by the EEVDF ablation.
 	SecondLevel cpusim.Scheduler
 	// PerCoreQueue replaces the single global queue with per-worker
 	// queues (round-robin request assignment, no stealing). The paper
@@ -199,7 +197,7 @@ func New(cfg Config) *SFS {
 	}
 	second := cfg.SecondLevel
 	if second == nil {
-		second = sched.NewCFS(cfg.CFS)
+		second = sched.NewCFS()
 	}
 	s := &SFS{
 		cfg:    cfg,

@@ -36,7 +36,7 @@ func TestBurstyTraceMagnitudes(t *testing.T) {
 		return metrics.Run{Scheduler: name, Tasks: tasks}
 	}
 
-	cfs := run("CFS", sched.NewCFS(sched.CFSConfig{}))
+	cfs := run("CFS", sched.NewCFS())
 	sfs := run("SFS", core.New(core.DefaultConfig()))
 	srtf := run("SRTF", sched.NewSRTF())
 

@@ -241,7 +241,7 @@ func TestConservationInvariants(t *testing.T) {
 		at += ms((i * 3) % 25)
 	}
 	for _, mk := range []func() cpusim.Scheduler{
-		func() cpusim.Scheduler { return sched.NewCFS(sched.CFSConfig{}) },
+		func() cpusim.Scheduler { return sched.NewCFS() },
 		func() cpusim.Scheduler { return sched.NewRR(0) },
 		func() cpusim.Scheduler { return sched.NewSRTF() },
 	} {

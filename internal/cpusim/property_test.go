@@ -72,8 +72,8 @@ func checkRun(s cpusim.Scheduler, cores int, tasks []*task.Task) bool {
 // workloads on random core counts via testing/quick.
 func TestPropertyEngineInvariants(t *testing.T) {
 	mks := map[string]func(seed uint64) cpusim.Scheduler{
-		"CFS":          func(uint64) cpusim.Scheduler { return sched.NewCFS(sched.CFSConfig{}) },
-		"EEVDF":        func(uint64) cpusim.Scheduler { return sched.NewEEVDF(sched.EEVDFConfig{}) },
+		"CFS":          func(uint64) cpusim.Scheduler { return sched.NewCFS() },
+		"EEVDF":        func(uint64) cpusim.Scheduler { return sched.NewEEVDF() },
 		"FIFO":         func(uint64) cpusim.Scheduler { return sched.NewFIFO() },
 		"RR":           func(uint64) cpusim.Scheduler { return sched.NewRR(0) },
 		"SRTF":         func(uint64) cpusim.Scheduler { return sched.NewSRTF() },
@@ -100,7 +100,7 @@ func TestPropertyDeterminism(t *testing.T) {
 	f := func(seed uint64, nRaw uint8) bool {
 		run := func() []time.Duration {
 			tasks := randomWorkload(seed, nRaw)
-			eng := cpusim.NewEngine(cpusim.Config{Cores: 3, Deadline: 24 * time.Hour}, sched.NewCFS(sched.CFSConfig{}))
+			eng := cpusim.NewEngine(cpusim.Config{Cores: 3, Deadline: 24 * time.Hour}, sched.NewCFS())
 			eng.Submit(tasks...)
 			eng.Run()
 			out := make([]time.Duration, len(tasks))

@@ -62,12 +62,12 @@ func runAblationSecondLevel(cfg Config) *Report {
 		name string
 		mk   func() cpusim.Scheduler
 	}{
-		{"CFS", func() cpusim.Scheduler { return sched.NewCFS(sched.CFSConfig{}) }},
-		{"EEVDF", func() cpusim.Scheduler { return sched.NewEEVDF(sched.EEVDFConfig{}) }},
+		{"CFS", func() cpusim.Scheduler { return sched.NewCFS() }},
+		{"EEVDF", func() cpusim.Scheduler { return sched.NewEEVDF() }},
 		{"SFS-on-CFS", func() cpusim.Scheduler { return core.New(core.DefaultConfig()) }},
 		{"SFS-on-EEVDF", func() cpusim.Scheduler {
 			c := core.DefaultConfig()
-			c.SecondLevel = sched.NewEEVDF(sched.EEVDFConfig{})
+			c.SecondLevel = sched.NewEEVDF()
 			return core.New(c)
 		}},
 	}
@@ -245,7 +245,7 @@ func runAblationTail(cfg Config) *Report {
 			mk   func() cpusim.Scheduler
 		}{
 			{"SFS", func() cpusim.Scheduler { return core.New(core.DefaultConfig()) }},
-			{"CFS", func() cpusim.Scheduler { return sched.NewCFS(sched.CFSConfig{}) }},
+			{"CFS", func() cpusim.Scheduler { return sched.NewCFS() }},
 		} {
 			r, _ := runOn(mk.mk(), cores, trace.CloneTasks(w), 0.9)
 			ps := r.Percentiles([]float64{50, 99})

@@ -78,7 +78,7 @@ func runTable1(cfg Config) *Report {
 func motivationSchedulers() []func() cpusim.Scheduler {
 	return []func() cpusim.Scheduler{
 		func() cpusim.Scheduler { return sched.NewSRTF() },
-		func() cpusim.Scheduler { return sched.NewCFS(sched.CFSConfig{}) },
+		func() cpusim.Scheduler { return sched.NewCFS() },
 		func() cpusim.Scheduler { return sched.NewFIFO() },
 		func() cpusim.Scheduler { return sched.NewRR(0) },
 	}

@@ -50,7 +50,7 @@ func olSweep(cfg Config, pollInterval time.Duration) map[float64]olRun {
 		w := azureWorkload(cfg, n, cores, load, workload.OpenLambdaMix(), 0)
 		cfsP := faas.New(faas.Config{Cores: cores, Overheads: faas.DefaultOverheads(),
 			CtxSwitchCost: olSwitchCost, Seed: cfg.Seed})
-		cfsRes := cfsP.RunTrace(trace.FromTasks("openlambda", w), sched.NewCFS(sched.CFSConfig{}))
+		cfsRes := cfsP.RunTrace(trace.FromTasks("openlambda", w), sched.NewCFS())
 		cc := core.DefaultConfig()
 		if pollInterval > 0 {
 			cc.PollInterval = pollInterval

@@ -175,7 +175,7 @@ func predictedDispatchCells(cfg Config) []predictedCell {
 		newSched := func() cpusim.Scheduler { return core.New(core.DefaultConfig()) }
 		switch c.sched {
 		case "CFS":
-			newSched = func() cpusim.Scheduler { return sched.NewCFS(sched.CFSConfig{}) }
+			newSched = func() cpusim.Scheduler { return sched.NewCFS() }
 		case "PSRTF":
 			newSched = func() cpusim.Scheduler { return sched.NewPSRTF(predict.New(pc)) }
 		}

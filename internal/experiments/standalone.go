@@ -44,7 +44,7 @@ func loadSweep(cfg Config) (sfs, cfs map[float64]metrics.Run, sfsScheds map[floa
 		r.Scheduler = "SFS"
 		sfs[load] = r
 		sfsScheds[load] = s
-		rc, _ := runOn(sched.NewCFS(sched.CFSConfig{}), standaloneCores, trace.CloneTasks(w), load)
+		rc, _ := runOn(sched.NewCFS(), standaloneCores, trace.CloneTasks(w), load)
 		cfs[load] = rc
 	}
 	return sfs, cfs, sfsScheds

@@ -41,7 +41,7 @@ func runSynthRamp(cfg Config) *Report {
 	w := trace.Collect(src)
 
 	sfsRun, _ := runOn(core.New(core.DefaultConfig()), cores, trace.CloneTasks(w), 0)
-	cfsRun, _ := runOn(sched.NewCFS(sched.CFSConfig{}), cores, trace.CloneTasks(w), 0)
+	cfsRun, _ := runOn(sched.NewCFS(), cores, trace.CloneTasks(w), 0)
 
 	rep := &Report{
 		ID:    "synth-ramp",

@@ -11,25 +11,17 @@
 // that OpenLambda overheads "diminish the performance benefits of SFS to
 // some extent" while leaving the majority improvement intact.
 //
-// Cold starts are disabled by default, as in the paper (auto-scaling
-// off, containers pre-warmed). Setting Config.Lifecycle plugs in the
-// stateful container model of internal/lifecycle instead: per-app warm
-// pools, memory-pressure eviction, and pluggable keep-alive policies,
-// with each cold start's sampled latency injected into the timeline
-// before the invocation becomes runnable — the §X discussion made
-// concrete.
+// Containers are pre-warmed and auto-scaling is off, as in the paper,
+// so no request pays a cold start.
 package faas
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
-	"github.com/serverless-sched/sfs/internal/chain"
 	"github.com/serverless-sched/sfs/internal/cpusim"
 	"github.com/serverless-sched/sfs/internal/dist"
 	"github.com/serverless-sched/sfs/internal/host"
-	"github.com/serverless-sched/sfs/internal/lifecycle"
 	"github.com/serverless-sched/sfs/internal/metrics"
 	"github.com/serverless-sched/sfs/internal/rng"
 	"github.com/serverless-sched/sfs/internal/task"
@@ -75,20 +67,6 @@ func DefaultOverheads() Overheads {
 type Config struct {
 	Cores     int
 	Overheads Overheads
-	// Lifecycle, when non-nil, models stateful container cold starts
-	// through internal/lifecycle: warm pools, keep-alive policy, memory
-	// capacity. Nil reproduces the paper's setup — auto-scaling off,
-	// every container pre-warmed, no cold starts.
-	Lifecycle *lifecycle.Config
-	// Chain, when non-nil, expands each request into a function-chain
-	// workflow (internal/chain). The external request pays the full
-	// gateway+worker+sandbox path; each internal stage-to-stage hop pays
-	// the worker+sandbox share (plus the UDP notification under
-	// SFSPort); the response path is charged once, to the workflow's
-	// final stage. Per-workflow end-to-end results land in
-	// Result.Workflows. Its Hop field must be nil (the platform wires
-	// its own overheads there); its Seed defaults to Config.Seed.
-	Chain *chain.Config
 	// SFSPort marks that the scheduler under test is reached via the UDP
 	// notification hop.
 	SFSPort bool
@@ -106,45 +84,22 @@ type Platform struct {
 	cfg Config
 }
 
-// New builds a platform. It panics on invalid configuration: a
-// non-positive core count, or a Lifecycle config lifecycle.New
-// rejects — so a Platform that constructs is a Platform that runs.
+// New builds a platform. It panics on a non-positive core count, so a
+// Platform that constructs is a Platform that runs.
 func New(cfg Config) *Platform {
 	if cfg.Cores <= 0 {
 		panic("faas: cores must be positive")
-	}
-	if cfg.Lifecycle != nil {
-		if _, err := lifecycle.New(*cfg.Lifecycle); err != nil {
-			panic(fmt.Sprintf("faas: %v", err))
-		}
-	}
-	if cfg.Chain != nil {
-		if cfg.Chain.Hop != nil {
-			panic("faas: Chain.Hop is owned by the platform (leave it nil)")
-		}
-		if _, err := chain.NewInjector(*cfg.Chain); err != nil {
-			panic(fmt.Sprintf("faas: %v", err))
-		}
 	}
 	return &Platform{cfg: cfg}
 }
 
 // Result is a finished platform run.
 type Result struct {
-	Run        metrics.Run
-	Makespan   time.Duration
-	Engine     *cpusim.Engine
-	ColdStarts int
-	// Lifecycle holds the container warm-pool counters (warm-hit ratio,
-	// cold latency, evictions) when Config.Lifecycle was set; zero
-	// otherwise.
-	Lifecycle lifecycle.Stats
-	// Workflows holds per-workflow end-to-end results (turnaround
-	// including the platform's request and response paths) when
-	// Config.Chain was set; empty otherwise.
-	Workflows metrics.WorkflowRun
+	Run      metrics.Run
+	Makespan time.Duration
+	Engine   *cpusim.Engine
 	// MeanDispatchOverhead is the realized mean request-path overhead
-	// (excluding response and cold starts).
+	// (excluding the response path).
 	MeanDispatchOverhead time.Duration
 }
 
@@ -163,9 +118,8 @@ func sample(d dist.Distribution, r *rng.RNG) time.Duration {
 // RunTrace executes an invocation stream on the platform under the given
 // scheduler. The stream's Arrival fields are interpreted as HTTP
 // invocation times; the engine sees them shifted by the sampled dispatch
-// overheads (plus any container cold start when Lifecycle is set), and
-// afterwards the timestamps are restored so Turnaround()/RTE() are
-// end-to-end.
+// overheads, and afterwards the timestamps are restored so
+// Turnaround()/RTE() are end-to-end.
 func (p *Platform) RunTrace(src trace.Source, s cpusim.Scheduler) Result {
 	tasks := trace.Collect(src)
 	r := rng.New(p.cfg.Seed ^ 0xfaa5)
@@ -190,126 +144,39 @@ func (p *Platform) RunTrace(src trace.Source, s cpusim.Scheduler) Result {
 		CtxSwitchCost: p.cfg.CtxSwitchCost,
 		Deadline:      1000 * time.Hour,
 	}, s)
-	// The container is requested (and a chained request expands) when
-	// the worker dispatches the invocation — after the platform
-	// overheads — so the driver loops must see arrivals in perturbed
-	// order, which the per-hop sampling can locally scramble.
-	perturbedSource := func() trace.Source {
-		ordered := append([]*task.Task(nil), tasks...)
-		sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].Arrival < ordered[j].Arrival })
-		i := 0
-		return trace.New(src.String(), func() (*task.Task, bool) {
-			if i >= len(ordered) {
-				return nil, false
-			}
-			t := ordered[i]
-			i++
-			return t, true
-		})
-	}
-
-	var mgr *lifecycle.Manager
-	if p.cfg.Lifecycle != nil {
-		cfg := *p.cfg.Lifecycle
-		if cfg.Seed == 0 {
-			cfg.Seed = p.cfg.Seed
+	// The host sees each invocation when the worker dispatches it —
+	// after the platform overheads — so it must see arrivals in
+	// perturbed order, which the per-hop sampling can locally scramble.
+	// The source hands out the collected pointers themselves, so the
+	// finish times land in tasks.
+	ordered := append([]*task.Task(nil), tasks...)
+	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].Arrival < ordered[j].Arrival })
+	next := 0
+	perturbed := trace.New(src.String(), func() (*task.Task, bool) {
+		if next >= len(ordered) {
+			return nil, false
 		}
-		var err error
-		if mgr, err = lifecycle.New(cfg); err != nil {
-			panic(err) // unreachable: New validated the lifecycle config
-		}
-	}
-
-	var makespan time.Duration
-	var lstats lifecycle.Stats
-	var inj *chain.Injector
-	var chained []bool // per collected request: expands into a workflow?
-	switch {
-	case p.cfg.Chain != nil:
-		// Internal stage-to-stage hops pay the worker+sandbox share of
-		// the dispatch path (plus the UDP notification under SFSPort);
-		// only the external request paid the gateway above.
-		ccfg := *p.cfg.Chain
-		if ccfg.Seed == 0 {
-			ccfg.Seed = p.cfg.Seed
-		}
-		hopR := rng.New(p.cfg.Seed ^ 0x40b)
-		ccfg.Hop = func() time.Duration {
-			d := sample(p.cfg.Overheads.Worker, hopR) + sample(p.cfg.Overheads.Sandbox, hopR)
-			if p.cfg.SFSPort {
-				d += sample(p.cfg.Overheads.UDPNotify, hopR)
-			}
-			return d
-		}
-		var err error
-		if inj, err = chain.NewInjector(ccfg); err != nil {
-			panic(err) // unreachable: New validated the chain config
-		}
-		// Snapshot which requests expand before Run: Expand rewrites a
-		// chained request's App to its stage-0 name, so the original
-		// request app is only knowable here.
-		chained = make([]bool, len(tasks))
-		for i, t := range tasks {
-			chained[i] = inj.Chained(t.App)
-		}
-		if makespan, err = chain.Run(perturbedSource(), inj, mgr, eng); err != nil {
-			panic(err) // the source cannot fail: the slice was collected
-		}
-	case mgr != nil:
-		var err error
-		if makespan, err = lifecycle.Run(perturbedSource(), mgr, eng); err != nil {
-			panic(err) // the source cannot fail: the slice was collected
-		}
-	default:
-		var err error
-		if makespan, err = host.New(eng).Drive(perturbedSource()); err != nil {
-			panic(err) // the source cannot fail: the slice was collected
-		}
-	}
-	if mgr != nil {
-		lstats = mgr.Stats()
+		t := ordered[next]
+		next++
+		return t, true
+	})
+	makespan, err := host.New(eng).Drive(perturbed)
+	if err != nil {
+		panic(err) // the source cannot fail: the slice was collected
 	}
 
 	// Restore end-to-end timestamps: arrival back to HTTP invocation
-	// time, finish extended by the response path. (chain.Run and
-	// lifecycle.Run already unwound their own cold-start shifts.) In
-	// chain mode a chained request's response is charged once per
-	// workflow — to its final stage, below — while requests that passed
-	// through unexpanded keep the plain per-request response charge.
+	// time, finish extended by the response path.
 	for i, t := range tasks {
 		t.Arrival -= pre[i]
-		if t.Finish >= 0 && (inj == nil || !chained[i]) {
+		if t.Finish >= 0 {
 			t.Finish += post[i]
 		}
 	}
-	allTasks := tasks
-	if inj != nil {
-		allTasks = eng.Tasks()
-		rootIdx := make(map[int]int, len(tasks))
-		for i, t := range tasks {
-			rootIdx[t.ID] = i
-		}
-		for wi := 0; wi < inj.Len(); wi++ {
-			i, ok := rootIdx[inj.RootID(wi)]
-			if !ok {
-				continue
-			}
-			inj.AdjustArrival(wi, -pre[i])
-			if ft := inj.Final(wi); ft != nil && ft.Finish >= 0 {
-				ft.Finish += post[i]
-				inj.AdjustFinish(wi, post[i])
-			}
-		}
-	}
 	res := Result{
-		Run:        metrics.Run{Scheduler: s.Name(), Tasks: allTasks},
-		Makespan:   makespan,
-		Engine:     eng,
-		ColdStarts: lstats.ColdStarts,
-		Lifecycle:  lstats,
-	}
-	if inj != nil {
-		res.Workflows = metrics.WorkflowRun{Scheduler: s.Name(), Workflows: inj.Workflows()}
+		Run:      metrics.Run{Scheduler: s.Name(), Tasks: tasks},
+		Makespan: makespan,
+		Engine:   eng,
 	}
 	if len(tasks) > 0 {
 		res.MeanDispatchOverhead = overheadSum / time.Duration(len(tasks))

@@ -7,7 +7,6 @@ import (
 	"github.com/serverless-sched/sfs/internal/core"
 	"github.com/serverless-sched/sfs/internal/cpusim"
 	"github.com/serverless-sched/sfs/internal/dist"
-	"github.com/serverless-sched/sfs/internal/lifecycle"
 	"github.com/serverless-sched/sfs/internal/metrics"
 	"github.com/serverless-sched/sfs/internal/sched"
 	"github.com/serverless-sched/sfs/internal/task"
@@ -36,10 +35,10 @@ func TestPlatformAddsOverheads(t *testing.T) {
 
 	// Bare engine run (no platform).
 	bare := New(Config{Cores: cores, Seed: 2}) // zero overheads
-	bareRes := replay(bare, w, sched.NewCFS(sched.CFSConfig{}))
+	bareRes := replay(bare, w, sched.NewCFS())
 
 	loaded := New(Config{Cores: cores, Overheads: DefaultOverheads(), Seed: 2})
-	loadedRes := replay(loaded, w, sched.NewCFS(sched.CFSConfig{}))
+	loadedRes := replay(loaded, w, sched.NewCFS())
 
 	if loadedRes.MeanDispatchOverhead == 0 {
 		t.Fatal("no dispatch overhead sampled")
@@ -76,7 +75,7 @@ func TestSFSPortStillWinsUnderPlatform(t *testing.T) {
 	const cores = 8
 	w := func() trace.Source { return OpenLambdaWorkload(3000, cores, 0.9, 17) }
 	cfsP := New(Config{Cores: cores, Overheads: DefaultOverheads(), Seed: 18})
-	cfsRes := cfsP.RunTrace(w(), sched.NewCFS(sched.CFSConfig{}))
+	cfsRes := cfsP.RunTrace(w(), sched.NewCFS())
 	sfsP := New(Config{Cores: cores, Overheads: DefaultOverheads(), SFSPort: true, Seed: 18})
 	sfsRes := sfsP.RunTrace(w(), core.New(core.DefaultConfig()))
 
@@ -100,66 +99,6 @@ func TestSFSPortStillWinsUnderPlatform(t *testing.T) {
 	if sfsRes.Run.MeanTurnaround() > cfsRes.Run.MeanTurnaround() {
 		t.Errorf("OL+SFS mean %v should not exceed OL+CFS %v",
 			sfsRes.Run.MeanTurnaround(), cfsRes.Run.MeanTurnaround())
-	}
-}
-
-func TestColdStartInjection(t *testing.T) {
-	const cores = 2
-	w := smallWorkload(cores, 5)
-	lc := func(p lifecycle.Policy) *lifecycle.Config {
-		return &lifecycle.Config{
-			Policy:      p,
-			ImagePull:   dist.Constant{Value: ms(80)},
-			SandboxBoot: dist.Constant{Value: ms(20)},
-			Seed:        6,
-		}
-	}
-
-	// NONE: every invocation pays the constant 100ms cold start.
-	none := replay(New(Config{Cores: cores, Lifecycle: lc(lifecycle.NewNone()), Seed: 6}), w, sched.NewFIFO())
-	if none.ColdStarts != len(w) {
-		t.Fatalf("NONE cold starts %d, want every one of %d", none.ColdStarts, len(w))
-	}
-	if r := none.Lifecycle.WarmHitRatio(); r != 0 {
-		t.Fatalf("NONE warm-hit ratio %.2f, want 0", r)
-	}
-
-	// A generous TTL turns most of those into warm hits and lowers mean
-	// turnaround accordingly.
-	ttl := replay(New(Config{Cores: cores, Lifecycle: lc(lifecycle.NewFixedTTL(time.Minute)), Seed: 6}), w, sched.NewFIFO())
-	if ttl.Lifecycle.WarmHitRatio() < 0.5 {
-		t.Fatalf("TTL warm-hit ratio %.2f, want most invocations warm", ttl.Lifecycle.WarmHitRatio())
-	}
-	if ttl.Run.MeanTurnaround() >= none.Run.MeanTurnaround() {
-		t.Fatalf("warm pools should cut mean turnaround: TTL %v vs NONE %v",
-			ttl.Run.MeanTurnaround(), none.Run.MeanTurnaround())
-	}
-	// The cold-start latency is on the critical path, not in the
-	// dispatch-overhead accounting.
-	if none.MeanDispatchOverhead != 0 {
-		t.Fatalf("cold starts leaked into dispatch overhead: %v", none.MeanDispatchOverhead)
-	}
-}
-
-func TestColdStartDeterminismWithLifecycle(t *testing.T) {
-	const cores = 2
-	w := smallWorkload(cores, 9)
-	run := func() Result {
-		return replay(New(Config{
-			Cores:     cores,
-			Overheads: DefaultOverheads(),
-			Lifecycle: &lifecycle.Config{Policy: lifecycle.NewHistogram(0), MemoryMB: 2048, Seed: 9},
-			Seed:      9,
-		}), w, sched.NewCFS(sched.CFSConfig{}))
-	}
-	r1, r2 := run(), run()
-	if r1.Lifecycle != r2.Lifecycle {
-		t.Fatalf("lifecycle stats diverged:\n%+v\n%+v", r1.Lifecycle, r2.Lifecycle)
-	}
-	for i := range r1.Run.Tasks {
-		if r1.Run.Tasks[i].Finish != r2.Run.Tasks[i].Finish {
-			t.Fatalf("same-seed lifecycle runs diverge at task %d", i)
-		}
 	}
 }
 

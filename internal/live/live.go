@@ -58,6 +58,10 @@ func (m Mode) String() string {
 // blocking operations.
 type Function func(ctx *Ctx)
 
+// overloadFactor is O: a fetched request that waited longer than O × S
+// bypasses FILTER (§V-E).
+const overloadFactor = 3
+
 // Config tunes the live scheduler.
 type Config struct {
 	// Workers is the FILTER pool size (defaults to GOMAXPROCS).
@@ -68,8 +72,6 @@ type Config struct {
 	InitialSlice time.Duration
 	// FixedSlice pins S, disabling adaptation.
 	FixedSlice time.Duration
-	// OverloadFactor is O (default 3).
-	OverloadFactor float64
 	// QueueCapacity bounds the global queue channel (default 65536).
 	QueueCapacity int
 }
@@ -185,9 +187,6 @@ func New(cfg Config) *Scheduler {
 	}
 	if cfg.InitialSlice <= 0 {
 		cfg.InitialSlice = 100 * time.Millisecond
-	}
-	if cfg.OverloadFactor <= 0 {
-		cfg.OverloadFactor = 3
 	}
 	if cfg.QueueCapacity <= 0 {
 		cfg.QueueCapacity = 1 << 16
@@ -315,7 +314,7 @@ func (s *Scheduler) dispatch(inv *invocation) {
 	now := time.Now()
 	delay := now.Sub(time.Unix(0, inv.enqueued.Load()))
 	slice := s.Slice()
-	if float64(delay) > s.cfg.OverloadFactor*float64(slice) {
+	if float64(delay) > overloadFactor*float64(slice) {
 		// Transient overload: bypass FILTER (§V-E).
 		inv.mode.Store(int32(ModeCFS))
 		s.Stats.OverloadRouted.Add(1)

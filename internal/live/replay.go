@@ -26,9 +26,6 @@ type ReplayConfig struct {
 	// time); a negative or non-finite value is a configuration error.
 	// A 10s trace replayed at Speedup 100 takes ~100ms of wall time.
 	Speedup float64
-	// MaxN caps the number of replayed invocations (0 = the whole
-	// stream).
-	MaxN int
 	// MaxService clamps each invocation's compressed (wall-clock)
 	// service time, so a heavy-tailed trace cannot pin a worker for
 	// seconds of wall time (0 = no clamp; negative is a configuration
@@ -47,9 +44,6 @@ func (cfg ReplayConfig) validate() error {
 	}
 	if cfg.MaxService < 0 {
 		return fmt.Errorf("live: negative MaxService %v", cfg.MaxService)
-	}
-	if cfg.MaxN < 0 {
-		return fmt.Errorf("live: negative MaxN %d", cfg.MaxN)
 	}
 	return nil
 }
@@ -84,9 +78,6 @@ func Replay(s *Scheduler, src trace.Source, cfg ReplayConfig) (ReplayReport, err
 	var futs []*Future
 	start := time.Now()
 	for {
-		if cfg.MaxN > 0 && report.Submitted+report.Dropped >= cfg.MaxN {
-			break
-		}
 		tk, ok := src.Next()
 		if !ok {
 			break

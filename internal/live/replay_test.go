@@ -59,12 +59,12 @@ func TestReplaySpeedupAndCap(t *testing.T) {
 		tasks[i] = tk
 	}
 	s := newStarted(t, Config{Workers: 2, InitialSlice: 500 * time.Millisecond})
-	rep, err := Replay(s, trace.FromTasks("paced", tasks), ReplayConfig{Speedup: 100, MaxN: 10})
+	rep, err := Replay(s, trace.Limit(trace.FromTasks("paced", tasks), 10), ReplayConfig{Speedup: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Submitted != 10 {
-		t.Fatalf("MaxN ignored: %d submitted", rep.Submitted)
+		t.Fatalf("cap ignored: %d submitted", rep.Submitted)
 	}
 	if rep.Wall > time.Second {
 		t.Fatalf("compressed replay took %v", rep.Wall)
@@ -82,7 +82,6 @@ func TestReplayRejectsBadConfig(t *testing.T) {
 		{Speedup: math.Inf(1)},
 		{Speedup: math.NaN()},
 		{MaxService: -time.Millisecond},
-		{MaxN: -1},
 	} {
 		if _, err := Replay(s, replayTrace(), cfg); err == nil {
 			t.Errorf("config %+v accepted", cfg)

@@ -41,8 +41,8 @@ func TestSchedulerAllocsIndependentOfPreemptions(t *testing.T) {
 		name string
 		mk   func() cpusim.Scheduler
 	}{
-		{"CFS", func() cpusim.Scheduler { return sched.NewCFS(sched.CFSConfig{}) }},
-		{"EEVDF", func() cpusim.Scheduler { return sched.NewEEVDF(sched.EEVDFConfig{}) }},
+		{"CFS", func() cpusim.Scheduler { return sched.NewCFS() }},
+		{"EEVDF", func() cpusim.Scheduler { return sched.NewEEVDF() }},
 		{"SRTF", func() cpusim.Scheduler { return sched.NewSRTF() }},
 		{"PSRTF", func() cpusim.Scheduler {
 			// Warm estimates, so short arrivals preempt long tasks.

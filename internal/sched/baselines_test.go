@@ -12,7 +12,7 @@ import (
 func TestEEVDFFairSharing(t *testing.T) {
 	a := task.New(0, 0, ms(300))
 	b := task.New(1, 0, ms(300))
-	run(t, sched.NewEEVDF(sched.EEVDFConfig{}), 1, a, b)
+	run(t, sched.NewEEVDF(), 1, a, b)
 	diff := a.Finish - b.Finish
 	if diff < 0 {
 		diff = -diff
@@ -33,7 +33,7 @@ func TestEEVDFLatencyForNewcomer(t *testing.T) {
 		hogs = append(hogs, task.New(i, 0, ms(400)))
 	}
 	late := task.New(99, ms(500), ms(6))
-	run(t, sched.NewEEVDF(sched.EEVDFConfig{}), 1, append(hogs, late)...)
+	run(t, sched.NewEEVDF(), 1, append(hogs, late)...)
 	if latency := late.Turnaround(); latency > ms(60) {
 		t.Fatalf("newcomer turnaround %v; EEVDF should schedule it within a few slices", latency)
 	}
@@ -42,7 +42,7 @@ func TestEEVDFLatencyForNewcomer(t *testing.T) {
 func TestEEVDFCompletesWithIO(t *testing.T) {
 	a := task.New(0, 0, ms(40)).WithIO(ms(10), ms(30))
 	b := task.New(1, 0, ms(50))
-	eng := run(t, sched.NewEEVDF(sched.EEVDFConfig{}), 1, a, b)
+	eng := run(t, sched.NewEEVDF(), 1, a, b)
 	if a.CPUUsed != a.Service || b.CPUUsed != b.Service {
 		t.Fatal("CPU conservation violated")
 	}
@@ -56,7 +56,7 @@ func TestEEVDFMultiCoreBalance(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		tasks = append(tasks, task.New(i, 0, ms(100)))
 	}
-	run(t, sched.NewEEVDF(sched.EEVDFConfig{}), 4, tasks...)
+	run(t, sched.NewEEVDF(), 4, tasks...)
 	// 8 equal tasks on 4 cores: pairs share, so everything ends ~200ms.
 	for _, tk := range tasks {
 		if tk.Finish > ms(215) {

@@ -19,35 +19,24 @@ import (
 	"github.com/serverless-sched/sfs/internal/task"
 )
 
-// CFSConfig holds the tunables of the CFS model. The defaults mirror
-// Linux on a ~16-core machine, where the kernel scales the base values
-// (6 ms / 0.75 ms / 1 ms) by 1+log2(ncpus) capped at 4x... in practice
-// sched_latency 24 ms, min granularity 3 ms, wakeup granularity 4 ms.
-type CFSConfig struct {
-	// TargetLatency is the scheduling period within which every runnable
-	// task on a runqueue should run once (sched_latency_ns).
-	TargetLatency time.Duration
-	// MinGranularity is the floor on a task's slice
+// The CFS model's tunables, at Linux's values on a ~16-core machine,
+// where the kernel scales the base values (6 ms / 0.75 ms / 1 ms) by
+// 1+log2(ncpus) capped at 4x.
+const (
+	// targetLatency is the scheduling period within which every
+	// runnable task on a runqueue should run once (sched_latency_ns).
+	targetLatency = 24 * time.Millisecond
+	// minGranularity is the floor on a task's slice
 	// (sched_min_granularity_ns).
-	MinGranularity time.Duration
-	// WakeupGranularity limits wakeup preemption: a waking task preempts
-	// only if the current task's vruntime exceeds the waking task's by
-	// more than this (sched_wakeup_granularity_ns).
-	WakeupGranularity time.Duration
-	// SleeperCredit is the maximum vruntime credit granted to a waking
+	minGranularity = 3 * time.Millisecond
+	// wakeupGranularity limits wakeup preemption: a waking task
+	// preempts only if the current task's vruntime exceeds the waking
+	// task's by more than this (sched_wakeup_granularity_ns).
+	wakeupGranularity = 4 * time.Millisecond
+	// sleeperCredit is the maximum vruntime credit granted to a waking
 	// sleeper (half the target latency in Linux's place_entity).
-	SleeperCredit time.Duration
-}
-
-// DefaultCFSConfig returns the Linux-like defaults described above.
-func DefaultCFSConfig() CFSConfig {
-	return CFSConfig{
-		TargetLatency:     24 * time.Millisecond,
-		MinGranularity:    3 * time.Millisecond,
-		WakeupGranularity: 4 * time.Millisecond,
-		SleeperCredit:     12 * time.Millisecond,
-	}
-}
+	sleeperCredit = 12 * time.Millisecond
+)
 
 // cfsEnt is the per-task scheduling entity (struct sched_entity).
 type cfsEnt struct {
@@ -68,7 +57,6 @@ type runqueue struct {
 // cpusim.Scheduler and is also embedded by the SFS scheduler as its
 // lower-priority second level.
 type CFS struct {
-	cfg  CFSConfig
 	api  cpusim.API
 	rqs  []runqueue
 	cur  []*cfsEnt // per-core currently running entity (nil if none)
@@ -79,23 +67,9 @@ type CFS struct {
 	Steals int64 // idle-balance migrations between runqueues
 }
 
-// NewCFS returns a CFS model with the given config; zero fields are
-// filled from DefaultCFSConfig.
-func NewCFS(cfg CFSConfig) *CFS {
-	def := DefaultCFSConfig()
-	if cfg.TargetLatency <= 0 {
-		cfg.TargetLatency = def.TargetLatency
-	}
-	if cfg.MinGranularity <= 0 {
-		cfg.MinGranularity = def.MinGranularity
-	}
-	if cfg.WakeupGranularity <= 0 {
-		cfg.WakeupGranularity = def.WakeupGranularity
-	}
-	if cfg.SleeperCredit <= 0 {
-		cfg.SleeperCredit = def.SleeperCredit
-	}
-	return &CFS{cfg: cfg, ents: make(map[*task.Task]*cfsEnt)}
+// NewCFS returns a CFS model.
+func NewCFS() *CFS {
+	return &CFS{ents: make(map[*task.Task]*cfsEnt)}
 }
 
 // Name implements cpusim.Scheduler.
@@ -168,15 +142,15 @@ func (c *CFS) Enqueue(now simtime.Time, t *task.Task) {
 		// min_vruntime, so newcomers wait roughly one scheduling round
 		// on a busy queue (Linux place_entity with initial=1).
 		nr := c.nrRunning(rq) + 1
-		vslice := c.cfg.TargetLatency / time.Duration(nr)
-		if vslice < c.cfg.MinGranularity {
-			vslice = c.cfg.MinGranularity
+		vslice := targetLatency / time.Duration(nr)
+		if vslice < minGranularity {
+			vslice = minGranularity
 		}
 		ent.vr = min + vslice
 	} else {
 		// Waking sleeper: grant bounded credit (place_entity), but never
 		// let vruntime move backwards relative to its own history.
-		placed := min - c.cfg.SleeperCredit
+		placed := min - sleeperCredit
 		if ent.vr < placed {
 			ent.vr = placed
 		}
@@ -222,9 +196,9 @@ func (c *CFS) sliceFor(core int) time.Duration {
 	if nr <= 0 {
 		nr = 1
 	}
-	slice := c.cfg.TargetLatency / time.Duration(nr)
-	if slice < c.cfg.MinGranularity {
-		slice = c.cfg.MinGranularity
+	slice := targetLatency / time.Duration(nr)
+	if slice < minGranularity {
+		slice = minGranularity
 	}
 	return slice
 }
@@ -317,7 +291,7 @@ func (c *CFS) WantsPreempt(now simtime.Time, core int) bool {
 		return false
 	}
 	liveVR := cur.vr + weighted(c.api.RanFor(core), cur.t.Weight)
-	return liveVR-leftmost.Value.vr > c.cfg.WakeupGranularity
+	return liveVR-leftmost.Value.vr > wakeupGranularity
 }
 
 // Runnable returns the queued entity count on core's runqueue (excluding

@@ -9,24 +9,16 @@ import (
 	"github.com/serverless-sched/sfs/internal/task"
 )
 
-// EEVDFConfig tunes the EEVDF model.
-type EEVDFConfig struct {
-	// BaseSlice is the per-request virtual slice (sched_base_slice);
-	// Linux defaults to 0.75 ms scaled by 1+log2(ncpus) — ~3 ms on the
-	// machines modeled here.
-	BaseSlice time.Duration
-}
-
-// DefaultEEVDFConfig returns Linux-like defaults.
-func DefaultEEVDFConfig() EEVDFConfig {
-	return EEVDFConfig{BaseSlice: 3 * time.Millisecond}
-}
+// baseSlice is EEVDF's per-request virtual slice (sched_base_slice):
+// Linux's 0.75 ms scaled by 1+log2(ncpus), ~3 ms on the machines
+// modeled here.
+const baseSlice = 3 * time.Millisecond
 
 // eevdfEnt is a scheduling entity under EEVDF.
 type eevdfEnt struct {
 	t        *task.Task
 	vr       time.Duration // virtual runtime
-	deadline time.Duration // virtual deadline = vr + BaseSlice at (re)queue
+	deadline time.Duration // virtual deadline = vr + baseSlice at (re)queue
 	rq       int
 	node     *rbtree.Node[*eevdfEnt]
 	everRan  bool
@@ -48,12 +40,11 @@ type eevdfRQ struct {
 // the ablation experiments).
 //
 // Model summary: each entity accrues vruntime while running; at
-// (re)queue time it receives a virtual deadline vr + BaseSlice. A
+// (re)queue time it receives a virtual deadline vr + baseSlice. A
 // queued entity is eligible when its vruntime is at or below the
 // queue's average; the scheduler runs the eligible entity with the
 // earliest virtual deadline.
 type EEVDF struct {
-	cfg  EEVDFConfig
 	api  cpusim.API
 	rqs  []eevdfRQ
 	cur  []*eevdfEnt
@@ -64,12 +55,9 @@ type EEVDF struct {
 	Steals int64
 }
 
-// NewEEVDF returns an EEVDF model; zero config fields are defaulted.
-func NewEEVDF(cfg EEVDFConfig) *EEVDF {
-	if cfg.BaseSlice <= 0 {
-		cfg.BaseSlice = DefaultEEVDFConfig().BaseSlice
-	}
-	return &EEVDF{cfg: cfg, ents: make(map[*task.Task]*eevdfEnt)}
+// NewEEVDF returns an EEVDF model.
+func NewEEVDF() *EEVDF {
+	return &EEVDF{ents: make(map[*task.Task]*eevdfEnt)}
 }
 
 // Name implements cpusim.Scheduler.
@@ -129,7 +117,7 @@ func (e *EEVDF) avgVruntime(i int) time.Duration {
 // insert adds ent to runqueue i, refreshing its deadline.
 func (e *EEVDF) insert(i int, ent *eevdfEnt) {
 	ent.rq = i
-	ent.deadline = ent.vr + e.cfg.BaseSlice
+	ent.deadline = ent.vr + baseSlice
 	ent.node = e.rqs[i].tree.Insert(ent)
 	e.rqs[i].vrSum += ent.vr
 }
@@ -155,10 +143,10 @@ func (e *EEVDF) Enqueue(now simtime.Time, t *task.Task) {
 		// Newcomers join at the zero-lag point: immediately eligible,
 		// deadline one slice out.
 		ent.vr = avg
-	} else if ent.vr < avg-e.cfg.BaseSlice {
+	} else if ent.vr < avg-baseSlice {
 		// Returning sleepers keep their lag, bounded to one slice so a
 		// long sleep cannot bank unbounded credit (lag clamping).
-		ent.vr = avg - e.cfg.BaseSlice
+		ent.vr = avg - baseSlice
 	}
 	e.insert(rq, ent)
 }
@@ -204,7 +192,7 @@ func (e *EEVDF) PickNext(now simtime.Time, core int) (*task.Task, time.Duration)
 	}
 	e.removeNode(ent)
 	e.cur[core] = ent
-	return ent.t, e.cfg.BaseSlice
+	return ent.t, baseSlice
 }
 
 // steal pulls the earliest-deadline entity from the busiest other queue.
@@ -271,5 +259,5 @@ func (e *EEVDF) WantsPreempt(now simtime.Time, core int) bool {
 		return false
 	}
 	liveVR := cur.vr + weighted(e.api.RanFor(core), cur.t.Weight)
-	return best.deadline < liveVR+e.cfg.BaseSlice && best.vr <= e.avgVruntime(core)
+	return best.deadline < liveVR+baseSlice && best.vr <= e.avgVruntime(core)
 }

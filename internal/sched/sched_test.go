@@ -27,7 +27,7 @@ func TestCFSFairSharing(t *testing.T) {
 	// time under CFS (fair sharing), unlike FIFO.
 	a := task.New(0, 0, ms(300))
 	b := task.New(1, 0, ms(300))
-	run(t, sched.NewCFS(sched.CFSConfig{}), 1, a, b)
+	run(t, sched.NewCFS(), 1, a, b)
 	diff := a.Finish - b.Finish
 	if diff < 0 {
 		diff = -diff
@@ -48,7 +48,7 @@ func TestCFSSliceShrinksWithLoad(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		tasks = append(tasks, task.New(i, 0, ms(30)))
 	}
-	eng := run(t, sched.NewCFS(sched.CFSConfig{}), 1, tasks...)
+	eng := run(t, sched.NewCFS(), 1, tasks...)
 	// 16 tasks x 30ms = 480ms of work in ~3ms slices: roughly 160
 	// slices, most of which are real switches.
 	if eng.TotalCtxSwitches < 100 {
@@ -66,7 +66,7 @@ func TestCFSNewTaskNotStarved(t *testing.T) {
 	}
 	late := task.New(99, ms(1000), ms(3))
 	tasks = append(tasks, late)
-	run(t, sched.NewCFS(sched.CFSConfig{}), 1, tasks...)
+	run(t, sched.NewCFS(), 1, tasks...)
 	if late.Start-late.Arrival > ms(100) {
 		t.Fatalf("new task waited %v before first run", late.Start-late.Arrival)
 	}
@@ -79,7 +79,7 @@ func TestCFSMultiQueueBalance(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		tasks = append(tasks, task.New(i, 0, ms(100)))
 	}
-	run(t, sched.NewCFS(sched.CFSConfig{}), 4, tasks...)
+	run(t, sched.NewCFS(), 4, tasks...)
 	for _, tk := range tasks {
 		if tk.Finish != ms(100) {
 			t.Fatalf("task %d finish %v, want 100ms on its own core", tk.ID, tk.Finish)
@@ -97,7 +97,7 @@ func TestCFSIdleBalanceSteals(t *testing.T) {
 	long2 := task.New(1, 0, ms(500))
 	short1 := task.New(2, ms(1), ms(50))
 	short2 := task.New(3, ms(1), ms(50))
-	cfs := sched.NewCFS(sched.CFSConfig{})
+	cfs := sched.NewCFS()
 	run(t, cfs, 2, long1, long2, short1, short2)
 	// All four tasks over two cores: total work 1100ms, makespan should
 	// be near 550 with stealing rather than 600+ with one idle core.
@@ -111,7 +111,7 @@ func TestCFSWakeupPreemption(t *testing.T) {
 	// hog when it wakes.
 	hog := task.New(0, 0, ms(1000))
 	sleeper := task.New(1, 0, ms(20)).WithIO(ms(5), ms(200))
-	run(t, sched.NewCFS(sched.CFSConfig{}), 1, hog, sleeper)
+	run(t, sched.NewCFS(), 1, hog, sleeper)
 	// Sleeper: runs early (5ms CPU), sleeps 200ms, wakes ~205-230ms, and
 	// should preempt the hog quickly rather than waiting for it to end.
 	if sleeper.Finish > ms(400) {
@@ -122,18 +122,6 @@ func TestCFSWakeupPreemption(t *testing.T) {
 	}
 }
 
-func TestCFSConfigDefaults(t *testing.T) {
-	cfg := sched.DefaultCFSConfig()
-	if cfg.TargetLatency != 24*time.Millisecond || cfg.MinGranularity != 3*time.Millisecond {
-		t.Fatalf("unexpected defaults %+v", cfg)
-	}
-	// Zero-value config must be filled in.
-	c := sched.NewCFS(sched.CFSConfig{})
-	if c.Name() != "CFS" {
-		t.Fatal("name")
-	}
-}
-
 func TestCFSWeightedFairness(t *testing.T) {
 	// A task with 3x the weight accrues vruntime at 1/3 the rate and so
 	// receives ~3x the CPU share: with equal demands it finishes well
@@ -141,7 +129,7 @@ func TestCFSWeightedFairness(t *testing.T) {
 	heavy := task.New(0, 0, ms(300))
 	heavy.Weight = 3 * task.DefaultWeight
 	light := task.New(1, 0, ms(300))
-	run(t, sched.NewCFS(sched.CFSConfig{}), 1, heavy, light)
+	run(t, sched.NewCFS(), 1, heavy, light)
 	if heavy.Finish >= light.Finish {
 		t.Fatalf("heavy finish %v should precede light %v", heavy.Finish, light.Finish)
 	}

@@ -17,8 +17,8 @@ import (
 // presentation order.
 var reg = registry.New[func() cpusim.Scheduler]("scheduler").
 	Add("SFS", func() cpusim.Scheduler { return core.New(core.DefaultConfig()) }).
-	Add("CFS", func() cpusim.Scheduler { return sched.NewCFS(sched.CFSConfig{}) }).
-	Add("EEVDF", func() cpusim.Scheduler { return sched.NewEEVDF(sched.EEVDFConfig{}) }).
+	Add("CFS", func() cpusim.Scheduler { return sched.NewCFS() }).
+	Add("EEVDF", func() cpusim.Scheduler { return sched.NewEEVDF() }).
 	Add("FIFO", func() cpusim.Scheduler { return sched.NewFIFO() }).
 	Add("RR", func() cpusim.Scheduler { return sched.NewRR(0) }).
 	Add("SRTF", func() cpusim.Scheduler { return sched.NewSRTF() }).

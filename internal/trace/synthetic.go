@@ -57,8 +57,6 @@ type SynthSpec struct {
 	N int
 	// Duration samples each invocation's ideal duration.
 	Duration dist.Distribution
-	// App labels the emitted invocations (default "synth").
-	App string
 	// Seed drives all sampling.
 	Seed uint64
 }
@@ -109,14 +107,16 @@ func (s SynthSpec) peakRPS() float64 {
 }
 
 // Validate reports why the spec cannot drive a synthetic source: a
-// negative rate, no positive rate, or no positive span (a zero
-// TargetRPS stands for StartRPS, as in NewSynthetic). NewSynthetic
+// negative or non-finite rate, no positive rate, or no positive span (a
+// zero TargetRPS stands for StartRPS, as in NewSynthetic). NewSynthetic
 // panics with the same messages.
 func (s SynthSpec) Validate() error {
 	if s.TargetRPS == 0 {
 		s.TargetRPS = s.StartRPS
 	}
 	switch {
+	case math.IsNaN(s.StartRPS) || math.IsInf(s.StartRPS, 0) || math.IsNaN(s.TargetRPS) || math.IsInf(s.TargetRPS, 0):
+		return errors.New("trace: non-finite RPS")
 	case s.StartRPS < 0 || s.TargetRPS < 0:
 		return errors.New("trace: negative RPS")
 	case s.peakRPS() <= 0:
@@ -130,7 +130,7 @@ func (s SynthSpec) Validate() error {
 // synthSource generates arrivals lazily via thinning of a
 // non-homogeneous Poisson process: candidate arrivals are drawn at the
 // peak rate and accepted with probability rate(t)/peak, so no arrival
-// table is ever materialized.
+// table is ever materialized. Every invocation's App is "synth".
 type synthSource struct {
 	spec    SynthSpec
 	horizon time.Duration
@@ -156,9 +156,6 @@ func NewSynthetic(spec SynthSpec) Source {
 	}
 	if spec.Duration == nil {
 		panic("trace: synthetic trace needs a duration distribution")
-	}
-	if spec.App == "" {
-		spec.App = "synth"
 	}
 	r := rng.New(spec.Seed)
 	return &synthSource{
@@ -195,7 +192,7 @@ func (s *synthSource) Next() (*task.Task, bool) {
 			d = time.Millisecond
 		}
 		t := task.New(s.id, simtime.Time(at), d)
-		t.App = s.spec.App
+		t.App = "synth"
 		s.id++
 		return t, true
 	}

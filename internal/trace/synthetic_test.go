@@ -159,6 +159,8 @@ func TestSyntheticSpecPanics(t *testing.T) {
 		"no rate":       {SynthSpec{Shape: ShapeConstant, Horizon: time.Second, Duration: d}, false},
 		"negative rate": {SynthSpec{Shape: ShapeSine, StartRPS: 10, TargetRPS: -10, Horizon: time.Second, Duration: d}, false},
 		"no horizon":    {SynthSpec{Shape: ShapeRamp, StartRPS: 1, Duration: d}, false},
+		"NaN rate":      {SynthSpec{Shape: ShapeRamp, StartRPS: math.NaN(), TargetRPS: 5, Horizon: time.Second, Duration: d}, false},
+		"infinite rate": {SynthSpec{Shape: ShapeConstant, StartRPS: math.Inf(1), Horizon: time.Second, Duration: d}, false},
 		"no dist":       {SynthSpec{Shape: ShapeRamp, StartRPS: 1, Horizon: time.Second}, true},
 	} {
 		err := tc.spec.Validate()

@@ -11,11 +11,12 @@ import (
 )
 
 // ChainSpec configures the synthetic multi-stage scenario family: each
-// request is a function-chain workflow (a linear chain or a
-// fan-out/fan-in diamond) whose stage payloads are sampled from one
-// duration distribution, with Poisson request arrivals calibrated so
-// the *whole chain* — every stage's CPU demand, not just the request's
-// — offers Load to Cores. This is the workload where per-stage queueing
+// request for the "chain" application is a function-chain workflow (a
+// linear chain or a fan-out/fan-in diamond) whose stage payloads are
+// sampled from Table I, so each stage looks like one paper-distribution
+// invocation, with Poisson request arrivals calibrated so the *whole
+// chain* — every stage's CPU demand, not just the request's — offers
+// Load to Cores. This is the workload where per-stage queueing
 // compounds into end-to-end response time, the regime the chain layer
 // exists to measure.
 type ChainSpec struct {
@@ -32,11 +33,6 @@ type ChainSpec struct {
 	// Depth scales the family: LINEAR stages or DIAMOND branches
 	// (default 3).
 	Depth int
-	// Duration samples stage payloads (default TableIDistribution, so
-	// each stage looks like one paper-distribution invocation).
-	Duration dist.Distribution
-	// App names the workflow application (default "chain").
-	App string
 	// Seed drives all sampling.
 	Seed uint64
 }
@@ -47,12 +43,8 @@ type ChainSpec struct {
 // Both are deterministic in the spec, so the same spec replays
 // byte-identically. The error reports an unknown family name.
 func ChainStream(spec ChainSpec) (trace.Source, chain.Config, error) {
-	if spec.Duration == nil {
-		spec.Duration = TableIDistribution()
-	}
-	if spec.App == "" {
-		spec.App = "chain"
-	}
+	const app = "chain"
+	dur := TableIDistribution()
 	if spec.Family == "" {
 		spec.Family = "LINEAR"
 	}
@@ -61,7 +53,7 @@ func ChainStream(spec ChainSpec) (trace.Source, chain.Config, error) {
 	}
 	// Stage 0 inherits the request's sampled duration; later stages
 	// sample the same distribution inside the injector.
-	wf, err := chain.NewFamily(spec.Family, chain.FamilyConfig{Depth: spec.Depth, Service: spec.Duration})
+	wf, err := chain.NewFamily(spec.Family, chain.FamilyConfig{Depth: spec.Depth, Service: dur})
 	if err != nil {
 		return nil, chain.Config{}, err
 	}
@@ -69,7 +61,7 @@ func ChainStream(spec ChainSpec) (trace.Source, chain.Config, error) {
 
 	// Calibrate request IATs to the chain's total CPU demand: factor x
 	// the per-request mean, so the aggregate offered load is spec.Load.
-	mean := spec.Duration.Mean()
+	mean := dur.Mean()
 	factor := wf.ServiceFactor(mean)
 	meanChain := time.Duration(float64(mean) * factor)
 	src := Stream(Spec{
@@ -77,17 +69,17 @@ func ChainStream(spec ChainSpec) (trace.Source, chain.Config, error) {
 		Cores:   spec.Cores,
 		Arrival: dist.PoissonProcess{Mean: queueing.IATForLoad(meanChain, spec.Cores, spec.Load)},
 		Apps: []AppChoice{{
-			Profile: AppProfile{Name: spec.App, CPUFraction: 1},
+			Profile: AppProfile{Name: app, CPUFraction: 1},
 			Weight:  1,
 		}},
-		Duration: spec.Duration,
+		Duration: dur,
 		Seed:     spec.Seed,
 	})
 	desc := fmt.Sprintf("%s x %s depth=%d (chain load %.2f on %d cores)",
 		src, spec.Family, wfDepth(spec), spec.Load, spec.Cores)
 	src = trace.Derive(desc, src.Next, src)
 	cfg := chain.Config{
-		Specs: map[string]chain.Spec{spec.App: wf},
+		Specs: map[string]chain.Spec{app: wf},
 		Seed:  spec.Seed,
 	}
 	return src, cfg, nil

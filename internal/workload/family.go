@@ -3,6 +3,7 @@ package workload
 import (
 	"time"
 
+	"github.com/serverless-sched/sfs/internal/dist"
 	"github.com/serverless-sched/sfs/internal/queueing"
 	"github.com/serverless-sched/sfs/internal/registry"
 	"github.com/serverless-sched/sfs/internal/trace"
@@ -11,9 +12,8 @@ import (
 // FamilyConfig carries the construction parameters shared by every
 // scenario family, mirroring the scheduler/dispatcher/keep-alive/chain
 // registries' factory configs. Knobs a family doesn't use are ignored;
-// knobs beyond these (spike factors, tenant counts, trend slopes) take
-// that family's documented defaults — callers needing full control use
-// the family's own Spec type directly.
+// each family's shape (spike factors, tenant counts, trend slopes) is
+// a set of named constants in its file.
 type FamilyConfig struct {
 	// N is the invocation count (each family also sizes its horizon
 	// from it).
@@ -78,14 +78,11 @@ func azureFamily(cfg FamilyConfig) trace.Source {
 // the mix's saturating RPS — the invitro-style load-transition profile.
 func synthFamily(cfg FamilyConfig) trace.Source {
 	spec := SyntheticSpec{N: cfg.N, Apps: cfg.Apps, Seed: cfg.Seed}
-	if spec.Duration == nil {
-		spec.Duration = TableIDistribution()
-	}
 	cores := cfg.Cores
 	if cores <= 0 {
 		cores = 1
 	}
-	meanCPU := time.Duration(float64(spec.Duration.Mean()) * meanCPUFraction(cfg.Apps))
+	meanCPU := time.Duration(float64(TableIDistribution().Mean()) * meanCPUFraction(cfg.Apps))
 	sat := float64(time.Second) / float64(queueing.IATForLoad(meanCPU, cores, 1.0))
 	spec.Shape = trace.ShapeRamp
 	spec.StartRPS = 0.3 * sat
@@ -95,20 +92,28 @@ func synthFamily(cfg FamilyConfig) trace.Source {
 	return SyntheticStream(spec)
 }
 
-func diurnalFamily(cfg FamilyConfig) trace.Source {
-	return DiurnalStream(DiurnalSpec{N: cfg.N, Cores: cfg.Cores, Load: cfg.Load, Apps: cfg.Apps, Seed: cfg.Seed})
-}
-
-func flashCrowdFamily(cfg FamilyConfig) trace.Source {
-	return FlashCrowdStream(FlashCrowdSpec{N: cfg.N, Cores: cfg.Cores, Load: cfg.Load, Apps: cfg.Apps, Seed: cfg.Seed})
-}
-
-func multiTenantFamily(cfg FamilyConfig) trace.Source {
-	return MultiTenantStream(MultiTenantSpec{N: cfg.N, Cores: cfg.Cores, Load: cfg.Load, Apps: cfg.Apps, Seed: cfg.Seed})
-}
-
 // triggerFamily is the plain-invocation view of the trigger mix; use
 // TriggerStream directly to also get the workflow config it feeds.
 func triggerFamily(cfg FamilyConfig) trace.Source {
-	return TriggerSource(TriggerSpec{N: cfg.N, Cores: cfg.Cores, Load: cfg.Load, Seed: cfg.Seed})
+	src, _, _ := TriggerStream(TriggerSpec{N: cfg.N, Cores: cfg.Cores, Load: cfg.Load, Seed: cfg.Seed})
+	return src
+}
+
+// calibrate fills cfg's defaults — one core, defLoad for a non-positive
+// Load, the pure-fib mix — and returns the Table I distribution with
+// the mean arrival rate, in requests per second, that offers cfg.Load
+// to cfg.Cores.
+func calibrate(cfg *FamilyConfig, defLoad float64) (dist.Distribution, float64) {
+	if cfg.Cores <= 0 {
+		cfg.Cores = 1
+	}
+	if cfg.Load <= 0 {
+		cfg.Load = defLoad
+	}
+	if len(cfg.Apps) == 0 {
+		cfg.Apps = []AppChoice{{Profile: AppFib, Weight: 1}}
+	}
+	d := TableIDistribution()
+	meanCPU := time.Duration(float64(d.Mean()) * meanCPUFraction(cfg.Apps))
+	return d, float64(time.Second) / float64(queueing.IATForLoad(meanCPU, cfg.Cores, cfg.Load))
 }

@@ -12,16 +12,31 @@ import (
 // famCfg is the small config the family sweeps use.
 var famCfg = FamilyConfig{N: 2000, Cores: 4, Load: 0.8, Seed: 42}
 
+// famDesc is each family's description at famCfg. The CLIs print it,
+// so it pins every shape constant's rendering.
+var famDesc = map[string]string{
+	"POISSON":     "faasbench(n=2000, dur=mixture(0.425:uniform[0s,50ms), 0.103:uniform[50ms,100ms), 0.071:uniform[100ms,200ms), 0.237:uniform[200ms,400ms), 0.164:uniform[2.114042119s,3.420592002s)), arr=poisson(mean=173.335766ms), cores=4)",
+	"AZURE":       "azure-sampled(n=2000, load=80%, cores=4, seed=42, spikes=0)",
+	"SYNTH":       "synth(shape=ramp, rps=2.163431172416789..8.653724689667156, horizon=6m9.782968s, dur=mixture(0.425:uniform[0s,50ms), 0.103:uniform[50ms,100ms), 0.071:uniform[100ms,200ms), 0.237:uniform[200ms,400ms), 0.164:uniform[2.114042119s,3.420592002s)), seed=42) × 1 apps",
+	"DIURNAL":     "diurnal(n=2000, days=7, day=49.525s, amp=0.60, dip=0.50, trend=0.10, load=0.80 on 4 cores, seed=42)",
+	"FLASHCROWD":  "flashcrowd(n=2000, spikes=3x50, tau=7.222s, skew=0.80, load=0.80 on 4 cores, seed=42)",
+	"MULTITENANT": "multitenant(n=2000, tenants=9, heavy=0.50 x4, load=0.80 on 4 cores, seed=42)",
+	"TRIGGER":     "trigger(n=2000, http/queue/timer=0.50/0.30/0.20, batch=8, timers=4, load=0.80 on 4 cores, seed=42)",
+}
+
 // TestFamilyRegistry: every registered family constructs, is
-// case-insensitive, caps at N, yields a valid arrival-ordered trace,
-// and replays byte-identically; unknown names error and list the
-// catalog.
+// case-insensitive, describes itself as famDesc says, caps at N,
+// yields a valid arrival-ordered trace, and replays byte-identically;
+// unknown names error and list the catalog.
 func TestFamilyRegistry(t *testing.T) {
 	for _, name := range FamilyNames() {
 		t.Run(name, func(t *testing.T) {
 			src, err := NewFamily(strings.ToLower(name), famCfg)
 			if err != nil {
 				t.Fatalf("NewFamily(%s): %v", name, err)
+			}
+			if got := src.String(); got != famDesc[name] {
+				t.Errorf("description\n got %s\nwant %s", got, famDesc[name])
 			}
 			a := trace.Collect(src)
 			if len(a) == 0 || len(a) > famCfg.N {
@@ -70,9 +85,7 @@ func TestFamilyRegistry(t *testing.T) {
 // the midnight-centred halves, and weekend days must dip below weekday
 // volume.
 func TestDiurnalShape(t *testing.T) {
-	spec := DiurnalSpec{N: 20000, Cores: 8, Load: 0.8, Days: 7, Seed: 9}
-	src := DiurnalStream(spec)
-	tasks := trace.Collect(src)
+	tasks := trace.Collect(diurnalFamily(FamilyConfig{N: 20000, Cores: 8, Load: 0.8, Seed: 9}))
 	if len(tasks) < 10000 {
 		t.Fatalf("only %d arrivals", len(tasks))
 	}
@@ -107,9 +120,7 @@ func TestDiurnalShape(t *testing.T) {
 // TestFlashCrowdShape: spike windows must be far denser than baseline,
 // and most spike-window arrivals must hit that spike's crowd app.
 func TestFlashCrowdShape(t *testing.T) {
-	spec := FlashCrowdSpec{N: 20000, Cores: 8, Load: 0.6, Seed: 11}
-	src := FlashCrowdStream(spec)
-	tasks := trace.Collect(src)
+	tasks := trace.Collect(flashCrowdFamily(FamilyConfig{N: 20000, Cores: 8, Load: 0.6, Seed: 11}))
 	if len(tasks) < 5000 {
 		t.Fatalf("only %d arrivals", len(tasks))
 	}
@@ -151,9 +162,7 @@ func TestFlashCrowdShape(t *testing.T) {
 // every light tenant must appear, and the heavy tenant's arrivals must
 // be burstier than a light tenant's.
 func TestMultiTenantShape(t *testing.T) {
-	spec := MultiTenantSpec{N: 20000, Cores: 8, Load: 0.8, Seed: 13}
-	src := MultiTenantStream(spec)
-	tasks := trace.Collect(src)
+	tasks := trace.Collect(multiTenantFamily(FamilyConfig{N: 20000, Cores: 8, Load: 0.8, Seed: 13}))
 	if len(tasks) < 10000 {
 		t.Fatalf("only %d arrivals", len(tasks))
 	}
@@ -254,10 +263,9 @@ func TestTriggerShape(t *testing.T) {
 }
 
 // TestPeriodicSourceOrder: jittered cron ticks must stay strictly
-// within the horizon and non-decreasing.
+// within the horizon and non-decreasing in the merged default mix.
 func TestPeriodicSourceOrder(t *testing.T) {
-	spec := TriggerSpec{N: 5000, Cores: 2, TimerShare: 1, HTTPShare: 0.0001, QueueShare: 0.0001, Seed: 29}
-	src := TriggerSource(spec)
+	src := triggerFamily(FamilyConfig{N: 5000, Cores: 2, Seed: 29})
 	seen := 0
 	var prev *task.Task
 	for {

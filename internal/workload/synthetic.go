@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/serverless-sched/sfs/internal/dist"
 	"github.com/serverless-sched/sfs/internal/trace"
 )
 
@@ -23,13 +22,10 @@ type SyntheticSpec struct {
 	SlotDur   time.Duration
 	Horizon   time.Duration
 	N         int
-	// Duration samples ideal durations; defaults to TableIDistribution.
-	Duration dist.Distribution
 	// Apps is the application mix (default pure fib).
 	Apps []AppChoice
 	// IOFraction adds the Fig 11 leading-I/O knob.
-	IOFraction   float64
-	IOMin, IOMax time.Duration
+	IOFraction float64
 	// Seed drives all sampling.
 	Seed uint64
 }
@@ -38,10 +34,8 @@ type SyntheticSpec struct {
 // trace.Source: arrivals are generated lazily by thinning a
 // non-homogeneous Poisson process, and each invocation is built through
 // the same app-mix/I/O-knob pipeline as the other scenario families.
+// Ideal durations follow Table I.
 func SyntheticStream(spec SyntheticSpec) trace.Source {
-	if spec.Duration == nil {
-		spec.Duration = TableIDistribution()
-	}
 	if len(spec.Apps) == 0 {
 		spec.Apps = []AppChoice{{Profile: AppFib, Weight: 1}}
 	}
@@ -49,7 +43,7 @@ func SyntheticStream(spec SyntheticSpec) trace.Source {
 	// The inner source's Service is the sampled ideal duration; the
 	// builder splits it into CPU and I/O per the app profile.
 	desc := fmt.Sprintf("%s × %d apps", inner, len(spec.Apps))
-	return builderStream(inner, spec.Apps, spec.IOFraction, spec.IOMin, spec.IOMax, spec.Seed, desc)
+	return builderStream(inner, spec.Apps, spec.IOFraction, spec.Seed, desc)
 }
 
 // Validate reports why the spec's arrival profile is unusable — the
@@ -66,7 +60,7 @@ func (spec SyntheticSpec) arrivals() trace.SynthSpec {
 		SlotDur:   spec.SlotDur,
 		Horizon:   spec.Horizon,
 		N:         spec.N,
-		Duration:  spec.Duration,
+		Duration:  TableIDistribution(),
 		Seed:      spec.Seed,
 	}
 }

@@ -16,8 +16,8 @@ import (
 // TriggerSpec configures the trigger-mix scenario family: the
 // platform-facing event sources FaaS providers actually see — HTTP
 // front-door requests (Poisson), queue consumers draining message
-// batches (one Poisson event fans into Batch closely-spaced
-// invocations), and cron timers (periodic, jittered, log-spaced
+// batches (one Poisson event fans into queueBatch invocations spaced
+// queueGap apart), and cron timers (periodic, jittered, log-spaced
 // periods) — each feeding its own function-chain workflow. The request
 // rate is calibrated so the aggregate chain CPU demand (every stage of
 // every workflow) offers Load to Cores.
@@ -29,55 +29,22 @@ type TriggerSpec struct {
 	// Load is the horizon-average offered CPU load counting every chain
 	// stage (default 0.8).
 	Load float64
-	// HTTPShare, QueueShare, TimerShare split the request rate across
-	// trigger classes (defaults 0.5/0.3/0.2; normalized if they don't
-	// sum to 1).
-	HTTPShare, QueueShare, TimerShare float64
-	// Batch is the number of invocations one queue event fans into,
-	// spaced QueueGap apart (default 8).
-	Batch int
-	// QueueGap is the spacing between a queue batch's members
-	// (default 1ms — the dequeue loop's pace).
-	QueueGap time.Duration
-	// Timers is the number of periodic timer applications; their
-	// periods are log-spaced so the fastest timer fires ~2^(Timers-1)
-	// times as often as the slowest (default 4).
-	Timers int
-	// Duration samples stage payloads (default TableIDistribution).
-	Duration dist.Distribution
 	// Seed drives all sampling.
 	Seed uint64
 }
 
-// withDefaults fills the spec's derivable fields.
-func (spec TriggerSpec) withDefaults() TriggerSpec {
-	if spec.Cores <= 0 {
-		spec.Cores = 1
-	}
-	if spec.Load <= 0 {
-		spec.Load = 0.8
-	}
-	if spec.HTTPShare <= 0 && spec.QueueShare <= 0 && spec.TimerShare <= 0 {
-		spec.HTTPShare, spec.QueueShare, spec.TimerShare = 0.5, 0.3, 0.2
-	}
-	total := spec.HTTPShare + spec.QueueShare + spec.TimerShare
-	spec.HTTPShare /= total
-	spec.QueueShare /= total
-	spec.TimerShare /= total
-	if spec.Batch <= 0 {
-		spec.Batch = 8
-	}
-	if spec.QueueGap <= 0 {
-		spec.QueueGap = time.Millisecond
-	}
-	if spec.Timers <= 0 {
-		spec.Timers = 4
-	}
-	if spec.Duration == nil {
-		spec.Duration = TableIDistribution()
-	}
-	return spec
-}
+// The trigger mix's shape: httpShare, queueShare and timerShare split
+// the request rate across the classes; a queue event fans into
+// queueBatch invocations spaced queueGap apart (the dequeue loop's
+// pace); and the mix has timers periodic applications whose periods
+// are log-spaced, so the fastest fires 2^(timers-1) times as often as
+// the slowest.
+const (
+	httpShare, queueShare, timerShare = 0.5, 0.3, 0.2
+	queueBatch                        = 8
+	queueGap                          = time.Millisecond
+	timers                            = 4
+)
 
 // timerApp names the i-th periodic timer application.
 func timerApp(i int) string { return fmt.Sprintf("timer%02d", i) }
@@ -90,15 +57,21 @@ func timerApp(i int) string { return fmt.Sprintf("timer%02d", i) }
 // spec. The error is always nil today (the signature mirrors
 // ChainStream so callers treat families uniformly).
 func TriggerStream(spec TriggerSpec) (trace.Source, chain.Config, error) {
-	spec = spec.withDefaults()
 	if spec.N <= 0 {
 		panic("workload: trigger spec needs N")
 	}
+	if spec.Cores <= 0 {
+		spec.Cores = 1
+	}
+	if spec.Load <= 0 {
+		spec.Load = 0.8
+	}
+	dur := TableIDistribution()
 
 	// Per-class workflows; stage 0 inherits the trigger's own sampled
 	// duration, later stages sample the distribution in the injector.
 	mkChain := func(family string, depth int) chain.Spec {
-		wf, err := chain.NewFamily(family, chain.FamilyConfig{Depth: depth, Service: spec.Duration})
+		wf, err := chain.NewFamily(family, chain.FamilyConfig{Depth: depth, Service: dur})
 		if err != nil {
 			panic("workload: " + err.Error()) // registry names are compiled in
 		}
@@ -112,11 +85,11 @@ func TriggerStream(spec TriggerSpec) (trace.Source, chain.Config, error) {
 	// Calibrate the total trigger rate so the aggregate chain CPU
 	// demand — requests x their class's whole-workflow service factor —
 	// offers Load to Cores.
-	mean := spec.Duration.Mean()
+	mean := dur.Mean()
 	meanSec := mean.Seconds()
-	factor := spec.HTTPShare*httpWF.ServiceFactor(mean) +
-		spec.QueueShare*queueWF.ServiceFactor(mean) +
-		spec.TimerShare*timerWF.ServiceFactor(mean)
+	factor := httpShare*httpWF.ServiceFactor(mean) +
+		queueShare*queueWF.ServiceFactor(mean) +
+		timerShare*timerWF.ServiceFactor(mean)
 	totalRPS := float64(spec.Cores) * spec.Load / (meanSec * factor)
 	horizon := time.Duration(float64(spec.N) / totalRPS * float64(time.Second))
 
@@ -126,60 +99,53 @@ func TriggerStream(spec TriggerSpec) (trace.Source, chain.Config, error) {
 	timerR := r.Split()
 
 	httpSrc := trace.NewRate(trace.RateSpec{
-		Desc:     fmt.Sprintf("http(%.1f rps)", totalRPS*spec.HTTPShare),
-		Rate:     func(time.Duration) float64 { return totalRPS * spec.HTTPShare },
-		Peak:     totalRPS * spec.HTTPShare,
+		Desc:     fmt.Sprintf("http(%.1f rps)", totalRPS*httpShare),
+		Rate:     func(time.Duration) float64 { return totalRPS * httpShare },
+		Peak:     totalRPS * httpShare,
 		Horizon:  horizon,
-		Duration: spec.Duration,
+		Duration: dur,
 		App:      "http",
 		Seed:     httpSeed,
 	})
 
-	queueSrc := queueBatchSource(totalRPS*spec.QueueShare, spec.Batch, spec.QueueGap, horizon, spec.Duration, queueSeed)
+	queueSrc := queueBatchSource(totalRPS*queueShare, horizon, dur, queueSeed)
 
 	// Timer periods are log-spaced: timer i fires at rate ∝ 2^-i, the
 	// whole set summing to the class's share of the request rate.
 	srcs := []trace.Source{httpSrc, queueSrc}
 	weightSum := 0.0
-	for i := 0; i < spec.Timers; i++ {
+	for i := 0; i < timers; i++ {
 		weightSum += math.Pow(2, -float64(i))
 	}
-	for i := 0; i < spec.Timers; i++ {
-		rate := totalRPS * spec.TimerShare * math.Pow(2, -float64(i)) / weightSum
+	for i := 0; i < timers; i++ {
+		rate := totalRPS * timerShare * math.Pow(2, -float64(i)) / weightSum
 		period := time.Duration(float64(time.Second) / rate)
-		srcs = append(srcs, periodicSource(timerApp(i), period, horizon, spec.Duration, timerR.Split()))
+		srcs = append(srcs, periodicSource(timerApp(i), period, horizon, dur, timerR.Split()))
 	}
 
 	merged := trace.Limit(trace.Merge(srcs...), spec.N)
 	desc := fmt.Sprintf("trigger(n=%d, http/queue/timer=%.2f/%.2f/%.2f, batch=%d, timers=%d, load=%.2f on %d cores, seed=%d)",
-		spec.N, spec.HTTPShare, spec.QueueShare, spec.TimerShare, spec.Batch, spec.Timers,
+		spec.N, httpShare, queueShare, timerShare, queueBatch, timers,
 		spec.Load, spec.Cores, spec.Seed)
 
 	specs := map[string]chain.Spec{"http": httpWF, "queue": queueWF}
-	for i := 0; i < spec.Timers; i++ {
+	for i := 0; i < timers; i++ {
 		specs[timerApp(i)] = timerWF
 	}
 	cfg := chain.Config{Specs: specs, Seed: spec.Seed}
 	return trace.Derive(desc, merged.Next, merged), cfg, nil
 }
 
-// TriggerSource returns only the merged trigger stream (the family
-// registry's plain-invocation view, no workflow expansion).
-func TriggerSource(spec TriggerSpec) trace.Source {
-	src, _, _ := TriggerStream(spec)
-	return src
-}
-
 // queueBatchSource drains Poisson queue events into invocation batches:
-// events arrive at eventRPS = rps/batch, and each fans into batch
-// members spaced gap apart, every member sampling its own payload.
-func queueBatchSource(rps float64, batch int, gap time.Duration, horizon time.Duration, d dist.Distribution, seed uint64) trace.Source {
+// events arrive at rps/queueBatch, and each fans into queueBatch
+// members spaced queueGap apart, every member sampling its own payload.
+func queueBatchSource(rps float64, horizon time.Duration, d dist.Distribution, seed uint64) trace.Source {
 	r := rng.New(seed)
 	durR := r.Split()
 	events := trace.NewRate(trace.RateSpec{
-		Desc:     fmt.Sprintf("queue-events(%.2f rps)", rps/float64(batch)),
-		Rate:     func(time.Duration) float64 { return rps / float64(batch) },
-		Peak:     rps / float64(batch),
+		Desc:     fmt.Sprintf("queue-events(%.2f rps)", rps/queueBatch),
+		Rate:     func(time.Duration) float64 { return rps / queueBatch },
+		Peak:     rps / queueBatch,
 		Horizon:  horizon,
 		Duration: d,
 		App:      "queue",
@@ -187,7 +153,7 @@ func queueBatchSource(rps float64, batch int, gap time.Duration, horizon time.Du
 	})
 	var pending []*task.Task
 	id := 0
-	desc := fmt.Sprintf("queue(%.1f rps, batch=%d@%v)", rps, batch, gap)
+	desc := fmt.Sprintf("queue(%.1f rps, batch=%d@%v)", rps, queueBatch, queueGap)
 	return trace.Derive(desc, func() (*task.Task, bool) {
 		if len(pending) == 0 {
 			ev, ok := events.Next()
@@ -195,12 +161,12 @@ func queueBatchSource(rps float64, batch int, gap time.Duration, horizon time.Du
 				return nil, false
 			}
 			pending = append(pending, ev)
-			for i := 1; i < batch; i++ {
+			for i := 1; i < queueBatch; i++ {
 				dur := d.Sample(durR)
 				if dur <= 0 {
 					dur = time.Millisecond
 				}
-				m := task.New(0, ev.Arrival+simtime.Time(i)*simtime.Time(gap), dur)
+				m := task.New(0, ev.Arrival+simtime.Time(i)*queueGap, dur)
 				m.App = "queue"
 				pending = append(pending, m)
 			}

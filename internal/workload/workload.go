@@ -241,9 +241,8 @@ type Spec struct {
 	// 100% fib.
 	Apps []AppChoice
 	// IOFraction, when positive, adds one leading I/O op (uniform
-	// IOMin..IOMax) to this fraction of requests — the Fig 11 I/O knob.
-	IOFraction   float64
-	IOMin, IOMax time.Duration
+	// 10–100 ms) to this fraction of requests — the Fig 11 I/O knob.
+	IOFraction float64
 	// Seed drives all sampling.
 	Seed uint64
 }
@@ -278,6 +277,10 @@ func (spec Spec) withDefaults() Spec {
 	return spec
 }
 
+// ioMin and ioMax bound the Fig 11 knob's leading I/O op, sampled
+// uniformly.
+const ioMin, ioMax = 10 * time.Millisecond, 100 * time.Millisecond
+
 // builder converts sampled ideal durations into tasks: it picks an
 // application profile from the mix and applies the Fig 11 I/O knob. One
 // builder owns its RNG streams, so a seeded pipeline replays exactly.
@@ -286,24 +289,15 @@ type builder struct {
 	appCum     []float64
 	appTotal   float64
 	ioFraction float64
-	io         dist.Uniform
 	appR, ioR  *rng.RNG
 }
 
-func newBuilder(apps []AppChoice, ioFraction float64, ioMin, ioMax time.Duration, appR, ioR *rng.RNG) *builder {
+func newBuilder(apps []AppChoice, ioFraction float64, appR, ioR *rng.RNG) *builder {
 	b := &builder{apps: apps, ioFraction: ioFraction, appR: appR, ioR: ioR}
 	for _, a := range apps {
 		b.appTotal += a.Weight
 		b.appCum = append(b.appCum, b.appTotal)
 	}
-	lo, hi := ioMin, ioMax
-	if lo <= 0 {
-		lo = 10 * time.Millisecond
-	}
-	if hi <= lo {
-		hi = lo + 90*time.Millisecond
-	}
-	b.io = dist.Uniform{Lo: lo, Hi: hi}
 	return b
 }
 
@@ -320,7 +314,7 @@ func (b *builder) build(id int, at simtime.Time, ideal time.Duration) *task.Task
 	b.apps[idx].Profile.Build(t, ideal)
 	// The Fig 11 I/O knob: a single leading I/O operation.
 	if b.ioFraction > 0 && b.ioR.Float64() < b.ioFraction {
-		iod := b.io.Sample(b.ioR)
+		iod := dist.Uniform{Lo: ioMin, Hi: ioMax}.Sample(b.ioR)
 		// Prepend: ops must stay sorted by At, and At=0 sorts first.
 		t.IOOps = append([]task.IOOp{{At: 0, Dur: iod}}, t.IOOps...)
 	}
@@ -359,7 +353,7 @@ func Stream(spec Spec) trace.Source {
 		arrival = dist.PoissonProcess{Mean: queueing.IATForLoad(meanCPU, spec.Cores, load)}
 	}
 
-	b := newBuilder(spec.Apps, spec.IOFraction, spec.IOMin, spec.IOMax, appR, ioR)
+	b := newBuilder(spec.Apps, spec.IOFraction, appR, ioR)
 	n := 0
 	var at simtime.Time
 	desc := fmt.Sprintf("faasbench(n=%d, dur=%s, arr=%s, cores=%d)", spec.N, spec.Duration, arrival, spec.Cores)

@@ -187,7 +187,7 @@ func TestStreamArrivalsMonotone(t *testing.T) {
 func TestStreamIOKnob(t *testing.T) {
 	tasks := trace.Collect(Stream(Spec{
 		N: 2000, Cores: 4, Load: 0.8, Seed: 5,
-		IOFraction: 0.75, IOMin: ms(10), IOMax: ms(100),
+		IOFraction: 0.75,
 	}))
 	withIO := 0
 	for _, tk := range tasks {
