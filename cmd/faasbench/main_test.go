@@ -89,11 +89,14 @@ func writeFile(t *testing.T, name, content string) string {
 // -speeds count far beyond -hosts, non-positive SFS, keep-alive and
 // chain knobs, out-of-range ingest knobs, and a set generation flag the
 // -arrivals family (or -in) ignores. The subcommands folded into replay
-// must be unknown, and a short Azure CSV row is an error.
+// must be unknown, and a short Azure CSV row and a trace CSV whose
+// arrivals decrease are errors naming the row.
 func TestMalformedFlagsExitOne(t *testing.T) {
 	csv := writeCSV(t, 20)
 	inv := writeFile(t, "inv.csv", "HashOwner,HashApp,HashFunction,Trigger,1,2\no,a,f,http,3,4\n")
 	shortInv := writeFile(t, "short.csv", "HashOwner,HashApp,HashFunction,Trigger,1,2\no,a,f,http,3,4\nx\n")
+	unsorted := writeFile(t, "unsorted.csv", "id,app,arrival_us,service_us,io_ops\n"+
+		"5,fib,237149,34123,\n0,fib,0,60901,\n1,fib,4053,234848,\n")
 	out := filepath.Join(t.TempDir(), "o.sftb")
 	for _, tc := range []struct {
 		args []string
@@ -154,8 +157,10 @@ func TestMalformedFlagsExitOne(t *testing.T) {
 		{[]string{"gen", "-arrivals", "synth", "-shape", "step", "-horizon", "10s"}, "-horizon"},
 		{[]string{"replay", "-in", csv, "-n", "10"}, "-n "},
 		{[]string{"replay", "-in", csv, "-arrivals", "trace"}, "-arrivals"},
+		{[]string{"replay", "-in", unsorted, "-hosts", "2", "-cores", "2", "-dispatch", "RR"}, "row 2"},
+		{[]string{"replay", "-in", unsorted, "-hosts", "2", "-cores", "2", "-dispatch", "RR", "-shards", "2"}, "row 2"},
 	} {
-		name := strings.NewReplacer(csv, "f.csv", inv, "inv.csv", shortInv, "short.csv", out, "o.sftb").Replace(strings.Join(tc.args, " "))
+		name := strings.NewReplacer(csv, "f.csv", inv, "inv.csv", shortInv, "short.csv", unsorted, "unsorted.csv", out, "o.sftb").Replace(strings.Join(tc.args, " "))
 		t.Run(name, func(t *testing.T) {
 			code, _, stderr := runCLI(t, tc.args...)
 			if code != 1 || strings.Contains(stderr, "panic:") {

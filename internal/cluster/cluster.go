@@ -33,7 +33,10 @@
 // dispatcher sees the zero-latency cluster. With Config.Shards > 0 each
 // advance admits a whole lookahead window of arrivals and runs the
 // shards through it in parallel (sharded.go), modeling a non-zero
-// dispatcher→host latency.
+// dispatcher→host latency. When nothing crosses shards — RR, RANDOM or
+// HASH dispatch with no chain and no lifecycle — an advance admits a
+// fixed-size batch of arrivals instead and runs the shards to the next
+// batch's first arrival.
 //
 // The simulation is deterministic: dispatchers are deterministic
 // functions of seed and observed state, container expiry and pre-warm
@@ -111,9 +114,10 @@ type Config struct {
 	Chain *chain.Config
 	// Shards, when > 0, partitions the hosts into that many contiguous
 	// shards advanced in parallel between epoch barriers (see
-	// sharded.go). Shard counts above Hosts are clamped. 0 selects
-	// serial mode: one shard, advanced one event at a time, with zero
-	// dispatch latency.
+	// sharded.go); runs where nothing crosses shards need a barrier
+	// only per batch of arrivals. Shard counts above Hosts are clamped.
+	// 0 selects serial mode: one shard, advanced one event at a time,
+	// with zero dispatch latency.
 	Shards int
 	// DispatchLatency is the modeled dispatcher→host latency in sharded
 	// mode; it is the conservative lookahead between barriers, so every
@@ -302,6 +306,9 @@ type Cluster struct {
 	now     simtime.Time // coordinator clock
 	lcNow   simtime.Time // instant the lifecycle managers were last advanced to
 	merged  []finishRec  // settle's merge buffer, reused across steps
+	// handoffs counts sharded advances: one per lookahead window, or
+	// one per arrival batch on the batched path.
+	handoffs int
 }
 
 // netDelayOf draws the next dispatch's network delay (zero when the
@@ -397,12 +404,46 @@ func (c *Cluster) Run(src trace.Source) (*Result, error) {
 		nShards = min(c.cfg.Shards, len(c.nodes))
 		lookahead = cmp.Or(c.cfg.DispatchLatency, DefaultDispatchLatency)
 	}
+	// Nothing crosses shards when the dispatcher reads no host state and
+	// no chain or lifecycle ties hosts together: sharded mode then
+	// advances in arrival batches instead of lookahead windows.
+	batched := !serial && hostOblivious(c.cfg.Dispatcher) && c.inj == nil && c.cfg.NewLifecycle == nil
+	horizon := simtime.Infinity // first instant the run must not simulate
+	if deadline != simtime.Infinity {
+		horizon = deadline + 1
+	}
 	c.partition(nShards)
 	runWindow, stop := c.windowRunner()
 	defer stop()
 
+	// pull reads the next source arrival. Sharded mode enqueues
+	// submissions in arrival order, so there a source that breaks the
+	// trace.Source contract by going backwards is an error. Serial mode
+	// delivers each arrival at once at the coordinator clock, which
+	// holds a late invocation until the clock's instant; it keeps doing
+	// so because the TRIGGER family's queue batches can go backwards.
+	// Admission moves Task.Arrival, so the check compares with the
+	// instant the source emitted, saved in last.
+	var (
+		next  *task.Task
+		more  bool
+		last  = simtime.Time(math.MinInt64)
+		count int
+	)
+	pull := func() error {
+		if next, more = src.Next(); more && !serial {
+			count++
+			if next.Arrival < last {
+				return fmt.Errorf("cluster: source invocation %d: arrival %v precedes predecessor's %v", count, next.Arrival, last)
+			}
+			last = next.Arrival
+		}
+		return nil
+	}
+	if err := pull(); err != nil {
+		return nil, err
+	}
 	aborted := false
-	next, more := src.Next()
 	for {
 		if err := c.settle(); err != nil {
 			return nil, err
@@ -443,19 +484,32 @@ func (c *Cluster) Run(src trace.Source) (*Result, error) {
 			if err := c.admitArrival(next, c.now); err != nil {
 				return nil, err
 			}
-			next, more = src.Next()
+			if err := pull(); err != nil {
+				return nil, err
+			}
 			continue
 		}
 
-		bound := windowBound(earliest, c.now, lookahead, deadline)
 		// Placement sees host state as of the window's start plus this
-		// window's own assignments.
-		for more && next.Arrival < bound {
+		// window's own assignments. A batched run's window has no
+		// lookahead limit: it admits up to obliviousBatch arrivals and
+		// ends at the next batch's first one.
+		bound, batch := windowBound(earliest, c.now, lookahead, horizon), math.MaxInt
+		if batched {
+			bound, batch = horizon, obliviousBatch
+		}
+		for n := 0; n < batch && more && next.Arrival < bound; n++ {
 			if err := c.admitArrival(next, next.Arrival); err != nil {
 				return nil, err
 			}
-			next, more = src.Next()
+			if err := pull(); err != nil {
+				return nil, err
+			}
 		}
+		if batched && more {
+			bound = min(bound, next.Arrival)
+		}
+		c.handoffs++
 		runWindow(bound)
 		c.now = bound
 		c.syncLifecycle()

@@ -175,6 +175,19 @@ func (hashAffinity) Pick(now simtime.Time, t *task.Task, hosts []Host) int {
 	return int(h.Sum32() % uint32(len(hosts)))
 }
 
+// hostOblivious reports whether d places work without looking at the
+// cluster: RR, RANDOM and HASH read nothing from the host views but
+// their count, never return Hold and observe no completions. Their
+// placements are the same whenever the coordinator asks, so a sharded
+// run under one of them needs no per-window barrier (see sharded.go).
+func hostOblivious(d Dispatcher) bool {
+	switch d.(type) {
+	case *roundRobin, *random, hashAffinity:
+		return true
+	}
+	return false
+}
+
 // warmFirst prefers hosts already holding an idle warm container for
 // the invocation's application — the dispatch-side counterpart of
 // keep-alive, in the spirit of Przybylski et al.'s data-driven

@@ -51,11 +51,36 @@ import (
 // slightly stale state — the price of the latency it models, not a
 // bug; determinism is defined within sharded mode, with -shards 1 as
 // the reference.
+//
+// When nothing crosses shards the lookahead is unbounded. That holds
+// under a host-oblivious dispatcher (RR, RANDOM, HASH: it reads no host
+// state, never holds work and observes no completions) with no chain
+// and no container lifecycle: no barrier then carries information from
+// one shard to another, so the coordinator skips the window grid. It
+// admits a batch of obliviousBatch source arrivals and advances every
+// shard straight to the next batch's first arrival, one worker handoff
+// per batch. A batch is a fixed count of arrivals, not a span of time,
+// because its only job is to bound the submissions queued in the
+// shards; since a host's events depend only on its submissions, any
+// batch size yields the same bytes. Serial mode stays event-granular
+// and is the reference the batched path is tested against.
+//
+// Workers own contiguous runs of shards rather than every W-th shard.
+// On fleet-sharded's batched path on two vCPUs that measured about 10%
+// faster, likely because workers then seldom advance neighbouring
+// shards — whose hosts and round-robin-placed tasks sit next to each
+// other in memory — at the same time.
 
 // DefaultDispatchLatency is the sharded engine's lookahead when
 // Config.DispatchLatency is zero: the modeled minimum latency between
 // the cluster dispatcher and any host.
 const DefaultDispatchLatency = time.Millisecond
+
+// obliviousBatch is how many source arrivals a batched run admits per
+// handoff. It bounds the submissions queued in the shards (admitting a
+// whole trace at once holds every task in the queues); any value gives
+// the same results.
+const obliviousBatch = 4096
 
 // finishRec is one completion observed during a step or window,
 // reported to the coordinator's next settle.
@@ -124,30 +149,31 @@ func (c *Cluster) partition(n int) {
 // windowBound returns the end of the next window: the window on the
 // fixed L-grid containing the earliest event, never starting before
 // now. The fixed grid (rather than [earliest, earliest+L)) keeps
-// window boundaries independent of per-window content.
-func windowBound(earliest, now simtime.Time, lookahead time.Duration, deadline simtime.Time) simtime.Time {
+// window boundaries independent of per-window content. A window never
+// reaches past horizon, the instant after the deadline; the next
+// barrier then aborts.
+func windowBound(earliest, now simtime.Time, lookahead time.Duration, horizon simtime.Time) simtime.Time {
 	t0 := max(earliest-earliest%lookahead, now)
 	bound := t0 + lookahead
 	if bound < t0 {
 		bound = simtime.Infinity // overflow far beyond any trace
 	}
-	if deadline != simtime.Infinity && bound > deadline+1 {
-		// Never simulate past the deadline; the next barrier aborts.
-		bound = deadline + 1
-	}
-	return bound
+	return min(bound, horizon)
 }
 
 // windowRunner returns run, which advances every shard to a bound, and
 // stop, which ends its worker goroutines and waits for them to exit.
 // Each of up to Config.Workers workers (GOMAXPROCS when zero) owns a
-// strided group of shards; channel sends carry the happens-before
-// edges that make coordinator access between windows race-free. The
-// assignment of shards to workers affects neither results — shards are
-// independent within a window — nor the coordinator, so any -workers
-// value is byte-equivalent. One shard (serial mode) needs no workers.
+// contiguous run of ⌈shards/workers⌉ shards; channel sends carry the
+// happens-before edges that make coordinator access between windows
+// race-free. The assignment of shards to workers affects neither
+// results — shards are independent within a window — nor the
+// coordinator, so any -workers value is byte-equivalent. One shard
+// (serial mode) needs no workers.
 func (c *Cluster) windowRunner() (run func(bound simtime.Time), stop func()) {
 	nWorkers := min(cmp.Or(c.cfg.Workers, runtime.GOMAXPROCS(0)), len(c.shards))
+	per := (len(c.shards) + nWorkers - 1) / nWorkers
+	nWorkers = (len(c.shards) + per - 1) / per // every worker owns a shard
 	if nWorkers <= 1 {
 		return func(bound simtime.Time) {
 			for _, sh := range c.shards {
@@ -163,9 +189,10 @@ func (c *Cluster) windowRunner() (run func(bound simtime.Time), stop func()) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			own := c.shards[w*per : min((w+1)*per, len(c.shards))]
 			for bound := range work[w] {
-				for s := w; s < len(c.shards); s += nWorkers {
-					c.shards[s].advance(bound)
+				for _, sh := range own {
+					sh.advance(bound)
 				}
 				done <- struct{}{}
 			}

@@ -137,16 +137,18 @@ func fieldNeedsQuotes(s string) bool {
 
 // csvSource lazily parses rows from a reader.
 type csvSource struct {
-	cr   *csv.Reader
-	row  int
-	err  error
-	done bool
+	cr      *csv.Reader
+	row     int
+	prevArr simtime.Time // the previous row's arrival
+	err     error
+	done    bool
 }
 
 // NewCSVSource opens a CSV trace for streaming replay. The header is
 // validated eagerly; rows are parsed on demand. Each parsed task is
-// validated, and the first invalid row terminates the stream with a
-// row-numbered error available via Err.
+// validated, and the first invalid row — or the first whose arrival
+// precedes its predecessor's, breaking the Source contract — terminates
+// the stream with a row-numbered error available via Err.
 func NewCSVSource(r io.Reader) (Source, error) {
 	cr := csv.NewReader(r)
 	// Rows are parsed field-by-field into a fresh task before the next
@@ -187,6 +189,11 @@ func (s *csvSource) Next() (*task.Task, bool) {
 		s.fail(fmt.Errorf("trace: row %d: %w", s.row, err))
 		return nil, false
 	}
+	if t.Arrival < s.prevArr {
+		s.fail(fmt.Errorf("trace: row %d: arrival %v precedes predecessor's %v", s.row, t.Arrival, s.prevArr))
+		return nil, false
+	}
+	s.prevArr = t.Arrival
 	return t, true
 }
 

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"io"
 	"testing"
 
 	"github.com/serverless-sched/sfs/internal/task"
@@ -85,12 +86,21 @@ func FuzzReadCSV(f *testing.F) {
 	// fuzzer; also pinned in testdata/fuzz): must be a parse error.
 	f.Add([]byte("id,app,arrival_us,service_us,io_ops\n1,fib,0,100,60:5;50:10\n"))
 	f.Add([]byte("id,app,arrival_us,service_us,io_ops\n1,\"a,b\",0,100,\n"))
+	// Decreasing arrivals were once accepted here while the binary
+	// writer refused them: every accepted trace must honour the Source
+	// contract, which the binary re-encode below checks.
+	f.Add([]byte("id,app,arrival_us,service_us,io_ops\n5,fib,237149,100,\n0,fib,0,100,\n"))
 	f.Add([]byte("id,app\n"))
 	f.Add([]byte(nil))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tasks, err := ReadCSV(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		// Whatever the CSV importer accepts, the binary codec must be
+		// able to store.
+		if _, err := WriteBinary(io.Discard, FromTasks("fuzz", tasks)); err != nil {
+			t.Fatalf("binary encode of an accepted CSV trace: %v", err)
 		}
 		// Timestamps are already microsecond-truncated after one
 		// decode, so export → import must be an exact fixed point.

@@ -215,6 +215,29 @@ func TestCSVSourceErrors(t *testing.T) {
 	}
 }
 
+// TestCSVSourceRejectsDecreasingArrivals: a row arriving before its
+// predecessor breaks the Source contract that every consumer relies
+// on, so the stream stops there with a row-numbered error, as the
+// binary writer refuses the same trace. Equal arrivals are allowed.
+func TestCSVSourceRejectsDecreasingArrivals(t *testing.T) {
+	const unsorted = "id,app,arrival_us,service_us,io_ops\n" +
+		"0,fib,5,1000,\n1,fib,5,1000,\n2,fib,237149,1000,\n3,fib,4053,1000,\n4,fib,300000,1000,\n"
+	src, err := NewCSVSource(strings.NewReader(unsorted))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := Collect(src); len(got) != 3 {
+		t.Fatalf("collected %d rows, want the 3 before the decrease", len(got))
+	}
+	const want = "trace: row 4: arrival 4.053ms precedes predecessor's 237.149ms"
+	if err := Err(src); err == nil || err.Error() != want {
+		t.Fatalf("Err = %v, want %q", err, want)
+	}
+	if _, err := ReadCSV(strings.NewReader(unsorted)); err == nil || err.Error() != want {
+		t.Fatalf("ReadCSV err = %v, want %q", err, want)
+	}
+}
+
 // TestCombinatorsPropagateErr: a mid-stream failure must survive
 // composition — a wrapped failing source cannot read as clean
 // exhaustion.
