@@ -200,11 +200,11 @@ func (rt *Runtime) expand(t *task.Task) []*task.Task {
 // arrivals are restored, so stage-injected delays (cold starts) count
 // against the request.
 func (rt *Runtime) Drive(src trace.Source) (simtime.Time, error) {
-	orig := map[*task.Task]simtime.Time{}
 	var tasks []*task.Task
+	var orig []simtime.Time // tasks[i]'s arrival before Place delayed it
 	submit := func(t *task.Task) {
-		orig[t] = t.Arrival
 		tasks = append(tasks, t)
+		orig = append(orig, t.Arrival)
 		rt.Place(t.Arrival, t)
 	}
 
@@ -250,8 +250,8 @@ func (rt *Runtime) Drive(src trace.Source) (simtime.Time, error) {
 	}
 	// Restore end-to-end arrivals: turnaround and RTE must charge
 	// stage-injected delays to the request, not hide them.
-	for _, t := range tasks {
-		t.Arrival = orig[t]
+	for i, t := range tasks {
+		t.Arrival = orig[i]
 	}
 	return rt.eng.Now(), nil
 }

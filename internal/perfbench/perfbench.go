@@ -35,7 +35,10 @@ import (
 	"github.com/serverless-sched/sfs/internal/experiments"
 	"github.com/serverless-sched/sfs/internal/lifecycle"
 	"github.com/serverless-sched/sfs/internal/metrics"
+	"github.com/serverless-sched/sfs/internal/rng"
 	"github.com/serverless-sched/sfs/internal/sched"
+	"github.com/serverless-sched/sfs/internal/simtime"
+	"github.com/serverless-sched/sfs/internal/task"
 	"github.com/serverless-sched/sfs/internal/trace"
 	"github.com/serverless-sched/sfs/internal/workload"
 )
@@ -531,8 +534,91 @@ func Scenarios(quick bool, seed uint64) []Scenario {
 				}
 			},
 		},
+		{
+			// One op = 1,024 scheduling cycles on a hand-driven CFS:
+			// 16 cores with 32 queued tasks each, every cycle picking
+			// a core's leftmost task and handing it back preempted
+			// after a varying run (every ninth cycle it blocks and
+			// wakes through Enqueue instead). The run-queue layer of
+			// the per-event scheduler path, without the engine.
+			Name: "cfs-runqueue",
+			Bench: func(b *testing.B) {
+				const cores, perCore, cycles = 16, 32, 1024
+				c := sched.NewCFS()
+				c.Bind(stubAPI{cores: cores})
+				for id := 0; id < cores*perCore; id++ {
+					c.Enqueue(0, task.New(id, 0, time.Hour))
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for j := 0; j < cycles; j++ {
+						core := j % cores
+						t, slice := c.PickNext(0, core)
+						ran := slice/2 + time.Duration(j%7)*slice/8
+						if j%9 == 8 {
+							c.Descheduled(0, core, t, ran, cpusim.ReasonBlocked)
+							c.Enqueue(0, t)
+						} else {
+							c.Descheduled(0, core, t, ran, cpusim.ReasonPreempted)
+						}
+					}
+				}
+			},
+		},
+		{
+			// One op = 1,024 cycles on a simtime.Queue holding 1,024
+			// pending events: each cycle schedules one event and fires
+			// the earliest, and every fourth also cancels the event
+			// scheduled 16 cycles earlier, if still pending, and
+			// schedules a replacement. The event-queue layer of the
+			// engine's timer churn, without the engine.
+			Name: "event-queue",
+			Bench: func(b *testing.B) {
+				const pending, cycles = 1024, 1024
+				r := rng.New(seed)
+				delays := make([]time.Duration, cycles)
+				for i := range delays {
+					delays[i] = time.Duration(r.Intn(2*pending)) * time.Microsecond
+				}
+				fn := func(simtime.Time) {}
+				var q simtime.Queue
+				var ring [16]simtime.EventRef // the last 16 events scheduled
+				for i := 0; i < pending; i++ {
+					ring[i%len(ring)] = q.After(delays[i], fn)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for j := 0; j < cycles; j++ {
+						slot := j % len(ring)
+						if old := ring[slot]; j%4 == 0 && !old.Cancelled() {
+							q.Cancel(old)
+							q.After(delays[(j+1)%cycles], fn)
+						}
+						ring[slot] = q.After(delays[j], fn)
+						q.Step()
+					}
+				}
+				if q.Len() != pending {
+					b.Fatalf("%d events pending, want %d", q.Len(), pending)
+				}
+			},
+		},
 	}
 }
+
+// stubAPI is the engine side of cpusim.API for a scheduler driven by
+// hand: a fixed core count, nothing running and no timers.
+type stubAPI struct{ cores int }
+
+func (a stubAPI) Now() simtime.Time                                        { return 0 }
+func (a stubAPI) NumCores() int                                            { return a.cores }
+func (a stubAPI) Running(int) *task.Task                                   { return nil }
+func (a stubAPI) RanFor(int) time.Duration                                 { return 0 }
+func (a stubAPI) After(time.Duration, func(simtime.Time)) simtime.EventRef { return simtime.EventRef{} }
+func (a stubAPI) Cancel(simtime.EventRef)                                  {}
+func (a stubAPI) Reschedule(int)                                           {}
 
 // Run executes the harness and assembles a Report (not yet written to
 // disk; see WriteFile).

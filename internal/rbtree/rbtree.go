@@ -1,14 +1,17 @@
 // Package rbtree implements a left-leaning-free, classic red-black tree
 // with an ordering function supplied at construction time.
 //
-// It is the substrate for the CFS runqueue model: Linux CFS keeps runnable
-// tasks in a red-black tree ordered by vruntime and caches the leftmost
-// node for O(1) pick-next. This implementation mirrors that shape: Min is
-// O(1) via a cached leftmost pointer, Insert/Delete are O(log n).
+// It is the substrate for the EEVDF runqueue model: Linux keeps runnable
+// entities in a red-black tree and caches the leftmost node, and EEVDF
+// scans that tree in virtual-deadline order for the first eligible
+// entity. This implementation mirrors that shape: Min is O(1) via a
+// cached leftmost pointer, Insert/Delete are O(log n), and Ascend walks
+// in order. (Schedulers that only ever take the minimum use the flat
+// run-queue heap in internal/sched instead.)
 //
-// Duplicate keys are allowed (two tasks can share a vruntime); callers
+// Duplicate keys are allowed (two tasks can share a deadline); callers
 // that need total order must break ties in the less function, exactly
-// as internal/sched's CFS does with task IDs — a deterministic
+// as internal/sched's EEVDF does with task IDs — a deterministic
 // tie-break is part of the repository's reproducibility contract.
 // Delete takes the *Node returned by Insert, not a key, so removing one
 // of several equal-key entries is exact. The tree is not safe for
@@ -19,8 +22,8 @@
 // has deleted, and Insert takes from it before allocating, so a tree
 // never owns more nodes than its peak size and steady-state
 // re-queueing (a preempted task going back on its runqueue) allocates
-// nothing. A node handle is therefore dead once Delete or PopMin has
-// removed it; callers that keep handles must drop them at that point.
+// nothing. A node handle is therefore dead once Delete has removed it;
+// callers that keep handles must drop them at that point.
 // Reuse is per tree, not a global pool, so which node an Insert returns
 // is a deterministic function of the tree's operation history.
 package rbtree
@@ -50,8 +53,8 @@ type Tree[V any] struct {
 
 // New returns an empty tree ordered by less. Values comparing equal under
 // less are permitted; their relative order is insertion-dependent, so
-// callers that need total determinism should break ties in less (the CFS
-// model breaks vruntime ties by task ID).
+// callers that need total determinism should break ties in less (the
+// EEVDF model breaks deadline ties by task ID).
 func New[V any](less func(a, b V) bool) *Tree[V] {
 	return &Tree[V]{less: less}
 }
@@ -159,19 +162,6 @@ func (t *Tree[V]) Delete(n *Node[V]) {
 	var zero V
 	n.Value, n.parent, n.left = zero, nil, nil
 	n.right, t.free = t.free, n
-}
-
-// PopMin removes and returns the smallest node's value, recycling its
-// node like Delete. The second result is false if the tree is empty.
-func (t *Tree[V]) PopMin() (V, bool) {
-	var zero V
-	if t.min == nil {
-		return zero, false
-	}
-	n := t.min
-	v := n.Value
-	t.Delete(n)
-	return v, true
 }
 
 // Ascend visits values in ascending order until fn returns false.

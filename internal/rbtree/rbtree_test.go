@@ -12,6 +12,18 @@ func intTree() *Tree[int] {
 	return New(func(a, b int) bool { return a < b })
 }
 
+// popMin removes and returns the smallest value through Min and Delete,
+// the way a caller drains a tree; ok is false when the tree is empty.
+func popMin(tr *Tree[int]) (v int, ok bool) {
+	n := tr.Min()
+	if n == nil {
+		return 0, false
+	}
+	v = n.Value
+	tr.Delete(n)
+	return v, true
+}
+
 func TestEmptyTree(t *testing.T) {
 	tr := intTree()
 	if tr.Len() != 0 {
@@ -20,8 +32,8 @@ func TestEmptyTree(t *testing.T) {
 	if tr.Min() != nil {
 		t.Fatal("empty tree has a min")
 	}
-	if _, ok := tr.PopMin(); ok {
-		t.Fatal("PopMin on empty tree succeeded")
+	if _, ok := popMin(tr); ok {
+		t.Fatal("Min+Delete on empty tree succeeded")
 	}
 	if ok, msg := tr.CheckInvariants(); !ok {
 		t.Fatalf("empty tree invariants: %s", msg)
@@ -64,7 +76,7 @@ func TestMinTracking(t *testing.T) {
 	}
 }
 
-func TestPopMinDrainsInOrder(t *testing.T) {
+func TestMinDeleteDrainsInOrder(t *testing.T) {
 	tr := intTree()
 	r := rng.New(1)
 	var want []int
@@ -75,7 +87,7 @@ func TestPopMinDrainsInOrder(t *testing.T) {
 	}
 	sort.Ints(want)
 	for i, w := range want {
-		v, ok := tr.PopMin()
+		v, ok := popMin(tr)
 		if !ok {
 			t.Fatalf("tree drained early at %d", i)
 		}
@@ -222,10 +234,10 @@ func TestSteadyStateAllocFree(t *testing.T) {
 		popped.Insert(i)
 	}
 	if a := testing.AllocsPerRun(1000, func() {
-		v, _ := popped.PopMin()
+		v, _ := popMin(popped)
 		popped.Insert(v + 64)
 	}); a != 0 {
-		t.Fatalf("Insert+PopMin: %v allocs per cycle, want 0", a)
+		t.Fatalf("Insert+Min+Delete: %v allocs per cycle, want 0", a)
 	}
 
 	deleted := intTree()
@@ -260,7 +272,7 @@ func TestSteadyStateAllocFree(t *testing.T) {
 }
 
 // TestQuickSortedDrain uses testing/quick: inserting any []uint8 and
-// draining via PopMin yields the sorted input.
+// draining via Min and Delete yields the sorted input.
 func TestQuickSortedDrain(t *testing.T) {
 	f := func(xs []uint8) bool {
 		tr := intTree()
@@ -276,12 +288,12 @@ func TestQuickSortedDrain(t *testing.T) {
 		}
 		sort.Ints(want)
 		for _, w := range want {
-			v, ok := tr.PopMin()
+			v, ok := popMin(tr)
 			if !ok || v != w {
 				return false
 			}
 		}
-		_, ok := tr.PopMin()
+		_, ok := popMin(tr)
 		return !ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -304,7 +316,7 @@ func BenchmarkInsertDelete(b *testing.B) {
 	}
 }
 
-func BenchmarkPopMinInsert(b *testing.B) {
+func BenchmarkMinDeleteInsert(b *testing.B) {
 	tr := intTree()
 	r := rng.New(4)
 	for i := 0; i < 4096; i++ {
@@ -312,7 +324,7 @@ func BenchmarkPopMinInsert(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		v, _ := tr.PopMin()
+		v, _ := popMin(tr)
 		tr.Insert(v + 1)
 	}
 }

@@ -4,17 +4,16 @@
 //
 // The models capture the policy-level behaviour that determines the
 // paper's metrics (waiting time, preemption counts, turnaround): per-core
-// vruntime-ordered red-black runqueues with latency-target slice sizing
-// for CFS, run-to-block semantics for FIFO, fixed round-robin quanta for
-// RR. They deliberately omit features no experiment touches (cgroups,
-// NUMA domains, nice levels other than 0, RT throttling).
+// vruntime-ordered runqueues with latency-target slice sizing for CFS,
+// run-to-block semantics for FIFO, fixed round-robin quanta for RR. They
+// deliberately omit features no experiment touches (cgroups, NUMA
+// domains, nice levels other than 0, RT throttling).
 package sched
 
 import (
 	"time"
 
 	"github.com/serverless-sched/sfs/internal/cpusim"
-	"github.com/serverless-sched/sfs/internal/rbtree"
 	"github.com/serverless-sched/sfs/internal/simtime"
 	"github.com/serverless-sched/sfs/internal/task"
 )
@@ -43,14 +42,13 @@ type cfsEnt struct {
 	t       *task.Task
 	vr      time.Duration // vruntime
 	rq      int           // runqueue (core) index this entity belongs to
-	node    *rbtree.Node[*cfsEnt]
 	everRan bool
 }
 
-// runqueue models one core's cfs_rq.
-type runqueue struct {
-	tree *rbtree.Tree[*cfsEnt]
-	min  time.Duration // min_vruntime, monotonically non-decreasing
+// cfsRQ models one core's cfs_rq: queued entities keyed by vruntime.
+type cfsRQ struct {
+	q   runQueue[*cfsEnt]
+	min time.Duration // min_vruntime, monotonically non-decreasing
 }
 
 // CFS is the Completely Fair Scheduler model. It satisfies
@@ -58,7 +56,7 @@ type runqueue struct {
 // lower-priority second level.
 type CFS struct {
 	api  cpusim.API
-	rqs  []runqueue
+	rqs  []cfsRQ
 	cur  []*cfsEnt // per-core currently running entity (nil if none)
 	ents map[*task.Task]*cfsEnt
 	free []*cfsEnt // zeroed entities of finished tasks, for reuse
@@ -79,24 +77,20 @@ func (c *CFS) Name() string { return "CFS" }
 func (c *CFS) Bind(api cpusim.API) {
 	c.api = api
 	n := api.NumCores()
-	c.rqs = make([]runqueue, n)
+	c.rqs = make([]cfsRQ, n)
 	c.cur = make([]*cfsEnt, n)
-	for i := range c.rqs {
-		c.rqs[i].tree = rbtree.New(entLess)
-	}
 }
 
-func entLess(a, b *cfsEnt) bool {
-	if a.vr != b.vr {
-		return a.vr < b.vr
-	}
-	return a.t.ID < b.t.ID
+// insert queues ent on runqueue rq under its current vruntime.
+func (c *CFS) insert(rq int, ent *cfsEnt) {
+	ent.rq = rq
+	c.rqs[rq].q.Insert(ent.vr, ent.t.ID, ent)
 }
 
 // nrRunning returns the number of tasks on runqueue i including the one
 // currently on its core.
 func (c *CFS) nrRunning(i int) int {
-	n := c.rqs[i].tree.Len()
+	n := c.rqs[i].q.Len()
 	if c.cur[i] != nil {
 		n++
 	}
@@ -135,7 +129,6 @@ func (c *CFS) Enqueue(now simtime.Time, t *task.Task) {
 		c.ents[t] = ent
 	}
 	rq := c.leastLoaded()
-	ent.rq = rq
 	min := c.rqs[rq].min
 	if !ent.everRan {
 		// New task: START_DEBIT placement — one vslice behind
@@ -155,7 +148,7 @@ func (c *CFS) Enqueue(now simtime.Time, t *task.Task) {
 			ent.vr = placed
 		}
 	}
-	ent.node = c.rqs[rq].tree.Insert(ent)
+	c.insert(rq, ent)
 }
 
 // reuse pops a zeroed entity off free, or allocates one when the list
@@ -175,14 +168,13 @@ func reuse[E any](free *[]*E) *E {
 // (idle balance).
 func (c *CFS) PickNext(now simtime.Time, core int) (*task.Task, time.Duration) {
 	rq := &c.rqs[core]
-	if rq.tree.Len() == 0 {
+	if rq.q.Len() == 0 {
 		if !c.steal(core) {
 			c.cur[core] = nil
 			return nil, 0
 		}
 	}
-	ent, _ := rq.tree.PopMin()
-	ent.node = nil
+	ent, _ := rq.q.PopMin()
 	c.cur[core] = ent
 	c.updateMin(core)
 	return ent.t, c.sliceFor(core)
@@ -212,20 +204,18 @@ func (c *CFS) steal(core int) bool {
 		if i == core {
 			continue
 		}
-		if l := c.rqs[i].tree.Len(); l > busiestLen {
+		if l := c.rqs[i].q.Len(); l > busiestLen {
 			busiest, busiestLen = i, l
 		}
 	}
 	if busiest < 0 {
 		return false
 	}
-	ent, _ := c.rqs[busiest].tree.PopMin()
-	ent.node = nil
+	ent, _ := c.rqs[busiest].q.PopMin()
 	// Re-normalize vruntime to the destination queue's frame of
 	// reference so the stolen task is neither starved nor dominant.
 	ent.vr = ent.vr - c.rqs[busiest].min + c.rqs[core].min
-	ent.rq = core
-	ent.node = c.rqs[core].tree.Insert(ent)
+	c.insert(core, ent)
 	c.Steals++
 	return true
 }
@@ -242,8 +232,7 @@ func (c *CFS) Descheduled(now simtime.Time, core int, t *task.Task, ran time.Dur
 	c.cur[core] = nil
 	switch reason {
 	case cpusim.ReasonPreempted:
-		ent.rq = core
-		ent.node = c.rqs[core].tree.Insert(ent)
+		c.insert(core, ent)
 	case cpusim.ReasonBlocked:
 		// Entity leaves the queue; vruntime is retained for wake placement.
 	case cpusim.ReasonFinished:
@@ -270,8 +259,8 @@ func (c *CFS) updateMin(core int) {
 	if cur := c.cur[core]; cur != nil {
 		min = cur.vr
 	}
-	if l := rq.tree.Min(); l != nil && l.Value.vr < min {
-		min = l.Value.vr
+	if vr, _, ok := rq.q.Min(); ok && vr < min {
+		min = vr
 	}
 	if min != time.Duration(1<<63-1) && min > rq.min {
 		rq.min = min
@@ -286,14 +275,14 @@ func (c *CFS) WantsPreempt(now simtime.Time, core int) bool {
 	if cur == nil {
 		return false
 	}
-	leftmost := c.rqs[core].tree.Min()
-	if leftmost == nil {
+	leftmost, _, ok := c.rqs[core].q.Min()
+	if !ok {
 		return false
 	}
 	liveVR := cur.vr + weighted(c.api.RanFor(core), cur.t.Weight)
-	return liveVR-leftmost.Value.vr > wakeupGranularity
+	return liveVR-leftmost > wakeupGranularity
 }
 
 // Runnable returns the queued entity count on core's runqueue (excluding
 // the running task); exposed for SFS and tests.
-func (c *CFS) Runnable(core int) int { return c.rqs[core].tree.Len() }
+func (c *CFS) Runnable(core int) int { return c.rqs[core].q.Len() }

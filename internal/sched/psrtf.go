@@ -5,7 +5,6 @@ import (
 
 	"github.com/serverless-sched/sfs/internal/cpusim"
 	"github.com/serverless-sched/sfs/internal/predict"
-	"github.com/serverless-sched/sfs/internal/rbtree"
 	"github.com/serverless-sched/sfs/internal/simtime"
 	"github.com/serverless-sched/sfs/internal/task"
 )
@@ -20,17 +19,16 @@ import (
 // value (or cost) of acting on estimates, which the predicted-dispatch
 // experiment sweeps across error regimes.
 //
-// Ordering keys are snapshotted at enqueue time: the red-black tree
-// must never have a node's key change underneath it, and the estimator
-// learns continuously, so each queued task carries the prediction that
-// was current when it entered the queue (re-snapshotted on preemption
-// re-entry). Completions feed the estimator with the task's true
-// demand — the moment a real platform logs the invocation's CPU time.
+// Ordering keys are snapshotted at enqueue time: the estimator learns
+// continuously, so each queued task carries, inline in its run-queue
+// entry, the prediction that was current when it entered the queue
+// (re-snapshotted on preemption re-entry). Completions feed the
+// estimator with the task's true demand — the moment a real platform
+// logs the invocation's CPU time.
 type PSRTF struct {
 	api cpusim.API
 	est *predict.Estimator
-	q   *rbtree.Tree[*task.Task]
-	key map[*task.Task]time.Duration // snapshotted predicted remaining, valid while queued
+	q   runQueue[*task.Task] // keyed by the predicted-remaining snapshot
 }
 
 // NewPSRTF returns a predicted-SRTF scheduler learning into est; a nil
@@ -39,7 +37,7 @@ func NewPSRTF(est *predict.Estimator) *PSRTF {
 	if est == nil {
 		est = predict.New(predict.Config{})
 	}
-	return &PSRTF{est: est, key: map[*task.Task]time.Duration{}}
+	return &PSRTF{est: est}
 }
 
 // Name implements cpusim.Scheduler.
@@ -48,16 +46,10 @@ func (s *PSRTF) Name() string { return "PSRTF" }
 // Estimator exposes the learning state for tests and harnesses.
 func (s *PSRTF) Estimator() *predict.Estimator { return s.est }
 
-// Bind implements cpusim.Scheduler.
+// Bind implements cpusim.Scheduler; it starts an empty run queue.
 func (s *PSRTF) Bind(api cpusim.API) {
 	s.api = api
-	s.q = rbtree.New(func(a, b *task.Task) bool {
-		ka, kb := s.key[a], s.key[b]
-		if ka != kb {
-			return ka < kb
-		}
-		return a.ID < b.ID
-	})
+	s.q = runQueue[*task.Task]{}
 }
 
 // predictedRemaining estimates how much CPU demand t has left: the
@@ -73,11 +65,10 @@ func (s *PSRTF) predictedRemaining(t *task.Task) time.Duration {
 }
 
 // Enqueue implements cpusim.Scheduler: snapshot the prediction and
-// insert. The snapshot (not the live estimate) is the tree key, so
-// later learning never corrupts the tree's invariants.
+// insert. The snapshot (not the live estimate) is the run-queue key, so
+// later learning never reorders queued tasks.
 func (s *PSRTF) Enqueue(now simtime.Time, t *task.Task) {
-	s.key[t] = s.predictedRemaining(t)
-	s.q.Insert(t)
+	s.q.Insert(s.predictedRemaining(t), t.ID, t)
 }
 
 // PickNext implements cpusim.Scheduler: shortest predicted remaining,
@@ -88,7 +79,6 @@ func (s *PSRTF) PickNext(now simtime.Time, core int) (*task.Task, time.Duration)
 	if !ok {
 		return nil, 0
 	}
-	delete(s.key, t)
 	return t, 0
 }
 
@@ -98,8 +88,7 @@ func (s *PSRTF) PickNext(now simtime.Time, core int) (*task.Task, time.Duration)
 func (s *PSRTF) Descheduled(now simtime.Time, core int, t *task.Task, ran time.Duration, reason cpusim.DescheduleReason) {
 	switch reason {
 	case cpusim.ReasonPreempted:
-		s.key[t] = s.predictedRemaining(t)
-		s.q.Insert(t)
+		s.q.Insert(s.predictedRemaining(t), t.ID, t)
 	case cpusim.ReasonFinished:
 		s.est.Observe(t.App, t.Service)
 	}
@@ -112,8 +101,8 @@ func (s *PSRTF) Descheduled(now simtime.Time, core int, t *task.Task, ran time.D
 // estimate (prediction minus retired demand) — deterministic, since
 // both inputs are engine state.
 func (s *PSRTF) WantsPreempt(now simtime.Time, core int) bool {
-	min := s.q.Min()
-	if min == nil {
+	min, _, ok := s.q.Min()
+	if !ok {
 		return false
 	}
 	cur := s.api.Running(core)
@@ -121,7 +110,7 @@ func (s *PSRTF) WantsPreempt(now simtime.Time, core int) bool {
 		return false
 	}
 	live := s.predictedRemaining(cur)
-	if s.key[min.Value] >= live {
+	if min >= live {
 		return false
 	}
 	for other := 0; other < s.api.NumCores(); other++ {

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"github.com/serverless-sched/sfs/internal/cpusim"
-	"github.com/serverless-sched/sfs/internal/rbtree"
 	"github.com/serverless-sched/sfs/internal/simtime"
 	"github.com/serverless-sched/sfs/internal/task"
 )
@@ -16,7 +15,7 @@ import (
 // achievable lower bound on turnaround time (§IV-B).
 type SRTF struct {
 	api cpusim.API
-	q   *rbtree.Tree[*task.Task]
+	q   runQueue[*task.Task] // keyed by remaining demand
 }
 
 // NewSRTF returns the SRTF oracle.
@@ -27,23 +26,18 @@ func NewSRTF() *SRTF {
 // Name implements cpusim.Scheduler.
 func (s *SRTF) Name() string { return "SRTF" }
 
-// Bind implements cpusim.Scheduler.
+// Bind implements cpusim.Scheduler; it starts an empty run queue.
 func (s *SRTF) Bind(api cpusim.API) {
 	s.api = api
-	s.q = rbtree.New(func(a, b *task.Task) bool {
-		if a.Remaining() != b.Remaining() {
-			return a.Remaining() < b.Remaining()
-		}
-		return a.ID < b.ID
-	})
+	s.q = runQueue[*task.Task]{}
 }
 
 // Enqueue implements cpusim.Scheduler.
 //
 // Note: the ordering key (Remaining) is stable while a task is queued,
-// because only running tasks consume CPU; the tree is therefore never
-// invalidated by key mutation.
-func (s *SRTF) Enqueue(now simtime.Time, t *task.Task) { s.q.Insert(t) }
+// because only running tasks consume CPU, so the key read at insert
+// stays the task's true remaining demand until it is picked.
+func (s *SRTF) Enqueue(now simtime.Time, t *task.Task) { s.q.Insert(t.Remaining(), t.ID, t) }
 
 // PickNext implements cpusim.Scheduler: globally shortest remaining,
 // unbounded slice (it runs until completion, block, or a shorter
@@ -59,7 +53,7 @@ func (s *SRTF) PickNext(now simtime.Time, core int) (*task.Task, time.Duration) 
 // Descheduled implements cpusim.Scheduler.
 func (s *SRTF) Descheduled(now simtime.Time, core int, t *task.Task, ran time.Duration, reason cpusim.DescheduleReason) {
 	if reason == cpusim.ReasonPreempted {
-		s.q.Insert(t)
+		s.q.Insert(t.Remaining(), t.ID, t)
 	}
 }
 
@@ -68,8 +62,8 @@ func (s *SRTF) Descheduled(now simtime.Time, core int, t *task.Task, ran time.Du
 // shortest queued task beats it. Restricting to the argmax core makes
 // the preemption SRTF-optimal when the engine scans cores in order.
 func (s *SRTF) WantsPreempt(now simtime.Time, core int) bool {
-	min := s.q.Min()
-	if min == nil {
+	min, _, ok := s.q.Min()
+	if !ok {
 		return false
 	}
 	cur := s.api.Running(core)
@@ -77,7 +71,7 @@ func (s *SRTF) WantsPreempt(now simtime.Time, core int) bool {
 		return false
 	}
 	live := cur.Remaining() - s.api.RanFor(core)
-	if min.Value.Remaining() >= live {
+	if min >= live {
 		return false
 	}
 	// Only yield on the worst (largest live remaining) busy core.

@@ -5,7 +5,9 @@
 // giving nanosecond resolution and readable formatting for free. The event
 // queue is an indexed binary min-heap keyed by (time, sequence) so that
 // events scheduled for the same instant fire in FIFO order, which keeps
-// simulations deterministic.
+// simulations deterministic. Heap entries carry both keys inline next to
+// the event pointer, so sifting compares entries without dereferencing
+// events.
 //
 // A Queue never advances on its own: Step (or Run/RunAll) pops the
 // earliest event and moves Now to its time, so whoever calls Step owns
@@ -38,9 +40,7 @@ const Infinity Time = 1<<63 - 1
 // Event is a callback scheduled to fire at a virtual time. Event structs
 // are owned and recycled by the Queue; callers hold EventRef handles.
 type Event struct {
-	At   Time
 	Fn   func(now Time)
-	seq  uint64
 	idx  int // heap index; -1 when not queued
 	gen  uint32
 	dead bool
@@ -62,13 +62,29 @@ func (r EventRef) Cancelled() bool {
 	return r.e != nil && (r.e.gen != r.gen || r.e.dead)
 }
 
+// entry is one heap slot: an event with its ordering keys stored inline.
+type entry struct {
+	at  Time
+	seq uint64
+	e   *Event
+}
+
+// before orders entries by time, breaking ties by scheduling sequence
+// so same-instant events fire in FIFO order.
+func (a *entry) before(b *entry) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
 // Queue is a deterministic discrete-event queue. The zero value is ready to
 // use. Queue is not safe for concurrent use; simulations are single
 // threaded by design.
 type Queue struct {
 	now    Time
 	seq    uint64
-	heap   []*Event
+	heap   []entry
 	free   []*Event // recycled event structs
 	fired  uint64
 	sched  uint64
@@ -114,10 +130,10 @@ func (q *Queue) At(at Time, fn func(now Time)) EventRef {
 		at = q.now
 	}
 	e := q.alloc()
-	e.At, e.Fn, e.seq, e.dead = at, fn, q.seq, false
+	e.Fn, e.dead = fn, false
+	q.push(entry{at: at, seq: q.seq, e: e})
 	q.seq++
 	q.sched++
-	q.push(e)
 	return EventRef{e: e, gen: e.gen}
 }
 
@@ -149,20 +165,20 @@ func (q *Queue) PeekTime() Time {
 	if len(q.heap) == 0 {
 		return Infinity
 	}
-	return q.heap[0].At
+	return q.heap[0].at
 }
 
 // Step fires the earliest pending event, advancing the clock to its time.
 // It returns false if the queue is empty.
 func (q *Queue) Step() bool {
 	for len(q.heap) > 0 {
-		e := q.heap[0]
+		at, e := q.heap[0].at, q.heap[0].e
 		q.remove(0)
 		if e.dead {
 			q.release(e)
 			continue
 		}
-		q.now = e.At
+		q.now = at
 		e.dead = true
 		q.fired++
 		fn := e.Fn
@@ -197,69 +213,64 @@ func (q *Queue) RunAll() int {
 	return n
 }
 
-// less orders events by time, breaking ties by scheduling sequence so
-// same-instant events fire in FIFO order.
-func (q *Queue) less(i, j int) bool {
-	a, b := q.heap[i], q.heap[j]
-	if a.At != b.At {
-		return a.At < b.At
-	}
-	return a.seq < b.seq
+// push adds x to the heap.
+func (q *Queue) push(x entry) {
+	q.heap = append(q.heap, entry{})
+	q.up(len(q.heap)-1, x)
 }
 
-func (q *Queue) swap(i, j int) {
-	q.heap[i], q.heap[j] = q.heap[j], q.heap[i]
-	q.heap[i].idx = i
-	q.heap[j].idx = j
-}
-
-func (q *Queue) push(e *Event) {
-	e.idx = len(q.heap)
-	q.heap = append(q.heap, e)
-	q.up(e.idx)
-}
-
+// remove takes the entry at heap index i out of the heap.
 func (q *Queue) remove(i int) {
 	n := len(q.heap) - 1
-	e := q.heap[i]
-	if i != n {
-		q.swap(i, n)
-	}
-	q.heap[n] = nil
+	q.heap[i].e.idx = -1
+	last := q.heap[n]
+	q.heap[n] = entry{}
 	q.heap = q.heap[:n]
-	e.idx = -1
 	if i < n {
-		q.down(i)
-		q.up(i)
+		q.down(i, last)
+		if last.e.idx == i {
+			q.up(i, last)
+		}
 	}
 }
 
-func (q *Queue) up(i int) {
+// up places x at heap index i, the slot it sifts up from, moving
+// larger ancestors down into the hole instead of swapping.
+func (q *Queue) up(i int, x entry) {
+	h := q.heap
 	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
+		p := (i - 1) / 2
+		if !x.before(&h[p]) {
 			break
 		}
-		q.swap(i, parent)
-		i = parent
+		h[i] = h[p]
+		h[i].e.idx = i
+		i = p
 	}
+	h[i] = x
+	x.e.idx = i
 }
 
-func (q *Queue) down(i int) {
-	n := len(q.heap)
+// down places x at heap index i, the slot it sifts down from, moving
+// smaller children up into the hole instead of swapping.
+func (q *Queue) down(i int, x entry) {
+	h := q.heap
+	n := len(h)
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && q.less(l, smallest) {
-			smallest = l
+		c := 2*i + 1
+		if c >= n {
+			break
 		}
-		if r < n && q.less(r, smallest) {
-			smallest = r
+		if r := c + 1; r < n && h[r].before(&h[c]) {
+			c = r
 		}
-		if smallest == i {
-			return
+		if !h[c].before(&x) {
+			break
 		}
-		q.swap(i, smallest)
-		i = smallest
+		h[i] = h[c]
+		h[i].e.idx = i
+		i = c
 	}
+	h[i] = x
+	x.e.idx = i
 }

@@ -1,6 +1,8 @@
 package simtime
 
 import (
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -144,43 +146,104 @@ func TestPeekTime(t *testing.T) {
 	}
 }
 
-// TestHeapStress randomly schedules and cancels events and checks that
-// firing times are globally non-decreasing.
+// TestHeapStress randomly schedules, cancels and steps events against
+// a reference model: the pending events sorted by (time, scheduling
+// order). Each Step must fire the model's head, no cancelled event may
+// ever fire, every other event must fire exactly once, and PeekTime
+// must equal the model's head time after every op.
 func TestHeapStress(t *testing.T) {
+	type event struct {
+		at  Time
+		id  int // scheduling order
+		ref EventRef
+	}
 	q := &Queue{}
 	r := rng.New(7)
-	var last Time = -1
-	var pending []EventRef
-	scheduled := 0
-	for i := 0; i < 200; i++ {
-		e := q.After(time.Duration(r.Intn(1000))*time.Millisecond, func(now Time) {
-			if now < last {
-				t.Fatalf("clock went backwards: %v < %v", now, last)
-			}
-			last = now
+	var (
+		all       []event // every event ever scheduled, by id
+		pending   []event // the model: sorted by (at, id)
+		fired     []int   // ids in firing order
+		cancelled = map[int]bool{}
+	)
+	schedule := func(d Time) {
+		id := len(all)
+		e := event{at: q.Now() + d, id: id}
+		e.ref = q.After(d, func(Time) { fired = append(fired, id) })
+		all = append(all, e)
+		i := sort.Search(len(pending), func(i int) bool {
+			p := pending[i]
+			return p.at > e.at || p.at == e.at && p.id > e.id
 		})
-		pending = append(pending, e)
-		scheduled++
+		pending = slices.Insert(pending, i, e)
 	}
-	for q.Len() > 0 {
-		// Randomly cancel, schedule, or step.
+	checkPeek := func(op int) {
+		want := Infinity
+		if len(pending) > 0 {
+			want = pending[0].at
+		}
+		if got := q.PeekTime(); got != want {
+			t.Fatalf("op %d: PeekTime %v, model head %v", op, got, want)
+		}
+		if q.Len() != len(pending) {
+			t.Fatalf("op %d: %d pending, model %d", op, q.Len(), len(pending))
+		}
+	}
+	for i := 0; i < 200; i++ {
+		schedule(time.Duration(r.Intn(1000)) * time.Millisecond)
+		checkPeek(i)
+	}
+	for op := 200; q.Len() > 0; op++ {
 		switch r.Intn(4) {
 		case 0:
-			q.Cancel(pending[r.Intn(len(pending))])
+			// Cancel any event ever scheduled: pending, fired or
+			// already cancelled.
+			e := all[r.Intn(len(all))]
+			q.Cancel(e.ref)
+			if i := slices.IndexFunc(pending, func(p event) bool { return p.id == e.id }); i >= 0 {
+				pending = slices.Delete(pending, i, i+1)
+				cancelled[e.id] = true
+			}
 		case 1:
-			if scheduled < 1000 {
-				e := q.After(time.Duration(r.Intn(500))*time.Millisecond, func(now Time) {
-					if now < last {
-						t.Fatalf("clock went backwards: %v < %v", now, last)
-					}
-					last = now
-				})
-				pending = append(pending, e)
-				scheduled++
+			if len(all) < 1000 {
+				// Small delays collide often, exercising the FIFO
+				// tie-break among same-instant events.
+				schedule(time.Duration(r.Intn(50)) * time.Millisecond)
 			}
 		default:
+			n := len(fired)
 			q.Step()
+			if len(pending) == 0 {
+				if len(fired) != n {
+					t.Fatalf("op %d: an event fired from an empty model", op)
+				}
+				break
+			}
+			head := pending[0]
+			pending = pending[1:]
+			if len(fired) != n+1 || fired[n] != head.id {
+				t.Fatalf("op %d: fired %v, model head is event %d at %v", op, fired[n:], head.id, head.at)
+			}
+			if q.Now() != head.at {
+				t.Fatalf("op %d: clock %v after firing event %d at %v", op, q.Now(), head.id, head.at)
+			}
 		}
+		checkPeek(op)
+	}
+	count := make([]int, len(all))
+	for _, id := range fired {
+		count[id]++
+	}
+	for id, c := range count {
+		switch {
+		case cancelled[id] && c != 0:
+			t.Fatalf("cancelled event %d fired", id)
+		case !cancelled[id] && c != 1:
+			t.Fatalf("event %d fired %d times, want 1", id, c)
+		}
+	}
+	if len(cancelled) == 0 || len(fired) < len(all)/2 {
+		t.Fatalf("%d of %d events fired, %d cancelled: the script must exercise both",
+			len(fired), len(all), len(cancelled))
 	}
 }
 
