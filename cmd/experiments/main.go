@@ -4,7 +4,7 @@
 //
 //	experiments -list
 //	experiments -id fig6 [-quick] [-seed 42] [-csv out/] [-parallel 8]
-//	experiments -all [-quick] [-parallel 8] [-exact]
+//	experiments -all [-quick] [-parallel 8]
 //
 // With -all the registered experiments fan out across -parallel
 // workers (default: all CPUs); per-experiment sweeps such as keepalive
@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"github.com/serverless-sched/sfs/internal/experiments"
-	"github.com/serverless-sched/sfs/internal/metrics"
 )
 
 func main() {
@@ -40,7 +39,6 @@ func main() {
 		seed     = flag.Uint64("seed", 42, "RNG seed (per-experiment seeds are derived from it)")
 		csv      = flag.String("csv", "", "directory to write per-experiment CSV files")
 		parallel = flag.Int("parallel", runtime.NumCPU(), "worker count for experiments and their inner sweeps")
-		exact    = flag.Bool("exact", false, "exact sort-based percentiles instead of streaming P² estimates")
 	)
 	flag.Parse()
 
@@ -50,8 +48,6 @@ func main() {
 		}
 		return
 	}
-
-	metrics.ExactQuantiles = *exact
 
 	cfg := experiments.Config{Quick: *quick, Seed: *seed}
 	var reports []*experiments.Report

@@ -7,14 +7,9 @@ import (
 	"github.com/serverless-sched/sfs/internal/cluster"
 	"github.com/serverless-sched/sfs/internal/cpusim"
 	"github.com/serverless-sched/sfs/internal/metrics"
-	"github.com/serverless-sched/sfs/internal/schedulers"
 	"github.com/serverless-sched/sfs/internal/trace"
 	"github.com/serverless-sched/sfs/internal/workload"
 )
-
-func init() {
-	register("chain-slowdown", "End-to-end workflow slowdown x scheduler x chain depth x load", runChainSlowdown)
-}
 
 // chainSchedulers are the schedulers the sweep compares, in report
 // order: SFS against the kernel default it replaces and the FIFO
@@ -45,7 +40,6 @@ func runChainSlowdown(cfg Config) *Report {
 	}
 
 	rep := &Report{
-		ID:    "chain-slowdown",
 		Title: "per-workflow end-to-end slowdown, SFS vs CFS vs FIFO x chain depth x load",
 		Paper: "beyond the paper: function-chain workflows (Przybylski et al. end-to-end scheduling, Kaffes et al. bursty chains)",
 	}
@@ -89,9 +83,7 @@ func runChainSlowdown(cfg Config) *Report {
 		row  []string
 		mean float64 // mean end-to-end slowdown
 	}
-	results := make([]cellResult, len(cells))
-	cfg.fan(len(cells), func(i int) {
-		c := cells[i]
+	results := sweep(cfg, cells, func(c cell) cellResult {
 		simCores := cores
 		if c.fleet {
 			simCores = fleetHosts * fleetCores
@@ -114,42 +106,19 @@ func runChainSlowdown(cfg Config) *Report {
 		}
 		var wfr metrics.WorkflowRun
 		if c.fleet {
-			d, err := cluster.NewDispatcher("JSQ", cluster.FactoryConfig{Hosts: fleetHosts, Seed: cfg.Seed})
-			if err != nil {
-				panic(err)
-			}
-			cl, err := cluster.New(cluster.Config{
+			wfr = runFleet(cluster.Config{
 				Hosts:        fleetHosts,
 				CoresPerHost: fleetCores,
-				NewScheduler: func() cpusim.Scheduler {
-					s, err := schedulers.New(c.sched)
-					if err != nil {
-						panic(err)
-					}
-					return s
-				},
-				Dispatcher: d,
-				Chain:      &ccfg,
-				Shards:     fleetShards,
-			})
-			if err != nil {
-				panic(err)
-			}
-			res, err := cl.Run(src)
-			if err != nil {
-				panic(err)
-			}
-			wfr = res.Workflows
+				NewScheduler: named(c.sched).mk,
+				Chain:        &ccfg,
+				Shards:       fleetShards,
+			}, "JSQ", cluster.FactoryConfig{Seed: cfg.Seed}, src).Workflows
 		} else {
 			inj, err := chain.NewInjector(ccfg)
 			if err != nil {
 				panic(err)
 			}
-			s, err := schedulers.New(c.sched)
-			if err != nil {
-				panic(err)
-			}
-			eng := cpusim.NewEngine(cpusim.Config{Cores: cores}, s)
+			eng := cpusim.NewEngine(cpusim.Config{Cores: cores}, named(c.sched).mk())
 			if _, err := chain.Run(src, inj, nil, eng); err != nil {
 				panic(err)
 			}
@@ -166,7 +135,7 @@ func runChainSlowdown(cfg Config) *Report {
 		if c.trigger {
 			depthLabel = "mix"
 		}
-		results[i] = cellResult{
+		return cellResult{
 			row: []string{
 				label,
 				depthLabel,

@@ -5,16 +5,10 @@ import (
 	"time"
 
 	"github.com/serverless-sched/sfs/internal/cluster"
-	"github.com/serverless-sched/sfs/internal/core"
-	"github.com/serverless-sched/sfs/internal/cpusim"
 	"github.com/serverless-sched/sfs/internal/metrics"
 	"github.com/serverless-sched/sfs/internal/trace"
 	"github.com/serverless-sched/sfs/internal/workload"
 )
-
-func init() {
-	register("cluster-dispatch", "Dispatch policy x host count x load over SFS hosts", runClusterDispatch)
-}
 
 // runClusterDispatch goes beyond the paper's single-host evaluation: it
 // sweeps every registered dispatch policy across cluster sizes and load
@@ -47,7 +41,6 @@ func runClusterDispatch(cfg Config) *Report {
 	}
 
 	rep := &Report{
-		ID:    "cluster-dispatch",
 		Title: fmt.Sprintf("dispatch policy x host count x load, SFS hosts with %d cores each", coresPerHost),
 		Paper: "beyond the paper: cluster-level placement over per-host SFS (Kaffes et al., Hiku)",
 	}
@@ -84,9 +77,7 @@ func runClusterDispatch(cfg Config) *Report {
 		row  []string
 		mean time.Duration
 	}
-	results := make([]cellResult, len(cells))
-	cfg.fan(len(cells), func(i int) {
-		c := cells[i]
+	results := sweep(cfg, cells, func(c cell) cellResult {
 		total := c.hosts * coresPerHost
 		var src trace.Source
 		if c.family == "azure" {
@@ -102,43 +93,23 @@ func runClusterDispatch(cfg Config) *Report {
 				panic(err)
 			}
 		} else {
-			meanSvc := workload.TableIDistribution().Mean()
-			satRPS := float64(total) / meanSvc.Seconds()
-			src = workload.SyntheticStream(workload.SyntheticSpec{
-				Shape:     trace.ShapeRamp,
-				StartRPS:  0.3 * satRPS,
-				TargetRPS: 1.2 * satRPS,
-				Horizon:   time.Duration(float64(n) / (0.75 * satRPS) * float64(time.Second)),
-				N:         n,
-				Seed:      cfg.Seed,
-			})
-		}
-		d, err := cluster.NewDispatcher(c.policy, cluster.FactoryConfig{Hosts: c.hosts, Seed: cfg.Seed})
-		if err != nil {
-			panic(err)
+			spec, _ := rampSpec(cfg, n, total, 1.2, 0.75)
+			src = workload.SyntheticStream(spec)
 		}
 		shards := 0
 		if c.hosts >= shardedFloor {
 			shards = shardedShards
 		}
-		cl, err := cluster.New(cluster.Config{
+		res := runFleet(cluster.Config{
 			Hosts:        c.hosts,
 			CoresPerHost: coresPerHost,
-			NewScheduler: func() cpusim.Scheduler { return core.New(core.DefaultConfig()) },
-			Dispatcher:   d,
+			NewScheduler: named("SFS").mk,
 			Shards:       shards,
-		})
-		if err != nil {
-			panic(err)
-		}
-		res, err := cl.Run(src)
-		if err != nil {
-			panic(err)
-		}
+		}, c.policy, cluster.FactoryConfig{Seed: cfg.Seed}, src)
 		sum := res.Merged.Summarize(50, 99)
 		ps := sum.Percentiles()
 		mean := sum.Mean()
-		results[i] = cellResult{
+		return cellResult{
 			row: []string{
 				c.family,
 				fmt.Sprintf("%.0f%%", c.load*100),

@@ -11,8 +11,11 @@ import (
 	"strings"
 	"time"
 
+	"github.com/serverless-sched/sfs/internal/cluster"
+	"github.com/serverless-sched/sfs/internal/core"
 	"github.com/serverless-sched/sfs/internal/cpusim"
 	"github.com/serverless-sched/sfs/internal/metrics"
+	"github.com/serverless-sched/sfs/internal/schedulers"
 	"github.com/serverless-sched/sfs/internal/stats"
 	"github.com/serverless-sched/sfs/internal/task"
 	"github.com/serverless-sched/sfs/internal/trace"
@@ -32,7 +35,7 @@ type Config struct {
 
 	// pool, when set by RunAll/RunOne, lets experiments fan their
 	// independent inner sweep cells across the shared worker pool via
-	// Config.fan. The zero Config fans serially.
+	// sweep. The zero Config sweeps serially.
 	pool *Pool
 }
 
@@ -56,7 +59,7 @@ type Report struct {
 	Notes  []string // measured headline numbers, paper-vs-measured
 
 	// WallClock is how long the experiment took, stamped by
-	// RunAll/RunOne. It is deliberately absent from Render and CSV:
+	// Experiment.Run. It is deliberately absent from Render and CSV:
 	// rendered bytes must be a pure function of (seed, scale) — the
 	// DeterministicBytes contract perfbench asserts — and wall-clock
 	// time never is. cmd/experiments prints it on its own line instead.
@@ -142,17 +145,55 @@ func (r *Report) CSV() string {
 type Experiment struct {
 	ID    string
 	Title string
-	Run   func(cfg Config) *Report
+	run   func(cfg Config) *Report
 }
 
-// registry holds all experiments in paper order.
-var registry []Experiment
-
-func register(id, title string, run func(cfg Config) *Report) {
-	registry = append(registry, Experiment{ID: id, Title: title, Run: run})
+// Run runs the experiment under cfg and stamps the report with the
+// experiment's ID and the wall-clock time the run took.
+func (e Experiment) Run(cfg Config) *Report {
+	start := time.Now()
+	rep := e.run(cfg)
+	rep.ID, rep.WallClock = e.ID, time.Since(start)
+	return rep
 }
 
-// All returns every experiment in paper order.
+// registry holds all experiments in registry order, the order RunAll
+// returns their reports in. The experiments-quick golden
+// (internal/goldens) and the ID list bench/metrics.go pins both fix
+// this order, so moving a row changes both. Adding an experiment is one
+// row here plus a run function built from replay, sweep or runFleet.
+var registry = []Experiment{
+	{"ablation-secondlevel", "SFS atop CFS vs atop EEVDF (Linux 6.6+)", runAblationSecondLevel},
+	{"ablation-baselines", "SFS vs FIFO/RR/CoreGranular/Lottery baselines", runAblationBaselines},
+	{"ablation-window", "Monitor window size N sensitivity", runAblationWindow},
+	{"ablation-overload", "Overload factor O sensitivity", runAblationOverload},
+	{"ablation-tail", "Table I fib tail vs production Azure heavy tail", runAblationTail},
+	{"ablation-queueing", "Global queue vs per-core queues (§VI design argument)", runAblationQueueing},
+	{"chain-slowdown", "End-to-end workflow slowdown x scheduler x chain depth x load", runChainSlowdown},
+	{"cluster-dispatch", "Dispatch policy x host count x load over SFS hosts", runClusterDispatch},
+	{"keepalive", "Keep-alive policy x memory budget x scenario family", runKeepalive},
+	{"fig1", "CDF of average function execution duration, Azure Functions trace", runFig1},
+	{"table1", "Duration-range probabilities and fib N mapping", runTable1},
+	{"fig2a", "Motivation: duration CDF under FIFO/RR/CFS/SRTF/IDEAL (12 cores, 80%/100%)", runFig2a},
+	{"fig2b", "Motivation: RTE CDF under FIFO/RR/CFS/SRTF/IDEAL (12 cores, 80%/100%)", runFig2b},
+	{"fig13", "OpenLambda end-to-end duration CDF, OL+SFS vs OL+CFS (72 cores)", runFig13},
+	{"fig14", "OpenLambda RTE CDF, OL+SFS vs OL+CFS", runFig14},
+	{"fig15", "OpenLambda percentile breakdowns", runFig15},
+	{"fig16", "Ratio of CFS context switches to SFS context switches per request", runFig16},
+	{"table2", "SFS CPU overhead vs polling interval (72-core deployment)", runTable2},
+	{"predicted-dispatch", "Prediction-driven scheduling and dispatch across error regimes", runPredictedDispatch},
+	{"fig6", "Standalone SFS vs CFS duration CDF across loads (16 vCPUs)", runFig6},
+	{"fig7", "Standalone SFS vs CFS RTE CDF across loads", runFig7},
+	{"fig8", "Percentile breakdowns of duration, SFS vs CFS per load", runFig8},
+	{"fig9", "Adaptive time slice vs fixed 50/100/200 ms", runFig9},
+	{"fig10", "Timeline of adapted time slice vs observed IATs", runFig10},
+	{"fig11", "I/O handling: polling 1/4/8 ms vs I/O-oblivious SFS", runFig11},
+	{"fig12a", "Overload handling: queueing-delay timeline, SFS vs SFS w/o hybrid", runFig12a},
+	{"fig12b", "Overload handling: duration CDF, SFS vs SFS w/o hybrid", runFig12b},
+	{"synth-ramp", "Synthetic RPS ramp: SFS vs CFS as offered load crosses saturation", runSynthRamp},
+}
+
+// All returns every experiment in registry order.
 func All() []Experiment { return append([]Experiment(nil), registry...) }
 
 // ByID finds an experiment.
@@ -188,12 +229,79 @@ func scaleCores(cfg Config, full int) int {
 	return full
 }
 
-// runOn replays tasks under a scheduler and returns the run plus engine.
-func runOn(s cpusim.Scheduler, cores int, tasks []*task.Task, load float64) (metrics.Run, *cpusim.Engine) {
-	eng := cpusim.NewEngine(cpusim.Config{Cores: cores, Deadline: 10000 * time.Hour}, s)
-	eng.Submit(tasks...)
-	eng.Run()
-	return metrics.Run{Scheduler: s.Name(), Load: load, Tasks: tasks}, eng
+// variant is one scheduler configuration a replay runs: name labels its
+// run (the rows, series and notes read it) and mk builds a fresh
+// scheduler for it.
+type variant struct {
+	name string
+	mk   func() cpusim.Scheduler
+}
+
+// named is the variant of a registered scheduler (internal/schedulers,
+// looked up case-insensitively) at its default configuration.
+func named(name string) variant {
+	return variant{name, func() cpusim.Scheduler {
+		s, err := schedulers.New(name)
+		if err != nil {
+			panic(err)
+		}
+		return s
+	}}
+}
+
+// sfsWith is the SFS variant whose default configuration edit adjusts
+// (a nil edit keeps the default).
+func sfsWith(name string, edit func(*core.Config)) variant {
+	return variant{name, func() cpusim.Scheduler {
+		c := core.DefaultConfig()
+		if edit != nil {
+			edit(&c)
+		}
+		return core.New(c)
+	}}
+}
+
+// result is one variant's replay: its run, plus the SFS scheduler it
+// ran under (nil for any other scheduler) and its engine, for the
+// stats a report reads beyond the run.
+type result struct {
+	metrics.Run
+	sfs *core.SFS
+	eng *cpusim.Engine
+}
+
+// replay runs every variant on its own copy of w on one cores-core
+// host, fanned across the pool, and returns the runs in variant order,
+// each labelled with its variant's name and load.
+func replay(cfg Config, w []*task.Task, cores int, load float64, vs ...variant) []result {
+	return sweep(cfg, vs, func(v variant) result {
+		s := v.mk()
+		tasks := trace.CloneTasks(w)
+		eng := cpusim.NewEngine(cpusim.Config{Cores: cores, Deadline: 10000 * time.Hour}, s)
+		eng.Submit(tasks...)
+		eng.Run()
+		sfs, _ := s.(*core.SFS)
+		return result{metrics.Run{Scheduler: v.name, Load: load, Tasks: tasks}, sfs, eng}
+	})
+}
+
+// runFleet runs src through the cluster cc describes behind the named
+// dispatch policy, built from fc.
+func runFleet(cc cluster.Config, dispatch string, fc cluster.FactoryConfig, src trace.Source) *cluster.Result {
+	d, err := cluster.NewDispatcher(dispatch, fc)
+	if err != nil {
+		panic(err)
+	}
+	cc.Dispatcher = d
+	cl, err := cluster.New(cc)
+	if err != nil {
+		panic(err)
+	}
+	res, err := cl.Run(src)
+	if err != nil {
+		panic(err)
+	}
+	return res
 }
 
 // durationSeries converts a run to a duration-CDF series named like the

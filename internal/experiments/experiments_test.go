@@ -2,33 +2,35 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
 
 var quick = Config{Quick: true, Seed: 42}
 
+// TestRegistryComplete pins the registry's IDs and their order, the
+// order RunAll reports in and the experiments-quick golden records.
 func TestRegistryComplete(t *testing.T) {
 	want := []string{
-		"fig1", "table1", "fig2a", "fig2b",
-		"fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12a", "fig12b",
-		"fig13", "fig14", "fig15", "fig16", "table2",
 		"ablation-secondlevel", "ablation-baselines", "ablation-window",
 		"ablation-overload", "ablation-tail", "ablation-queueing",
-		"synth-ramp", "cluster-dispatch", "keepalive", "chain-slowdown",
-		"predicted-dispatch",
+		"chain-slowdown", "cluster-dispatch", "keepalive",
+		"fig1", "table1", "fig2a", "fig2b", "fig13", "fig14", "fig15", "fig16",
+		"table2", "predicted-dispatch",
+		"fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12a", "fig12b",
+		"synth-ramp",
 	}
-	got := map[string]bool{}
+	var got []string
 	for _, e := range All() {
-		got[e.ID] = true
+		got = append(got, e.ID)
 	}
-	for _, id := range want {
-		if !got[id] {
-			t.Errorf("experiment %s not registered", id)
+	if !slices.Equal(got, want) {
+		i := 0
+		for i < min(len(got), len(want)) && got[i] == want[i] {
+			i++
 		}
-	}
-	if len(All()) != len(want) {
-		t.Errorf("registry has %d experiments, want %d", len(All()), len(want))
+		t.Errorf("registry order differs from position %d:\n got  %v\n want %v", i, got, want)
 	}
 }
 

@@ -15,10 +15,6 @@ import (
 	"github.com/serverless-sched/sfs/internal/workload"
 )
 
-func init() {
-	register("keepalive", "Keep-alive policy x memory budget x scenario family", runKeepalive)
-}
-
 // keepaliveTTL is the fixed window swept by the TTL policy (and HIST's
 // insufficient-history fallback): deliberately shorter than the
 // provider-style default so the experiment exposes the policies'
@@ -82,7 +78,6 @@ func runKeepalive(cfg Config) *Report {
 	}
 
 	rep := &Report{
-		ID:    "keepalive",
 		Title: "keep-alive policy x memory budget x scenario family, SFS host",
 		Paper: "beyond the paper: stateful cold starts over the pre-warmed §IX setup (Shahrad et al. keep-alive, Przybylski et al. placement)",
 	}
@@ -141,9 +136,7 @@ func runKeepalive(cfg Config) *Report {
 		row   []string
 		ratio float64
 	}
-	results := make([]cellResult, len(cells))
-	cfg.fan(len(cells), func(i int) {
-		c := cells[i]
+	results := sweep(cfg, cells, func(c cell) cellResult {
 		p, err := lifecycle.NewPolicy(c.policy, lifecycle.PolicyConfig{TTL: keepaliveTTL, Seed: cfg.Seed})
 		if err != nil {
 			panic(err)
@@ -160,7 +153,7 @@ func runKeepalive(cfg Config) *Report {
 		sum := run.Summarize(50, 99)
 		ps := sum.Percentiles()
 		st := mgr.Stats()
-		results[i] = cellResult{
+		return cellResult{
 			row: []string{
 				c.family, memLabel(c.mem), c.policy,
 				fmt.Sprintf("%.1f%%", 100*st.WarmHitRatio()),
@@ -202,19 +195,11 @@ func runKeepalive(cfg Config) *Report {
 	// static affinity (HASH). Independent runs, fanned like the cells
 	// above; notes are appended in dispatcher order afterwards.
 	const hosts, hostCores = 4, 8
-	dispatches := []string{"RR", "HASH", "WARMFIRST"}
-	dispatchNotes := make([]string, len(dispatches))
-	cfg.fan(len(dispatches), func(i int) {
-		dispatch := dispatches[i]
-		d, err := cluster.NewDispatcher(dispatch, cluster.FactoryConfig{Hosts: hosts, Seed: cfg.Seed})
-		if err != nil {
-			panic(err)
-		}
-		cl, err := cluster.New(cluster.Config{
+	dispatchNotes := sweep(cfg, []string{"RR", "HASH", "WARMFIRST"}, func(dispatch string) string {
+		res := runFleet(cluster.Config{
 			Hosts:        hosts,
 			CoresPerHost: hostCores,
-			NewScheduler: func() cpusim.Scheduler { return core.New(core.DefaultConfig()) },
-			Dispatcher:   d,
+			NewScheduler: named("SFS").mk,
 			NewLifecycle: func() *lifecycle.Manager {
 				mgr, err := lifecycle.New(lifecycle.Config{
 					Policy:   lifecycle.NewFixedTTL(keepaliveTTL),
@@ -226,19 +211,11 @@ func runKeepalive(cfg Config) *Report {
 				}
 				return mgr
 			},
-		})
-		if err != nil {
-			panic(err)
-		}
-		src := workload.AzureSampledStream(workload.AzureSampledSpec{
+		}, dispatch, cluster.FactoryConfig{Seed: cfg.Seed}, workload.AzureSampledStream(workload.AzureSampledSpec{
 			N: nAzure, Cores: hosts * hostCores, Load: derate(0.8), Seed: cfg.Seed,
 			Apps: workload.OpenLambdaMix(),
-		})
-		res, err := cl.Run(src)
-		if err != nil {
-			panic(err)
-		}
-		dispatchNotes[i] = fmt.Sprintf(
+		}))
+		return fmt.Sprintf(
 			"cluster %dx%d, TTL@1024MB, %s dispatch: %.1f%% warm hits, mean %s",
 			hosts, hostCores, dispatch, 100*res.Lifecycle.WarmHitRatio(),
 			metrics.FormatDuration(res.Merged.MeanTurnaround()))

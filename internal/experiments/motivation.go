@@ -5,20 +5,11 @@ import (
 	"time"
 
 	"github.com/serverless-sched/sfs/internal/azure"
-	"github.com/serverless-sched/sfs/internal/cpusim"
 	"github.com/serverless-sched/sfs/internal/metrics"
 	"github.com/serverless-sched/sfs/internal/sched"
 	"github.com/serverless-sched/sfs/internal/stats"
-	"github.com/serverless-sched/sfs/internal/trace"
 	"github.com/serverless-sched/sfs/internal/workload"
 )
-
-func init() {
-	register("fig1", "CDF of average function execution duration, Azure Functions trace", runFig1)
-	register("table1", "Duration-range probabilities and fib N mapping", runTable1)
-	register("fig2a", "Motivation: duration CDF under FIFO/RR/CFS/SRTF/IDEAL (12 cores, 80%/100%)", runFig2a)
-	register("fig2b", "Motivation: RTE CDF under FIFO/RR/CFS/SRTF/IDEAL (12 cores, 80%/100%)", runFig2b)
-}
 
 // runFig1 regenerates the Azure duration CDF of §IV-A: seven orders of
 // magnitude, with 37.2% / 57.2% / 99.9% of functions under 300 ms / 1 s /
@@ -32,7 +23,6 @@ func runFig1(cfg Config) *Report {
 		xs[i] = float64(d) / float64(time.Millisecond)
 	}
 	rep := &Report{
-		ID:    "fig1",
 		Title: "CDF of the average function execution duration (synthetic Azure trace)",
 		Paper: "37.2% < 300 ms, 57.2% < 1 s, 99.9% < 224 s; durations span seven orders of magnitude",
 	}
@@ -51,7 +41,6 @@ func runFig1(cfg Config) *Report {
 // and the fib N parameters that realize it under the fib cost model.
 func runTable1(cfg Config) *Report {
 	rep := &Report{
-		ID:     "table1",
 		Title:  "Probability distribution of function duration ranges and fib Ns",
 		Paper:  "40.6% 0-50ms (N 20-26), 9.8% 50-100ms (27-28), 6.8% 100-200ms (29), 22.7% 200-400ms (30-31), 15.7% >=1550ms (34-35)",
 		Header: []string{"probability", "range", "fib N", "fib(NLo)", "fib(NHi)"},
@@ -74,16 +63,6 @@ func runTable1(cfg Config) *Report {
 	return rep
 }
 
-// motivationSchedulers builds the Fig 2 scheduler lineup.
-func motivationSchedulers() []func() cpusim.Scheduler {
-	return []func() cpusim.Scheduler{
-		func() cpusim.Scheduler { return sched.NewSRTF() },
-		func() cpusim.Scheduler { return sched.NewCFS() },
-		func() cpusim.Scheduler { return sched.NewFIFO() },
-		func() cpusim.Scheduler { return sched.NewRR(0) },
-	}
-}
-
 // fig2Runs executes the motivation study: the Azure-sampled workload on
 // 12 cores at 80% and 100% load under every Linux policy plus the SRTF
 // oracle and the IDEAL baseline.
@@ -93,9 +72,8 @@ func fig2Runs(cfg Config) ([]metrics.Run, metrics.Run) {
 	var runs []metrics.Run
 	for _, load := range []float64{0.8, 1.0} {
 		w := azureWorkload(cfg, n, cores, load, nil, 0)
-		for _, mk := range motivationSchedulers() {
-			r, _ := runOn(mk(), cores, trace.CloneTasks(w), load)
-			runs = append(runs, r)
+		for _, r := range replay(cfg, w, cores, load, named("SRTF"), named("CFS"), named("FIFO"), named("RR")) {
+			runs = append(runs, r.Run)
 		}
 	}
 	// IDEAL: zero contention (load label 0 means "IDEAL").
@@ -108,7 +86,6 @@ func fig2Runs(cfg Config) ([]metrics.Run, metrics.Run) {
 func runFig2a(cfg Config) *Report {
 	runs, ideal := fig2Runs(cfg)
 	rep := &Report{
-		ID:    "fig2a",
 		Title: "Execution duration distribution, Azure-sampled workload on 12 cores",
 		Paper: "under 100% load CFS runs >1 order of magnitude slower than SRTF (40th/70th pct slowdowns of 16x/24x); FIFO worst (convoy effect)",
 	}
@@ -145,7 +122,6 @@ func runFig2a(cfg Config) *Report {
 func runFig2b(cfg Config) *Report {
 	runs, ideal := fig2Runs(cfg)
 	rep := &Report{
-		ID:    "fig2b",
 		Title: "Run-time effectiveness (RTE) distribution, Azure-sampled workload on 12 cores",
 		Paper: "11.4% (80% load) and 89.9% (100% load) of requests under CFS score RTE < 0.2",
 	}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/serverless-sched/sfs/internal/cluster"
-	"github.com/serverless-sched/sfs/internal/core"
 	"github.com/serverless-sched/sfs/internal/cpusim"
 	"github.com/serverless-sched/sfs/internal/dist"
 	"github.com/serverless-sched/sfs/internal/metrics"
@@ -16,10 +15,6 @@ import (
 	"github.com/serverless-sched/sfs/internal/task"
 	"github.com/serverless-sched/sfs/internal/trace"
 )
-
-func init() {
-	register("predicted-dispatch", "Prediction-driven scheduling and dispatch across error regimes", runPredictedDispatch)
-}
 
 // predictedAppMedians are the regular applications' lognormal medians:
 // a strong app-identity → duration signal (low per-app variance, two
@@ -166,39 +161,24 @@ func predictedDispatchCells(cfg Config) []predictedCell {
 		fleetSpeeds[fleet.name] = fleet.speeds
 	}
 
-	cfg.fan(len(cells), func(i int) {
-		c := &cells[i]
+	return sweep(cfg, cells, func(c predictedCell) predictedCell {
 		pc := regimeCfg[c.regime]
 		if pc.Seed == 0 {
 			pc.Seed = cfg.Seed
 		}
-		newSched := func() cpusim.Scheduler { return core.New(core.DefaultConfig()) }
-		switch c.sched {
-		case "CFS":
-			newSched = func() cpusim.Scheduler { return sched.NewCFS() }
-		case "PSRTF":
+		newSched := named(c.sched).mk
+		if c.sched == "PSRTF" {
 			newSched = func() cpusim.Scheduler { return sched.NewPSRTF(predict.New(pc)) }
 		}
-		d, err := cluster.NewDispatcher(c.dispatch, cluster.FactoryConfig{Hosts: hosts, Seed: cfg.Seed, Predict: pc})
-		if err != nil {
-			panic(err)
-		}
-		cl, err := cluster.New(cluster.Config{
+		res := runFleet(cluster.Config{
 			Hosts:        hosts,
 			CoresPerHost: coresPerHost,
 			NewScheduler: newSched,
-			Dispatcher:   d,
 			Speeds:       fleetSpeeds[c.fleet],
 			NetDelay:     dist.Uniform{Lo: 200 * time.Microsecond, Hi: 2 * time.Millisecond},
 			NetDelaySeed: cfg.Seed,
-		})
-		if err != nil {
-			panic(err)
-		}
-		res, err := cl.Run(predictedTrace(n, hosts*coresPerHost, derate(0.9), cfg.Seed))
-		if err != nil {
-			panic(err)
-		}
+		}, c.dispatch, cluster.FactoryConfig{Seed: cfg.Seed, Predict: pc},
+			predictedTrace(n, hosts*coresPerHost, derate(0.9), cfg.Seed))
 		sum := res.Merged.Summarize(50, 99)
 		ps := sum.Percentiles()
 		c.mean = sum.Mean()
@@ -209,8 +189,8 @@ func predictedDispatchCells(cfg Config) []predictedCell {
 			metrics.FormatDuration(c.mean),
 			fmt.Sprintf("%.1f%%", 100*res.Merged.FractionRTEAtLeast(0.95)),
 		}
+		return c
 	})
-	return cells
 }
 
 // runPredictedDispatch sweeps prediction-driven policies at both
@@ -226,7 +206,6 @@ func predictedDispatchCells(cfg Config) []predictedCell {
 // asserted by tests.
 func runPredictedDispatch(cfg Config) *Report {
 	rep := &Report{
-		ID:    "predicted-dispatch",
 		Title: "host scheduler x dispatch policy x prediction-error regime x fleet shape",
 		Paper: "beyond the paper: data-driven scheduling and placement (Przybylski et al.) vs SFS's prediction-free design",
 	}

@@ -4,7 +4,6 @@ import (
 	"hash/fnv"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // This file is the deterministic parallel runner. Two rules make
@@ -17,17 +16,18 @@ import (
 //     derivation when running a single -id, so a lone rerun of fig6
 //     reproduces the fig6 of a full -all sweep.
 //
-//  2. Collection is ordered, not racy. Workers write into per-index
-//     slots; rows, notes, and reports are assembled from those slots in
-//     registry/cell order after the fan-out completes. Nothing is
-//     appended from a worker.
+//  2. Collection is ordered, not racy. sweep is the one fan-out: it runs
+//     fn on every cell and returns the results in cell order, so callers
+//     write no per-index slots, and rows, notes and reports are
+//     assembled in registry/cell order after the fan-out completes.
+//     Nothing is appended from a worker.
 //
 // Inner sweeps reuse the same pool: an experiment that fans its
-// (family, memory, policy) cells calls Config.fan, which borrows idle
-// workers when available and otherwise runs the cell inline on the
-// caller. The caller always makes progress itself, so nested fan-outs
-// can never deadlock the pool, and total concurrency stays bounded by
-// the worker count.
+// (family, memory, policy) cells, or a replay that fans its scheduler
+// variants, calls sweep, which borrows idle workers when available and
+// otherwise runs the cell inline on the caller. The caller always makes
+// progress itself, so nested fan-outs can never deadlock the pool, and
+// total concurrency stays bounded by the worker count.
 
 // Pool is a bounded worker pool shared by the experiment runner and the
 // inner sweeps of individual experiments. A Pool with W workers holds
@@ -125,26 +125,21 @@ func (cfg Config) ForExperiment(id string) Config {
 	return cfg
 }
 
-// fan distributes an experiment's independent sweep cells across the
-// runner's pool (inline when the experiment runs without one).
-func (cfg Config) fan(n int, fn func(i int)) {
-	cfg.pool.Fan(n, fn)
+// sweep runs fn on every cell across the runner's pool (inline, in
+// cell order, when the experiment runs without one) and returns the
+// results in cell order.
+func sweep[C, R any](cfg Config, cells []C, fn func(C) R) []R {
+	out := make([]R, len(cells))
+	cfg.pool.Fan(len(cells), func(i int) { out[i] = fn(cells[i]) })
+	return out
 }
 
 // RunAll runs every registered experiment across workers and returns
-// their reports in registry (paper) order. The same cfg.Seed produces
+// their reports in registry order. The same cfg.Seed produces
 // byte-identical reports at any worker count.
 func RunAll(cfg Config, workers int) []*Report {
-	exps := All()
-	reports := make([]*Report, len(exps))
 	cfg.pool = NewPool(workers)
-	cfg.pool.Fan(len(exps), func(i int) {
-		start := time.Now()
-		rep := exps[i].Run(cfg.ForExperiment(exps[i].ID))
-		rep.WallClock = time.Since(start)
-		reports[i] = rep
-	})
-	return reports
+	return sweep(cfg, All(), func(e Experiment) *Report { return e.Run(cfg.ForExperiment(e.ID)) })
 }
 
 // RunOne runs a single experiment with the same derived seed and inner
@@ -152,8 +147,5 @@ func RunAll(cfg Config, workers int) []*Report {
 // reproduces that slice of the full sweep byte for byte.
 func RunOne(cfg Config, e Experiment, workers int) *Report {
 	cfg.pool = NewPool(workers)
-	start := time.Now()
-	rep := e.Run(cfg.ForExperiment(e.ID))
-	rep.WallClock = time.Since(start)
-	return rep
+	return e.Run(cfg.ForExperiment(e.ID))
 }

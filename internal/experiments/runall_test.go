@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestPoolRunsEveryIndexOnce: Fan must invoke fn exactly once per index
@@ -47,16 +49,31 @@ func TestPoolBoundsConcurrency(t *testing.T) {
 	}
 }
 
-// TestNilPoolFansSerially: experiments run outside RunAll (zero Config)
-// must still work.
-func TestNilPoolFansSerially(t *testing.T) {
+// TestSweepCellOrder: experiments run outside RunAll (zero Config) must
+// still work, running their cells serially in cell order, and on a
+// pool the results come back in cell order however long each cell
+// takes.
+func TestSweepCellOrder(t *testing.T) {
+	cells := []int{0, 1, 2, 3, 4, 5, 6, 7}
 	var cfg Config
-	order := []int{}
-	cfg.fan(5, func(i int) { order = append(order, i) })
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("serial fan out of order: %v", order)
-		}
+	var order []int
+	got := sweep(cfg, cells, func(c int) int { order = append(order, c); return 10 * c })
+	if !slices.Equal(order, cells) {
+		t.Fatalf("nil pool ran cells in order %v", order)
+	}
+	want := []int{0, 10, 20, 30, 40, 50, 60, 70}
+	if !slices.Equal(got, want) {
+		t.Fatalf("nil pool results %v, want %v", got, want)
+	}
+
+	// Early cells take longest, so on four workers they finish last.
+	cfg.pool = NewPool(4)
+	got = sweep(cfg, cells, func(c int) int {
+		time.Sleep(time.Duration(len(cells)-c) * 2 * time.Millisecond)
+		return 10 * c
+	})
+	if !slices.Equal(got, want) {
+		t.Fatalf("pool of 4 results %v, want %v", got, want)
 	}
 }
 

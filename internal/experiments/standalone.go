@@ -7,22 +7,11 @@ import (
 
 	"github.com/serverless-sched/sfs/internal/core"
 	"github.com/serverless-sched/sfs/internal/metrics"
-	"github.com/serverless-sched/sfs/internal/sched"
 	"github.com/serverless-sched/sfs/internal/stats"
+	"github.com/serverless-sched/sfs/internal/task"
 	"github.com/serverless-sched/sfs/internal/trace"
 	"github.com/serverless-sched/sfs/internal/workload"
 )
-
-func init() {
-	register("fig6", "Standalone SFS vs CFS duration CDF across loads (16 vCPUs)", runFig6)
-	register("fig7", "Standalone SFS vs CFS RTE CDF across loads", runFig7)
-	register("fig8", "Percentile breakdowns of duration, SFS vs CFS per load", runFig8)
-	register("fig9", "Adaptive time slice vs fixed 50/100/200 ms", runFig9)
-	register("fig10", "Timeline of adapted time slice vs observed IATs", runFig10)
-	register("fig11", "I/O handling: polling 1/4/8 ms vs I/O-oblivious SFS", runFig11)
-	register("fig12a", "Overload handling: queueing-delay timeline, SFS vs SFS w/o hybrid", runFig12a)
-	register("fig12b", "Overload handling: duration CDF, SFS vs SFS w/o hybrid", runFig12b)
-}
 
 // standaloneCores is the paper's c5a.4xlarge vCPU count.
 const standaloneCores = 16
@@ -32,28 +21,21 @@ var standaloneLoads = []float64{0.5, 0.65, 0.8, 0.9, 1.0}
 
 // loadSweep runs SFS and CFS over the load levels on the Poisson-IAT
 // Azure-duration workload (§VIII-A uses Poisson IATs).
-func loadSweep(cfg Config) (sfs, cfs map[float64]metrics.Run, sfsScheds map[float64]*core.SFS) {
+func loadSweep(cfg Config) (sfs, cfs map[float64]metrics.Run) {
 	n := scaleN(cfg, 10000)
 	sfs = map[float64]metrics.Run{}
 	cfs = map[float64]metrics.Run{}
-	sfsScheds = map[float64]*core.SFS{}
 	for _, load := range standaloneLoads {
 		w := poissonWorkload(cfg, n, standaloneCores, load)
-		s := core.New(core.DefaultConfig())
-		r, _ := runOn(s, standaloneCores, trace.CloneTasks(w), load)
-		r.Scheduler = "SFS"
-		sfs[load] = r
-		sfsScheds[load] = s
-		rc, _ := runOn(sched.NewCFS(), standaloneCores, trace.CloneTasks(w), load)
-		cfs[load] = rc
+		runs := replay(cfg, w, standaloneCores, load, named("SFS"), named("CFS"))
+		sfs[load], cfs[load] = runs[0].Run, runs[1].Run
 	}
-	return sfs, cfs, sfsScheds
+	return sfs, cfs
 }
 
 func runFig6(cfg Config) *Report {
-	sfs, cfs, _ := loadSweep(cfg)
+	sfs, cfs := loadSweep(cfg)
 	rep := &Report{
-		ID:    "fig6",
 		Title: "Performance CDF, standalone scheduler on 16 vCPUs, Poisson IATs",
 		Paper: "SFS ~= CFS at 50% load; SFS maintains near-identical duration for 83% of requests at every load; CFS degrades with load",
 	}
@@ -74,9 +56,8 @@ func runFig6(cfg Config) *Report {
 }
 
 func runFig7(cfg Config) *Report {
-	sfs, cfs, _ := loadSweep(cfg)
+	sfs, cfs := loadSweep(cfg)
 	rep := &Report{
-		ID:    "fig7",
 		Title: "RTE CDF, standalone scheduler on 16 vCPUs",
 		Paper: "93%/88% of requests reach RTE >= 0.95 under SFS at 65%/80% load, vs 55%/35% under CFS",
 	}
@@ -98,9 +79,8 @@ func runFig7(cfg Config) *Report {
 }
 
 func runFig8(cfg Config) *Report {
-	sfs, cfs, _ := loadSweep(cfg)
+	sfs, cfs := loadSweep(cfg)
 	rep := &Report{
-		ID:     "fig8",
 		Title:  "Percentile breakdowns of function execution duration",
 		Paper:  "SFS 99.9th at 80% load only 47.1% above CFS; CFS 99.9th grows 3.3s->22.1s from 50% to 65% load; SFS median ~0.1s at all loads",
 		Header: append([]string{"scheduler/load"}, pctHeader()...),
@@ -141,32 +121,20 @@ func runFig9(cfg Config) *Report {
 	n := scaleN(cfg, 10000)
 	w := azureWorkload(cfg, n, cores, 0.8, nil, 0)
 	rep := &Report{
-		ID:    "fig9",
 		Title: "Adaptive time slice tuning vs statically fixed time slices (80% load)",
 		Paper: "no static S is optimal: S=50ms helps ~30% of short requests but hurts the rest; adaptive SFS strikes the best balance",
 	}
-	variants := []struct {
-		name  string
-		fixed time.Duration
-	}{
-		{"SFS", 0},
-		{"SFS 50", 50 * time.Millisecond},
-		{"SFS 100", 100 * time.Millisecond},
-		{"SFS 200", 200 * time.Millisecond},
+	vs := []variant{sfsWith("SFS", nil)}
+	for _, ms := range []time.Duration{50, 100, 200} {
+		vs = append(vs, sfsWith(fmt.Sprintf("SFS %d", ms), func(c *core.Config) { c.FixedSlice = ms * time.Millisecond }))
 	}
-	means := map[string]time.Duration{}
-	for _, v := range variants {
-		c := core.DefaultConfig()
-		c.FixedSlice = v.fixed
-		r, _ := runOn(core.New(c), cores, trace.CloneTasks(w), 0.8)
-		r.Scheduler = v.name
-		rep.Series = append(rep.Series, Series{Name: v.name, Points: r.DurationCDF()})
-		means[v.name] = r.MeanTurnaround()
+	runs := replay(cfg, w, cores, 0.8, vs...)
+	for _, r := range runs {
+		rep.Series = append(rep.Series, Series{Name: r.Scheduler, Points: r.DurationCDF()})
 	}
-	rep.Notes = append(rep.Notes, fmt.Sprintf(
-		"mean turnaround: adaptive %s, fixed50 %s, fixed100 %s, fixed200 %s",
-		metrics.FormatDuration(means["SFS"]), metrics.FormatDuration(means["SFS 50"]),
-		metrics.FormatDuration(means["SFS 100"]), metrics.FormatDuration(means["SFS 200"])))
+	mean := func(i int) string { return metrics.FormatDuration(runs[i].MeanTurnaround()) }
+	rep.Notes = append(rep.Notes, fmt.Sprintf("mean turnaround: adaptive %s, fixed50 %s, fixed100 %s, fixed200 %s",
+		mean(0), mean(1), mean(2), mean(3)))
 	return rep
 }
 
@@ -175,10 +143,8 @@ func runFig10(cfg Config) *Report {
 	const cores = standaloneCores
 	n := scaleN(cfg, 10000)
 	w := azureWorkload(cfg, n, cores, 0.8, nil, 0)
-	s := core.New(core.DefaultConfig())
-	runOn(s, cores, trace.CloneTasks(w), 0.8)
+	s := replay(cfg, w, cores, 0.8, named("SFS"))[0].sfs
 	rep := &Report{
-		ID:     "fig10",
 		Title:  "Timeline of time slice changes vs IATs during the workload",
 		Paper:  "S tracks the sliding-window mean IAT x cores, rising during lulls and dropping during bursts",
 		Header: []string{"t(s)", "S(ms)", "meanIAT(ms)"},
@@ -206,114 +172,90 @@ func runFig11(cfg Config) *Report {
 	n := scaleN(cfg, 10000)
 	w := azureWorkload(cfg, n, cores, 0.8, nil, 0.75)
 	rep := &Report{
-		ID:    "fig11",
 		Title: "Handling I/O: polling intervals vs I/O-oblivious SFS",
 		Paper: "I/O-oblivious SFS wastes slice credit waiting for I/O and demotes short functions; performance insensitive to 1-8 ms polling",
 	}
-	type variant struct {
-		name    string
-		poll    time.Duration
-		ioAware bool
+	var vs []variant
+	for _, ms := range []time.Duration{1, 4, 8} {
+		vs = append(vs, sfsWith(fmt.Sprintf("SFS + %dms", ms), func(c *core.Config) { c.PollInterval = ms * time.Millisecond }))
 	}
-	variants := []variant{
-		{"SFS + 1ms", time.Millisecond, true},
-		{"SFS + 4ms", 4 * time.Millisecond, true},
-		{"SFS + 8ms", 8 * time.Millisecond, true},
-		{"I/O-oblivious SFS", 0, false},
+	vs = append(vs, sfsWith("I/O-oblivious SFS", func(c *core.Config) { c.IOAware = false }))
+	runs := replay(cfg, w, cores, 0.8, vs...)
+	for _, r := range runs {
+		rep.Series = append(rep.Series, Series{Name: r.Scheduler, Points: r.DurationCDF()})
 	}
-	means := map[string]time.Duration{}
-	demotions := map[string]int{}
-	for _, v := range variants {
-		c := core.DefaultConfig()
-		c.IOAware = v.ioAware
-		if v.poll > 0 {
-			c.PollInterval = v.poll
-		}
-		s := core.New(c)
-		r, _ := runOn(s, cores, trace.CloneTasks(w), 0.8)
-		rep.Series = append(rep.Series, Series{Name: v.name, Points: r.DurationCDF()})
-		means[v.name] = r.MeanTurnaround()
-		demotions[v.name] = s.Stat.Demotions
-	}
+	mean := func(i int) string { return metrics.FormatDuration(runs[i].MeanTurnaround()) }
+	demotions := func(i int) int { return runs[i].sfs.Stat.Demotions }
 	rep.Notes = append(rep.Notes,
-		fmt.Sprintf("mean turnaround: 1ms %s, 4ms %s, 8ms %s, oblivious %s",
-			metrics.FormatDuration(means["SFS + 1ms"]), metrics.FormatDuration(means["SFS + 4ms"]),
-			metrics.FormatDuration(means["SFS + 8ms"]), metrics.FormatDuration(means["I/O-oblivious SFS"])),
+		fmt.Sprintf("mean turnaround: 1ms %s, 4ms %s, 8ms %s, oblivious %s", mean(0), mean(1), mean(2), mean(3)),
 		fmt.Sprintf("demotions: 1ms %d, 4ms %d, 8ms %d, oblivious %d (oblivious should demote far more)",
-			demotions["SFS + 1ms"], demotions["SFS + 4ms"], demotions["SFS + 8ms"], demotions["I/O-oblivious SFS"]))
+			demotions(0), demotions(1), demotions(2), demotions(3)))
 	return rep
 }
 
-// fig12Runs executes SFS with and without the hybrid overload path on
-// the trace workload with five injected transient-overload spikes, the
-// shape of the paper's Fig 12(a) workload.
-func fig12Runs(cfg Config) (hybrid, plain *core.SFS, hr, pr metrics.Run) {
-	const cores = standaloneCores
+// spikeWorkload is the trace workload at 90% load with five injected
+// transient-overload spikes, the shape of the paper's Fig 12(a)
+// workload.
+func spikeWorkload(cfg Config) []*task.Task {
 	n := scaleN(cfg, 10000)
 	// Each spike dumps enough near-simultaneous work to exceed the
 	// FILTER pool's drain rate for several seconds (the paper's spikes
 	// reach tens of seconds of queueing delay). The floor keeps the
 	// spikes overload-triggering at quick scale.
-	width := n / 20
-	if width < 150 {
-		width = 150
-	}
-	w := trace.Collect(workload.AzureSampledStream(workload.AzureSampledSpec{
-		N: n, Cores: cores, Load: derate(0.9), Seed: cfg.Seed,
-		Spikes: 5, SpikeWidth: width,
+	return trace.Collect(workload.AzureSampledStream(workload.AzureSampledSpec{
+		N: n, Cores: standaloneCores, Load: derate(0.9), Seed: cfg.Seed,
+		Spikes: 5, SpikeWidth: max(n/20, 150),
 	}))
-	hybrid = core.New(core.DefaultConfig())
-	hr, _ = runOn(hybrid, cores, trace.CloneTasks(w), 1.0)
-	c := core.DefaultConfig()
-	c.Hybrid = false
-	plain = core.New(c)
-	pr, _ = runOn(plain, cores, trace.CloneTasks(w), 1.0)
-	return hybrid, plain, hr, pr
+}
+
+// maxQueueDelay is the longest global-queue delay s recorded.
+func maxQueueDelay(s *core.SFS) time.Duration {
+	var m time.Duration
+	for _, d := range s.Stat.QueueDelays {
+		m = max(m, d.Delay)
+	}
+	return m
+}
+
+// fig12Runs executes SFS with and without the hybrid overload path on
+// the spike workload.
+func fig12Runs(cfg Config) (hybrid, plain result) {
+	runs := replay(cfg, spikeWorkload(cfg), standaloneCores, 1.0,
+		sfsWith("SFS", nil), sfsWith("SFS w/o hybrid", func(c *core.Config) { c.Hybrid = false }))
+	return runs[0], runs[1]
 }
 
 func runFig12a(cfg Config) *Report {
-	hybrid, plain, _, _ := fig12Runs(cfg)
+	hybrid, plain := fig12Runs(cfg)
 	rep := &Report{
-		ID:    "fig12a",
 		Title: "Timeline of global-queue delays: SFS vs SFS w/o hybrid",
 		Paper: "without hybrid, queueing-delay spikes reach tens of seconds and drain slowly; hybrid flattens the curve",
 	}
-	toSeries := func(name string, s *core.SFS) Series {
-		pts := make([]stats.CDFPoint, 0, len(s.Stat.QueueDelays))
-		for _, d := range s.Stat.QueueDelays {
+	for _, r := range []result{hybrid, plain} {
+		pts := make([]stats.CDFPoint, 0, len(r.sfs.Stat.QueueDelays))
+		for _, d := range r.sfs.Stat.QueueDelays {
 			pts = append(pts, stats.CDFPoint{X: float64(d.Seq), F: d.Delay.Seconds()})
 		}
 		sort.Slice(pts, func(i, j int) bool { return pts[i].X < pts[j].X })
-		return Series{Name: name, Points: pts, Line: true}
-	}
-	rep.Series = append(rep.Series, toSeries("SFS", hybrid), toSeries("SFS w/o hybrid", plain))
-	maxOf := func(s *core.SFS) time.Duration {
-		var m time.Duration
-		for _, d := range s.Stat.QueueDelays {
-			if d.Delay > m {
-				m = d.Delay
-			}
-		}
-		return m
+		rep.Series = append(rep.Series, Series{Name: r.Scheduler, Points: pts, Line: true})
 	}
 	rep.Notes = append(rep.Notes,
 		fmt.Sprintf("max queue delay: hybrid %s vs no-hybrid %s; %d requests overload-routed to CFS",
-			metrics.FormatDuration(maxOf(hybrid)), metrics.FormatDuration(maxOf(plain)),
-			hybrid.Stat.OverloadRouted))
+			metrics.FormatDuration(maxQueueDelay(hybrid.sfs)), metrics.FormatDuration(maxQueueDelay(plain.sfs)),
+			hybrid.sfs.Stat.OverloadRouted))
 	return rep
 }
 
 func runFig12b(cfg Config) *Report {
-	_, _, hr, pr := fig12Runs(cfg)
+	hybrid, plain := fig12Runs(cfg)
 	rep := &Report{
-		ID:    "fig12b",
 		Title: "CDF of function duration: SFS vs SFS w/o hybrid",
 		Paper: "hybrid reduces turnaround considerably for ~50% of requests",
 	}
-	rep.Series = append(rep.Series,
-		Series{Name: "SFS", Points: hr.DurationCDF()},
-		Series{Name: "SFS w/o hybrid", Points: pr.DurationCDF()})
+	for _, r := range []result{hybrid, plain} {
+		rep.Series = append(rep.Series, Series{Name: r.Scheduler, Points: r.DurationCDF()})
+	}
 	rep.Notes = append(rep.Notes, fmt.Sprintf("mean turnaround: hybrid %s vs no-hybrid %s",
-		metrics.FormatDuration(hr.MeanTurnaround()), metrics.FormatDuration(pr.MeanTurnaround())))
+		metrics.FormatDuration(hybrid.MeanTurnaround()), metrics.FormatDuration(plain.MeanTurnaround())))
 	return rep
 }

@@ -4,16 +4,10 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/serverless-sched/sfs/internal/core"
 	"github.com/serverless-sched/sfs/internal/metrics"
-	"github.com/serverless-sched/sfs/internal/sched"
 	"github.com/serverless-sched/sfs/internal/trace"
 	"github.com/serverless-sched/sfs/internal/workload"
 )
-
-func init() {
-	register("synth-ramp", "Synthetic RPS ramp: SFS vs CFS as offered load crosses saturation", runSynthRamp)
-}
 
 // runSynthRamp goes beyond the paper's steady-state load levels: an
 // invitro-style RPS ramp sweeps the offered load from comfortable to
@@ -27,24 +21,13 @@ func runSynthRamp(cfg Config) *Report {
 	// Calibrate the ramp around the saturation rate: with Table I
 	// durations on 16 cores, RPS_sat = cores / E[service]. The ramp runs
 	// 0.3x..1.3x of it.
-	meanSvc := workload.TableIDistribution().Mean()
-	satRPS := float64(cores) / meanSvc.Seconds()
-	spec := workload.SyntheticSpec{
-		Shape:     trace.ShapeRamp,
-		StartRPS:  0.3 * satRPS,
-		TargetRPS: 1.3 * satRPS,
-		Horizon:   time.Duration(float64(n) / (0.8 * satRPS) * float64(time.Second)),
-		N:         n,
-		Seed:      cfg.Seed,
-	}
+	spec, satRPS := rampSpec(cfg, n, cores, 1.3, 0.8)
 	src := workload.SyntheticStream(spec)
 	w := trace.Collect(src)
-
-	sfsRun, _ := runOn(core.New(core.DefaultConfig()), cores, trace.CloneTasks(w), 0)
-	cfsRun, _ := runOn(sched.NewCFS(), cores, trace.CloneTasks(w), 0)
+	runs := replay(cfg, w, cores, 0, named("SFS"), named("CFS"))
+	sfsRun, cfsRun := runs[0].Run, runs[1].Run
 
 	rep := &Report{
-		ID:    "synth-ramp",
 		Title: fmt.Sprintf("RPS ramp %.0f → %.0f rps on %d cores (saturation ~%.0f rps)", spec.StartRPS, spec.TargetRPS, cores, satRPS),
 		Paper: "beyond the paper: load-transition behaviour, not a steady-state level",
 	}
@@ -83,6 +66,23 @@ func runSynthRamp(cfg Config) *Report {
 			100*sum.ShortFraction, sum.ShortSpeedupArith, 100*sum.LongFraction, sum.LongSlowdownArith),
 		fmt.Sprintf("trace: %s", src.String()))
 	return rep
+}
+
+// rampSpec is an RPS ramp of n Table I invocations calibrated to cores'
+// saturation rate RPS_sat = cores / E[service], which it also returns:
+// the rate climbs from 0.3x RPS_sat to peak x RPS_sat over the horizon
+// at which n arrivals average mean x RPS_sat.
+func rampSpec(cfg Config, n, cores int, peak, mean float64) (workload.SyntheticSpec, float64) {
+	meanSvc := workload.TableIDistribution().Mean()
+	satRPS := float64(cores) / meanSvc.Seconds()
+	return workload.SyntheticSpec{
+		Shape:     trace.ShapeRamp,
+		StartRPS:  0.3 * satRPS,
+		TargetRPS: peak * satRPS,
+		Horizon:   time.Duration(float64(n) / (mean * satRPS) * float64(time.Second)),
+		N:         n,
+		Seed:      cfg.Seed,
+	}, satRPS
 }
 
 // sliceRun restricts a run to tasks arriving in [lo, hi).

@@ -73,9 +73,8 @@ func (r Run) RTECDF() []stats.CDFPoint {
 }
 
 // Percentiles returns the turnaround values at the given percentile
-// ranks. By default they are streaming P² estimates computed in one
-// pass without retaining samples; set ExactQuantiles for the exact
-// sort-based definition (validation mode).
+// ranks: streaming P² estimates computed in one pass without retaining
+// samples.
 func (r Run) Percentiles(ps []float64) []time.Duration {
 	return r.Summarize(ps...).Percentiles()
 }

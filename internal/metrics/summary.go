@@ -6,45 +6,26 @@ import (
 	"github.com/serverless-sched/sfs/internal/stats"
 )
 
-// ExactQuantiles switches every percentile computed through Summary
-// (and therefore Run.Percentiles) from streaming P² estimation to the
-// exact sort-based definition. The streaming default keeps large
-// experiment sweeps O(1) in memory per percentile and sort-free; the
-// exact mode exists for validation — tests flip it to check estimator
-// tolerance and to reproduce the pre-streaming byte-exact outputs.
-//
-// The flag is read once per Summary at construction. It is a plain
-// package variable because modes are a process-wide choice made at
-// startup (cmd/experiments -exact, validation TestMains); it is not
-// synchronized for concurrent toggling.
-var ExactQuantiles = false
-
 // Summary accumulates a run's turnaround statistics in one streaming
 // pass: Welford moments (count, mean, min, max) plus one P² marker set
 // per requested percentile rank. Unlike the sort-based helpers in
-// internal/stats it never retains samples (except in exact mode), so
-// summarizing a host, a window, or a whole cluster costs O(ranks) memory
-// regardless of invocation count.
+// internal/stats it never retains samples, so summarizing a host, a
+// window, or a whole cluster costs O(ranks) memory regardless of
+// invocation count.
 type Summary struct {
 	ranks   []float64
 	moments stats.Online
-	est     []*stats.P2     // streaming mode, one per in-range rank
-	samples []time.Duration // retained only in exact mode
-	exact   bool
+	est     []*stats.P2 // one per in-range rank
 }
 
-// NewSummary returns a streaming summary for the given percentile ranks
-// (or an exact one when ExactQuantiles is set). Ranks at or beyond the
-// extremes (<= 0, >= 100) are answered from the tracked min/max rather
-// than a marker set.
+// NewSummary returns a streaming summary for the given percentile
+// ranks. Ranks at or beyond the extremes (<= 0, >= 100) are answered
+// from the tracked min/max rather than a marker set.
 func NewSummary(ranks ...float64) *Summary {
-	s := &Summary{ranks: append([]float64(nil), ranks...), exact: ExactQuantiles}
-	if !s.exact {
-		s.est = make([]*stats.P2, len(s.ranks))
-		for i, r := range s.ranks {
-			if r > 0 && r < 100 {
-				s.est[i] = stats.NewP2(r)
-			}
+	s := &Summary{ranks: append([]float64(nil), ranks...), est: make([]*stats.P2, len(ranks))}
+	for i, r := range s.ranks {
+		if r > 0 && r < 100 {
+			s.est[i] = stats.NewP2(r)
 		}
 	}
 	return s
@@ -53,10 +34,6 @@ func NewSummary(ranks ...float64) *Summary {
 // Add incorporates one turnaround sample.
 func (s *Summary) Add(d time.Duration) {
 	s.moments.AddDuration(d)
-	if s.exact {
-		s.samples = append(s.samples, d)
-		return
-	}
 	for _, e := range s.est {
 		if e != nil {
 			e.AddDuration(d)
@@ -82,9 +59,6 @@ func (s *Summary) Max() time.Duration { return time.Duration(s.moments.Max()) }
 // Percentiles returns the values at the ranks the summary was built
 // with, in the same order.
 func (s *Summary) Percentiles() []time.Duration {
-	if s.exact {
-		return stats.DurationPercentiles(s.samples, s.ranks)
-	}
 	out := make([]time.Duration, len(s.ranks))
 	for i, r := range s.ranks {
 		switch {

@@ -22,30 +22,6 @@ func lognormalRun(n int, seed uint64) Run {
 	return Run{Tasks: tasks}
 }
 
-// TestExactModeByteIdentical: with ExactQuantiles set, Percentiles must
-// reproduce the pre-streaming implementation — a sort-based
-// stats.DurationPercentiles over the turnaround slice — bit for bit,
-// and therefore every rendered table built on it.
-func TestExactModeByteIdentical(t *testing.T) {
-	ExactQuantiles = true
-	defer func() { ExactQuantiles = false }()
-
-	r := lognormalRun(5000, 7)
-	got := r.Percentiles(StandardPercentiles)
-	want := stats.DurationPercentiles(r.Turnarounds(), StandardPercentiles)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("rank %v: exact mode %v != pre-refactor %v",
-				StandardPercentiles[i], got[i], want[i])
-		}
-	}
-	gotStr := FormatDuration(got[0])
-	wantStr := FormatDuration(want[0])
-	if gotStr != wantStr {
-		t.Fatalf("rendered cell %q != %q", gotStr, wantStr)
-	}
-}
-
 // TestStreamingWithinTolerance: the default streaming estimates must
 // land within a few percent of the exact sort on realistic samples.
 func TestStreamingWithinTolerance(t *testing.T) {
@@ -95,49 +71,43 @@ func TestSummaryEmptyRun(t *testing.T) {
 	}
 }
 
-// TestSummaryEmptyAndSingleBothModes: a run with zero or one finished
-// task must report zeros (never NaN, never a panic) for the moments and
-// sane percentiles in both the streaming and the exact mode — the
-// degenerate inputs a deadline-aborted or single-request simulation
-// produces.
-func TestSummaryEmptyAndSingleBothModes(t *testing.T) {
-	defer func(old bool) { ExactQuantiles = old }(ExactQuantiles)
-	for _, exact := range []bool{false, true} {
-		ExactQuantiles = exact
+// TestSummaryEmptyAndSingle: a run with zero or one finished task must
+// report zeros (never NaN, never a panic) for the moments and sane
+// percentiles — the degenerate inputs a deadline-aborted or
+// single-request simulation produces.
+func TestSummaryEmptyAndSingle(t *testing.T) {
+	// Empty: an unfinished task contributes nothing.
+	empty := Run{Tasks: []*task.Task{task.New(0, 0, time.Millisecond)}}
+	sum := empty.Summarize(50, 99, 99.9)
+	if sum.N() != 0 || sum.Mean() != 0 || sum.Min() != 0 || sum.Max() != 0 {
+		t.Fatalf("empty run moments N=%d mean=%v min=%v max=%v", sum.N(), sum.Mean(), sum.Min(), sum.Max())
+	}
+	if std := sum.Std(); std != 0 || math.IsNaN(std) {
+		t.Fatalf("empty run std %v, want 0", std)
+	}
+	for _, p := range sum.Percentiles() {
+		if p != 0 {
+			t.Fatalf("empty run percentile %v, want 0", p)
+		}
+	}
+	if mt := empty.MeanTurnaround(); mt != 0 {
+		t.Fatalf("empty run mean turnaround %v", mt)
+	}
 
-		// Empty: an unfinished task contributes nothing.
-		empty := Run{Tasks: []*task.Task{task.New(0, 0, time.Millisecond)}}
-		sum := empty.Summarize(50, 99, 99.9)
-		if sum.N() != 0 || sum.Mean() != 0 || sum.Min() != 0 || sum.Max() != 0 {
-			t.Fatalf("exact=%v: empty run moments N=%d mean=%v min=%v max=%v", exact, sum.N(), sum.Mean(), sum.Min(), sum.Max())
-		}
-		if std := sum.Std(); std != 0 || math.IsNaN(std) {
-			t.Fatalf("exact=%v: empty run std %v, want 0", exact, std)
-		}
-		for _, p := range sum.Percentiles() {
-			if p != 0 {
-				t.Fatalf("exact=%v: empty run percentile %v, want 0", exact, p)
-			}
-		}
-		if mt := empty.MeanTurnaround(); mt != 0 {
-			t.Fatalf("exact=%v: empty run mean turnaround %v", exact, mt)
-		}
-
-		// Single finished task: every statistic is that sample.
-		tk := task.New(0, 0, time.Millisecond)
-		tk.MarkFinished(7 * time.Millisecond)
-		single := Run{Tasks: []*task.Task{tk}}
-		sum = single.Summarize(0, 50, 99, 100)
-		if sum.N() != 1 || sum.Mean() != 7*time.Millisecond {
-			t.Fatalf("exact=%v: single run N=%d mean=%v", exact, sum.N(), sum.Mean())
-		}
-		if std := sum.Std(); std != 0 || math.IsNaN(std) {
-			t.Fatalf("exact=%v: single run std %v, want 0 (not NaN)", exact, std)
-		}
-		for i, p := range sum.Percentiles() {
-			if p != 7*time.Millisecond {
-				t.Fatalf("exact=%v: single run percentile %d = %v, want the sample", exact, i, p)
-			}
+	// Single finished task: every statistic is that sample.
+	tk := task.New(0, 0, time.Millisecond)
+	tk.MarkFinished(7 * time.Millisecond)
+	single := Run{Tasks: []*task.Task{tk}}
+	sum = single.Summarize(0, 50, 99, 100)
+	if sum.N() != 1 || sum.Mean() != 7*time.Millisecond {
+		t.Fatalf("single run N=%d mean=%v", sum.N(), sum.Mean())
+	}
+	if std := sum.Std(); std != 0 || math.IsNaN(std) {
+		t.Fatalf("single run std %v, want 0 (not NaN)", std)
+	}
+	for i, p := range sum.Percentiles() {
+		if p != 7*time.Millisecond {
+			t.Fatalf("single run percentile %d = %v, want the sample", i, p)
 		}
 	}
 }
