@@ -169,6 +169,7 @@ type Injector struct {
 	r         *rng.RNG
 	nextID    int
 	byTask    map[*task.Task]stageRef
+	names     map[string][]string // request app -> its stages' task Apps
 	instances []*instance
 	pending   int
 }
@@ -180,6 +181,7 @@ func NewInjector(cfg Config) (*Injector, error) {
 		r:      rng.New(cfg.Seed ^ 0xc4a1),
 		nextID: stageIDBase,
 		byTask: map[*task.Task]stageRef{},
+		names:  map[string][]string{},
 	}
 	for app, spec := range cfg.Specs {
 		c, err := compile(spec)
@@ -205,6 +207,23 @@ func (in *Injector) lookup(app string) *compiled {
 		return c
 	}
 	return in.def
+}
+
+// stageNames returns the task App of each stage of reqApp's workflow
+// c: the stage's Name, or "<reqApp>#<index>" when it has none. The
+// names are formatted once per request app, not once per request.
+func (in *Injector) stageNames(reqApp string, c *compiled) []string {
+	if names, ok := in.names[reqApp]; ok {
+		return names
+	}
+	names := make([]string, len(c.spec.Stages))
+	for i, sg := range c.spec.Stages {
+		if names[i] = sg.Name; names[i] == "" {
+			names[i] = fmt.Sprintf("%s#%d", reqApp, i)
+		}
+	}
+	in.names[reqApp] = names
+	return names
 }
 
 // Expand consumes one request invocation. For an application with a
@@ -236,6 +255,7 @@ func (in *Injector) Expand(t *task.Task) []*task.Task {
 	}
 
 	var roots []*task.Task
+	names := in.stageNames(reqApp, c)
 	longest := make([]time.Duration, len(c.spec.Stages))
 	for i, sg := range c.spec.Stages {
 		svc := reqService
@@ -259,10 +279,7 @@ func (in *Injector) Expand(t *task.Task) []*task.Task {
 			in.nextID++
 			st.Weight = t.Weight
 		}
-		st.App = sg.Name
-		if st.App == "" {
-			st.App = fmt.Sprintf("%s#%d", reqApp, i)
-		}
+		st.App = names[i]
 		inst.tasks[i] = st
 		inst.waiting[i] = len(sg.Deps)
 		in.byTask[st] = stageRef{inst: inst, stage: i}

@@ -39,11 +39,11 @@
 // batch's first arrival.
 //
 // The simulation is deterministic: dispatchers are deterministic
-// functions of seed and observed state, container expiry and pre-warm
-// events are processed in global time order, and sources are
-// deterministic in their spec — so the same spec/seed/host-count/policy
-// yields identical metrics on every run, and sharded output is
-// identical at any shard and worker count.
+// functions of seed and observed state, each host's container expiry
+// and pre-warm events are processed in (time, sequence) order, and
+// sources are deterministic in their spec — so the same
+// spec/seed/host-count/policy yields identical metrics on every run,
+// and sharded output is identical at any shard and worker count.
 package cluster
 
 import (
@@ -140,6 +140,7 @@ type node struct {
 	idx        int
 	eng        *cpusim.Engine
 	mgr        *lifecycle.Manager // nil when lifecycle modeling is off
+	lcNow      *simtime.Time      // the coordinator's lifecycle clock
 	rt         *host.Runtime      // set at Run start
 	sh         *shard             // owning shard, set at Run start
 	speed      float64
@@ -153,10 +154,13 @@ func (n *node) InFlight() int   { return n.eng.Pending() + n.assigned() }
 func (n *node) BusyCores() int  { return n.eng.BusyCores() }
 func (n *node) Dispatched() int { return n.dispatched }
 
+// Warm catches the host's manager up to the coordinator's lifecycle
+// clock before it reads the warm pool (see Cluster.syncLifecycle).
 func (n *node) Warm(app string) int {
 	if n.mgr == nil {
 		return 0
 	}
+	n.mgr.AdvanceTo(*n.lcNow)
 	return n.mgr.WarmIdle(app)
 }
 
@@ -304,7 +308,7 @@ type Cluster struct {
 	central []int // indices into records of held invocations, FIFO
 	maxQ    int
 	now     simtime.Time // coordinator clock
-	lcNow   simtime.Time // instant the lifecycle managers were last advanced to
+	lcNow   simtime.Time // lifecycle clock: the instant managers are read as of
 	merged  []finishRec  // settle's merge buffer, reused across steps
 	// handoffs counts sharded advances: one per lookahead window, or
 	// one per arrival batch on the batched path.
@@ -374,7 +378,7 @@ func New(cfg Config) (*Cluster, error) {
 		if len(cfg.Speeds) > 0 {
 			sp = cfg.Speeds[i]
 		}
-		n := &node{idx: i, speed: sp, eng: cpusim.NewEngine(cpusim.Config{
+		n := &node{idx: i, speed: sp, lcNow: &c.lcNow, eng: cpusim.NewEngine(cpusim.Config{
 			Cores: cfg.CoresPerHost,
 			Speed: sp,
 		}, cfg.NewScheduler())}
@@ -578,21 +582,16 @@ func (c *Cluster) settle() error {
 	return nil
 }
 
-// syncLifecycle advances every container lifecycle manager to the
-// coordinator clock, so affinity-aware policies (and the lifecycle
-// stage's acquire) see warm pools as of that instant. A manager never
-// schedules an event at or before the instant it was advanced to, so a
-// repeat call at the same instant is skipped: serial mode calls this
-// before every decision and must not pay O(hosts) per event.
-func (c *Cluster) syncLifecycle() {
-	if c.cfg.NewLifecycle == nil || c.lcNow >= c.now {
-		return
-	}
-	for _, n := range c.nodes {
-		n.mgr.AdvanceTo(c.now)
-	}
-	c.lcNow = c.now
-}
+// syncLifecycle moves the coordinator's lifecycle clock, lcNow, to the
+// coordinator clock: before every placement decision, and after every
+// sharded window. It touches no manager. A manager catches up to lcNow
+// only when something reads it: Host.Warm before a dispatcher sees the
+// warm pool, and result before Stats; Acquire and Release advance it
+// to their own instant. A manager's expiry and pre-warm events depend
+// only on its own (time, sequence) queue, so catching up late yields
+// the same state as advancing every manager at every decision, at
+// O(1) per decision instead of O(hosts).
+func (c *Cluster) syncLifecycle() { c.lcNow = c.now }
 
 // offer asks the dispatcher to place records[ri] at instant at. It
 // returns false, leaving the record for the caller to park, when the
@@ -736,6 +735,7 @@ func (c *Cluster) result(aborted bool) *Result {
 			Speed:       n.speed,
 		}
 		if n.mgr != nil {
+			n.mgr.AdvanceTo(c.lcNow)
 			hr.Lifecycle = n.mgr.Stats()
 			res.Lifecycle.Add(hr.Lifecycle)
 		}

@@ -39,7 +39,8 @@ type Host interface {
 	// Speed is the host's relative CPU speed factor (1.0 = baseline):
 	// the host retires Speed seconds of CPU demand per second of wall
 	// time. Speed-aware policies (PREDICTED) normalize predicted work
-	// by it; a uniform fleet reports 1.0 everywhere.
+	// by it; a uniform fleet reports 1.0 everywhere. A host's speed is
+	// fixed for the run, so a policy may read it once and cache it.
 	Speed() float64
 }
 
@@ -237,6 +238,7 @@ func (warmFirst) Pick(now simtime.Time, t *task.Task, hosts []Host) int {
 type predicted struct {
 	est     *predict.Estimator
 	backlog []time.Duration              // outstanding predicted work per host
+	speed   []float64                    // each host's Speed, read once
 	cost    map[*task.Task]time.Duration // what each in-flight task was charged
 }
 
@@ -250,13 +252,17 @@ func (d *predicted) Name() string { return "PREDICTED" }
 func (d *predicted) Estimator() *predict.Estimator { return d.est }
 
 func (d *predicted) Pick(now simtime.Time, t *task.Task, hosts []Host) int {
-	if len(d.backlog) < len(hosts) {
-		d.backlog = append(d.backlog, make([]time.Duration, len(hosts)-len(d.backlog))...)
+	if n := len(d.backlog); n < len(hosts) {
+		d.backlog = append(d.backlog, make([]time.Duration, len(hosts)-n)...)
+		for _, h := range hosts[n:] {
+			d.speed = append(d.speed, h.Speed())
+		}
 	}
 	p := d.est.Predict(t.App)
 	best, bestScore := 0, math.Inf(1)
-	for i, h := range hosts {
-		if score := float64(d.backlog[i]+p) / h.Speed(); score < bestScore {
+	speed := d.speed[:len(hosts)]
+	for i, b := range d.backlog[:len(hosts)] {
+		if score := float64(b+p) / speed[i]; score < bestScore {
 			best, bestScore = i, score
 		}
 	}

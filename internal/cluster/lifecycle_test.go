@@ -9,6 +9,8 @@ import (
 	"github.com/serverless-sched/sfs/internal/dist"
 	"github.com/serverless-sched/sfs/internal/lifecycle"
 	"github.com/serverless-sched/sfs/internal/sched"
+	"github.com/serverless-sched/sfs/internal/simtime"
+	"github.com/serverless-sched/sfs/internal/task"
 	"github.com/serverless-sched/sfs/internal/trace"
 	"github.com/serverless-sched/sfs/internal/workload"
 )
@@ -153,6 +155,104 @@ func TestColdStartDelaysClusterTasks(t *testing.T) {
 		if tk.Start >= 0 && tk.Start-tk.Arrival < cold {
 			t.Fatalf("task %d started %v after arrival, inside its %v cold start",
 				tk.ID, tk.Start-tk.Arrival, cold)
+		}
+	}
+}
+
+// eagerLifecycle wraps a dispatcher. With eager set, every decision
+// first advances every host's lifecycle manager to the decision
+// instant: the per-decision sweep over all hosts that the coordinator
+// itself no longer makes. Either way it forwards completions, so the
+// lazy and eager runs differ in nothing else.
+type eagerLifecycle struct {
+	Dispatcher
+	mgrs  *[]*lifecycle.Manager
+	eager bool
+}
+
+func (d eagerLifecycle) Pick(now simtime.Time, t *task.Task, hosts []Host) int {
+	if d.eager {
+		for _, m := range *d.mgrs {
+			m.AdvanceTo(now)
+		}
+	}
+	return d.Dispatcher.Pick(now, t, hosts)
+}
+
+func (d eagerLifecycle) TaskFinished(now simtime.Time, host int, t *task.Task) {
+	if obs, ok := d.Dispatcher.(CompletionObserver); ok {
+		obs.TaskFinished(now, host, t)
+	}
+}
+
+// TestLazyLifecycleMatchesEager: a host's lifecycle manager catches up
+// to the coordinator's lifecycle clock only when a dispatcher reads its
+// warm pool or the run reads its stats. That must give the same bytes
+// as advancing every manager before every decision: the same merged
+// and per-host lifecycle counters, and every task on the same host at
+// the same arrival, start and finish. A short TTL and a tight memory
+// budget make containers expire and get evicted between decisions.
+func TestLazyLifecycleMatchesEager(t *testing.T) {
+	const hosts, cores, n, seed = 8, 2, 1200, 31
+	run := func(dispatch, policy string, eager bool) *Result {
+		t.Helper()
+		d, err := NewDispatcher(dispatch, FactoryConfig{Hosts: hosts, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var mgrs []*lifecycle.Manager
+		cl, err := New(Config{
+			Hosts:        hosts,
+			CoresPerHost: cores,
+			NewScheduler: func() cpusim.Scheduler { return sched.NewCFS() },
+			Dispatcher:   eagerLifecycle{Dispatcher: d, mgrs: &mgrs, eager: eager},
+			NewLifecycle: func() *lifecycle.Manager {
+				p, err := lifecycle.NewPolicy(policy, lifecycle.PolicyConfig{TTL: 50 * time.Millisecond, Seed: seed})
+				if err != nil {
+					t.Fatal(err)
+				}
+				m, err := lifecycle.New(lifecycle.Config{Policy: p, MemoryMB: 256, Seed: seed})
+				if err != nil {
+					t.Fatal(err)
+				}
+				mgrs = append(mgrs, m)
+				return m
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Load calibrated to a quarter of the fleet leaves hosts idle
+		// for whole TTLs, so some expire containers after their last
+		// acquire or release.
+		res, err := cl.Run(mixSource(n, hosts*cores/4, seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	for _, dispatch := range []string{"WARMFIRST", "JSQ", "PREDICTED"} {
+		for _, policy := range []string{"TTL", "HIST"} {
+			lazy, eager := run(dispatch, policy, false), run(dispatch, policy, true)
+			name := dispatch + "/" + policy
+			if st := eager.Lifecycle; st.Expirations == 0 || st.Evictions == 0 {
+				t.Fatalf("%s: %d expirations, %d evictions; the run must exercise both", name, st.Expirations, st.Evictions)
+			}
+			if lazy.Lifecycle != eager.Lifecycle {
+				t.Errorf("%s: merged lifecycle stats diverged:\nlazy  %+v\neager %+v", name, lazy.Lifecycle, eager.Lifecycle)
+			}
+			for i := range eager.PerHost {
+				l, e := lazy.PerHost[i], eager.PerHost[i]
+				if l.Lifecycle != e.Lifecycle {
+					t.Errorf("%s: host %d lifecycle stats diverged:\nlazy  %+v\neager %+v", name, i, l.Lifecycle, e.Lifecycle)
+				}
+				if tasksFP(l.Run.Tasks) != tasksFP(e.Run.Tasks) {
+					t.Errorf("%s: host %d ran different tasks or timings", name, i)
+				}
+			}
+			if len(lazy.Merged.Tasks) != len(eager.Merged.Tasks) {
+				t.Errorf("%s: %d tasks lazily, %d eagerly", name, len(lazy.Merged.Tasks), len(eager.Merged.Tasks))
+			}
 		}
 	}
 }

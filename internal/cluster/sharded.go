@@ -44,8 +44,8 @@ import (
 // count), where serial mode observes the exact decision instant. With
 // a dispatcher that ignores host state (RR, RANDOM, HASH) the two modes
 // place every invocation identically and produce identical results;
-// the one modeled difference is that sharded mode advances lifecycle
-// clocks to each window's end, so a run can count expirations serial
+// the one modeled difference is that sharded mode moves its lifecycle
+// clock to each window's end, so a run can count expirations serial
 // mode never reaches (TestSerialShardedOracle). With state-reading
 // dispatchers sharded mode models a cluster whose dispatcher works from
 // slightly stale state — the price of the latency it models, not a

@@ -13,22 +13,39 @@ import "github.com/serverless-sched/sfs/internal/simtime"
 // host count. Runtimes with no pending work are parked at
 // simtime.Infinity rather than removed, which keeps every runtime
 // addressable by index.
+//
+// Heap slots carry their (time, index) key inline, so a sift compares
+// adjacent slots without indirecting through a per-runtime key array,
+// and it moves entries into a hole rather than swapping pairs — the
+// layout simtime.Queue uses for the engine's event queue.
 type Heap struct {
-	key  []simtime.Time // runtime index -> current key
-	heap []int          // heap of runtime indices
-	pos  []int          // runtime index -> position in heap
+	heap []heapEntry // heap-ordered by (at, idx)
+	pos  []int       // runtime index -> position in heap
+}
+
+// heapEntry is one heap slot: a runtime and its current key.
+type heapEntry struct {
+	at  simtime.Time
+	idx int
+}
+
+// before orders entries by (key, runtime index); the index tie-break
+// reproduces the old scan's first-minimum choice.
+func (a heapEntry) before(b heapEntry) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.idx < b.idx
 }
 
 // NewHeap builds a heap of n runtimes, all parked at Infinity.
 func NewHeap(n int) *Heap {
 	h := &Heap{
-		key:  make([]simtime.Time, n),
-		heap: make([]int, n),
+		heap: make([]heapEntry, n),
 		pos:  make([]int, n),
 	}
 	for i := 0; i < n; i++ {
-		h.key[i] = simtime.Infinity
-		h.heap[i] = i
+		h.heap[i] = heapEntry{at: simtime.Infinity, idx: i}
 		h.pos[i] = i
 	}
 	return h
@@ -38,66 +55,60 @@ func NewHeap(n int) *Heap {
 // and that key. Runtimes with no work report simtime.Infinity.
 func (h *Heap) Min() (idx int, at simtime.Time) {
 	top := h.heap[0]
-	return top, h.key[top]
+	return top.idx, top.at
 }
 
 // Update re-keys runtime i and restores the heap invariant.
 func (h *Heap) Update(i int, at simtime.Time) {
-	if h.key[i] == at {
+	p := h.pos[i]
+	if h.heap[p].at == at {
 		return
 	}
-	h.key[i] = at
-	p := h.pos[i]
-	if !h.up(p) {
-		h.down(p)
+	x := heapEntry{at: at, idx: i}
+	if p > 0 && x.before(h.heap[(p-1)/2]) {
+		h.up(p, x)
+	} else {
+		h.down(p, x)
 	}
 }
 
-// less orders heap positions by (key, runtime index); the index
-// tie-break reproduces the old scan's first-minimum choice.
-func (h *Heap) less(a, b int) bool {
-	ha, hb := h.heap[a], h.heap[b]
-	if h.key[ha] != h.key[hb] {
-		return h.key[ha] < h.key[hb]
-	}
-	return ha < hb
-}
-
-func (h *Heap) swap(a, b int) {
-	h.heap[a], h.heap[b] = h.heap[b], h.heap[a]
-	h.pos[h.heap[a]] = a
-	h.pos[h.heap[b]] = b
-}
-
-func (h *Heap) up(i int) bool {
-	moved := false
+// up places x at heap position i, the slot it sifts up from, moving
+// later ancestors down into the hole instead of swapping.
+func (h *Heap) up(i int, x heapEntry) {
+	hp := h.heap
 	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
+		p := (i - 1) / 2
+		if !x.before(hp[p]) {
 			break
 		}
-		h.swap(i, parent)
-		i = parent
-		moved = true
+		hp[i] = hp[p]
+		h.pos[hp[i].idx] = i
+		i = p
 	}
-	return moved
+	hp[i] = x
+	h.pos[x.idx] = i
 }
 
-func (h *Heap) down(i int) {
-	n := len(h.heap)
+// down places x at heap position i, the slot it sifts down from,
+// moving earlier children up into the hole instead of swapping.
+func (h *Heap) down(i int, x heapEntry) {
+	hp := h.heap
+	n := len(hp)
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && h.less(l, smallest) {
-			smallest = l
+		c := 2*i + 1
+		if c >= n {
+			break
 		}
-		if r < n && h.less(r, smallest) {
-			smallest = r
+		if r := c + 1; r < n && hp[r].before(hp[c]) {
+			c = r
 		}
-		if smallest == i {
-			return
+		if !hp[c].before(x) {
+			break
 		}
-		h.swap(i, smallest)
-		i = smallest
+		hp[i] = hp[c]
+		h.pos[hp[i].idx] = i
+		i = c
 	}
+	hp[i] = x
+	h.pos[x.idx] = i
 }

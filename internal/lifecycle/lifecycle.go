@@ -97,7 +97,6 @@ type Container struct {
 	mb        int
 	busy      bool
 	idleSince simtime.Time // when the container last went idle
-	lastUsed  simtime.Time // last Acquire or creation instant
 	expires   *event       // pending expiry while idle
 	dead      bool
 }
@@ -203,14 +202,12 @@ type Manager struct {
 	policy Policy
 	r      *rng.RNG
 
-	idle     map[string][]*Container // per-app idle pool, most recent last
-	pending  map[string]*event       // at most one scheduled pre-warm per app
-	events   eventHeap
-	seq      uint64
-	now      simtime.Time
-	usedMB   int
-	lruClock int
-	stats    Stats
+	idle    map[string][]*Container // per-app idle pool, most recent last
+	pending map[string]*event       // at most one scheduled pre-warm per app
+	events  eventHeap
+	seq     uint64
+	usedMB  int
+	stats   Stats
 }
 
 // New builds a Manager. Negative capacities are rejected; zero values
@@ -264,17 +261,15 @@ func (m *Manager) Policy() Policy { return m.policy }
 // Stats returns a snapshot of the cumulative counters.
 func (m *Manager) Stats() Stats { return m.stats }
 
-// Now returns the latest virtual time the manager has observed.
-func (m *Manager) Now() simtime.Time { return m.now }
-
 // AdvanceTo processes all expiry and pre-warm events up to now in
-// timeline order. Acquire and Release advance implicitly; external
-// drivers (the cluster loop, a dispatcher about to read WarmIdle) call
-// it so policy state is current at decision instants.
+// timeline order. Acquire and Release advance the manager to their own
+// instant; any other reader advances it first, to the instant it reads
+// as of: the cluster catches a host's manager up to its lifecycle
+// clock before a dispatcher reads WarmIdle and before it reads Stats.
+// The events depend only on the manager's own (time, sequence) queue,
+// so advancing late, or in several steps, yields the same state as
+// advancing at every instant.
 func (m *Manager) AdvanceTo(now simtime.Time) {
-	if now > m.now {
-		m.now = now
-	}
 	for len(m.events) > 0 && m.events[0].at <= now {
 		e := heap.Pop(&m.events).(*event)
 		if e.dead {
@@ -316,7 +311,6 @@ func (m *Manager) Acquire(now simtime.Time, app string) (time.Duration, *Contain
 		m.idle[app] = pool[:len(pool)-1]
 		m.cancelExpiry(c)
 		c.busy = true
-		c.lastUsed = now
 		if c.Prewarmed {
 			m.stats.PrewarmHits++
 			c.Prewarmed = false
@@ -325,7 +319,7 @@ func (m *Manager) Acquire(now simtime.Time, app string) (time.Duration, *Contain
 	}
 
 	lat := m.sampleColdStart()
-	c := &Container{App: app, mb: m.cfg.ContainerMB, busy: true, lastUsed: now}
+	c := &Container{App: app, mb: m.cfg.ContainerMB, busy: true}
 	m.reserve(c.mb)
 	m.stats.ColdStarts++
 	m.stats.ColdLatency += lat
@@ -360,8 +354,10 @@ func (m *Manager) Release(now simtime.Time, c *Container) {
 }
 
 // WarmIdle returns the number of idle warm containers held for app as
-// of the last observed virtual time (callers that can see a later clock
-// should AdvanceTo first). Affinity-aware dispatchers read it.
+// of the instant the manager was last advanced to. It advances
+// nothing: a caller reading as of a later instant calls AdvanceTo
+// first, as the cluster does before affinity-aware dispatchers
+// (WARMFIRST) read it.
 func (m *Manager) WarmIdle(app string) int { return len(m.idle[app]) }
 
 // UsedMB returns current container memory, busy plus idle.
@@ -486,7 +482,7 @@ func (m *Manager) materializePrewarm(e *event) {
 	if m.usedMB > m.stats.MemPeakMB {
 		m.stats.MemPeakMB = m.usedMB
 	}
-	c := &Container{App: e.app, Prewarmed: true, mb: mb, idleSince: e.at, lastUsed: e.at}
+	c := &Container{App: e.app, Prewarmed: true, mb: mb, idleSince: e.at}
 	m.idle[e.app] = append(m.idle[e.app], c)
 	m.stats.Prewarms++
 	keep := e.keep

@@ -33,6 +33,7 @@ import (
 	"github.com/serverless-sched/sfs/internal/cpusim"
 	"github.com/serverless-sched/sfs/internal/dist"
 	"github.com/serverless-sched/sfs/internal/experiments"
+	"github.com/serverless-sched/sfs/internal/host"
 	"github.com/serverless-sched/sfs/internal/lifecycle"
 	"github.com/serverless-sched/sfs/internal/metrics"
 	"github.com/serverless-sched/sfs/internal/rng"
@@ -605,8 +606,95 @@ func Scenarios(quick bool, seed uint64) []Scenario {
 				}
 			},
 		},
+		{
+			// One op = 1,024 cycles on a host.Heap of 256 runtimes,
+			// the serial coordinator's next-event heap at
+			// fleet-serial's fleet size: each cycle reads the minimum
+			// and re-keys that root runtime to a later event, as a
+			// host's step does, and every fourth cycle also re-keys
+			// another runtime to just after the minimum, as a delivery
+			// does. The heap layer of the cluster loop, without hosts.
+			Name: "host-heap",
+			Bench: func(b *testing.B) {
+				const runtimes, cycles = 256, 1024
+				r := rng.New(seed)
+				delays := make([]time.Duration, cycles)
+				for i := range delays {
+					delays[i] = time.Duration(1+r.Intn(2*runtimes)) * time.Microsecond
+				}
+				h := host.NewHeap(runtimes)
+				for i := 0; i < runtimes; i++ {
+					h.Update(i, delays[i])
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for j := 0; j < cycles; j++ {
+						idx, at := h.Min()
+						h.Update(idx, at+delays[j])
+						if j%4 == 0 {
+							h.Update((idx+j)%runtimes, at+delays[(j+1)%cycles]/4)
+						}
+					}
+				}
+			},
+		},
+		{
+			// One op = 1,024 PREDICTED placements over 1,024 stub host
+			// views of three speeds, with 4,096 invocations of eight
+			// apps in flight: each cycle reports the oldest in-flight
+			// invocation finished (releasing its charge and feeding
+			// the estimator) and places it again. The dispatcher layer
+			// of a fleet run, without the cluster.
+			Name: "dispatch-pick",
+			Bench: func(b *testing.B) {
+				const hosts, inFlight, cycles = 1024, 4096, 1024
+				views := make([]cluster.Host, hosts)
+				for i := range views {
+					views[i] = stubHost{idx: i, speed: []float64{1, 1.5, 0.5}[i%3]}
+				}
+				d, err := cluster.NewDispatcher("PREDICTED", cluster.FactoryConfig{Hosts: hosts, Seed: seed})
+				if err != nil {
+					b.Fatal(err)
+				}
+				obs := d.(cluster.CompletionObserver)
+				r := rng.New(seed)
+				tasks := make([]*task.Task, inFlight)
+				placed := make([]int, inFlight)
+				for k := range tasks {
+					tasks[k] = task.New(k, 0, time.Duration(1+r.Intn(100))*time.Millisecond)
+					tasks[k].App = fmt.Sprintf("app%d", k%8)
+					placed[k] = d.Pick(0, tasks[k], views)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				next := 0
+				for i := 0; i < b.N; i++ {
+					for j := 0; j < cycles; j++ {
+						obs.TaskFinished(0, placed[next], tasks[next])
+						placed[next] = d.Pick(0, tasks[next], views)
+						next = (next + 1) % inFlight
+					}
+				}
+			},
+		},
 	}
 }
+
+// stubHost is a fixed cluster.Host view: an idle host of one speed.
+type stubHost struct {
+	idx   int
+	speed float64
+}
+
+func (h stubHost) Index() int      { return h.idx }
+func (h stubHost) Cores() int      { return 4 }
+func (h stubHost) InFlight() int   { return 0 }
+func (h stubHost) BusyCores() int  { return 0 }
+func (h stubHost) Queued() int     { return 0 }
+func (h stubHost) Dispatched() int { return 0 }
+func (h stubHost) Warm(string) int { return 0 }
+func (h stubHost) Speed() float64  { return h.speed }
 
 // stubAPI is the engine side of cpusim.API for a scheduler driven by
 // hand: a fixed core count, nothing running and no timers.

@@ -135,7 +135,8 @@ func TestScenariosComplete(t *testing.T) {
 	}
 	for _, want := range []string{EngineStepBenchmark, "cluster-dispatch", "sharded-cluster", "chain-run",
 		"predicted-dispatch", "trace-decode", "trace-encode", "trace-binary-decode",
-		"trace-binary-encode", "cluster-1m", "metrics-summary", "cfs-runqueue", "event-queue"} {
+		"trace-binary-encode", "cluster-1m", "metrics-summary", "cfs-runqueue", "event-queue",
+		"host-heap", "dispatch-pick"} {
 		if !names[want] {
 			t.Errorf("scenario %q missing", want)
 		}

@@ -11,6 +11,7 @@
 package sched
 
 import (
+	"fmt"
 	"time"
 
 	"github.com/serverless-sched/sfs/internal/cpusim"
@@ -57,9 +58,9 @@ type cfsRQ struct {
 type CFS struct {
 	api  cpusim.API
 	rqs  []cfsRQ
-	cur  []*cfsEnt // per-core currently running entity (nil if none)
-	ents map[*task.Task]*cfsEnt
-	free []*cfsEnt // zeroed entities of finished tasks, for reuse
+	cur  []*cfsEnt              // per-core currently running entity (nil if none)
+	ents map[*task.Task]*cfsEnt // entity of every live task, for Enqueue
+	free []*cfsEnt              // zeroed entities of finished tasks, for reuse
 
 	// Stats.
 	Steals int64 // idle-balance migrations between runqueues
@@ -221,11 +222,12 @@ func (c *CFS) steal(core int) bool {
 }
 
 // Descheduled implements cpusim.Scheduler: account vruntime and either
-// requeue (preemption) or drop (block/finish) the entity.
+// requeue (preemption) or drop (block/finish) the entity. The entity
+// is the one PickNext put on the core, so no map lookup is needed.
 func (c *CFS) Descheduled(now simtime.Time, core int, t *task.Task, ran time.Duration, reason cpusim.DescheduleReason) {
-	ent := c.ents[t]
-	if ent == nil {
-		panic("sched: CFS descheduled unknown task")
+	ent := c.cur[core]
+	if ent == nil || ent.t != t {
+		panic(fmt.Sprintf("sched: CFS descheduled task %d, which is not running on core %d", t.ID, core))
 	}
 	ent.vr += weighted(ran, t.Weight)
 	ent.everRan = true

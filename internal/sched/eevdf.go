@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"time"
 
 	"github.com/serverless-sched/sfs/internal/cpusim"
@@ -47,9 +48,9 @@ type eevdfRQ struct {
 type EEVDF struct {
 	api  cpusim.API
 	rqs  []eevdfRQ
-	cur  []*eevdfEnt
-	ents map[*task.Task]*eevdfEnt
-	free []*eevdfEnt // zeroed entities of finished tasks, for reuse
+	cur  []*eevdfEnt              // per-core currently running entity (nil if none)
+	ents map[*task.Task]*eevdfEnt // entity of every live task, for Enqueue
+	free []*eevdfEnt              // zeroed entities of finished tasks, for reuse
 
 	// Steals counts idle-balance migrations.
 	Steals int64
@@ -218,11 +219,12 @@ func (e *EEVDF) steal(core int) bool {
 	return true
 }
 
-// Descheduled implements cpusim.Scheduler.
+// Descheduled implements cpusim.Scheduler. The entity is the one
+// PickNext put on the core, so no map lookup is needed.
 func (e *EEVDF) Descheduled(now simtime.Time, core int, t *task.Task, ran time.Duration, reason cpusim.DescheduleReason) {
-	ent := e.ents[t]
-	if ent == nil {
-		panic("sched: EEVDF descheduled unknown task")
+	ent := e.cur[core]
+	if ent == nil || ent.t != t {
+		panic(fmt.Sprintf("sched: EEVDF descheduled task %d, which is not running on core %d", t.ID, core))
 	}
 	ent.vr += weighted(ran, t.Weight)
 	ent.everRan = true
