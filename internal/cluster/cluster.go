@@ -416,7 +416,10 @@ func (c *Cluster) Run(src trace.Source) (*Result, error) {
 	if deadline != simtime.Infinity {
 		horizon = deadline + 1
 	}
-	c.partition(nShards)
+	// Lookahead windows must visit every instant a host's state changes,
+	// held slice renewals included, because the windows visited move the
+	// lifecycle clock; serial and batched runs step real events only.
+	c.partition(nShards, !serial && !batched)
 	runWindow, stop := c.windowRunner()
 	defer stop()
 
@@ -473,6 +476,11 @@ func (c *Cluster) Run(src trace.Source) (*Result, error) {
 			break
 		}
 		if earliest > deadline {
+			// Renewals held up to the deadline are part of the state
+			// the run stops in.
+			for _, n := range c.nodes {
+				n.eng.CatchUp(deadline)
+			}
 			aborted = true
 			break
 		}

@@ -115,7 +115,7 @@ func (sh *shard) advance(bound simtime.Time) { sh.completions += sh.grp.Advance(
 // by at most one, and wires each host's stage pipeline: the lifecycle
 // stage releases containers as tasks finish, and completions queue in
 // the owning shard's report for the coordinator.
-func (c *Cluster) partition(n int) {
+func (c *Cluster) partition(n int, windowed bool) {
 	c.shards = make([]*shard, n)
 	per, rem := len(c.nodes)/n, len(c.nodes)%n
 	base := 0
@@ -140,7 +140,7 @@ func (c *Cluster) partition(n int) {
 			nd.sh = sh
 			rts[i] = nd.rt
 		}
-		sh.grp = host.NewGroup(rts)
+		sh.grp = host.NewGroup(rts, windowed)
 		c.shards[s] = sh
 		base += size
 	}

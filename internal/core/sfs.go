@@ -159,6 +159,7 @@ type SFS struct {
 	cfg     Config
 	api     cpusim.API
 	cfs     cpusim.Scheduler // second level; CFS unless overridden
+	renewer cpusim.Renewer   // cfs, when it implements cpusim.Renewer
 	workers []worker
 
 	// FIFO request queues: one global queue by default, or one per
@@ -205,6 +206,7 @@ func New(cfg Config) *SFS {
 		window: stats.NewWindow(cfg.WindowSize),
 		ents:   make(map[*task.Task]*ent),
 	}
+	s.renewer, _ = second.(cpusim.Renewer)
 	s.s = cfg.InitialSlice
 	if cfg.FixedSlice > 0 {
 		s.s = cfg.FixedSlice
@@ -254,15 +256,6 @@ func (s *SFS) queueFor(core int) int {
 
 // Slice returns the current time slice parameter S.
 func (s *SFS) Slice() time.Duration { return s.s }
-
-// QueueLen returns the number of requests waiting across all queues.
-func (s *SFS) QueueLen() int {
-	n := 0
-	for i := range s.queues {
-		n += len(s.queues[i]) - s.qHeads[i]
-	}
-	return n
-}
 
 // entOf returns (creating if needed) the SFS state for t. A new state
 // reuses a dropped one when the free list has any, fully reset.
@@ -629,6 +622,37 @@ func (s *SFS) WantsPreempt(now simtime.Time, core int) bool {
 	}
 	// Delegate to CFS's own wakeup-preemption logic for CFS-vs-CFS.
 	return s.cfs.WantsPreempt(now, core)
+}
+
+// Renews implements cpusim.Renewer: a second-level task's slice renews
+// when the core's worker would fetch no FILTER work in its place — the
+// worker is free with an empty queue, or parked on a blocked FILTER
+// task — and the second level renews it. In those worker states only a
+// second-level task can hold the core (a FILTER task runs with its
+// worker in wRunning), so the second level's answer is about that task.
+// SFS declines when its second level is not a cpusim.Renewer.
+func (s *SFS) Renews(core int) (time.Duration, bool) {
+	if s.renewer == nil {
+		return 0, false
+	}
+	switch s.workers[core].state {
+	case wFree:
+		if s.peekQueue(s.queueFor(core)) != nil {
+			return 0, false
+		}
+	case wBlockWait, wAttachedSleep:
+	default:
+		return 0, false
+	}
+	return s.renewer.Renews(core)
+}
+
+// Renewed implements cpusim.Renewer: the Descheduled and PickNext a
+// renewal stands for each count as a scheduling op, and the second
+// level renews.
+func (s *SFS) Renewed(core int, ran time.Duration) {
+	s.Stat.SchedulingOps += 2
+	s.renewer.Renewed(core, ran)
 }
 
 // SecondLevel exposes the second-level scheduler (for tests, metrics,

@@ -7,7 +7,9 @@
 // event-level rather than tick-level: when a task is dispatched the engine
 // computes the next interesting instant (completion, I/O block, or slice
 // expiry) and schedules a single event for it, which keeps multi-hour
-// workloads with hundreds of thousands of slices cheap to simulate.
+// workloads with hundreds of thousands of slices cheap to simulate. A
+// slice expiry the scheduler promises to renew (a Renewer) is not even
+// an event: the engine holds it on its core and passes it in its turn.
 package cpusim
 
 import (
@@ -94,6 +96,24 @@ type Scheduler interface {
 	WantsPreempt(now simtime.Time, core int) bool
 }
 
+// Renewer is implemented by schedulers that can tell ahead of time that
+// a slice expiry is a pure renewal: the expiring task gets its core
+// straight back, with the same slice. The engine then holds such a
+// renewal on its core instead of as an event in its queue and applies
+// it through Renewed at its turn (see Engine.StepEvent), which saves an
+// event per renewal and changes no result. Implementing it is optional.
+type Renewer interface {
+	// Renews reports whether a slice ending on core now would hand the
+	// core straight back to the task running there, and with which
+	// slice. The answer may depend only on scheduler state, which the
+	// engine re-checks after every event.
+	Renews(core int) (slice time.Duration, ok bool)
+	// Renewed applies exactly the bookkeeping of
+	// Descheduled(ReasonPreempted) followed by a PickNext that re-picks
+	// the task, for a renewal Renews promised after the task ran for ran.
+	Renewed(core int, ran time.Duration)
+}
+
 // coreState tracks what a simulated core is doing.
 type coreState struct {
 	cur      *task.Task
@@ -118,6 +138,17 @@ type coreState struct {
 	// slot suffices.
 	fire       func(now simtime.Time)
 	fireReason DescheduleReason
+
+	// A held renewal (see Renewer): the pending stint ends in a slice
+	// renewal, kept here at heldAt under the queue sequence number its
+	// event would have had, instead of as an event. chainEnd is when the
+	// task's last stint ends if nothing disturbs its run of renewals;
+	// nextHeld links the engine's list of held cores.
+	held     bool
+	heldAt   simtime.Time
+	heldSeq  uint64
+	chainEnd simtime.Time
+	nextHeld int
 }
 
 // Config parameterizes an engine run.
@@ -156,9 +187,18 @@ type Engine struct {
 	TotalDispatches int64
 	// SwitchOverhead accumulates core time lost to CtxSwitchCost.
 	SwitchOverhead time.Duration
-	aborted        bool
-	tracer         func(TraceEvent)
-	speed          float64 // normalized Config.Speed (never 0)
+	// HeldRenewals counts slice renewals the engine passed on their core
+	// without an event (see Renewer).
+	HeldRenewals int64
+	aborted      bool
+	tracer       func(TraceEvent)
+	speed        float64 // normalized Config.Speed (never 0)
+
+	renewer Renewer // sched, when it implements Renewer
+	// heldHead starts the list of cores holding a renewal, linked
+	// through coreState.nextHeld in no order; -1 ends it.
+	heldHead int
+	chainEnd simtime.Time // earliest chainEnd among held cores, else Infinity
 }
 
 // NewEngine constructs an engine for the given scheduler. It panics on a
@@ -174,12 +214,15 @@ func NewEngine(cfg Config, s Scheduler) *Engine {
 		cfg.Speed = 1
 	}
 	e := &Engine{
-		cfg:   cfg,
-		q:     &simtime.Queue{},
-		sched: s,
-		cores: make([]coreState, cfg.Cores),
-		speed: cfg.Speed,
+		cfg:      cfg,
+		q:        &simtime.Queue{},
+		sched:    s,
+		cores:    make([]coreState, cfg.Cores),
+		speed:    cfg.Speed,
+		heldHead: -1,
+		chainEnd: simtime.Infinity,
 	}
+	e.renewer, _ = s.(Renewer)
 	for i := range e.cores {
 		i := i
 		e.cores[i].fire = func(now simtime.Time) {
@@ -251,35 +294,92 @@ func (e *Engine) Run() simtime.Time {
 	if deadline == 0 {
 		deadline = simtime.Infinity
 	}
-	for e.pending > 0 && e.q.Len() > 0 && e.q.PeekTime() <= deadline {
-		e.q.Step()
+	for e.pending > 0 && e.NextPendingEventTime() <= deadline {
+		if !e.StepEvent() {
+			break
+		}
 	}
 	if e.pending > 0 {
+		e.CatchUp(deadline)
 		e.aborted = true
 	}
 	return e.q.Now()
 }
 
 // NextPendingEventTime returns the virtual time of the engine's
-// earliest pending event, gated on unfinished work: it returns
-// simtime.Infinity once every submitted task has completed, even if
-// the event queue still holds re-arming timer events (the SFS
-// monitor) that would otherwise spin an external driver forever. This
-// is the key every drive loop (internal/host) orders hosts by.
+// earliest pending event that is not a held renewal: the queue's head,
+// or the last stint of a task whose slice renewals are held. It is
+// gated on unfinished work: it returns simtime.Infinity once every
+// submitted task has completed, even if the event queue still holds
+// timer events that would otherwise spin an external driver forever.
+// This is the key the serial and batched drive loops (internal/host)
+// order hosts by.
 func (e *Engine) NextPendingEventTime() simtime.Time {
 	if e.pending == 0 {
 		return simtime.Infinity
 	}
-	return e.q.PeekTime()
+	return min(e.q.PeekTime(), e.chainEnd)
 }
 
-// StepEvent fires the engine's earliest pending event, advancing the
-// engine's local clock to its time. It returns false when no events
-// remain. Together with NextPendingEventTime and incremental Submit it lets a
+// StepEvent fires the engine's earliest pending event that is not a
+// held renewal, advancing the engine's local clock to its time; the
+// held renewals that precede it are passed first, in (time, sequence)
+// order. It returns false when no events remain. Together with
+// NextPendingEventTime, CatchUp and incremental Submit it lets a
 // multi-host driver step many engines in lockstep: always step the
 // engine whose next event is globally earliest, and submit tasks with
 // arrivals at or after the global clock.
-func (e *Engine) StepEvent() bool { return e.q.Step() }
+func (e *Engine) StepEvent() bool {
+	if e.heldHead >= 0 {
+		e.catchUp(simtime.Infinity)
+	}
+	if !e.q.Step() {
+		return false
+	}
+	if e.heldHead >= 0 {
+		e.recheckHeld()
+	}
+	return true
+}
+
+// CatchUp passes the held renewals due at or before at. A driver calls
+// it before it submits work at instant at, once every event up to at
+// has fired, and when a deadline at at aborts the run: the engine's
+// state then matches an engine that fired each renewal as an event.
+func (e *Engine) CatchUp(at simtime.Time) {
+	if e.heldHead >= 0 {
+		e.catchUp(at)
+	}
+}
+
+// NextInstant returns the earliest instant at which the engine's state
+// changes, held renewals included, with NextPendingEventTime's gating.
+// A driver that must see every such instant (the sharded coordinator's
+// lookahead windows) keys on it and steps with StepInstant.
+func (e *Engine) NextInstant() simtime.Time {
+	if e.pending == 0 {
+		return simtime.Infinity
+	}
+	at := e.q.PeekTime()
+	if e.heldHead >= 0 {
+		at = min(at, e.cores[e.firstHeld()].heldAt)
+	}
+	return at
+}
+
+// StepInstant handles the engine's earliest instant: it passes the
+// first held renewal when that precedes the queue's head, and fires the
+// head otherwise.
+func (e *Engine) StepInstant() bool {
+	if e.heldHead >= 0 {
+		i := e.firstHeld()
+		if c := &e.cores[i]; e.q.Precedes(c.heldAt, c.heldSeq) {
+			e.pass(i)
+			return true
+		}
+	}
+	return e.StepEvent()
+}
 
 // BusyCores returns the number of cores currently running a task.
 func (e *Engine) BusyCores() int {
@@ -406,41 +506,186 @@ func (e *Engine) place(now simtime.Time, core int, t *task.Task, slice time.Dura
 
 	// The stint ends at the earliest of completion, next I/O op, or
 	// slice expiry — all offset by the switch penalty, during which the
-	// task makes no CPU progress. Completion and I/O instants live in
-	// CPU-demand terms; the slice budget is wall time, so the two are
-	// compared after converting demand to wall via the host speed (an
-	// identity on unit-speed hosts).
-	cpuFor := t.Remaining()
-	reason := ReasonFinished
-	if io := t.NextIO(); io != nil {
-		// <= so that an I/O op scheduled exactly at the end of the CPU
-		// demand still blocks before the task is declared finished.
-		if untilIO := io.At - t.CPUUsed; untilIO <= cpuFor {
-			cpuFor = untilIO
-			reason = ReasonBlocked
-		}
-	}
-	wallFor := e.wallOf(cpuFor)
-	if slice > 0 && slice < wallFor {
-		// The floor of a sub-stint slice can reach zero CPU on very slow
-		// hosts; clamp to 1ns so every slice makes progress and slice
-		// renewal cannot spin at one instant.
-		cpuSlice := e.cpuOf(slice)
-		if cpuSlice < 1 {
-			cpuSlice = 1
-		}
-		if cpuSlice < cpuFor {
-			cpuFor = cpuSlice
-			wallFor = slice
-			reason = ReasonPreempted
-		}
+	// task makes no CPU progress.
+	demand, reason := e.demand(t)
+	cpuFor, wallFor := demand, e.wallOf(demand)
+	if cpuSlice, cut := e.cut(demand, slice); cut {
+		cpuFor, wallFor, reason = cpuSlice, slice, ReasonPreempted
 	}
 	if cpuFor < 0 {
 		panic("cpusim: negative run segment")
 	}
 	c.cpuBudget = cpuFor
 	c.fireReason = reason
+	// Only a stint that follows a renewal asks to be held: on a busy
+	// host most stints a slice cuts end in a switch, and asking at every
+	// dispatch costs more than the one event a chain's first renewal
+	// takes.
+	if reason == ReasonPreempted && !countDispatch && e.renews(core, slice) {
+		e.hold(core, now+slice+c.penalty, now+c.penalty+e.chainLength(demand, slice, cpuFor))
+		return
+	}
 	c.event = e.q.After(wallFor+c.penalty, c.fire)
+}
+
+// renews reports whether the scheduler promises that a slice expiry on
+// core renews the running task's slice unchanged.
+func (e *Engine) renews(core int, slice time.Duration) bool {
+	if e.renewer == nil {
+		return false
+	}
+	s, ok := e.renewer.Renews(core)
+	return ok && s == slice
+}
+
+// demand returns the CPU t runs before it finishes or starts its next
+// I/O op, and which of the two ends that run.
+func (e *Engine) demand(t *task.Task) (time.Duration, DescheduleReason) {
+	cpu, reason := t.Remaining(), ReasonFinished
+	if io := t.NextIO(); io != nil {
+		// <= so that an I/O op scheduled exactly at the end of the CPU
+		// demand still blocks before the task is declared finished.
+		if untilIO := io.At - t.CPUUsed; untilIO <= cpu {
+			cpu, reason = untilIO, ReasonBlocked
+		}
+	}
+	return cpu, reason
+}
+
+// cut reports whether a slice expiry ends a stint before its cpu demand
+// runs out, and the CPU the slice retires. Demand lives in CPU terms
+// and the slice in wall time, so the two are compared after converting
+// demand to wall via the host speed (an identity on unit-speed hosts).
+func (e *Engine) cut(cpu, slice time.Duration) (cpuSlice time.Duration, ok bool) {
+	if slice <= 0 || slice >= e.wallOf(cpu) {
+		return 0, false
+	}
+	// The floor of a sub-stint slice can reach zero CPU on very slow
+	// hosts; clamp to 1ns so every slice makes progress and slice
+	// renewal cannot spin at one instant.
+	cpuSlice = max(e.cpuOf(slice), 1)
+	return cpuSlice, cpuSlice < cpu
+}
+
+// chainLength returns the wall time, switch penalty excluded, that a
+// run of cpu demand takes when every slice expiry renews: k stints of
+// slice, each retiring cpuSlice, then a last stint of what is left. A
+// slice cuts each stint whose demand exceeds cpuSlice, except that
+// float rounding on a speed-scaled host can put such a demand's wall
+// time exactly on the slice; cutting is monotone in demand, so only
+// the last of the k stints can miss, and stepping back settles it.
+func (e *Engine) chainLength(cpu, slice, cpuSlice time.Duration) time.Duration {
+	k := (cpu - 1) / cpuSlice
+	for k > 0 {
+		if _, ok := e.cut(cpu-(k-1)*cpuSlice, slice); ok {
+			break
+		}
+		k--
+	}
+	return k*slice + e.wallOf(cpu-k*cpuSlice)
+}
+
+// hold keeps core's pending renewal at instant at under a reserved
+// sequence number; end is when its chain of renewals ends.
+func (e *Engine) hold(core int, at, end simtime.Time) {
+	c := &e.cores[core]
+	c.held, c.heldAt, c.heldSeq, c.chainEnd = true, at, e.q.Reserve(), end
+	c.nextHeld, e.heldHead = e.heldHead, core
+	e.chainEnd = min(e.chainEnd, end)
+}
+
+// unhold drops core's held renewal. The caller queues it as an event,
+// or the stint it ended is gone.
+func (e *Engine) unhold(core int) {
+	c := &e.cores[core]
+	c.held = false
+	link := &e.heldHead
+	for *link != core {
+		link = &e.cores[*link].nextHeld
+	}
+	*link = c.nextHeld
+	e.chainEnd = simtime.Infinity
+	for i := e.heldHead; i >= 0; i = e.cores[i].nextHeld {
+		e.chainEnd = min(e.chainEnd, e.cores[i].chainEnd)
+	}
+}
+
+// firstHeld returns the held core whose renewal comes first in (time,
+// sequence) order. At least one core must hold a renewal.
+func (e *Engine) firstHeld() int {
+	first := e.heldHead
+	for i := e.cores[first].nextHeld; i >= 0; i = e.cores[i].nextHeld {
+		c, f := &e.cores[i], &e.cores[first]
+		if c.heldAt < f.heldAt || (c.heldAt == f.heldAt && c.heldSeq < f.heldSeq) {
+			first = i
+		}
+	}
+	return first
+}
+
+// catchUp passes, in (time, sequence) order, every held renewal due at
+// or before until that precedes the queue's head. A pass that ends a
+// chain queues the chain's last stint, which then bounds the passes
+// after it.
+func (e *Engine) catchUp(until simtime.Time) {
+	for e.heldHead >= 0 {
+		i := e.firstHeld()
+		c := &e.cores[i]
+		if c.heldAt > until || !e.q.Precedes(c.heldAt, c.heldSeq) {
+			return
+		}
+		e.pass(i)
+	}
+}
+
+// recheckHeld asks the scheduler, after an event, whether each held
+// renewal is still one. A renewal the event spoiled — say, a task
+// queued behind the one running — goes into the queue as the event it
+// stood for, under its reserved sequence number, and fires through
+// coreEvent like any slice expiry.
+func (e *Engine) recheckHeld() {
+	for core := e.heldHead; core >= 0; {
+		c := &e.cores[core]
+		next := c.nextHeld
+		if !e.renews(core, c.budget) {
+			c.event = e.q.AtSeq(c.heldAt, c.heldSeq, c.fire)
+			e.unhold(core)
+		}
+		core = next
+	}
+}
+
+// pass applies core's held renewal at its instant, exactly as coreEvent
+// and place would apply the slice expiry it stands for: the stint's CPU
+// is retired, the scheduler renews the slice, and the next stint starts
+// with no switch penalty. That stint is held too while the chain lasts;
+// the chain's last stint goes into the queue as a real event.
+func (e *Engine) pass(core int) {
+	c := &e.cores[core]
+	t, now := c.cur, c.heldAt
+	e.q.Pass(now)
+	ran := now - c.runStart
+	e.chargeRun(c, t, ran, c.cpuBudget)
+	t.MarkReady(now)
+	e.renewer.Renewed(core, ran)
+	t.MarkRunning(now, core)
+	t.Dispatches-- // a renewal is the same stint, as in place
+	e.HeldRenewals++
+	c.runStart = now
+	c.penalty = 0
+	cpu, reason := e.demand(t)
+	if cpuSlice, cut := e.cut(cpu, c.budget); cut {
+		c.cpuBudget = cpuSlice
+		c.heldAt, c.heldSeq = now+c.budget, e.q.Reserve()
+		return
+	}
+	if now+e.wallOf(cpu) != c.chainEnd {
+		panic("cpusim: renewal chain ends off its predicted instant")
+	}
+	e.unhold(core)
+	c.cpuBudget = cpu
+	c.fireReason = reason
+	c.event = e.q.After(e.wallOf(cpu), c.fire)
 }
 
 // wallOf converts a CPU-demand duration to the wall time this host
@@ -490,6 +735,9 @@ func (e *Engine) preempt(now simtime.Time, core int) {
 		return
 	}
 	e.q.Cancel(c.event)
+	if c.held {
+		e.unhold(core)
+	}
 	ran := now - c.runStart
 	// A mid-stint preemption retires the wall progress made so far,
 	// converted to CPU demand; the conversion truncates, so clamp to

@@ -21,32 +21,53 @@ type submission struct {
 // advances whole windows of queued submissions (Enqueue, Advance).
 // Either way every event and delivery flows through the same
 // primitives, so replays are byte-identical at any partitioning.
+//
+// A group keys its runtimes by their next event that is not a held
+// slice renewal (see cpusim.Renewer), so a host whose tasks only renew
+// their slices is not stepped until real work is due. A group built
+// with everyInstant keys and steps them by every instant, held
+// renewals included: the sharded coordinator's lookahead windows need
+// that, because which windows it visits moves its lifecycle clock.
 type Group struct {
-	rts     []*Runtime
-	hh      *Heap
-	subs    []submission // time-ordered; coordinator appends, Advance consumes
-	subHead int
+	rts          []*Runtime
+	hh           *Heap
+	subs         []submission // time-ordered; coordinator appends, Advance consumes
+	subHead      int
+	everyInstant bool
 }
 
-// NewGroup builds a group over rts. The runtimes must be fresh: their
+// NewGroup builds a group over rts, keyed by real events or, with
+// everyInstant, by every instant. The runtimes must be fresh: their
 // engines hold no work, so every heap key starts at Infinity.
-func NewGroup(rts []*Runtime) *Group {
-	return &Group{rts: rts, hh: NewHeap(len(rts))}
+func NewGroup(rts []*Runtime, everyInstant bool) *Group {
+	return &Group{rts: rts, hh: NewHeap(len(rts)), everyInstant: everyInstant}
 }
 
-// Min returns the runtime with the earliest pending engine event
-// (lowest index on ties) and that event's time; idle runtimes report
-// simtime.Infinity.
+// Min returns the runtime with the earliest key (lowest index on ties)
+// and that key; idle runtimes report simtime.Infinity.
 func (g *Group) Min() (idx int, at simtime.Time) { return g.hh.Min() }
 
-// Step fires runtime i's earliest pending event, re-keys it, and
+// key is runtime i's key in the group's heap.
+func (g *Group) key(i int) simtime.Time {
+	if g.everyInstant {
+		return g.rts[i].eng.NextInstant()
+	}
+	return g.rts[i].NextEventTime()
+}
+
+// Step fires runtime i's earliest pending event (or, in an
+// every-instant group, handles its earliest instant), re-keys it, and
 // returns the number of tasks that completed.
 func (g *Group) Step(i int) (completions int) {
-	rt := g.rts[i]
-	before := rt.eng.Pending()
-	rt.StepEvent()
-	g.hh.Update(i, rt.NextEventTime())
-	return before - rt.eng.Pending()
+	eng := g.rts[i].eng
+	before := eng.Pending()
+	if g.everyInstant {
+		eng.StepInstant()
+	} else {
+		eng.StepEvent()
+	}
+	g.hh.Update(i, g.key(i))
+	return before - eng.Pending()
 }
 
 // Deliver hands t to runtime i at instant `at` — through the runtime's
@@ -54,7 +75,7 @@ func (g *Group) Step(i int) (completions int) {
 // immediate delivery; Advance uses it for queued submissions.
 func (g *Group) Deliver(i int, at simtime.Time, t *task.Task) {
 	g.rts[i].Place(at, t)
-	g.hh.Update(i, g.rts[i].NextEventTime())
+	g.hh.Update(i, g.key(i))
 }
 
 // Enqueue defers delivery of t to runtime i until Advance reaches

@@ -143,21 +143,26 @@ func (rt *Runtime) Engine() *cpusim.Engine { return rt.eng }
 func (rt *Runtime) Queued() int { return rt.queued }
 
 // NextEventTime is the runtime's key in a next-event ordering: the
-// engine's earliest pending event while it has unfinished work, and
-// simtime.Infinity otherwise. Idle engines may hold re-arming timer
-// events (e.g. the SFS monitor) that would spin a driver forever;
-// parking them at Infinity is the contract every drive loop keys on.
+// engine's earliest pending event that is not a held slice renewal
+// (cpusim.Engine.NextPendingEventTime) while it has unfinished work,
+// and simtime.Infinity otherwise. Idle engines may hold re-arming timer
+// events that would spin a driver forever; parking them at Infinity is
+// the contract every drive loop keys on.
 func (rt *Runtime) NextEventTime() simtime.Time { return rt.eng.NextPendingEventTime() }
 
-// StepEvent fires the engine's earliest pending event.
+// StepEvent fires the engine's earliest pending event that is not a
+// held renewal, passing the held renewals before it.
 func (rt *Runtime) StepEvent() bool { return rt.eng.StepEvent() }
 
 // Place runs the pipeline's BeforeSubmit hooks for t at instant at —
 // each returned delay postpones the engine-visible arrival — and hands
 // the task to the engine. This is the single submit path shared by
 // every driver: the standalone Drive loop and the cluster's delivery in
-// either mode.
+// either mode. Every engine event up to at has fired by then; the
+// engine first passes the held renewals due by at, so the arrival takes
+// the queue sequence number it would take if renewals were events.
 func (rt *Runtime) Place(at simtime.Time, t *task.Task) {
+	rt.eng.CatchUp(at)
 	for _, s := range rt.stages {
 		if d := s.BeforeSubmit(at, t); d > 0 {
 			t.Arrival += d

@@ -29,7 +29,6 @@
 package lifecycle
 
 import (
-	"container/heap"
 	"fmt"
 	"strings"
 	"time"
@@ -162,37 +161,121 @@ const (
 )
 
 // event is one entry of the Manager's lazy (time, sequence)-ordered
-// queue. Expiry events are invalidated by clearing c.expires when the
-// container is reused; pre-warm events carry the app and idle window.
+// queue: an idle container's expiry, cancelled when the container is
+// reused or evicted, or a pre-warm carrying its app and idle window.
 type event struct {
 	at   simtime.Time
-	seq  uint64
 	kind eventKind
 	c    *Container    // evExpire target
 	app  string        // evPrewarm application
 	keep time.Duration // evPrewarm idle window once materialized
-	dead bool
+	idx  int           // heap index while queued
 }
 
-// eventHeap is a min-heap by (at, seq) so same-instant events fire in
-// scheduling order, keeping replays deterministic.
-type eventHeap []*event
+// slot is one heap entry: an event with its ordering keys inline.
+type slot struct {
+	at  simtime.Time
+	seq uint64
+	e   *event
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (a *slot) before(b *slot) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
+
+// eventQueue is a binary min-heap of events by (at, seq), so
+// same-instant events fire in scheduling order and replays stay
+// deterministic. Each event knows its heap index, so a cancelled
+// expiry leaves the heap at once; fired and cancelled events are
+// recycled through a free list.
+type eventQueue struct {
+	h    []slot
+	seq  uint64
+	free []*event
+}
+
+// alloc returns a zeroed event, recycled when one is free.
+func (q *eventQueue) alloc() *event {
+	if n := len(q.free); n > 0 {
+		e := q.free[n-1]
+		q.free = q.free[:n-1]
+		return e
+	}
+	return new(event)
+}
+
+// release recycles an event that left the heap.
+func (q *eventQueue) release(e *event) {
+	*e = event{}
+	q.free = append(q.free, e)
+}
+
+// push queues e at e.at under the next sequence number.
+func (q *eventQueue) push(e *event) {
+	q.h = append(q.h, slot{})
+	q.up(len(q.h)-1, slot{at: e.at, seq: q.seq, e: e})
+	q.seq++
+}
+
+// pop removes and returns the earliest event.
+func (q *eventQueue) pop() *event {
+	e := q.h[0].e
+	q.remove(0)
 	return e
+}
+
+// remove takes the entry at heap index i out of the heap.
+func (q *eventQueue) remove(i int) {
+	n := len(q.h) - 1
+	last := q.h[n]
+	q.h[n] = slot{}
+	q.h = q.h[:n]
+	if i < n {
+		q.down(i, last)
+		if last.e.idx == i {
+			q.up(i, last)
+		}
+	}
+}
+
+// up places x at index i, moving larger ancestors down into the hole.
+func (q *eventQueue) up(i int, x slot) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !x.before(&q.h[p]) {
+			break
+		}
+		q.h[i] = q.h[p]
+		q.h[i].e.idx = i
+		i = p
+	}
+	q.h[i] = x
+	x.e.idx = i
+}
+
+// down places x at index i, moving smaller children up into the hole.
+func (q *eventQueue) down(i int, x slot) {
+	n := len(q.h)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q.h[r].before(&q.h[c]) {
+			c = r
+		}
+		if !q.h[c].before(&x) {
+			break
+		}
+		q.h[i] = q.h[c]
+		q.h[i].e.idx = i
+		i = c
+	}
+	q.h[i] = x
+	x.e.idx = i
 }
 
 // Manager is the container lifecycle state of one host. It is not safe
@@ -204,8 +287,7 @@ type Manager struct {
 
 	idle    map[string][]*Container // per-app idle pool, most recent last
 	pending map[string]*event       // at most one scheduled pre-warm per app
-	events  eventHeap
-	seq     uint64
+	events  eventQueue
 	usedMB  int
 	stats   Stats
 }
@@ -270,27 +352,22 @@ func (m *Manager) Stats() Stats { return m.stats }
 // so advancing late, or in several steps, yields the same state as
 // advancing at every instant.
 func (m *Manager) AdvanceTo(now simtime.Time) {
-	for len(m.events) > 0 && m.events[0].at <= now {
-		e := heap.Pop(&m.events).(*event)
-		if e.dead {
-			continue
-		}
+	for len(m.events.h) > 0 && m.events.h[0].at <= now {
+		e := m.events.pop()
 		switch e.kind {
 		case evExpire:
+			// A queued expiry's container is idle: reuse and eviction
+			// cancel the expiry first.
 			c := e.c
-			if c.dead || c.busy || c.expires != e {
-				continue
-			}
 			c.expires = nil
 			m.removeIdle(c)
 			m.destroy(c)
 			m.stats.Expirations++
 		case evPrewarm:
-			if m.pending[e.app] == e {
-				delete(m.pending, e.app)
-			}
+			delete(m.pending, e.app)
 			m.materializePrewarm(e)
 		}
+		m.events.release(e)
 	}
 }
 
@@ -444,17 +521,18 @@ func (m *Manager) scheduleExpiry(now simtime.Time, c *Container, keep time.Durat
 		c.expires = nil
 		return
 	}
-	e := &event{at: now + keep, seq: m.seq, kind: evExpire, c: c}
-	m.seq++
+	e := m.events.alloc()
+	e.at, e.kind, e.c = now+keep, evExpire, c
 	c.expires = e
-	heap.Push(&m.events, e)
+	m.events.push(e)
 }
 
-// cancelExpiry invalidates a pending expiry when a container is reused
-// or evicted early.
+// cancelExpiry removes a pending expiry when a container is reused or
+// evicted early.
 func (m *Manager) cancelExpiry(c *Container) {
-	if c.expires != nil {
-		c.expires.dead = true
+	if e := c.expires; e != nil {
+		m.events.remove(e.idx)
+		m.events.release(e)
 		c.expires = nil
 	}
 }
@@ -464,10 +542,10 @@ func (m *Manager) schedulePrewarm(now simtime.Time, app string, d Decision) {
 	if m.pending[app] != nil {
 		return
 	}
-	e := &event{at: now + d.PrewarmIn, seq: m.seq, kind: evPrewarm, app: app, keep: d.PrewarmFor}
-	m.seq++
+	e := m.events.alloc()
+	e.at, e.kind, e.app, e.keep = now+d.PrewarmIn, evPrewarm, app, d.PrewarmFor
 	m.pending[app] = e
-	heap.Push(&m.events, e)
+	m.events.push(e)
 }
 
 // materializePrewarm creates the pre-warmed idle container if it fits

@@ -284,3 +284,29 @@ func TestNewValidation(t *testing.T) {
 		t.Fatalf("default policy %s, want TTL", m.Policy().Name())
 	}
 }
+
+// TestReuseRemovesExpiry: reusing a warm container takes its pending
+// expiry out of the event heap at once, and removed events are
+// recycled, so a container reused over and over keeps one event queued,
+// the same struct every time.
+func TestReuseRemovesExpiry(t *testing.T) {
+	m := constMgr(t, Config{Policy: NewFixedTTL(ms(100))})
+	var first *event
+	for i := 0; i < 1000; i++ {
+		now := ms(i)
+		_, c := m.Acquire(now, "a")
+		m.Release(now, c)
+		if n := len(m.events.h); n != 1 {
+			t.Fatalf("reuse %d: %d events queued, want the container's one expiry", i, n)
+		}
+		if first == nil {
+			first = m.events.h[0].e
+		} else if m.events.h[0].e != first {
+			t.Fatalf("reuse %d queued a new event struct instead of the recycled one", i)
+		}
+	}
+	m.AdvanceTo(ms(2000))
+	if st := m.Stats(); st.ColdStarts != 1 || st.Expirations != 1 || len(m.events.h) != 0 {
+		t.Fatalf("stats %+v with %d events queued, want one cold start, one expiry and an empty heap", st, len(m.events.h))
+	}
+}

@@ -678,6 +678,72 @@ func Scenarios(quick bool, seed uint64) []Scenario {
 				}
 			},
 		},
+		{
+			// One op = a 4-core SFS engine run over a fixed script:
+			// six long requests (0.6–2.1 s of CPU) that SFS demotes to
+			// CFS, where most of their slice renewals find the task
+			// alone on its core and are held, plus a 3 ms request every
+			// 40 ms that takes a core for FILTER work, and two late
+			// long requests whose demotions queue behind held tasks.
+			// Held renewals, their re-checks after each event and the
+			// breaks back to queued slice expiries are timed together.
+			Name: "cfs-renewal",
+			Bench: func(b *testing.B) {
+				var tasks []*task.Task
+				for i := 0; i < 6; i++ {
+					tasks = append(tasks, task.New(i, time.Duration(i)*7*time.Millisecond, time.Duration(600+300*i)*time.Millisecond))
+				}
+				for i := 0; i < 50; i++ {
+					tasks = append(tasks, task.New(6+i, 20*time.Millisecond+time.Duration(i)*40*time.Millisecond, 3*time.Millisecond))
+				}
+				tasks = append(tasks, task.New(56, 700*time.Millisecond, time.Second), task.New(57, 1300*time.Millisecond, 800*time.Millisecond))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					eng := cpusim.NewEngine(cpusim.Config{Cores: 4}, core.New(core.DefaultConfig()))
+					eng.Submit(trace.CloneTasks(tasks)...)
+					eng.Run()
+					if eng.HeldRenewals == 0 {
+						b.Fatal("no slice renewal was held")
+					}
+				}
+			},
+		},
+		{
+			// One op = 1,024 container cycles on one lifecycle manager
+			// under a 50 ms TTL: each cycle releases the container
+			// taken 16 cycles earlier and acquires one for one of 64
+			// apps, about 1 ms of virtual time apart, so an app comes
+			// back every ~64 ms and containers keep expiring, missing
+			// and being reused. The lifecycle acquire/release layer,
+			// without an engine.
+			Name: "lifecycle-cycle",
+			Bench: func(b *testing.B) {
+				const apps, ring, cycles = 64, 16, 1024
+				r := rng.New(seed)
+				appOf := make([]string, cycles)
+				gaps := make([]time.Duration, cycles)
+				for j := range appOf {
+					appOf[j] = fmt.Sprintf("app%d", r.Intn(apps))
+					gaps[j] = time.Duration(r.Intn(2000)) * time.Microsecond
+				}
+				mgr, err := lifecycle.New(lifecycle.Config{Policy: lifecycle.NewFixedTTL(50 * time.Millisecond), Seed: seed})
+				if err != nil {
+					b.Fatal(err)
+				}
+				var busy [ring]*lifecycle.Container
+				var now simtime.Time
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for j := 0; j < cycles; j++ {
+						now += gaps[j]
+						mgr.Release(now, busy[j%ring])
+						_, busy[j%ring] = mgr.Acquire(now, appOf[j])
+					}
+				}
+			},
+		},
 	}
 }
 

@@ -55,16 +55,6 @@ func IntensityFromIAT(meanIAT, meanService time.Duration, c int) float64 {
 	return TrafficIntensity(lambda, mu, c)
 }
 
-// FilterSlice computes SFS's time-slice parameter S = meanIAT * c (§V-C):
-// the cap on FILTER-mode execution that bounds the FILTER pool's traffic
-// intensity near one.
-func FilterSlice(meanIAT time.Duration, c int) time.Duration {
-	if meanIAT < 0 {
-		meanIAT = 0
-	}
-	return meanIAT * time.Duration(c)
-}
-
 // ErlangC returns the probability that an arriving request must queue in
 // an M/M/c system with offered load a = lambda/mu and c servers.
 func ErlangC(a float64, c int) (float64, error) {

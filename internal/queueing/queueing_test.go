@@ -35,16 +35,6 @@ func TestIntensityFromIAT(t *testing.T) {
 	}
 }
 
-func TestFilterSlice(t *testing.T) {
-	// The paper's S = meanIAT * c rule (§V-C).
-	if s := FilterSlice(10*time.Millisecond, 12); s != 120*time.Millisecond {
-		t.Fatalf("S = %v, want 120ms", s)
-	}
-	if s := FilterSlice(-time.Second, 4); s != 0 {
-		t.Fatalf("negative IAT should clamp: %v", s)
-	}
-}
-
 func TestErlangCKnownValues(t *testing.T) {
 	// M/M/1: P(wait) = rho.
 	p, err := ErlangC(0.5, 1)

@@ -98,16 +98,6 @@ func (c *CFS) nrRunning(i int) int {
 	return n
 }
 
-// TotalRunnable returns the number of runnable (queued or running) tasks
-// across all runqueues.
-func (c *CFS) TotalRunnable() int {
-	n := 0
-	for i := range c.rqs {
-		n += c.nrRunning(i)
-	}
-	return n
-}
-
 // leastLoaded picks the runqueue with the fewest runnable tasks
 // (select_task_rq's slow path, simplified).
 func (c *CFS) leastLoaded() int {
@@ -285,6 +275,22 @@ func (c *CFS) WantsPreempt(now simtime.Time, core int) bool {
 	return liveVR-leftmost > wakeupGranularity
 }
 
-// Runnable returns the queued entity count on core's runqueue (excluding
-// the running task); exposed for SFS and tests.
-func (c *CFS) Runnable(core int) int { return c.rqs[core].q.Len() }
+// Renews implements cpusim.Renewer: with no other entity queued on
+// core's runqueue, a slice expiry hands the core straight back to the
+// running entity.
+func (c *CFS) Renews(core int) (time.Duration, bool) {
+	if c.cur[core] == nil || c.rqs[core].q.Len() > 0 {
+		return 0, false
+	}
+	return c.sliceFor(core), true
+}
+
+// Renewed implements cpusim.Renewer: on an empty runqueue the requeue in
+// Descheduled and the pop in PickNext cancel out, leaving the vruntime
+// charge and the min_vruntime update.
+func (c *CFS) Renewed(core int, ran time.Duration) {
+	ent := c.cur[core]
+	ent.vr += weighted(ran, ent.t.Weight)
+	ent.everRan = true
+	c.updateMin(core)
+}

@@ -19,6 +19,12 @@
 // and safe on already-fired events, which is what lets schedulers
 // re-arm timers without bookkeeping.
 //
+// An owner may keep an event outside the queue and still fire it in its
+// turn: Reserve takes the sequence number At would have used, Precedes
+// compares the held (time, sequence) with the queue's head, and Pass
+// moves the clock when the owner handles it (AtSeq queues it after all).
+// cpusim holds slice renewals this way.
+//
 // Event structs are pooled: once an event fires or is cancelled, its
 // struct is recycled for a later At/After call, so steady-state
 // simulations allocate no event memory at all. Handles are therefore
@@ -126,15 +132,50 @@ func (q *Queue) release(e *Event) {
 // Step; this is valid and used for "immediate" follow-up work. The returned
 // EventRef may be passed to Cancel.
 func (q *Queue) At(at Time, fn func(now Time)) EventRef {
+	return q.AtSeq(at, q.Reserve(), fn)
+}
+
+// Reserve takes the sequence number the next At would use. An owner
+// that keeps an event outside the queue reserves its number where it
+// would have scheduled it, so the event keeps its place in the (time,
+// sequence) order: it later either schedules it with AtSeq or handles
+// it itself at its turn (see Precedes and Pass).
+func (q *Queue) Reserve() uint64 {
+	seq := q.seq
+	q.seq++
+	return seq
+}
+
+// AtSeq is At under a sequence number taken earlier with Reserve.
+func (q *Queue) AtSeq(at Time, seq uint64, fn func(now Time)) EventRef {
 	if at < q.now {
 		at = q.now
 	}
 	e := q.alloc()
 	e.Fn, e.dead = fn, false
-	q.push(entry{at: at, seq: q.seq, e: e})
-	q.seq++
+	q.push(entry{at: at, seq: seq, e: e})
 	q.sched++
 	return EventRef{e: e, gen: e.gen}
+}
+
+// Precedes reports whether an event at (at, seq) comes before every
+// pending event, so an owner holding it outside the queue must handle
+// it before the next Step. It is true when the queue is empty.
+func (q *Queue) Precedes(at Time, seq uint64) bool {
+	if len(q.heap) == 0 {
+		return true
+	}
+	x := entry{at: at, seq: seq}
+	return x.before(&q.heap[0])
+}
+
+// Pass moves Now to at, the instant of an event its owner held outside
+// the queue and handles in its turn. Time never moves backwards: an
+// earlier at leaves Now as it is.
+func (q *Queue) Pass(at Time) {
+	if at > q.now {
+		q.now = at
+	}
 }
 
 // After schedules fn after delay d from the current virtual time.

@@ -320,3 +320,34 @@ func BenchmarkScheduleFireAllocs(b *testing.B) {
 		q.Step()
 	}
 }
+
+// TestReservedSequenceKeepsItsPlace: an event scheduled later under a
+// reserved sequence number fires where an At at the reservation would
+// have put it, before same-instant events scheduled after it; Precedes
+// compares a held (time, sequence) against the head, and Pass never
+// moves the clock backwards.
+func TestReservedSequenceKeepsItsPlace(t *testing.T) {
+	q := &Queue{}
+	var got []string
+	held := q.Reserve()
+	q.At(time.Millisecond, func(Time) { got = append(got, "after") })
+	if q.Precedes(time.Millisecond, held+1) {
+		t.Fatal("a later sequence at the head's instant must not precede it")
+	}
+	if !q.Precedes(time.Millisecond, held) {
+		t.Fatal("the reserved sequence must precede a same-instant event scheduled after it")
+	}
+	q.AtSeq(time.Millisecond, held, func(Time) { got = append(got, "reserved") })
+	q.RunAll()
+	if !slices.Equal(got, []string{"reserved", "after"}) {
+		t.Fatalf("fired %v, want the reserved event first", got)
+	}
+	if !q.Precedes(0, 0) {
+		t.Fatal("anything precedes an empty queue's head")
+	}
+	q.Pass(5 * time.Millisecond)
+	q.Pass(2 * time.Millisecond)
+	if q.Now() != 5*time.Millisecond {
+		t.Fatalf("clock at %v after passing 5ms then 2ms, want 5ms", q.Now())
+	}
+}
