@@ -145,13 +145,50 @@ func compile(spec Spec) (*compiled, error) {
 	return c, nil
 }
 
-// instance is one in-flight workflow.
+// instance is one in-flight workflow. Its end-to-end record lives in
+// Injector.workflows, so a finished instance holds nothing a report
+// needs and is recycled with its per-stage slices.
 type instance struct {
 	c         *compiled
-	wf        metrics.Workflow
+	wf        *metrics.Workflow // the workflow's record in Injector.workflows
 	tasks     []*task.Task
 	waiting   []int // unfinished dependency count per stage
 	remaining int
+}
+
+// records holds every workflow's end-to-end record in request order, in
+// blocks that never move, so an instance can point at its record and a
+// growing run copies no records. Blocks double from 16 records up to
+// 1,024, so a small run allocates little and a large one one block per
+// 1,024 workflows.
+type records struct {
+	blocks [][]metrics.Workflow
+	n      int
+}
+
+// add appends w and returns where it lives.
+func (r *records) add(w metrics.Workflow) *metrics.Workflow {
+	last := len(r.blocks) - 1
+	if last < 0 || len(r.blocks[last]) == cap(r.blocks[last]) {
+		size := 16
+		if last >= 0 {
+			size = min(2*cap(r.blocks[last]), 1024)
+		}
+		r.blocks = append(r.blocks, make([]metrics.Workflow, 0, size))
+		last++
+	}
+	r.blocks[last] = append(r.blocks[last], w)
+	r.n++
+	return &r.blocks[last][len(r.blocks[last])-1]
+}
+
+// all returns a copy of every record in request order.
+func (r *records) all() []metrics.Workflow {
+	out := make([]metrics.Workflow, 0, r.n)
+	for _, b := range r.blocks {
+		out = append(out, b...)
+	}
+	return out
 }
 
 // stageRef locates a task inside its workflow.
@@ -170,8 +207,15 @@ type Injector struct {
 	nextID    int
 	byTask    map[*task.Task]stageRef
 	names     map[string][]string // request app -> its stages' task Apps
-	instances []*instance
+	workflows records
 	pending   int
+	// free holds finished workflows' instances, per-stage slices
+	// included, for Expand to reuse.
+	free []*instance
+	// Scratch reused across calls: the slices Expand and OnFinish
+	// return, and Expand's critical-path lengths.
+	roots, released []*task.Task
+	longest         []time.Duration
 }
 
 // NewInjector validates every spec and builds the injector.
@@ -232,31 +276,28 @@ func (in *Injector) stageNames(reqApp string, c *compiled) []string {
 // request order — and returns the root stage tasks, all arriving at the
 // request's arrival time (the request task itself becomes stage 0).
 // Requests for unregistered applications are returned unchanged and
-// untracked. Drivers must call Expand in arrival order.
+// untracked. Drivers must call Expand in arrival order. The returned
+// slice is the injector's own and is valid until the next Expand.
 func (in *Injector) Expand(t *task.Task) []*task.Task {
 	c := in.lookup(t.App)
+	in.roots = in.roots[:0]
 	if c == nil {
-		return []*task.Task{t}
+		in.roots = append(in.roots, t)
+		return in.roots
 	}
 
 	reqApp, reqService := t.App, t.Service
-	inst := &instance{
-		c: c,
-		wf: metrics.Workflow{
-			ID:      t.ID,
-			App:     reqApp,
-			Stages:  len(c.spec.Stages),
-			Arrival: t.Arrival,
-			Finish:  -1,
-		},
-		tasks:     make([]*task.Task, len(c.spec.Stages)),
-		waiting:   make([]int, len(c.spec.Stages)),
-		remaining: len(c.spec.Stages),
-	}
+	inst := in.newInstance(c)
+	wf := in.workflows.add(metrics.Workflow{
+		ID:      t.ID,
+		App:     reqApp,
+		Stages:  len(c.spec.Stages),
+		Arrival: t.Arrival,
+		Finish:  -1,
+	})
 
-	var roots []*task.Task
 	names := in.stageNames(reqApp, c)
-	longest := make([]time.Duration, len(c.spec.Stages))
+	longest := in.longest[:0]
 	for i, sg := range c.spec.Stages {
 		svc := reqService
 		if sg.Service != nil {
@@ -284,31 +325,53 @@ func (in *Injector) Expand(t *task.Task) []*task.Task {
 		inst.waiting[i] = len(sg.Deps)
 		in.byTask[st] = stageRef{inst: inst, stage: i}
 		if len(sg.Deps) == 0 {
-			roots = append(roots, st)
+			in.roots = append(in.roots, st)
 		}
 
 		// Critical path: a stage's earliest uncontended completion is
 		// its own ideal duration after its slowest dependency.
-		longest[i] = st.IdealDuration()
+		longest = append(longest, st.IdealDuration())
 		for _, d := range sg.Deps {
 			if longest[d]+st.IdealDuration() > longest[i] {
 				longest[i] = longest[d] + st.IdealDuration()
 			}
 		}
-		if longest[i] > inst.wf.Ideal {
-			inst.wf.Ideal = longest[i]
+		if longest[i] > wf.Ideal {
+			wf.Ideal = longest[i]
 		}
 	}
-	in.instances = append(in.instances, inst)
+	inst.wf = wf
+	in.longest = longest
 	in.pending++
-	return roots
+	return in.roots
+}
+
+// newInstance returns an instance of workflow c with per-stage slices
+// whose contents Expand overwrites. It reuses a finished workflow's
+// instance, and that instance's slices when they are large enough.
+func (in *Injector) newInstance(c *compiled) *instance {
+	n := len(c.spec.Stages)
+	var inst *instance
+	if k := len(in.free); k > 0 {
+		inst = in.free[k-1]
+		in.free = in.free[:k-1]
+	} else {
+		inst = new(instance)
+	}
+	if cap(inst.tasks) < n {
+		inst.tasks, inst.waiting = make([]*task.Task, n), make([]int, n)
+	}
+	inst.c, inst.remaining = c, n
+	inst.tasks, inst.waiting = inst.tasks[:n], inst.waiting[:n]
+	return inst
 }
 
 // OnFinish records a completed invocation at its Finish time and
 // returns the downstream stage tasks it releases, each arriving at the
 // completion instant. It is safe to call for tasks that are not chain
 // stages (returns nil). The last completion of a workflow seals its
-// end-to-end result.
+// end-to-end result and recycles the workflow's instance. The returned
+// slice is the injector's own and is valid until the next OnFinish.
 func (in *Injector) OnFinish(t *task.Task) []*task.Task {
 	ref, ok := in.byTask[t]
 	if !ok {
@@ -318,19 +381,23 @@ func (in *Injector) OnFinish(t *task.Task) []*task.Task {
 	inst := ref.inst
 	inst.remaining--
 	if inst.remaining == 0 {
+		// The last stage to finish has no children left to release.
 		inst.wf.Finish = t.Finish
 		in.pending--
+		clear(inst.tasks)
+		in.free = append(in.free, inst)
+		return nil
 	}
-	var released []*task.Task
+	in.released = in.released[:0]
 	for _, s := range inst.c.children[ref.stage] {
 		inst.waiting[s]--
 		if inst.waiting[s] > 0 {
 			continue
 		}
 		inst.tasks[s].Arrival = t.Finish
-		released = append(released, inst.tasks[s])
+		in.released = append(in.released, inst.tasks[s])
 	}
-	return released
+	return in.released
 }
 
 // Pending returns the number of workflows with unfinished stages.
@@ -339,9 +406,5 @@ func (in *Injector) Pending() int { return in.pending }
 // Workflows returns every workflow's end-to-end result in request
 // arrival order (unfinished workflows report Finish -1).
 func (in *Injector) Workflows() []metrics.Workflow {
-	out := make([]metrics.Workflow, len(in.instances))
-	for i, inst := range in.instances {
-		out[i] = inst.wf
-	}
-	return out
+	return in.workflows.all()
 }

@@ -323,3 +323,92 @@ func TestServiceFactor(t *testing.T) {
 		t.Fatalf("all-inherit linear factor = %v, want 5", f)
 	}
 }
+
+// TestInjectorReusesFinishedWorkflows drives requests of a two-stage
+// chain and a four-stage diamond by hand, each finishing before the
+// next arrives, so every Expand after the first reuses a finished
+// workflow's instance, sometimes one sized for the other spec. Each
+// workflow must still release exactly its own stages and report its
+// own record across record blocks, and a steady-state request must
+// allocate nothing but the stage tasks it creates.
+func TestInjectorReusesFinishedWorkflows(t *testing.T) {
+	inj, err := NewInjector(Config{Specs: map[string]Spec{
+		"line":    {Stages: []Stage{{}, {Deps: []int{0}}}},
+		"diamond": {Stages: []Stage{{}, {Deps: []int{0}}, {Deps: []int{0}}, {Deps: []int{1, 2}}}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Duration(0)
+	var released [4]*task.Task
+	// finish completes tk a millisecond later and returns the stages it
+	// releases, copied out of the injector's scratch into released.
+	finish := func(tk *task.Task) []*task.Task {
+		now += time.Millisecond
+		tk.Finish = now
+		out := released[:0]
+		for _, r := range inj.OnFinish(tk) {
+			if r.Arrival != now {
+				t.Fatalf("stage %d released at %v, want %v", r.ID, r.Arrival, now)
+			}
+			out = append(out, r)
+		}
+		return out
+	}
+	// request runs one workflow to its end, checking what each
+	// completion releases.
+	request := func(id int) {
+		line := id%3 != 0
+		req := task.New(id, now, ms(1))
+		req.App = "diamond"
+		if line {
+			req.App = "line"
+		}
+		if roots := inj.Expand(req); len(roots) != 1 || roots[0] != req {
+			t.Fatalf("request %d: roots %v, want the request alone", id, roots)
+		}
+		next := finish(req)
+		if line {
+			if len(next) != 1 || len(finish(next[0])) != 0 {
+				t.Fatalf("request %d: the line did not release exactly its second stage", id)
+			}
+			return
+		}
+		if len(next) != 2 {
+			t.Fatalf("request %d: the diamond's entry released %d stages, want both branches", id, len(next))
+		}
+		second := next[1]
+		if len(finish(next[0])) != 0 {
+			t.Fatalf("request %d: the first branch released the join early", id)
+		}
+		join := finish(second)
+		if len(join) != 1 || len(finish(join[0])) != 0 {
+			t.Fatalf("request %d: the second branch did not release exactly the join", id)
+		}
+	}
+	for id := 0; id < 100; id++ {
+		request(id)
+	}
+	if inj.Pending() != 0 || len(inj.byTask) != 0 {
+		t.Fatalf("%d workflows and %d stages still tracked", inj.Pending(), len(inj.byTask))
+	}
+	wfs := inj.Workflows()
+	if len(wfs) != 100 {
+		t.Fatalf("%d workflow records, want 100", len(wfs))
+	}
+	for id, w := range wfs {
+		stages := 2
+		if id%3 == 0 {
+			stages = 4
+		}
+		if w.ID != id || w.Stages != stages || w.Finish <= w.Arrival {
+			t.Fatalf("record %d: %+v", id, w)
+		}
+	}
+	// A warm line request allocates the request task the test builds
+	// and the one stage task Expand creates, and nothing else.
+	id := 1000
+	if avg := testing.AllocsPerRun(50, func() { request(3*id + 1); id++ }); avg > 2 {
+		t.Fatalf("a line request allocates %v objects, want 2: the request and its one stage task", avg)
+	}
+}

@@ -29,15 +29,18 @@ import (
 // Between windows the coordinator runs single-threaded: it settles the
 // window's reports, admits every source arrival inside the next window,
 // and hands each assignment to the owning shard's group as a
-// timestamped submission. Group.Advance interleaves submissions with
-// host events in exact time order (host events first on ties, as in
-// serial mode), so a host's event sequence depends only on the
-// submissions it receives — never on how hosts are partitioned or
-// which worker goroutine runs the shard. Everything the coordinator
-// computes (dispatch decisions, window bounds, admission order) is a
-// function of barrier-time state that is itself
-// shard-count-independent, so the same seed yields byte-identical
-// results at any -shards / -workers setting.
+// timestamped submission. Inside a window no host can affect another,
+// so Group.Advance runs each host with work in the window to the
+// window's end in one go, interleaving that host's submissions with its
+// own events in exact time order (host events first on ties, as in
+// serial mode). A host's event sequence therefore depends only on the
+// submissions it receives — never on how hosts are partitioned, in
+// which order a shard visits them, or which worker goroutine runs the
+// shard — and settle merges the shards' completions in (time, host)
+// order. Everything the coordinator computes (dispatch decisions,
+// window bounds, admission order) is a function of barrier-time state
+// that is itself shard-count-independent, so the same seed yields
+// byte-identical results at any -shards / -workers setting.
 //
 // Dispatch decisions observe host state as of the window's start (plus
 // assignments already made this window, via the runtime's Queued
@@ -107,8 +110,8 @@ type shard struct {
 // step fires runtime i's earliest pending event (serial mode).
 func (sh *shard) step(i int) { sh.completions += sh.grp.Step(i) }
 
-// advance runs the shard's hosts up to (but excluding) bound,
-// interleaving pending submissions with host events in time order.
+// advance runs the shard's hosts up to (but excluding) bound, each
+// host's pending submissions interleaved with its events in time order.
 func (sh *shard) advance(bound simtime.Time) { sh.completions += sh.grp.Advance(bound) }
 
 // partition splits the hosts into n contiguous shards, sizes differing

@@ -198,7 +198,11 @@ type Engine struct {
 	// heldHead starts the list of cores holding a renewal, linked
 	// through coreState.nextHeld in no order; -1 ends it.
 	heldHead int
-	chainEnd simtime.Time // earliest chainEnd among held cores, else Infinity
+	// heldFirst remembers the held core whose renewal comes first in
+	// (time, sequence) order, or is -1 when it must be found again: a
+	// pass moves the first renewal later and an unhold may drop it.
+	heldFirst int
+	chainEnd  simtime.Time // earliest chainEnd among held cores, else Infinity
 }
 
 // NewEngine constructs an engine for the given scheduler. It panics on a
@@ -214,13 +218,14 @@ func NewEngine(cfg Config, s Scheduler) *Engine {
 		cfg.Speed = 1
 	}
 	e := &Engine{
-		cfg:      cfg,
-		q:        &simtime.Queue{},
-		sched:    s,
-		cores:    make([]coreState, cfg.Cores),
-		speed:    cfg.Speed,
-		heldHead: -1,
-		chainEnd: simtime.Infinity,
+		cfg:       cfg,
+		q:         &simtime.Queue{},
+		sched:     s,
+		cores:     make([]coreState, cfg.Cores),
+		speed:     cfg.Speed,
+		heldHead:  -1,
+		heldFirst: -1,
+		chainEnd:  simtime.Infinity,
 	}
 	e.renewer, _ = s.(Renewer)
 	for i := range e.cores {
@@ -343,9 +348,10 @@ func (e *Engine) StepEvent() bool {
 }
 
 // CatchUp passes the held renewals due at or before at. A driver calls
-// it before it submits work at instant at, once every event up to at
-// has fired, and when a deadline at at aborts the run: the engine's
-// state then matches an engine that fired each renewal as an event.
+// it once every event up to at has fired: before it submits work at
+// instant at, at the end of a lookahead window whose last instant is
+// at, and when a deadline at at aborts the run. The engine's state then
+// matches an engine that fired each renewal as an event.
 func (e *Engine) CatchUp(at simtime.Time) {
 	if e.heldHead >= 0 {
 		e.catchUp(at)
@@ -355,7 +361,8 @@ func (e *Engine) CatchUp(at simtime.Time) {
 // NextInstant returns the earliest instant at which the engine's state
 // changes, held renewals included, with NextPendingEventTime's gating.
 // A driver that must see every such instant (the sharded coordinator's
-// lookahead windows) keys on it and steps with StepInstant.
+// lookahead windows) keys on it; after it has fired the events before
+// an instant, CatchUp passes the renewals before it.
 func (e *Engine) NextInstant() simtime.Time {
 	if e.pending == 0 {
 		return simtime.Infinity
@@ -365,20 +372,6 @@ func (e *Engine) NextInstant() simtime.Time {
 		at = min(at, e.cores[e.firstHeld()].heldAt)
 	}
 	return at
-}
-
-// StepInstant handles the engine's earliest instant: it passes the
-// first held renewal when that precedes the queue's head, and fires the
-// head otherwise.
-func (e *Engine) StepInstant() bool {
-	if e.heldHead >= 0 {
-		i := e.firstHeld()
-		if c := &e.cores[i]; e.q.Precedes(c.heldAt, c.heldSeq) {
-			e.pass(i)
-			return true
-		}
-	}
-	return e.StepEvent()
 }
 
 // BusyCores returns the number of cores currently running a task.
@@ -590,6 +583,9 @@ func (e *Engine) chainLength(cpu, slice, cpuSlice time.Duration) time.Duration {
 func (e *Engine) hold(core int, at, end simtime.Time) {
 	c := &e.cores[core]
 	c.held, c.heldAt, c.heldSeq, c.chainEnd = true, at, e.q.Reserve(), end
+	if e.heldHead < 0 || (e.heldFirst >= 0 && e.heldBefore(core, e.heldFirst)) {
+		e.heldFirst = core
+	}
 	c.nextHeld, e.heldHead = e.heldHead, core
 	e.chainEnd = min(e.chainEnd, end)
 }
@@ -599,6 +595,9 @@ func (e *Engine) hold(core int, at, end simtime.Time) {
 func (e *Engine) unhold(core int) {
 	c := &e.cores[core]
 	c.held = false
+	if e.heldFirst == core {
+		e.heldFirst = -1
+	}
 	link := &e.heldHead
 	for *link != core {
 		link = &e.cores[*link].nextHeld
@@ -610,16 +609,27 @@ func (e *Engine) unhold(core int) {
 	}
 }
 
+// heldBefore reports whether held core a's renewal comes before held
+// core b's in (time, sequence) order.
+func (e *Engine) heldBefore(a, b int) bool {
+	ca, cb := &e.cores[a], &e.cores[b]
+	return ca.heldAt < cb.heldAt || (ca.heldAt == cb.heldAt && ca.heldSeq < cb.heldSeq)
+}
+
 // firstHeld returns the held core whose renewal comes first in (time,
-// sequence) order. At least one core must hold a renewal.
+// sequence) order, scanning the held list only when the remembered one
+// is unknown. At least one core must hold a renewal.
 func (e *Engine) firstHeld() int {
+	if e.heldFirst >= 0 {
+		return e.heldFirst
+	}
 	first := e.heldHead
 	for i := e.cores[first].nextHeld; i >= 0; i = e.cores[i].nextHeld {
-		c, f := &e.cores[i], &e.cores[first]
-		if c.heldAt < f.heldAt || (c.heldAt == f.heldAt && c.heldSeq < f.heldSeq) {
+		if e.heldBefore(i, first) {
 			first = i
 		}
 	}
+	e.heldFirst = first
 	return first
 }
 
@@ -677,6 +687,9 @@ func (e *Engine) pass(core int) {
 	if cpuSlice, cut := e.cut(cpu, c.budget); cut {
 		c.cpuBudget = cpuSlice
 		c.heldAt, c.heldSeq = now+c.budget, e.q.Reserve()
+		if e.heldFirst == core {
+			e.heldFirst = -1 // its next renewal may come after another core's
+		}
 		return
 	}
 	if now+e.wallOf(cpu) != c.chainEnd {

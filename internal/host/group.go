@@ -1,6 +1,8 @@
 package host
 
 import (
+	"fmt"
+
 	"github.com/serverless-sched/sfs/internal/simtime"
 	"github.com/serverless-sched/sfs/internal/task"
 )
@@ -11,29 +13,45 @@ import (
 type submission struct {
 	t   *task.Task
 	at  simtime.Time
-	idx int // group-local runtime index
+	idx int32 // group-local runtime index
+	// next links the runtime's next submission in the window Advance is
+	// running (an index into Group.subs), or is -1 after its last.
+	next int32
 }
 
-// Group drives a fleet of Runtimes in global next-event order: it is
-// one shard of the cluster coordinator. Serial mode is one Group over
-// every host, stepped one event at a time with immediate delivery
-// (Min, Step, Deliver); sharded mode builds one Group per shard and
-// advances whole windows of queued submissions (Enqueue, Advance).
-// Either way every event and delivery flows through the same
-// primitives, so replays are byte-identical at any partitioning.
+// Group drives a fleet of Runtimes: it is one shard of the cluster
+// coordinator. Serial mode is one Group over every host, stepped one
+// event at a time in global (time, index) order with immediate
+// delivery (Min, Step, Deliver); sharded mode builds one Group per
+// shard and advances whole windows of queued submissions (Enqueue,
+// Advance). Inside a window no host can affect another — placement,
+// central-queue claims, chain releases and completion observers all
+// act at the coordinator between windows — so Advance runs each host
+// with work in the window all the way to the window's end in one go,
+// interleaving its own submissions with its own events in time order.
+// A host's event sequence depends only on the submissions it receives,
+// so replays are byte-identical at any partitioning and in any order
+// the hosts of a window are visited.
 //
 // A group keys its runtimes by their next event that is not a held
 // slice renewal (see cpusim.Renewer), so a host whose tasks only renew
 // their slices is not stepped until real work is due. A group built
-// with everyInstant keys and steps them by every instant, held
-// renewals included: the sharded coordinator's lookahead windows need
-// that, because which windows it visits moves its lifecycle clock.
+// with everyInstant keys them by every instant, held renewals
+// included, and Advance passes a host's renewals up to the window's
+// end: the sharded coordinator's lookahead windows need that, because
+// which windows it visits moves its lifecycle clock.
 type Group struct {
 	rts          []*Runtime
 	hh           *Heap
 	subs         []submission // time-ordered; coordinator appends, Advance consumes
-	subHead      int
 	everyInstant bool
+	// Advance's scratch, kept across windows: each runtime's first
+	// submission in the window (an index into subs, linked onward
+	// through submission.next, or -1 when it has none), and the
+	// runtimes that have one. Built on the first Advance, so serial
+	// groups never allocate them.
+	heads   []int32
+	touched []int32
 }
 
 // NewGroup builds a group over rts, keyed by real events or, with
@@ -55,24 +73,20 @@ func (g *Group) key(i int) simtime.Time {
 	return g.rts[i].NextEventTime()
 }
 
-// Step fires runtime i's earliest pending event (or, in an
-// every-instant group, handles its earliest instant), re-keys it, and
-// returns the number of tasks that completed.
+// Step fires runtime i's earliest pending event that is not a held
+// renewal, re-keys it, and returns the number of tasks that completed.
+// This is serial mode's event-granular advance.
 func (g *Group) Step(i int) (completions int) {
 	eng := g.rts[i].eng
 	before := eng.Pending()
-	if g.everyInstant {
-		eng.StepInstant()
-	} else {
-		eng.StepEvent()
-	}
+	eng.StepEvent()
 	g.hh.Update(i, g.key(i))
 	return before - eng.Pending()
 }
 
 // Deliver hands t to runtime i at instant `at` — through the runtime's
 // full stage pipeline — and re-keys it. This is serial mode's
-// immediate delivery; Advance uses it for queued submissions.
+// immediate delivery.
 func (g *Group) Deliver(i int, at simtime.Time, t *task.Task) {
 	g.rts[i].Place(at, t)
 	g.hh.Update(i, g.key(i))
@@ -84,46 +98,97 @@ func (g *Group) Deliver(i int, at simtime.Time, t *task.Task) {
 // the runtime's Queued count reflects the assignment immediately so
 // dispatchers see same-window placements.
 func (g *Group) Enqueue(i int, at simtime.Time, t *task.Task) {
-	g.subs = append(g.subs, submission{t: t, at: at, idx: i})
+	g.subs = append(g.subs, submission{t: t, at: at, idx: int32(i)})
 	g.rts[i].queued++
 }
 
 // NextSubmissionTime is the delivery instant of the earliest
 // undelivered submission, or simtime.Infinity when none are queued.
 func (g *Group) NextSubmissionTime() simtime.Time {
-	if g.subHead < len(g.subs) {
-		return g.subs[g.subHead].at
+	if len(g.subs) > 0 {
+		return g.subs[0].at
 	}
 	return simtime.Infinity
 }
 
-// Advance runs the group's runtimes up to (but excluding) bound,
-// interleaving queued submissions with engine events in exact time
-// order — engine events first on ties, as everywhere else — and
-// returns the number of tasks that completed. Between barriers a
-// sharded window touches its group only through this method.
+// Advance runs the group's runtimes up to (but excluding) bound and
+// returns the number of tasks that completed. It first links each
+// runtime's submissions before bound into a list, then runs every
+// runtime that has such a submission or an earlier key to bound (see
+// run), each once, and re-keys it. Submissions at or after bound stay
+// queued. Between barriers a sharded window touches its group only
+// through this method.
 func (g *Group) Advance(bound simtime.Time) (completions int) {
+	if g.heads == nil {
+		g.heads = make([]int32, len(g.rts))
+		for i := range g.heads {
+			g.heads[i] = -1
+		}
+		g.touched = make([]int32, 0, len(g.rts))
+	}
+	n := 0
+	for n < len(g.subs) && g.subs[n].at < bound {
+		n++
+	}
+	// Linking back to front puts each list in time order.
+	for k := n - 1; k >= 0; k-- {
+		sub := &g.subs[k]
+		if sub.next = g.heads[sub.idx]; sub.next < 0 {
+			g.touched = append(g.touched, sub.idx)
+		}
+		g.heads[sub.idx] = int32(k)
+	}
+	for _, i := range g.touched {
+		completions += g.run(int(i), bound)
+	}
+	g.touched = g.touched[:0]
 	for {
-		hi, ht := g.hh.Min()
-		st := g.NextSubmissionTime()
-		if ht >= bound && st >= bound {
+		i, at := g.hh.Min()
+		if at >= bound {
 			break
 		}
-		if ht <= st {
-			// Engine events fire before same-instant submissions, exactly
-			// as serial mode fires host events before same-instant
-			// arrivals.
-			completions += g.Step(hi)
-			continue
-		}
-		sub := g.subs[g.subHead]
-		g.subHead++
-		g.rts[sub.idx].queued--
-		g.Deliver(sub.idx, sub.at, sub.t)
+		completions += g.run(i, bound)
 	}
-	if g.subHead == len(g.subs) {
-		g.subs = g.subs[:0]
-		g.subHead = 0
+	if n > 0 {
+		g.subs = g.subs[:copy(g.subs, g.subs[n:])]
 	}
 	return completions
+}
+
+// run advances runtime i to bound: it delivers the runtime's linked
+// window submissions in time order, each after the engine events at or
+// before its instant (engine events first on ties, as everywhere
+// else), then fires the events left before bound. An every-instant
+// group also passes the held renewals before bound, so the runtime's
+// key lands at or after bound like every other's; a key left inside
+// the window would make Advance visit the runtime forever, so it
+// panics instead. run re-keys the runtime once and returns how many
+// tasks completed.
+func (g *Group) run(i int, bound simtime.Time) (completions int) {
+	rt := g.rts[i]
+	eng := rt.eng
+	unfinished := eng.Pending() // plus each task delivered below
+	for k := g.heads[i]; k >= 0; {
+		sub := &g.subs[k]
+		for rt.NextEventTime() <= sub.at {
+			eng.StepEvent()
+		}
+		rt.queued--
+		rt.Place(sub.at, sub.t)
+		unfinished++
+		k = sub.next
+	}
+	g.heads[i] = -1
+	for rt.NextEventTime() < bound {
+		eng.StepEvent()
+	}
+	if g.everyInstant {
+		eng.CatchUp(bound - 1)
+	}
+	k := g.key(i)
+	if k < bound {
+		panic(fmt.Sprintf("host: runtime %d keyed at %v inside the window ending at %v", i, k, bound))
+	}
+	g.hh.Update(i, k)
+	return unfinished - eng.Pending()
 }

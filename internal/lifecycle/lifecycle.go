@@ -85,7 +85,10 @@ func DefaultSandboxBoot() dist.Distribution {
 
 // Container is one sandbox instance for an application. The zero value
 // is never used; containers are created by Manager.Acquire (cold
-// starts) and by pre-warm events.
+// starts) and by pre-warm events. A container the manager destroys
+// (expired, evicted or discarded) is recycled, fully reset, for a
+// later cold start or pre-warm, so a caller must not keep one past its
+// Release.
 type Container struct {
 	// App is the application the container serves.
 	App string
@@ -290,6 +293,7 @@ type Manager struct {
 	events  eventQueue
 	usedMB  int
 	stats   Stats
+	spare   []*Container // destroyed containers, for newContainer to reuse
 }
 
 // New builds a Manager. Negative capacities are rejected; zero values
@@ -396,7 +400,8 @@ func (m *Manager) Acquire(now simtime.Time, app string) (time.Duration, *Contain
 	}
 
 	lat := m.sampleColdStart()
-	c := &Container{App: app, mb: m.cfg.ContainerMB, busy: true}
+	c := m.newContainer(app)
+	c.busy = true
 	m.reserve(c.mb)
 	m.stats.ColdStarts++
 	m.stats.ColdLatency += lat
@@ -508,10 +513,25 @@ func (m *Manager) removeIdle(c *Container) {
 	panic("lifecycle: idle container missing from its pool")
 }
 
-// destroy frees a container's memory and marks it unusable.
+// destroy frees a container's memory, marks it unusable and keeps it
+// for newContainer to reuse.
 func (m *Manager) destroy(c *Container) {
 	m.usedMB -= c.mb
 	c.dead = true
+	m.spare = append(m.spare, c)
+}
+
+// newContainer returns an idle, live container for app with no other
+// state, recycling a destroyed one when there is one.
+func (m *Manager) newContainer(app string) *Container {
+	n := len(m.spare)
+	if n == 0 {
+		return &Container{App: app, mb: m.cfg.ContainerMB}
+	}
+	c := m.spare[n-1]
+	m.spare = m.spare[:n-1]
+	*c = Container{App: app, mb: m.cfg.ContainerMB}
+	return c
 }
 
 // scheduleExpiry arms c's keep-alive window. KeepForever installs no
@@ -560,7 +580,8 @@ func (m *Manager) materializePrewarm(e *event) {
 	if m.usedMB > m.stats.MemPeakMB {
 		m.stats.MemPeakMB = m.usedMB
 	}
-	c := &Container{App: e.app, Prewarmed: true, mb: mb, idleSince: e.at}
+	c := m.newContainer(e.app)
+	c.Prewarmed, c.idleSince = true, e.at
 	m.idle[e.app] = append(m.idle[e.app], c)
 	m.stats.Prewarms++
 	keep := e.keep

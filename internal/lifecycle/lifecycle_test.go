@@ -310,3 +310,62 @@ func TestReuseRemovesExpiry(t *testing.T) {
 		t.Fatalf("stats %+v with %d events queued, want one cold start, one expiry and an empty heap", st, len(m.events.h))
 	}
 }
+
+// scriptPolicy answers every release of an app with a fixed decision.
+type scriptPolicy map[string]Decision
+
+func (scriptPolicy) Name() string                                    { return "script" }
+func (scriptPolicy) OnArrival(simtime.Time, string)                  {}
+func (p scriptPolicy) OnRelease(_ simtime.Time, app string) Decision { return p[app] }
+
+// TestRecycledContainerStartsClean: a destroyed container is reused by
+// the next cold start or pre-warm and carries nothing over from its
+// previous life: not its app, idle time, expiry, pre-warm mark or
+// death.
+func TestRecycledContainerStartsClean(t *testing.T) {
+	m := constMgr(t, Config{Policy: scriptPolicy{
+		"a": {KeepWarm: ms(100), PrewarmIn: ms(50), PrewarmFor: ms(30)},
+		"b": {KeepWarm: 0, PrewarmIn: ms(20), PrewarmFor: ms(40)},
+	}})
+	_, c1 := m.Acquire(0, "a")
+	m.Release(ms(10), c1)
+	// A pre-warmed "a" container appears at 60 ms and expires at 90 ms;
+	// c1 expires at 110 ms.
+	m.AdvanceTo(ms(200))
+	if st := m.Stats(); st.Prewarms != 1 || st.Expirations != 2 {
+		t.Fatalf("stats %+v, want one pre-warm and two expirations", st)
+	}
+
+	_, c2 := m.Acquire(ms(200), "b")
+	if c2 != c1 {
+		t.Fatal("a cold start did not reuse the last destroyed container")
+	}
+	if want := (Container{App: "b", mb: DefaultContainerMB, busy: true}); *c2 != want {
+		t.Fatalf("reused container %+v, want %+v", *c2, want)
+	}
+
+	// "b" is discarded at release and pre-warmed at 230 ms, into the
+	// container it was just discarded from.
+	m.Release(ms(210), c2)
+	m.AdvanceTo(ms(230))
+	if m.WarmIdle("b") != 1 || m.idle["b"][0] != c2 {
+		t.Fatal("the pre-warm did not reuse the discarded container")
+	}
+	if c2.App != "b" || !c2.Prewarmed || c2.busy || c2.dead || c2.idleSince != ms(230) ||
+		c2.expires == nil || c2.expires.at != ms(270) {
+		t.Fatalf("pre-warmed container %+v, want idle since 230ms, expiring at 270ms", *c2)
+	}
+
+	// The pre-warmed "a" container that expired unused is the next one
+	// out, and is no longer marked pre-warmed.
+	_, c3 := m.Acquire(ms(240), "z")
+	if c3 == c1 || c3 == c2 {
+		t.Fatal("a live container was handed out again")
+	}
+	if want := (Container{App: "z", mb: DefaultContainerMB, busy: true}); *c3 != want {
+		t.Fatalf("reused container %+v, want %+v", *c3, want)
+	}
+	if st := m.Stats(); st.ColdStarts != 3 || st.PrewarmHits != 0 || st.Discards != 1 {
+		t.Fatalf("stats %+v, want three cold starts, one discard and no pre-warm hit", st)
+	}
+}

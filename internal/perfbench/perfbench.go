@@ -640,6 +640,35 @@ func Scenarios(quick bool, seed uint64) []Scenario {
 			},
 		},
 		{
+			// One op = a host.Group of 16 runtimes, each a fresh 4-core
+			// SFS engine, advanced through one batch of 8,192 queued
+			// submissions (1,024 in quick mode): Poisson arrivals at
+			// full load placed round-robin, the way fleet-sharded's
+			// batched path fills a shard, then one Advance that runs
+			// every host until its work is done. The shard layer of a
+			// sharded run, without the coordinator or its workers.
+			Name: "group-advance",
+			Bench: func(b *testing.B) {
+				const hosts, cores = 16, 4
+				tasks := trace.Collect(workload.Stream(workload.Spec{N: size(quick, 8192), Cores: hosts * cores, Load: 1.0, Seed: seed}))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					rts := make([]*host.Runtime, hosts)
+					for h := range rts {
+						rts[h] = host.New(cpusim.NewEngine(cpusim.Config{Cores: cores}, core.New(core.DefaultConfig())))
+					}
+					grp := host.NewGroup(rts, false)
+					for k, t := range trace.CloneTasks(tasks) {
+						grp.Enqueue(k%hosts, t.Arrival, t)
+					}
+					if done := grp.Advance(simtime.Infinity); done != len(tasks) {
+						b.Fatalf("%d of %d tasks completed", done, len(tasks))
+					}
+				}
+			},
+		},
+		{
 			// One op = 1,024 PREDICTED placements over 1,024 stub host
 			// views of three speeds, with 4,096 invocations of eight
 			// apps in flight: each cycle reports the oldest in-flight

@@ -136,7 +136,7 @@ func TestScenariosComplete(t *testing.T) {
 	for _, want := range []string{EngineStepBenchmark, "cluster-dispatch", "sharded-cluster", "chain-run",
 		"predicted-dispatch", "trace-decode", "trace-encode", "trace-binary-decode",
 		"trace-binary-encode", "cluster-1m", "metrics-summary", "cfs-runqueue", "event-queue",
-		"host-heap", "dispatch-pick", "cfs-renewal", "lifecycle-cycle"} {
+		"host-heap", "group-advance", "dispatch-pick", "cfs-renewal", "lifecycle-cycle"} {
 		if !names[want] {
 			t.Errorf("scenario %q missing", want)
 		}

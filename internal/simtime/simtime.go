@@ -12,8 +12,10 @@
 // A Queue never advances on its own: Step (or Run/RunAll) pops the
 // earliest event and moves Now to its time, so whoever calls Step owns
 // the pace of time. cpusim.Engine.Run steps one queue to completion;
-// the cluster layer instead interleaves many queues by always stepping
-// the engine whose next event is globally earliest. Scheduling At a
+// the cluster layer's serial mode instead interleaves many queues by
+// always stepping the engine whose next event is globally earliest,
+// and a sharded window steps each engine to the window's end in turn.
+// Scheduling At a
 // time already in the past is clamped to Now and fires on the next
 // Step — the idiom for "immediate" follow-up work. Cancel is O(log n)
 // and safe on already-fired events, which is what lets schedulers
