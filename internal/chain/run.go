@@ -12,12 +12,11 @@ import (
 // engine on one global event loop: requests expand into their root
 // stages at their arrival instants, each completion releases the
 // downstream stages whose dependencies are met, and released stages
-// re-enter the loop as ordinary arrivals (at the completion instant,
-// plus any configured hop delay). With a non-nil lifecycle manager,
-// every stage additionally acquires a container at its own arrival — a
-// cold start shifts the instant the stage becomes runnable — and
-// releases it the moment it finishes, so chains interact with per-app
-// warm pools stage by stage.
+// re-enter the loop as ordinary arrivals at the completion instant.
+// With a non-nil lifecycle manager, every stage additionally acquires a
+// container at its own arrival — a cold start shifts the instant the
+// stage becomes runnable — and releases it the moment it finishes, so
+// chains interact with per-app warm pools stage by stage.
 //
 // Run is a stage configuration of the unified host runtime
 // (internal/host): lifecycle then chain hooks, in that order, on the

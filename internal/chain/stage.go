@@ -9,11 +9,10 @@ import (
 // HostStage adapts a workflow Injector to the host-runtime stage
 // pipeline: admitted requests expand into their root stages, and each
 // completion releases the downstream stages whose dependencies are met
-// back into the runtime as future arrivals (at the completion instant,
-// plus any configured hop delay). Released stages are not submitted
-// mid-event: the runtime queues them until its loop clock reaches
-// their arrival, so lifecycle state always advances in global time
-// order.
+// back into the runtime as arrivals at the completion instant. Released
+// stages are not submitted mid-event: the runtime queues them until
+// its loop clock reaches their arrival, so lifecycle state always
+// advances in global time order.
 //
 // (It is named HostStage because Stage in this package is a workflow
 // stage — one function of a chain — not a pipeline hook.)

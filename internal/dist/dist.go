@@ -119,9 +119,6 @@ func NewMixture(modes ...Mode) Mixture {
 	return m
 }
 
-// Modes returns the mixture's components.
-func (m Mixture) Modes() []Mode { return append([]Mode(nil), m.modes...) }
-
 // Sample implements Distribution: pick a mode with probability
 // proportional to its weight, then sample it.
 func (m Mixture) Sample(r *rng.RNG) time.Duration {

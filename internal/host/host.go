@@ -10,8 +10,10 @@
 //   - engine events fire before same-instant arrivals, so a completion
 //     frees capacity (and warm containers) the next arrival can see;
 //   - arrivals a stage releases mid-run (workflow fan-out) are queued
-//     on a single (time, sequence) hook queue and precede same-instant
-//     source arrivals, because they originate from earlier completions;
+//     first in, first out — a stage releases each at its upstream
+//     completion instant, so they come in time order — and precede
+//     same-instant source arrivals, because they originate from earlier
+//     completions;
 //   - at an arrival, stages hook in pipeline order: Expand rewrites the
 //     admitted invocation, then each BeforeSubmit may delay the
 //     engine-visible arrival (cold starts); at a completion, OnFinish
@@ -103,9 +105,8 @@ type Runtime struct {
 	eng       *cpusim.Engine
 	stages    []Stage
 	expanders []Expander
-	pend      hookQueue // (time, seq)-ordered released arrivals
-	seq       uint64
-	queued    int // assigned but not yet submitted (sharded windows)
+	pend      hookQueue // released arrivals, in (time, release) order
+	queued    int       // assigned but not yet submitted (sharded windows)
 }
 
 // New wraps eng in a runtime running the given stage pipeline. Stages
@@ -172,14 +173,13 @@ func (rt *Runtime) Place(at simtime.Time, t *task.Task) {
 }
 
 // Release queues t as a future arrival of this runtime at t.Arrival.
-// Stages call it from OnFinish (workflow fan-out); the Drive loop
-// submits released tasks in (arrival time, release sequence) order, so
-// same-instant releases enter in the order their upstream completions
-// produced them — the tie-break that keeps replays byte-identical.
-func (rt *Runtime) Release(t *task.Task) {
-	rt.pend.push(t, rt.seq)
-	rt.seq++
-}
+// Stages call it from OnFinish (workflow fan-out) with the completion
+// instant as the arrival, so releases come in time order, and the
+// Drive loop submits them first in, first out: same-instant releases
+// enter in the order their upstream completions produced them — the
+// tie-break that keeps replays byte-identical. Release panics when t
+// arrives before the last release still queued.
+func (rt *Runtime) Release(t *task.Task) { rt.pend.push(t) }
 
 // expand applies the pipeline's Expanders to an admitted source
 // invocation in order. With no expanders the invocation passes through

@@ -1,57 +1,48 @@
 package host
 
 import (
-	"container/heap"
+	"fmt"
 
 	"github.com/serverless-sched/sfs/internal/task"
 )
 
-// hookQueue is the single ordered queue of released arrivals shared by
-// every drive loop. It orders pending releases by (arrival time,
-// release sequence) so same-instant releases are submitted in the
+// hookQueue is the first-in, first-out queue of released arrivals
+// shared by every drive loop. A stage releases a task at its upstream
+// completion instant, and the engine finishes tasks in time order, so
+// releases arrive in (arrival time, release) order and the queue stays
+// sorted without a heap: same-instant releases are submitted in the
 // order their upstream completions produced them — the tie-break that
-// keeps replays byte-identical. It replaces the two hand-rolled lazy
-// queues the lifecycle and chain drivers used to carry.
-type hookQueue struct{ h releaseHeap }
+// keeps replays byte-identical.
+type hookQueue struct {
+	q    []*task.Task
+	next int // index of the head in q
+}
 
-func (q *hookQueue) push(t *task.Task, seq uint64) {
-	heap.Push(&q.h, release{t: t, seq: seq})
+// push queues t behind every pending release. A release arriving
+// before the queued tail would break the order, so it panics.
+func (q *hookQueue) push(t *task.Task) {
+	if n := len(q.q); n > q.next && t.Arrival < q.q[n-1].Arrival {
+		panic(fmt.Sprintf("host: release arriving at %v before the queued tail at %v", t.Arrival, q.q[n-1].Arrival))
+	}
+	q.q = append(q.q, t)
 }
 
 // head returns the earliest pending release without removing it, or
 // nil when the queue is empty.
 func (q *hookQueue) head() *task.Task {
-	if len(q.h) == 0 {
+	if q.next == len(q.q) {
 		return nil
 	}
-	return q.h[0].t
+	return q.q[q.next]
 }
 
+// pop removes and returns the earliest pending release. An emptied
+// queue starts over at the front of its array.
 func (q *hookQueue) pop() *task.Task {
-	return heap.Pop(&q.h).(release).t
-}
-
-// release is one pending stage release awaiting its arrival instant.
-type release struct {
-	t   *task.Task
-	seq uint64
-}
-
-type releaseHeap []release
-
-func (h releaseHeap) Len() int { return len(h) }
-func (h releaseHeap) Less(i, j int) bool {
-	if h[i].t.Arrival != h[j].t.Arrival {
-		return h[i].t.Arrival < h[j].t.Arrival
+	t := q.q[q.next]
+	q.q[q.next] = nil
+	if q.next++; q.next == len(q.q) {
+		q.q, q.next = q.q[:0], 0
 	}
-	return h[i].seq < h[j].seq
-}
-func (h releaseHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *releaseHeap) Push(x any)   { *h = append(*h, x.(release)) }
-func (h *releaseHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+	return t
 }

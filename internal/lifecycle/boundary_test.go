@@ -86,8 +86,8 @@ func TestMemoryCapacityBoundaries(t *testing.T) {
 	// A third app's cold start now evicts idle LRU containers back under
 	// capacity.
 	m.Acquire(ms(4), "c")
-	if m.UsedMB() != DefaultContainerMB {
-		t.Fatalf("used %d MB after eviction, want %d", m.UsedMB(), DefaultContainerMB)
+	if m.usedMB != DefaultContainerMB {
+		t.Fatalf("used %d MB after eviction, want %d", m.usedMB, DefaultContainerMB)
 	}
 
 	// One MB short of a container is rejected.
@@ -113,12 +113,16 @@ func TestPrewarmAtExpiryInstant(t *testing.T) {
 		m.Release(rel, c)
 		at += period
 	}
-	if len(m.pending) != 1 {
-		t.Fatalf("%d pending pre-warms, want 1", len(m.pending))
+	if n := pendingPrewarms(m); n != 1 {
+		t.Fatalf("%d pending pre-warms, want 1", n)
 	}
-	prewarmAt := m.pending["cron"].at
+	prewarmAt := rel + m.Policy().OnRelease(rel, "cron").PrewarmIn
 	if prewarmAt <= rel {
 		t.Fatalf("pre-warm at %v not after release %v", prewarmAt, rel)
+	}
+	m.AdvanceTo(prewarmAt - 1)
+	if n := pendingPrewarms(m); n != 1 {
+		t.Fatalf("%d pending pre-warms just before %v, want 1", n, prewarmAt)
 	}
 	// Acquire exactly at the pre-warm instant: the event fires first
 	// (at <= now), so this is a warm, pre-warmed hit.

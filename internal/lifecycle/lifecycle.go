@@ -21,9 +21,10 @@
 // Determinism: a Manager is a deterministic function of its Config and
 // the sequence of Acquire/Release/AdvanceTo calls, which drivers must
 // issue in non-decreasing virtual-time order (the discrete-event loops
-// in Run, internal/faas, and internal/cluster do). Internal expiry and
-// pre-warm events live on a (time, sequence)-ordered queue processed
-// lazily as time advances, so same-seed replays are byte-identical.
+// in Run, internal/faas, and internal/cluster do). Each manager runs
+// its own simtime.Queue of idle expiries and pre-warms, processed
+// lazily as time advances; same-instant events fire in scheduling
+// order, so same-seed replays are byte-identical.
 // Cold-start latencies come from one seeded RNG stream; no wall clock,
 // no global randomness.
 package lifecycle
@@ -98,8 +99,9 @@ type Container struct {
 
 	mb        int
 	busy      bool
-	idleSince simtime.Time // when the container last went idle
-	expires   *event       // pending expiry while idle
+	idleSince simtime.Time       // when the container last went idle
+	expires   simtime.EventRef   // pending expiry while idle
+	expire    func(simtime.Time) // the expiry's callback, kept across lives
 	dead      bool
 }
 
@@ -155,130 +157,13 @@ func (s *Stats) Add(other Stats) {
 	s.OvercommitMB += other.OvercommitMB
 }
 
-// eventKind distinguishes the Manager's internal timeline events.
-type eventKind int
-
-const (
-	evExpire  eventKind = iota // an idle container's keep-alive window ends
-	evPrewarm                  // a policy-scheduled pre-warm materializes
-)
-
-// event is one entry of the Manager's lazy (time, sequence)-ordered
-// queue: an idle container's expiry, cancelled when the container is
-// reused or evicted, or a pre-warm carrying its app and idle window.
-type event struct {
-	at   simtime.Time
-	kind eventKind
-	c    *Container    // evExpire target
-	app  string        // evPrewarm application
-	keep time.Duration // evPrewarm idle window once materialized
-	idx  int           // heap index while queued
-}
-
-// slot is one heap entry: an event with its ordering keys inline.
-type slot struct {
-	at  simtime.Time
-	seq uint64
-	e   *event
-}
-
-func (a *slot) before(b *slot) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-// eventQueue is a binary min-heap of events by (at, seq), so
-// same-instant events fire in scheduling order and replays stay
-// deterministic. Each event knows its heap index, so a cancelled
-// expiry leaves the heap at once; fired and cancelled events are
-// recycled through a free list.
-type eventQueue struct {
-	h    []slot
-	seq  uint64
-	free []*event
-}
-
-// alloc returns a zeroed event, recycled when one is free.
-func (q *eventQueue) alloc() *event {
-	if n := len(q.free); n > 0 {
-		e := q.free[n-1]
-		q.free = q.free[:n-1]
-		return e
-	}
-	return new(event)
-}
-
-// release recycles an event that left the heap.
-func (q *eventQueue) release(e *event) {
-	*e = event{}
-	q.free = append(q.free, e)
-}
-
-// push queues e at e.at under the next sequence number.
-func (q *eventQueue) push(e *event) {
-	q.h = append(q.h, slot{})
-	q.up(len(q.h)-1, slot{at: e.at, seq: q.seq, e: e})
-	q.seq++
-}
-
-// pop removes and returns the earliest event.
-func (q *eventQueue) pop() *event {
-	e := q.h[0].e
-	q.remove(0)
-	return e
-}
-
-// remove takes the entry at heap index i out of the heap.
-func (q *eventQueue) remove(i int) {
-	n := len(q.h) - 1
-	last := q.h[n]
-	q.h[n] = slot{}
-	q.h = q.h[:n]
-	if i < n {
-		q.down(i, last)
-		if last.e.idx == i {
-			q.up(i, last)
-		}
-	}
-}
-
-// up places x at index i, moving larger ancestors down into the hole.
-func (q *eventQueue) up(i int, x slot) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !x.before(&q.h[p]) {
-			break
-		}
-		q.h[i] = q.h[p]
-		q.h[i].e.idx = i
-		i = p
-	}
-	q.h[i] = x
-	x.e.idx = i
-}
-
-// down places x at index i, moving smaller children up into the hole.
-func (q *eventQueue) down(i int, x slot) {
-	n := len(q.h)
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if r := c + 1; r < n && q.h[r].before(&q.h[c]) {
-			c = r
-		}
-		if !q.h[c].before(&x) {
-			break
-		}
-		q.h[i] = q.h[c]
-		q.h[i].e.idx = i
-		i = c
-	}
-	q.h[i] = x
-	x.e.idx = i
+// prewarm is an application's reusable pre-warm record. It is armed
+// while its event is queued, so at most one pre-warm is pending per
+// app, and its callback is built once, so arming allocates nothing.
+type prewarm struct {
+	armed bool
+	keep  time.Duration // idle window once materialized
+	fire  func(now simtime.Time)
 }
 
 // Manager is the container lifecycle state of one host. It is not safe
@@ -288,12 +173,12 @@ type Manager struct {
 	policy Policy
 	r      *rng.RNG
 
-	idle    map[string][]*Container // per-app idle pool, most recent last
-	pending map[string]*event       // at most one scheduled pre-warm per app
-	events  eventQueue
-	usedMB  int
-	stats   Stats
-	spare   []*Container // destroyed containers, for newContainer to reuse
+	idle     map[string][]*Container // per-app idle pool, most recent last
+	prewarms map[string]*prewarm     // per-app pre-warm record, once one was asked for
+	events   simtime.Queue           // idle expiries and pre-warms
+	usedMB   int
+	stats    Stats
+	spare    []*Container // destroyed containers, for newContainer to reuse
 }
 
 // New builds a Manager. Negative capacities are rejected; zero values
@@ -321,11 +206,11 @@ func New(cfg Config) (*Manager, error) {
 		cfg.SandboxBoot = DefaultSandboxBoot()
 	}
 	return &Manager{
-		cfg:     cfg,
-		policy:  cfg.Policy,
-		r:       rng.New(cfg.Seed ^ 0xc01d),
-		idle:    map[string][]*Container{},
-		pending: map[string]*event{},
+		cfg:      cfg,
+		policy:   cfg.Policy,
+		r:        rng.New(cfg.Seed ^ 0xc01d),
+		idle:     map[string][]*Container{},
+		prewarms: map[string]*prewarm{},
 	}, nil
 }
 
@@ -355,25 +240,7 @@ func (m *Manager) Stats() Stats { return m.stats }
 // The events depend only on the manager's own (time, sequence) queue,
 // so advancing late, or in several steps, yields the same state as
 // advancing at every instant.
-func (m *Manager) AdvanceTo(now simtime.Time) {
-	for len(m.events.h) > 0 && m.events.h[0].at <= now {
-		e := m.events.pop()
-		switch e.kind {
-		case evExpire:
-			// A queued expiry's container is idle: reuse and eviction
-			// cancel the expiry first.
-			c := e.c
-			c.expires = nil
-			m.removeIdle(c)
-			m.destroy(c)
-			m.stats.Expirations++
-		case evPrewarm:
-			delete(m.pending, e.app)
-			m.materializePrewarm(e)
-		}
-		m.events.release(e)
-	}
-}
+func (m *Manager) AdvanceTo(now simtime.Time) { m.events.Run(now) }
 
 // Acquire requests a container for app at virtual time now. On a warm
 // hit it returns (0, container); on a miss it creates the container and
@@ -441,9 +308,6 @@ func (m *Manager) Release(now simtime.Time, c *Container) {
 // first, as the cluster does before affinity-aware dispatchers
 // (WARMFIRST) read it.
 func (m *Manager) WarmIdle(app string) int { return len(m.idle[app]) }
-
-// UsedMB returns current container memory, busy plus idle.
-func (m *Manager) UsedMB() int { return m.usedMB }
 
 // ---- internals ----
 
@@ -522,55 +386,67 @@ func (m *Manager) destroy(c *Container) {
 }
 
 // newContainer returns an idle, live container for app with no other
-// state, recycling a destroyed one when there is one.
+// state, recycling a destroyed one when there is one. A recycled
+// container keeps its expiry callback, so only a new struct allocates
+// one.
 func (m *Manager) newContainer(app string) *Container {
 	n := len(m.spare)
 	if n == 0 {
-		return &Container{App: app, mb: m.cfg.ContainerMB}
+		c := &Container{App: app, mb: m.cfg.ContainerMB}
+		c.expire = func(simtime.Time) { m.expire(c) }
+		return c
 	}
 	c := m.spare[n-1]
 	m.spare = m.spare[:n-1]
-	*c = Container{App: app, mb: m.cfg.ContainerMB}
+	*c = Container{App: app, mb: m.cfg.ContainerMB, expire: c.expire}
 	return c
 }
 
 // scheduleExpiry arms c's keep-alive window. KeepForever installs no
 // event: the container stays until evicted.
 func (m *Manager) scheduleExpiry(now simtime.Time, c *Container, keep time.Duration) {
-	if keep == KeepForever {
-		c.expires = nil
-		return
+	if keep != KeepForever {
+		c.expires = m.events.At(now+keep, c.expire)
 	}
-	e := m.events.alloc()
-	e.at, e.kind, e.c = now+keep, evExpire, c
-	c.expires = e
-	m.events.push(e)
+}
+
+// expire ages out an idle container at the end of its keep-alive
+// window. A queued expiry's container is idle: reuse and eviction
+// cancel the expiry first.
+func (m *Manager) expire(c *Container) {
+	c.expires = simtime.EventRef{}
+	m.removeIdle(c)
+	m.destroy(c)
+	m.stats.Expirations++
 }
 
 // cancelExpiry removes a pending expiry when a container is reused or
 // evicted early.
 func (m *Manager) cancelExpiry(c *Container) {
-	if e := c.expires; e != nil {
-		m.events.remove(e.idx)
-		m.events.release(e)
-		c.expires = nil
-	}
+	m.events.Cancel(c.expires)
+	c.expires = simtime.EventRef{}
 }
 
 // schedulePrewarm arms at most one pending pre-warm per application.
 func (m *Manager) schedulePrewarm(now simtime.Time, app string, d Decision) {
-	if m.pending[app] != nil {
+	p := m.prewarms[app]
+	if p == nil {
+		p = &prewarm{}
+		p.fire = func(at simtime.Time) { m.materializePrewarm(at, app, p) }
+		m.prewarms[app] = p
+	}
+	if p.armed {
 		return
 	}
-	e := m.events.alloc()
-	e.at, e.kind, e.app, e.keep = now+d.PrewarmIn, evPrewarm, app, d.PrewarmFor
-	m.pending[app] = e
-	m.events.push(e)
+	p.armed, p.keep = true, d.PrewarmFor
+	m.events.At(now+d.PrewarmIn, p.fire)
 }
 
-// materializePrewarm creates the pre-warmed idle container if it fits
-// without evicting anyone (pre-warms are best-effort).
-func (m *Manager) materializePrewarm(e *event) {
+// materializePrewarm disarms app's pre-warm record p and creates the
+// pre-warmed idle container if it fits without evicting anyone
+// (pre-warms are best-effort).
+func (m *Manager) materializePrewarm(at simtime.Time, app string, p *prewarm) {
+	p.armed = false
 	mb := m.cfg.ContainerMB
 	if cap := m.cfg.MemoryMB; cap > 0 && m.usedMB+mb > cap {
 		m.stats.PrewarmSkips++
@@ -580,13 +456,13 @@ func (m *Manager) materializePrewarm(e *event) {
 	if m.usedMB > m.stats.MemPeakMB {
 		m.stats.MemPeakMB = m.usedMB
 	}
-	c := m.newContainer(e.app)
-	c.Prewarmed, c.idleSince = true, e.at
-	m.idle[e.app] = append(m.idle[e.app], c)
+	c := m.newContainer(app)
+	c.Prewarmed, c.idleSince = true, at
+	m.idle[app] = append(m.idle[app], c)
 	m.stats.Prewarms++
-	keep := e.keep
+	keep := p.keep
 	if keep == 0 {
 		keep = DefaultTTL
 	}
-	m.scheduleExpiry(e.at, c, keep)
+	m.scheduleExpiry(at, c, keep)
 }

@@ -115,8 +115,8 @@ func TestLRUEvictionUnderPressure(t *testing.T) {
 	m.Release(ms(10), a) // idle since 10ms
 	_, b := m.Acquire(ms(20), "b")
 	m.Release(ms(30), b) // idle since 30ms
-	if m.UsedMB() != 256 {
-		t.Fatalf("used %d MB, want 256", m.UsedMB())
+	if m.usedMB != 256 {
+		t.Fatalf("used %d MB, want 256", m.usedMB)
 	}
 	// Third app: must evict "a" (older idle), keep "b".
 	if d, _ := m.Acquire(ms(40), "c"); d == 0 {
@@ -128,8 +128,8 @@ func TestLRUEvictionUnderPressure(t *testing.T) {
 	if st := m.Stats(); st.Evictions != 1 {
 		t.Fatalf("evictions %d, want 1", st.Evictions)
 	}
-	if m.UsedMB() != 256 {
-		t.Fatalf("used %d MB after eviction, want 256", m.UsedMB())
+	if m.usedMB != 256 {
+		t.Fatalf("used %d MB after eviction, want 256", m.usedMB)
 	}
 }
 
@@ -140,8 +140,8 @@ func TestOvercommitWhenAllBusy(t *testing.T) {
 	m.Acquire(0, "a")
 	m.Acquire(ms(1), "b") // no idle container to evict
 	st := m.Stats()
-	if m.UsedMB() != 256 || st.OvercommitMB != 128 {
-		t.Fatalf("used %d MB, overcommit %d MB; want 256/128", m.UsedMB(), st.OvercommitMB)
+	if m.usedMB != 256 || st.OvercommitMB != 128 {
+		t.Fatalf("used %d MB, overcommit %d MB; want 256/128", m.usedMB, st.OvercommitMB)
 	}
 }
 
@@ -219,9 +219,20 @@ func TestPrewarmDedupe(t *testing.T) {
 	_, c2 := m.Acquire(at+ms(1), "x")
 	m.Release(at+ms(20), c1)
 	m.Release(at+ms(21), c2)
-	if n := len(m.pending); n > 1 {
+	if n := pendingPrewarms(m); n > 1 {
 		t.Fatalf("%d pending pre-warms for one app, want <= 1", n)
 	}
+}
+
+// pendingPrewarms counts the manager's armed pre-warms.
+func pendingPrewarms(m *Manager) int {
+	n := 0
+	for _, p := range m.prewarms {
+		if p.armed {
+			n++
+		}
+	}
+	return n
 }
 
 // TestDeterministicReplay: two managers with the same seed and the same
@@ -286,28 +297,99 @@ func TestNewValidation(t *testing.T) {
 }
 
 // TestReuseRemovesExpiry: reusing a warm container takes its pending
-// expiry out of the event heap at once, and removed events are
-// recycled, so a container reused over and over keeps one event queued,
-// the same struct every time.
+// expiry out of the queue at once, and removed events are recycled, so
+// a container reused over and over keeps one event queued and a reuse
+// cycle allocates nothing.
 func TestReuseRemovesExpiry(t *testing.T) {
 	m := constMgr(t, Config{Policy: NewFixedTTL(ms(100))})
-	var first *event
-	for i := 0; i < 1000; i++ {
-		now := ms(i)
+	now := simtime.Time(0)
+	allocs := testing.AllocsPerRun(1000, func() {
 		_, c := m.Acquire(now, "a")
 		m.Release(now, c)
-		if n := len(m.events.h); n != 1 {
-			t.Fatalf("reuse %d: %d events queued, want the container's one expiry", i, n)
+		if n := m.events.Len(); n != 1 {
+			t.Fatalf("reuse at %v: %d events queued, want the container's one expiry", now, n)
 		}
-		if first == nil {
-			first = m.events.h[0].e
-		} else if m.events.h[0].e != first {
-			t.Fatalf("reuse %d queued a new event struct instead of the recycled one", i)
+		now += ms(1)
+	})
+	if allocs != 0 {
+		t.Fatalf("a reuse cycle allocates %v objects, want none", allocs)
+	}
+	m.AdvanceTo(now + ms(1000))
+	if st := m.Stats(); st.ColdStarts != 1 || st.Expirations != 1 || m.events.Len() != 0 {
+		t.Fatalf("stats %+v with %d events queued, want one cold start, one expiry and an empty queue", st, m.events.Len())
+	}
+}
+
+// TestAcquireBehindClockFiresNothing: a stream that steps back in time
+// (TRIGGER's merged arrivals do) acquires behind the manager's clock.
+// Nothing fires and the clock stays where it is, and a container
+// released behind the clock keeps its window from its own release
+// instant when that window reaches past the clock.
+func TestAcquireBehindClockFiresNothing(t *testing.T) {
+	m := constMgr(t, Config{Policy: NewFixedTTL(ms(50))})
+	_, a := m.Acquire(0, "a")
+	m.Release(ms(100), a) // expires at 150 ms
+	m.AdvanceTo(ms(120))
+	d, b := m.Acquire(ms(90), "b")
+	if d != ms(250) || m.WarmIdle("a") != 1 || m.events.Now() != ms(120) {
+		t.Fatalf("acquire behind the clock: delay %v, %d warm a, clock %v; want cold, 1, 120ms",
+			d, m.WarmIdle("a"), m.events.Now())
+	}
+	m.Release(ms(95), b) // expires at 145 ms
+	if b.idleSince != ms(95) || m.events.Len() != 2 {
+		t.Fatalf("released behind the clock: idle since %v with %d events queued, want 95ms and 2",
+			b.idleSince, m.events.Len())
+	}
+	for _, step := range []struct {
+		at       simtime.Time
+		warmA    int
+		warmB    int
+		expiries int
+	}{{ms(144), 1, 1, 0}, {ms(145), 1, 0, 1}, {ms(149), 1, 0, 1}, {ms(150), 0, 0, 2}} {
+		m.AdvanceTo(step.at)
+		if m.WarmIdle("a") != step.warmA || m.WarmIdle("b") != step.warmB || m.Stats().Expirations != step.expiries {
+			t.Fatalf("at %v: %d warm a, %d warm b, %d expirations; want %d, %d, %d", step.at,
+				m.WarmIdle("a"), m.WarmIdle("b"), m.Stats().Expirations, step.warmA, step.warmB, step.expiries)
 		}
 	}
-	m.AdvanceTo(ms(2000))
-	if st := m.Stats(); st.ColdStarts != 1 || st.Expirations != 1 || len(m.events.h) != 0 {
-		t.Fatalf("stats %+v with %d events queued, want one cold start, one expiry and an empty heap", st, len(m.events.h))
+}
+
+// TestPrewarmRearmAllocatesNothing: an app's pre-warm record is built
+// once and re-armed in place, and destroyed containers are recycled, so
+// a cycle of cold start, release, pre-warm and expiries allocates
+// nothing once warmed up.
+func TestPrewarmRearmAllocatesNothing(t *testing.T) {
+	m := constMgr(t, Config{Policy: scriptPolicy{
+		"a": {KeepWarm: ms(3), PrewarmIn: ms(1), PrewarmFor: ms(1)},
+	}})
+	now := simtime.Time(0)
+	runs := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		// The last cycle's container expired at its 3 ms mark, so this
+		// is a cold start into a recycled container.
+		d, c := m.Acquire(now, "a")
+		if d == 0 {
+			t.Fatalf("acquire at %v was warm, want a cold start", now)
+		}
+		m.Release(now, c)
+		if n := pendingPrewarms(m); n != 1 {
+			t.Fatalf("release at %v left %d pre-warms pending, want 1", now, n)
+		}
+		// The pre-warm lands at 1 ms and expires unused at 2 ms.
+		m.AdvanceTo(now + ms(2))
+		if n := pendingPrewarms(m); n != 0 || m.WarmIdle("a") != 1 || m.events.Len() != 1 {
+			t.Fatalf("at %v: %d pre-warms pending, %d warm, %d events queued; want 0, 1, 1",
+				now+ms(2), n, m.WarmIdle("a"), m.events.Len())
+		}
+		now += ms(10)
+		runs++
+	})
+	if allocs != 0 {
+		t.Fatalf("a pre-warm cycle allocates %v objects, want none", allocs)
+	}
+	if st := m.Stats(); st.ColdStarts != runs || st.Prewarms != runs || st.Expirations != 2*runs-1 || st.PrewarmHits != 0 {
+		t.Fatalf("stats %+v after %d cycles, want %d cold starts and pre-warms, %d expirations, no pre-warm hit",
+			st, runs, runs, 2*runs-1)
 	}
 }
 
@@ -340,8 +422,8 @@ func TestRecycledContainerStartsClean(t *testing.T) {
 	if c2 != c1 {
 		t.Fatal("a cold start did not reuse the last destroyed container")
 	}
-	if want := (Container{App: "b", mb: DefaultContainerMB, busy: true}); *c2 != want {
-		t.Fatalf("reused container %+v, want %+v", *c2, want)
+	if want := (containerState{App: "b", mb: DefaultContainerMB, busy: true}); stateOf(c2) != want {
+		t.Fatalf("reused container %+v, want %+v", stateOf(c2), want)
 	}
 
 	// "b" is discarded at release and pre-warmed at 230 ms, into the
@@ -351,9 +433,11 @@ func TestRecycledContainerStartsClean(t *testing.T) {
 	if m.WarmIdle("b") != 1 || m.idle["b"][0] != c2 {
 		t.Fatal("the pre-warm did not reuse the discarded container")
 	}
+	// Its expiry is the only event queued.
 	if c2.App != "b" || !c2.Prewarmed || c2.busy || c2.dead || c2.idleSince != ms(230) ||
-		c2.expires == nil || c2.expires.at != ms(270) {
-		t.Fatalf("pre-warmed container %+v, want idle since 230ms, expiring at 270ms", *c2)
+		c2.expires == (simtime.EventRef{}) || c2.expires.Cancelled() ||
+		m.events.Len() != 1 || m.events.PeekTime() != ms(270) {
+		t.Fatalf("pre-warmed container %+v, want idle since 230ms, expiring at 270ms", stateOf(c2))
 	}
 
 	// The pre-warmed "a" container that expired unused is the next one
@@ -362,10 +446,25 @@ func TestRecycledContainerStartsClean(t *testing.T) {
 	if c3 == c1 || c3 == c2 {
 		t.Fatal("a live container was handed out again")
 	}
-	if want := (Container{App: "z", mb: DefaultContainerMB, busy: true}); *c3 != want {
-		t.Fatalf("reused container %+v, want %+v", *c3, want)
+	if want := (containerState{App: "z", mb: DefaultContainerMB, busy: true}); stateOf(c3) != want {
+		t.Fatalf("reused container %+v, want %+v", stateOf(c3), want)
 	}
 	if st := m.Stats(); st.ColdStarts != 3 || st.PrewarmHits != 0 || st.Discards != 1 {
 		t.Fatalf("stats %+v, want three cold starts, one discard and no pre-warm hit", st)
 	}
+}
+
+// containerState is a Container's state apart from its expiry
+// callback, which a container keeps across lives.
+type containerState struct {
+	App                   string
+	Prewarmed, busy, dead bool
+	mb                    int
+	idleSince             simtime.Time
+	expires               simtime.EventRef
+}
+
+func stateOf(c *Container) containerState {
+	return containerState{App: c.App, Prewarmed: c.Prewarmed, busy: c.busy, dead: c.dead,
+		mb: c.mb, idleSince: c.idleSince, expires: c.expires}
 }

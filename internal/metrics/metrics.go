@@ -20,7 +20,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"time"
 
@@ -279,25 +278,6 @@ func FormatDuration(d time.Duration) string {
 		return fmt.Sprintf("%.1fms", float64(d)/float64(time.Millisecond))
 	}
 	return fmt.Sprintf("%.2fs", d.Seconds())
-}
-
-// RenderCDF produces a coarse ASCII rendering of a CDF for terminal
-// inspection: one row per decile with the x value reached.
-func RenderCDF(name string, cdf []stats.CDFPoint) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "CDF %s\n", name)
-	if len(cdf) == 0 {
-		b.WriteString("  (empty)\n")
-		return b.String()
-	}
-	for _, f := range []float64{0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999, 1.0} {
-		idx := sort.Search(len(cdf), func(i int) bool { return cdf[i].F >= f })
-		if idx == len(cdf) {
-			idx = len(cdf) - 1
-		}
-		fmt.Fprintf(&b, "  p%-5.1f %.3f\n", f*100, cdf[idx].X)
-	}
-	return b.String()
 }
 
 func logOf(x float64) float64 {

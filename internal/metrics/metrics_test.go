@@ -143,17 +143,6 @@ func TestFormatDuration(t *testing.T) {
 	}
 }
 
-func TestRenderCDF(t *testing.T) {
-	r := Run{Tasks: []*task.Task{mkTask(0, ms(10), ms(10)), mkTask(1, ms(20), ms(20))}}
-	out := RenderCDF("test", r.DurationCDF())
-	if !strings.Contains(out, "p50") || !strings.Contains(out, "p99") {
-		t.Fatalf("render:\n%s", out)
-	}
-	if empty := RenderCDF("none", nil); !strings.Contains(empty, "empty") {
-		t.Fatal("empty CDF render")
-	}
-}
-
 func TestColdStartStats(t *testing.T) {
 	c := ColdStartStats{Invocations: 10, ColdStarts: 4, ColdLatency: ms(1000)}
 	if got := c.WarmHits(); got != 6 {

@@ -146,14 +146,6 @@ func (e *Estimator) Percentile(app string) time.Duration {
 	return p
 }
 
-// Observations returns how many completions of app have been recorded.
-func (e *Estimator) Observations(app string) int64 {
-	if st := e.apps[app]; st != nil {
-		return st.n
-	}
-	return 0
-}
-
 // Apps returns how many distinct applications have been observed.
 func (e *Estimator) Apps() int { return len(e.apps) }
 

@@ -61,8 +61,8 @@ func TestConvergenceConstant(t *testing.T) {
 	if got := e.Percentile("const"); got != v {
 		t.Fatalf("constant-workload Percentile = %v, want %v", got, v)
 	}
-	if got := e.Observations("const"); got != 1000 {
-		t.Fatalf("Observations = %d, want 1000", got)
+	if got := e.apps["const"].n; got != 1000 {
+		t.Fatalf("observations = %d, want 1000", got)
 	}
 }
 
@@ -116,7 +116,7 @@ func TestDeterministicReplay(t *testing.T) {
 		}
 		out := ""
 		for _, a := range apps {
-			out += fmt.Sprintf("%s:%d:%d:%d;", a, e.Observations(a), e.Predict(a), e.Percentile(a))
+			out += fmt.Sprintf("%s:%d:%d:%d;", a, e.apps[a].n, e.Predict(a), e.Percentile(a))
 		}
 		return out
 	}

@@ -1,6 +1,6 @@
 // Package queueing implements the M/G/c quantities SFS's time-slice
-// heuristic is derived from (§V-C of the paper) plus Erlang-C and
-// Little's-law helpers used to validate simulator output.
+// heuristic is derived from (§V-C of the paper) plus the Erlang-C and
+// M/G/1 wait formulas used to validate simulator output.
 //
 // The paper models the FILTER pool as a multi-server queueing system with
 // per-core traffic intensity rho = lambda / (c * mu); SFS bounds rho by
@@ -42,17 +42,6 @@ func TrafficIntensity(lambda, mu float64, c int) float64 {
 		panic("queueing: need at least one core")
 	}
 	return lambda / (float64(c) * mu)
-}
-
-// IntensityFromIAT computes rho from a mean inter-arrival time and a mean
-// service time: lambda = 1/meanIAT, mu = 1/meanService.
-func IntensityFromIAT(meanIAT, meanService time.Duration, c int) float64 {
-	if meanIAT <= 0 {
-		return math.Inf(1)
-	}
-	lambda := 1 / meanIAT.Seconds()
-	mu := 1 / meanService.Seconds()
-	return TrafficIntensity(lambda, mu, c)
 }
 
 // ErlangC returns the probability that an arriving request must queue in
@@ -103,12 +92,6 @@ func MG1Wait(lambda, es, es2 float64) (time.Duration, error) {
 	}
 	wq := lambda * es2 / (2 * (1 - rho))
 	return time.Duration(wq * float64(time.Second)), nil
-}
-
-// LittlesLaw returns L = lambda * W, the expected number in system for
-// arrival rate lambda (1/sec) and mean time in system W.
-func LittlesLaw(lambda float64, w time.Duration) float64 {
-	return lambda * w.Seconds()
 }
 
 // OfferedLoad returns the average CPU utilization fraction a workload

@@ -24,17 +24,6 @@ func TestTrafficIntensityPanics(t *testing.T) {
 	TrafficIntensity(1, 0, 1)
 }
 
-func TestIntensityFromIAT(t *testing.T) {
-	// 100ms service, 50ms IAT, 4 cores: lambda=20/s, mu=10/s, rho=0.5
-	rho := IntensityFromIAT(50*time.Millisecond, 100*time.Millisecond, 4)
-	if math.Abs(rho-0.5) > 1e-9 {
-		t.Fatalf("rho = %v, want 0.5", rho)
-	}
-	if !math.IsInf(IntensityFromIAT(0, time.Second, 1), 1) {
-		t.Fatal("zero IAT should give infinite intensity")
-	}
-}
-
 func TestErlangCKnownValues(t *testing.T) {
 	// M/M/1: P(wait) = rho.
 	p, err := ErlangC(0.5, 1)
@@ -88,12 +77,6 @@ func TestMG1Wait(t *testing.T) {
 	}
 	if _, err := MG1Wait(3, 0.5, 0.25); err != ErrUnstable {
 		t.Fatal("rho>1 should be unstable")
-	}
-}
-
-func TestLittlesLaw(t *testing.T) {
-	if l := LittlesLaw(2, 3*time.Second); l != 6 {
-		t.Fatalf("L = %v, want 6", l)
 	}
 }
 

@@ -107,7 +107,7 @@ func TestDeleteArbitraryNodes(t *testing.T) {
 		nodes = append(nodes, tr.Insert(i))
 	}
 	// Delete evens in a scrambled order.
-	order := rng.New(2).Perm(50)
+	order := perm(rng.New(2), 50)
 	for _, k := range order {
 		tr.Delete(nodes[2*k])
 		if ok, msg := tr.CheckInvariants(); !ok {
@@ -123,6 +123,17 @@ func TestDeleteArbitraryNodes(t *testing.T) {
 			t.Fatalf("value %d: got %d want %d", i, v, 2*i+1)
 		}
 	}
+}
+
+// perm returns a random permutation of [0, n) drawn from r.
+func perm(r *rng.RNG, n int) []int {
+	p := make([]int, n)
+	for i := range p {
+		j := r.Intn(i + 1)
+		p[i] = p[j]
+		p[j] = i
+	}
+	return p
 }
 
 func TestDeleteNilIsNoop(t *testing.T) {

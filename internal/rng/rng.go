@@ -73,9 +73,6 @@ func (r *RNG) Uint64() uint64 {
 	return result
 }
 
-// Int63 returns a non-negative random 63-bit integer.
-func (r *RNG) Int63() int64 { return int64(r.Uint64() >> 1) }
-
 // Intn returns a uniformly random int in [0, n). It panics if n <= 0.
 func (r *RNG) Intn(n int) int {
 	if n <= 0 {
@@ -138,17 +135,6 @@ func (r *RNG) NormFloat64() float64 {
 		}
 		return u * math.Sqrt(-2*math.Log(s)/s)
 	}
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
 }
 
 // Shuffle pseudo-randomizes the order of n elements using the provided swap

@@ -3,7 +3,6 @@ package rng
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -142,27 +141,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 	if math.Abs(variance-1) > 0.05 {
 		t.Fatalf("NormFloat64 variance %v, want ~1", variance)
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	f := func(seed uint64, nRaw uint8) bool {
-		n := int(nRaw%64) + 1
-		p := New(seed).Perm(n)
-		if len(p) != n {
-			return false
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -81,17 +81,6 @@ func (c *CoreGranular) Descheduled(now simtime.Time, core int, t *task.Task, ran
 // WantsPreempt implements cpusim.Scheduler: never.
 func (c *CoreGranular) WantsPreempt(simtime.Time, int) bool { return false }
 
-// Reserved returns how many cores are currently reserved (for tests).
-func (c *CoreGranular) Reserved() int {
-	n := 0
-	for _, t := range c.reserved {
-		if t != nil {
-			n++
-		}
-	}
-	return n
-}
-
 // Lottery models classic lottery scheduling (Waldspurger & Weihl,
 // OSDI '94), the proportional-share family the paper situates CFS in
 // (§II-B): every quantum, a runnable task wins the core with

@@ -1,7 +1,7 @@
 // Package stats provides the statistical building blocks used across the
 // SFS reproduction: online moment accumulators, sliding windows (the SFS
-// monitor's IAT window), exact percentile/CDF extraction for experiment
-// output, and log-spaced histograms.
+// monitor's IAT window), and exact percentile/CDF extraction for
+// experiment output.
 //
 // The accumulators fall into two families with different cost models:
 //
@@ -9,9 +9,9 @@
 //     Window (fixed-capacity ring, the structure behind SFS's
 //     mean-of-last-k-IATs slice adaptation) never hold more than O(1)
 //     or O(k) state and are safe on the simulator's hot paths.
-//   - Materialized: Percentile, CDF, and the histogram helpers sort or
-//     bucket full samples and are meant for end-of-run reporting, where
-//     the paper's figures need exact (not approximated) quantiles.
+//   - Materialized: Percentile and CDF sort full samples and are meant
+//     for end-of-run reporting, where the paper's figures need exact
+//     (not approximated) quantiles.
 //
 // Percentiles interpolate linearly between the two nearest ranks of a
 // sorted copy; inputs are never mutated. CDFPoint slices are what internal/experiments
@@ -19,7 +19,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"time"
@@ -117,15 +116,6 @@ func (w *Window) Push(d time.Duration) {
 
 // Len returns the number of values currently held.
 func (w *Window) Len() int { return w.n }
-
-// Cap returns the window capacity.
-func (w *Window) Cap() int { return len(w.buf) }
-
-// Full reports whether the window has reached capacity.
-func (w *Window) Full() bool { return w.n == len(w.buf) }
-
-// Sum returns the sum of held values.
-func (w *Window) Sum() time.Duration { return w.sum }
 
 // Mean returns the mean of held values, or 0 when empty.
 func (w *Window) Mean() time.Duration {
@@ -243,66 +233,4 @@ func FractionBelow(xs []float64, bound float64) float64 {
 		}
 	}
 	return float64(n) / float64(len(xs))
-}
-
-// LogHistogram counts samples in logarithmically spaced buckets, used to
-// summarize distributions spanning several orders of magnitude (the Azure
-// duration CDF spans seven).
-type LogHistogram struct {
-	base    float64
-	minExp  int
-	buckets []int64
-	under   int64
-	total   int64
-}
-
-// NewLogHistogram creates a histogram with buckets [base^e, base^(e+1))
-// for e in [minExp, minExp+nBuckets).
-func NewLogHistogram(base float64, minExp, nBuckets int) *LogHistogram {
-	if base <= 1 {
-		panic("stats: log histogram base must be > 1")
-	}
-	if nBuckets <= 0 {
-		panic("stats: log histogram needs at least one bucket")
-	}
-	return &LogHistogram{base: base, minExp: minExp, buckets: make([]int64, nBuckets)}
-}
-
-// Add incorporates x. Non-positive and below-range values land in the
-// underflow bucket; above-range values clamp to the last bucket.
-func (h *LogHistogram) Add(x float64) {
-	h.total++
-	if x <= 0 {
-		h.under++
-		return
-	}
-	e := int(math.Floor(math.Log(x) / math.Log(h.base)))
-	idx := e - h.minExp
-	if idx < 0 {
-		h.under++
-		return
-	}
-	if idx >= len(h.buckets) {
-		idx = len(h.buckets) - 1
-	}
-	h.buckets[idx]++
-}
-
-// Total returns the number of samples added.
-func (h *LogHistogram) Total() int64 { return h.total }
-
-// Bucket returns the count in bucket i and its [lo, hi) bounds.
-func (h *LogHistogram) Bucket(i int) (lo, hi float64, count int64) {
-	lo = math.Pow(h.base, float64(h.minExp+i))
-	hi = math.Pow(h.base, float64(h.minExp+i+1))
-	return lo, hi, h.buckets[i]
-}
-
-// NumBuckets returns the number of buckets, not counting underflow.
-func (h *LogHistogram) NumBuckets() int { return len(h.buckets) }
-
-// String renders a compact textual summary.
-func (h *LogHistogram) String() string {
-	s := fmt.Sprintf("loghist(base=%.1f total=%d under=%d)", h.base, h.total, h.under)
-	return s
 }

@@ -11,7 +11,7 @@ func TestArenaMatchesNew(t *testing.T) {
 	want := New(7, 3*time.Millisecond, 5*time.Millisecond)
 	if got.ID != want.ID || got.Arrival != want.Arrival || got.Service != want.Service ||
 		got.Weight != want.Weight || got.Start != want.Start || got.Finish != want.Finish ||
-		got.LastCore() != want.LastCore() {
+		got.lastCore != want.lastCore {
 		t.Fatalf("arena task = %+v, want %+v", got, want)
 	}
 }

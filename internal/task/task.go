@@ -199,9 +199,6 @@ func (t *Task) MarkFinished(now simtime.Time) {
 	t.Finish = now
 }
 
-// LastCore returns the core of the task's most recent dispatch, or -1.
-func (t *Task) LastCore() int { return t.lastCore }
-
 // Validate checks structural invariants of the task definition, returning
 // an error describing the first violation.
 func (t *Task) Validate() error {

@@ -13,7 +13,7 @@ func TestNewDefaults(t *testing.T) {
 	if tk.Weight != DefaultWeight {
 		t.Fatalf("weight %d", tk.Weight)
 	}
-	if tk.Start != -1 || tk.Finish != -1 || tk.LastCore() != -1 {
+	if tk.Start != -1 || tk.Finish != -1 || tk.lastCore != -1 {
 		t.Fatal("sentinels not initialized")
 	}
 	if tk.State != StateNew {

@@ -74,17 +74,3 @@ func ExampleMerge() {
 	// id=2 at=20ms
 	// id=3 at=30ms
 }
-
-// ExampleConcat chains phases back to back: the second source is
-// time-shifted so its first arrival lands at the previous source's
-// last arrival — warm-up, steady state, overload as one stream.
-func ExampleConcat() {
-	warmup := mk("warmup", 0, 10)
-	steady := mk("steady", 0, 5)
-	dump(trace.Concat(warmup, steady))
-	// Output:
-	// id=0 at=0s
-	// id=1 at=10ms
-	// id=2 at=10ms
-	// id=3 at=15ms
-}

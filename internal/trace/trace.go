@@ -8,15 +8,13 @@
 // (spec + seed), so re-opening a source replays the identical stream;
 // that property is what makes traces exportable, replayable, and
 // byte-for-byte reproducible across machines. Combinators (Limit, Map,
-// Merge, Concat) compose sources without buffering; Collect materializes
-// one for consumers that need slices (the discrete-event engine).
+// Merge) compose sources without buffering; Collect materializes one
+// for consumers that need slices (the discrete-event engine).
 package trace
 
 import (
-	"container/heap"
 	"fmt"
 
-	"github.com/serverless-sched/sfs/internal/simtime"
 	"github.com/serverless-sched/sfs/internal/task"
 )
 
@@ -187,37 +185,14 @@ func Map(src Source, fn func(*task.Task) *task.Task) Source {
 	}, src)
 }
 
-// mergeItem is one source's head-of-stream in the merge heap.
-type mergeItem struct {
-	t   *task.Task
-	src int
-}
-
-type mergeHeap []mergeItem
-
-func (h mergeHeap) Len() int      { return len(h) }
-func (h mergeHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h mergeHeap) Less(i, j int) bool {
-	if h[i].t.Arrival != h[j].t.Arrival {
-		return h[i].t.Arrival < h[j].t.Arrival
-	}
-	return h[i].src < h[j].src // stable tie-break keeps merges deterministic
-}
-func (h *mergeHeap) Push(x any) { *h = append(*h, x.(mergeItem)) }
-func (h *mergeHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
-}
-
-// Merge interleaves sources by arrival time (k-way heap merge) — the
+// Merge interleaves sources by arrival time (k-way merge) — the
 // multi-tenant composition primitive: each tenant is a source, the
-// platform sees one stream. Task IDs are reassigned sequentially so the
-// merged stream has unique IDs.
+// platform sees one stream. It keeps each source's next invocation and
+// emits the earliest, the lowest source index winning ties, so merges
+// are deterministic. Task IDs are reassigned sequentially so the merged
+// stream has unique IDs.
 func Merge(srcs ...Source) Source {
-	h := make(mergeHeap, 0, len(srcs))
+	heads := make([]*task.Task, len(srcs)) // nil once a source is exhausted
 	primed := false
 	id := 0
 	desc := "merge("
@@ -228,67 +203,33 @@ func Merge(srcs ...Source) Source {
 		desc += s.String()
 	}
 	desc += ")"
+	pull := func(i int) {
+		heads[i] = nil
+		if t, ok := srcs[i].Next(); ok {
+			heads[i] = t
+		}
+	}
 	return Derive(desc, func() (*task.Task, bool) {
 		if !primed {
 			primed = true
-			for i, s := range srcs {
-				if t, ok := s.Next(); ok {
-					h = append(h, mergeItem{t: t, src: i})
-				}
+			for i := range srcs {
+				pull(i)
 			}
-			heap.Init(&h)
 		}
-		if h.Len() == 0 {
+		k := -1
+		for i, t := range heads {
+			if t != nil && (k < 0 || t.Arrival < heads[k].Arrival) {
+				k = i
+			}
+		}
+		if k < 0 {
 			return nil, false
 		}
-		it := h[0]
-		if t, ok := srcs[it.src].Next(); ok {
-			h[0] = mergeItem{t: t, src: it.src}
-			heap.Fix(&h, 0)
-		} else {
-			heap.Pop(&h)
-		}
-		it.t.ID = id
+		t := heads[k]
+		pull(k)
+		t.ID = id
 		id++
-		return it.t, true
-	}, srcs...)
-}
-
-// Concat chains sources back to back: each source after the first is
-// time-shifted so its first arrival lands at the previous source's last
-// arrival — phased scenarios (warm-up, steady state, overload) as one
-// stream. Task IDs are reassigned sequentially.
-func Concat(srcs ...Source) Source {
-	cur, id := 0, 0
-	var offset, last simtime.Time // shift for the current source; last emitted arrival
-	rebased := true               // the first source passes through unshifted
-	desc := "concat("
-	for i, s := range srcs {
-		if i > 0 {
-			desc += ", "
-		}
-		desc += s.String()
-	}
-	desc += ")"
-	return Derive(desc, func() (*task.Task, bool) {
-		for cur < len(srcs) {
-			t, ok := srcs[cur].Next()
-			if !ok {
-				cur++
-				rebased = false
-				continue
-			}
-			if !rebased {
-				rebased = true
-				offset = last - t.Arrival // re-base this source to the seam
-			}
-			t.Arrival += offset
-			last = t.Arrival
-			t.ID = id
-			id++
-			return t, true
-		}
-		return nil, false
+		return t, true
 	}, srcs...)
 }
 

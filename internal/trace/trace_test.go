@@ -3,11 +3,14 @@ package trace
 import (
 	"bytes"
 	"encoding/csv"
+	"fmt"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/serverless-sched/sfs/internal/dist"
+	"github.com/serverless-sched/sfs/internal/rng"
 	"github.com/serverless-sched/sfs/internal/simtime"
 	"github.com/serverless-sched/sfs/internal/task"
 )
@@ -85,27 +88,6 @@ func TestMergeOrdersByArrival(t *testing.T) {
 		if tk.ID != i {
 			t.Fatalf("merged ID %d = %d, want sequential", i, tk.ID)
 		}
-	}
-}
-
-func TestConcatRebasesToSeam(t *testing.T) {
-	a := []*task.Task{task.New(0, 0, ms(1)), task.New(1, ms(10), ms(1))}
-	b := []*task.Task{task.New(0, ms(3), ms(1)), task.New(1, ms(7), ms(1))}
-	got := Collect(Concat(FromTasks("a", a), FromTasks("b", b)))
-	want := []simtime.Time{0, ms(10), ms(10), ms(14)}
-	if len(got) != 4 {
-		t.Fatalf("concat yielded %d", len(got))
-	}
-	for i, tk := range got {
-		if tk.Arrival != want[i] {
-			t.Fatalf("arrival %d = %v, want %v", i, tk.Arrival, want[i])
-		}
-		if tk.ID != i {
-			t.Fatalf("ID %d = %d", i, tk.ID)
-		}
-	}
-	if n, err := Validate(FromTasks("chk", got)); err != nil || n != 4 {
-		t.Fatalf("validate: n=%d err=%v", n, err)
 	}
 }
 
@@ -254,7 +236,6 @@ func TestCombinatorsPropagateErr(t *testing.T) {
 		"limit":  func(s Source) Source { return Limit(s, 10) },
 		"map":    func(s Source) Source { return Map(s, func(tk *task.Task) *task.Task { return tk }) },
 		"merge":  func(s Source) Source { return Merge(s) },
-		"concat": func(s Source) Source { return Concat(s) },
 		"nested": func(s Source) Source { return Limit(Map(s, func(tk *task.Task) *task.Task { return tk }), 10) },
 	} {
 		src := wrap(mk())
@@ -406,32 +387,59 @@ func TestMergeTieBreakUnevenSources(t *testing.T) {
 	}
 }
 
-// TestConcatIdenticalTimestampsAcrossSources: concatenating three
-// sources whose invocations all share one timestamp must land every
-// invocation on the same rebased instant, preserve per-source emission
-// order, and reassign sequential IDs.
-func TestConcatIdenticalTimestampsAcrossSources(t *testing.T) {
-	out := Collect(Concat(
-		tagged("a", ms(5), ms(5)),
-		tagged("b", ms(7), ms(7)),
-		tagged("c", ms(9), ms(9), ms(9)),
-	))
-	if len(out) != 7 {
-		t.Fatalf("concatenated %d invocations, want 7", len(out))
+// TestMergeMatchesStableSortByArrival: Merge yields exactly a stable
+// sort of its sources laid end to end in source order — by arrival,
+// then source index, then position within the source — the total order
+// a k-way merge over (arrival, source index) heads produces. Random
+// sources with dense ties, empty sources and uneven lengths all take
+// that order, with IDs reassigned sequentially.
+func TestMergeMatchesStableSortByArrival(t *testing.T) {
+	r := rng.New(23)
+	for trial := 0; trial < 200; trial++ {
+		srcs := make([]Source, 1+r.Intn(6))
+		var all []*task.Task
+		for s := range srcs {
+			tasks := make([]*task.Task, r.Intn(8))
+			at := simtime.Time(ms(r.Intn(3)))
+			for j := range tasks {
+				at += ms(r.Intn(3))
+				tasks[j] = task.New(j, at, ms(1))
+				tasks[j].App = fmt.Sprintf("s%d-%d", s, j)
+			}
+			srcs[s] = FromTasks(fmt.Sprintf("s%d", s), tasks)
+			all = append(all, tasks...)
+		}
+		sort.SliceStable(all, func(i, j int) bool { return all[i].Arrival < all[j].Arrival })
+		got := Collect(Merge(srcs...))
+		if len(got) != len(all) {
+			t.Fatalf("trial %d: merged %d invocations, want %d", trial, len(got), len(all))
+		}
+		for i, tk := range got {
+			if tk.App != all[i].App || tk.Arrival != all[i].Arrival || tk.ID != i {
+				t.Fatalf("trial %d: invocation %d = #%d %s@%v, want #%d %s@%v",
+					trial, i, tk.ID, tk.App, tk.Arrival, i, all[i].App, all[i].Arrival)
+			}
+		}
 	}
-	wantApps := []string{"a", "a", "b", "b", "c", "c", "c"}
-	for i, tk := range out {
-		if tk.ID != i {
-			t.Errorf("invocation %d has ID %d, want sequential reassignment", i, tk.ID)
+}
+
+// TestMergeOfNoSources: a merge of nothing, or of sources that are all
+// empty, is exhausted from the first pull and stays exhausted.
+func TestMergeOfNoSources(t *testing.T) {
+	for _, m := range []Source{
+		Merge(),
+		Merge(FromTasks("a", nil), FromTasks("b", nil)),
+	} {
+		for i := 0; i < 2; i++ {
+			if tk, ok := m.Next(); ok || tk != nil {
+				t.Fatalf("%s: pull %d yielded %v, want exhaustion", m, i, tk)
+			}
 		}
-		if tk.App != wantApps[i] {
-			t.Errorf("invocation %d from %q, want %q", i, tk.App, wantApps[i])
+		if err := Err(m); err != nil {
+			t.Fatalf("%s: %v", m, err)
 		}
-		// Every source's invocations share one timestamp, and each
-		// source is rebased to the previous source's last arrival: all
-		// seven land at the first source's 5ms instant.
-		if tk.Arrival != simtime.Time(ms(5)) {
-			t.Errorf("invocation %d arrives at %v, want 5ms", i, tk.Arrival)
-		}
+	}
+	if got, want := Merge(FromTasks("a", nil), FromTasks("b", nil)).String(), "merge(a, b)"; got != want {
+		t.Fatalf("description %q, want %q", got, want)
 	}
 }

@@ -66,22 +66,6 @@ func FibDuration(n int) time.Duration {
 	return time.Duration(float64(fibCalibrationDur) * math.Pow(goldenRatio, float64(n-fibCalibrationN)))
 }
 
-// FibNFor returns the smallest fib N whose modeled duration is at least
-// d (inverse of FibDuration, clamped to [1, 64]).
-func FibNFor(d time.Duration) int {
-	if d <= 0 {
-		return 1
-	}
-	n := fibCalibrationN + int(math.Ceil(math.Log(float64(d)/float64(fibCalibrationDur))/math.Log(goldenRatio)))
-	if n < 1 {
-		n = 1
-	}
-	if n > 64 {
-		n = 64
-	}
-	return n
-}
-
 // AzureTailCap bounds the open-ended Table I mode: the Azure analysis in
 // the paper reports 99.9% of functions run under 224 s.
 const AzureTailCap = 224 * time.Second

@@ -46,16 +46,6 @@ func TestFibCalibrationMatchesTableI(t *testing.T) {
 	if d := FibDuration(34); d < 1550*time.Millisecond/2 {
 		t.Fatalf("fib(34) = %v, too fast for the long mode", d)
 	}
-	// Round trip.
-	for _, n := range []int{20, 26, 30, 35} {
-		d := FibDuration(n)
-		if got := FibNFor(d); got != n {
-			t.Errorf("FibNFor(FibDuration(%d)) = %d", n, got)
-		}
-	}
-	if FibNFor(0) != 1 {
-		t.Error("FibNFor(0) should clamp to 1")
-	}
 }
 
 func TestTableIDistributionShape(t *testing.T) {
