@@ -163,9 +163,8 @@ type SFS struct {
 	workers []worker
 
 	// FIFO request queues: one global queue by default, or one per
-	// worker in the PerCoreQueue ablation. Heads are at qHeads[i].
-	queues [][]*task.Task
-	qHeads []int
+	// worker in the PerCoreQueue ablation.
+	queues []sched.FIFOQueue
 
 	s           time.Duration // current time slice parameter S
 	window      *stats.Window
@@ -241,8 +240,7 @@ func (s *SFS) Bind(api cpusim.API) {
 	if s.cfg.PerCoreQueue {
 		nq = api.NumCores()
 	}
-	s.queues = make([][]*task.Task, nq)
-	s.qHeads = make([]int, nq)
+	s.queues = make([]sched.FIFOQueue, nq)
 	s.Stat.SliceTimeline = append(s.Stat.SliceTimeline, SlicePoint{T: 0, S: s.s})
 }
 
@@ -345,7 +343,7 @@ func (s *SFS) Enqueue(now simtime.Time, t *task.Task) {
 		s.haveArrival = true
 	}
 	e.enq = now
-	s.queues[e.queue] = append(s.queues[e.queue], t)
+	s.queues[e.queue].Push(t)
 }
 
 // observeIAT feeds the monitor's sliding window and recomputes S every
@@ -365,26 +363,6 @@ func (s *SFS) observeIAT(now simtime.Time, iat time.Duration) {
 		}
 	}
 	s.Stat.SliceTimeline = append(s.Stat.SliceTimeline, SlicePoint{T: now, S: s.s, MeanIAT: mean})
-}
-
-// popQueue removes and returns the head of queue i.
-func (s *SFS) popQueue(i int) *task.Task {
-	t := s.queues[i][s.qHeads[i]]
-	s.queues[i][s.qHeads[i]] = nil
-	s.qHeads[i]++
-	if s.qHeads[i] > 1024 && s.qHeads[i]*2 > len(s.queues[i]) {
-		s.queues[i] = append([]*task.Task(nil), s.queues[i][s.qHeads[i]:]...)
-		s.qHeads[i] = 0
-	}
-	return t
-}
-
-// peekQueue returns the head of queue i without removing it.
-func (s *SFS) peekQueue(i int) *task.Task {
-	if len(s.queues[i])-s.qHeads[i] == 0 {
-		return nil
-	}
-	return s.queues[i][s.qHeads[i]]
 }
 
 // recordDelay records a request's first observed global-queue delay.
@@ -455,15 +433,14 @@ func (s *SFS) PickNext(now simtime.Time, core int) (*task.Task, time.Duration) {
 		w.t = nil
 	}
 
-	qi := s.queueFor(core)
+	q := &s.queues[s.queueFor(core)]
 	for {
-		t := s.peekQueue(qi)
+		t := q.Pop()
 		if t == nil {
 			return s.cfs.PickNext(now, core)
 		}
 		e := s.entOf(t)
 		delay := now - e.enq
-		s.popQueue(qi)
 		s.recordDelay(now, t, e)
 		if s.overloaded(delay) {
 			// Transient overload: bypass FILTER and let CFS drain the
@@ -613,7 +590,7 @@ func (s *SFS) WantsPreempt(now simtime.Time, core int) bool {
 		return true // a woken FIFO task reclaims its core from CFS
 	}
 	if w.state == wFree {
-		if head := s.peekQueue(s.queueFor(core)); head != nil {
+		if head := s.queues[s.queueFor(core)].Peek(); head != nil {
 			e := s.entOf(head)
 			if !s.overloaded(now - e.enq) {
 				return true // fresh FILTER work beats a CFS task
@@ -637,7 +614,7 @@ func (s *SFS) Renews(core int) (time.Duration, bool) {
 	}
 	switch s.workers[core].state {
 	case wFree:
-		if s.peekQueue(s.queueFor(core)) != nil {
+		if s.queues[s.queueFor(core)].Len() > 0 {
 			return 0, false
 		}
 	case wBlockWait, wAttachedSleep:
@@ -654,7 +631,3 @@ func (s *SFS) Renewed(core int, ran time.Duration) {
 	s.Stat.SchedulingOps += 2
 	s.renewer.Renewed(core, ran)
 }
-
-// SecondLevel exposes the second-level scheduler (for tests, metrics,
-// and the EEVDF ablation).
-func (s *SFS) SecondLevel() cpusim.Scheduler { return s.cfs }

@@ -10,6 +10,7 @@ import (
 
 	"github.com/serverless-sched/sfs/internal/chain"
 	"github.com/serverless-sched/sfs/internal/cluster"
+	"github.com/serverless-sched/sfs/internal/core"
 	"github.com/serverless-sched/sfs/internal/cpusim"
 	"github.com/serverless-sched/sfs/internal/dist"
 	"github.com/serverless-sched/sfs/internal/experiments"
@@ -265,6 +266,60 @@ func TriggerChainDigest() (string, error) {
 		len(eng.Tasks()), fd(makespan), fd(ps[0]), fd(ps[1]))
 	fmt.Fprintf(&b, "workflows: completed=%d mean-slowdown=%.2fx p50=%.2fx p99=%.2fx\n",
 		wfr.Completed(), wfr.MeanSlowdown(), slow[0], slow[1])
+	return b.String(), nil
+}
+
+// EEVDF-digest grid: one core (nothing to steal), a few and many, each
+// below saturation and at twice it, where the run queues grow deep.
+var (
+	eevdfCores = []int{1, 4, 16}
+	eevdfLoads = []float64{0.9, 2.0}
+)
+
+// EEVDFDigest pins EEVDF's schedule, alone and as SFS's second level:
+// one line per run over eevdfCores × eevdfLoads of a POISSON trace of
+// the OpenLambda mix, about half of whose invocations block on I/O.
+// Each line holds the makespan, the EEVDF instance's idle-balance
+// steals, the engine's context switches and dispatches, and an fnv64
+// over every task's placement and accounting, so any change to which
+// entity EEVDF picks, steals or preempts moves a line.
+func EEVDFDigest() (string, error) {
+	var b strings.Builder
+	fmt.Fprintf(&b, "digest v1: eevdf family=POISSON apps=openlambda n=%d seed=%d\n", digestN, digestSeed)
+	for _, cores := range eevdfCores {
+		for _, load := range eevdfLoads {
+			src, err := workload.NewFamily("POISSON", workload.FamilyConfig{
+				N: digestN, Cores: cores, Load: load, Apps: workload.OpenLambdaMix(), Seed: digestSeed,
+			})
+			if err != nil {
+				return "", err
+			}
+			tasks := trace.Collect(src)
+			if err := trace.Err(src); err != nil {
+				return "", err
+			}
+			for _, onSFS := range []bool{false, true} {
+				e := sched.NewEEVDF()
+				var s cpusim.Scheduler = e
+				if onSFS {
+					cfg := core.DefaultConfig()
+					cfg.SecondLevel = e
+					s = core.New(cfg)
+				}
+				eng := cpusim.NewEngine(cpusim.Config{Cores: cores, Deadline: 10000 * time.Hour}, s)
+				eng.Submit(trace.CloneTasks(tasks)...)
+				makespan := eng.Run()
+				h := fnv.New64a()
+				for _, tk := range eng.Tasks() {
+					fmt.Fprintf(h, "t%d start=%d fin=%d wait=%d io=%d ctx=%d disp=%d mig=%d\n",
+						tk.ID, tk.Start, tk.Finish, tk.WaitTime, tk.IOTime, tk.CtxSwitches, tk.Dispatches, tk.Migrations)
+				}
+				fmt.Fprintf(&b, "%s cores=%d load=%.1f: makespan=%s steals=%d ctx=%d disp=%d fp=%016x\n",
+					s.Name(), cores, load, fd(time.Duration(makespan)), e.Steals,
+					eng.TotalCtxSwitches, eng.TotalDispatches, h.Sum64())
+			}
+		}
+	}
 	return b.String(), nil
 }
 

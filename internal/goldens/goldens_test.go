@@ -34,6 +34,7 @@ func TestGoldenFixtureSync(t *testing.T) {
 	known := map[string]bool{
 		"azure-ingest.golden":      true,
 		"cluster-matrix.golden":    true,
+		"eevdf.golden":             true,
 		"experiments-quick.golden": true,
 		"trigger-chain.golden":     true,
 	}
@@ -76,6 +77,16 @@ func TestGoldenTriggerChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	Check(t, "trigger-chain", got)
+}
+
+// TestGoldenEEVDF pins EEVDF's schedule, which no other fixture
+// reaches beyond one render hash of the second-level ablation.
+func TestGoldenEEVDF(t *testing.T) {
+	got, err := EEVDFDigest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	Check(t, "eevdf", got)
 }
 
 // TestGoldenClusterMatrix pins the cluster coordinator's absolute

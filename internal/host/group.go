@@ -86,8 +86,10 @@ func (g *Group) Step(i int) (completions int) {
 
 // Deliver hands t to runtime i at instant `at` — through the runtime's
 // full stage pipeline — and re-keys it. This is serial mode's
-// immediate delivery.
+// immediate delivery. It panics when `at` precedes the runtime's
+// engine clock (see onTime).
 func (g *Group) Deliver(i int, at simtime.Time, t *task.Task) {
+	g.onTime(i, at)
 	g.rts[i].Place(at, t)
 	g.hh.Update(i, g.key(i))
 }
@@ -155,6 +157,16 @@ func (g *Group) Advance(bound simtime.Time) (completions int) {
 	return completions
 }
 
+// onTime panics when the group is about to deliver to runtime i at an
+// instant behind the runtime's engine clock. The engine would take the
+// arrival at its clock instead (simtime.Queue.At clamps), silently
+// changing the schedule, so a late delivery is a driver bug.
+func (g *Group) onTime(i int, at simtime.Time) {
+	if now := g.rts[i].eng.Now(); at < now {
+		panic(fmt.Sprintf("host: runtime %d: delivery at %v is behind its engine clock at %v", i, at, now))
+	}
+}
+
 // run advances runtime i to bound: it delivers the runtime's linked
 // window submissions in time order, each after the engine events at or
 // before its instant (engine events first on ties, as everywhere
@@ -174,6 +186,7 @@ func (g *Group) run(i int, bound simtime.Time) (completions int) {
 			eng.StepEvent()
 		}
 		rt.queued--
+		g.onTime(i, sub.at)
 		rt.Place(sub.at, sub.t)
 		unfinished++
 		k = sub.next

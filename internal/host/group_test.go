@@ -3,6 +3,7 @@ package host
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -320,4 +321,50 @@ func FuzzGroupAdvance(f *testing.F) {
 		}
 		checkAdvance(t, c)
 	})
+}
+
+// TestLateDeliveryPanics: a group refuses to deliver at an instant its
+// runtime's engine has already passed, in serial Deliver and in a
+// windowed Advance alike, instead of letting the engine take the
+// arrival at its clock. Delivering at the clock itself is on time.
+func TestLateDeliveryPanics(t *testing.T) {
+	const ms = time.Millisecond
+	fresh := func() (*Group, *cpusim.Engine) {
+		eng := cpusim.NewEngine(cpusim.Config{Cores: 1}, sched.NewFIFO())
+		return NewGroup([]*Runtime{New(eng)}, false), eng
+	}
+	late := func(path string, deliver func()) {
+		t.Helper()
+		defer func() {
+			t.Helper()
+			r := recover()
+			if r == nil {
+				t.Fatalf("%s: a delivery at 20ms behind an engine at 30ms did not panic", path)
+			}
+			if msg := fmt.Sprint(r); !strings.Contains(msg, "runtime 0") || !strings.Contains(msg, "20ms") || !strings.Contains(msg, "30ms") {
+				t.Fatalf("%s: panic %q does not name the runtime and both instants", path, msg)
+			}
+		}()
+		deliver()
+	}
+
+	g, eng := fresh()
+	g.Deliver(0, 10*ms, task.New(0, 10*ms, 20*ms))
+	for eng.Pending() > 0 {
+		g.Step(0)
+	}
+	if eng.Now() != 30*ms {
+		t.Fatalf("engine clock at %v after the task finished, want 30ms", eng.Now())
+	}
+	late("Deliver", func() { g.Deliver(0, 20*ms, task.New(1, 20*ms, ms)) })
+	g.Deliver(0, 30*ms, task.New(2, 30*ms, ms))
+
+	g, eng = fresh()
+	g.Enqueue(0, 10*ms, task.New(0, 10*ms, 20*ms))
+	g.Advance(100 * ms)
+	if eng.Now() != 30*ms {
+		t.Fatalf("engine clock at %v after the first window, want 30ms", eng.Now())
+	}
+	g.Enqueue(0, 20*ms, task.New(1, 20*ms, ms))
+	late("Advance", func() { g.Advance(200 * ms) })
 }

@@ -134,10 +134,6 @@ func New(eng *cpusim.Engine, stages ...Stage) *Runtime {
 	return rt
 }
 
-// Engine returns the wrapped engine (for metrics extraction and the
-// read-only views dispatchers decide from).
-func (rt *Runtime) Engine() *cpusim.Engine { return rt.eng }
-
 // Queued is the number of invocations assigned to this host but not
 // yet submitted to its engine — nonzero only inside sharded windows,
 // where delivery is deferred to the owning shard (see Group.Enqueue).

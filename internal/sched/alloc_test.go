@@ -1,6 +1,7 @@
 package sched_test
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -57,6 +58,11 @@ func TestSchedulerAllocsIndependentOfPreemptions(t *testing.T) {
 			var preemptions [2]int64
 			var allocs [2]float64
 			for i, k := range []time.Duration{1, 2} {
+				// Collect first, so no GC cycle starts inside the
+				// measured runs: a cycle can allocate on the runtime's
+				// own account (its mark workers), which would tip the
+				// count by whichever tests ran before this one.
+				runtime.GC()
 				allocs[i] = testing.AllocsPerRun(5, func() {
 					eng := cpusim.NewEngine(cpusim.Config{Cores: 2}, tc.mk())
 					eng.Submit(allocScript(k)...)

@@ -18,7 +18,7 @@ import (
 // trade-offs SFS's work-conserving design targets.
 type CoreGranular struct {
 	api      cpusim.API
-	q        fifoQueue
+	q        FIFOQueue
 	reserved []*task.Task // per-core reservation (also covers blocked owners)
 }
 

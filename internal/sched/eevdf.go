@@ -2,10 +2,11 @@ package sched
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"time"
 
 	"github.com/serverless-sched/sfs/internal/cpusim"
-	"github.com/serverless-sched/sfs/internal/rbtree"
 	"github.com/serverless-sched/sfs/internal/simtime"
 	"github.com/serverless-sched/sfs/internal/task"
 )
@@ -21,14 +22,23 @@ type eevdfEnt struct {
 	vr       time.Duration // virtual runtime
 	deadline time.Duration // virtual deadline = vr + baseSlice at (re)queue
 	rq       int
-	node     *rbtree.Node[*eevdfEnt]
 	everRan  bool
 }
 
-// eevdfRQ is one core's runqueue: entities ordered by virtual deadline,
-// with an aggregate vruntime sum for O(1) eligibility checks.
+// before orders entities by virtual deadline, breaking ties by task ID
+// so the order is total and replays are deterministic.
+func (a *eevdfEnt) before(b *eevdfEnt) bool {
+	if a.deadline != b.deadline {
+		return a.deadline < b.deadline
+	}
+	return a.t.ID < b.t.ID
+}
+
+// eevdfRQ is one core's runqueue: entities in a slice sorted by
+// before, with an aggregate vruntime sum for O(1) eligibility checks.
+// The slice keeps its capacity, so re-queueing allocates nothing.
 type eevdfRQ struct {
-	tree  *rbtree.Tree[*eevdfEnt]
+	q     []*eevdfEnt
 	vrSum time.Duration // sum of queued entities' vruntime
 	min   time.Duration // monotonic floor, used to place newcomers
 }
@@ -70,18 +80,10 @@ func (e *EEVDF) Bind(api cpusim.API) {
 	n := api.NumCores()
 	e.rqs = make([]eevdfRQ, n)
 	e.cur = make([]*eevdfEnt, n)
-	for i := range e.rqs {
-		e.rqs[i].tree = rbtree.New(func(a, b *eevdfEnt) bool {
-			if a.deadline != b.deadline {
-				return a.deadline < b.deadline
-			}
-			return a.t.ID < b.t.ID
-		})
-	}
 }
 
 func (e *EEVDF) nrRunning(i int) int {
-	n := e.rqs[i].tree.Len()
+	n := len(e.rqs[i].q)
 	if e.cur[i] != nil {
 		n++
 	}
@@ -104,7 +106,7 @@ func (e *EEVDF) leastLoaded() int {
 func (e *EEVDF) avgVruntime(i int) time.Duration {
 	rq := &e.rqs[i]
 	sum := rq.vrSum
-	n := rq.tree.Len()
+	n := len(rq.q)
 	if cur := e.cur[i]; cur != nil {
 		sum += cur.vr + e.api.RanFor(i)
 		n++
@@ -115,19 +117,28 @@ func (e *EEVDF) avgVruntime(i int) time.Duration {
 	return sum / time.Duration(n)
 }
 
-// insert adds ent to runqueue i, refreshing its deadline.
+// insert adds ent to runqueue i, refreshing its deadline. It goes
+// after every entity that does not sort after it, so equal entities
+// keep their insertion order.
 func (e *EEVDF) insert(i int, ent *eevdfEnt) {
 	ent.rq = i
 	ent.deadline = ent.vr + baseSlice
-	ent.node = e.rqs[i].tree.Insert(ent)
-	e.rqs[i].vrSum += ent.vr
+	rq := &e.rqs[i]
+	k := sort.Search(len(rq.q), func(j int) bool { return ent.before(rq.q[j]) })
+	rq.q = slices.Insert(rq.q, k, ent)
+	rq.vrSum += ent.vr
 }
 
-// removeNode detaches ent from its runqueue.
-func (e *EEVDF) removeNode(ent *eevdfEnt) {
-	e.rqs[ent.rq].tree.Delete(ent.node)
-	ent.node = nil
-	e.rqs[ent.rq].vrSum -= ent.vr
+// remove detaches ent from its runqueue: it finds the first entity not
+// before ent and steps to ent itself among any equal ones.
+func (e *EEVDF) remove(ent *eevdfEnt) {
+	rq := &e.rqs[ent.rq]
+	k := sort.Search(len(rq.q), func(j int) bool { return !rq.q[j].before(ent) })
+	for rq.q[k] != ent {
+		k++
+	}
+	rq.q = slices.Delete(rq.q, k, k+1)
+	rq.vrSum -= ent.vr
 }
 
 // Enqueue implements cpusim.Scheduler.
@@ -153,45 +164,34 @@ func (e *EEVDF) Enqueue(now simtime.Time, t *task.Task) {
 }
 
 // pickEligible returns the eligible entity with the earliest virtual
-// deadline on runqueue i, or nil. Entities are scanned in deadline
-// order; the first with vruntime <= the queue average wins. The scan is
-// bounded but in adversarial shapes can visit many nodes; typical
-// queues find an eligible entity within the first few.
+// deadline on runqueue i, or nil when the queue is empty. Entities are
+// scanned in deadline order; the first with vruntime <= the queue
+// average wins. In adversarial shapes the scan can visit many entities;
+// typical queues find an eligible one within the first few.
 func (e *EEVDF) pickEligible(i int) *eevdfEnt {
+	q := e.rqs[i].q
+	if len(q) == 0 {
+		return nil
+	}
 	avg := e.avgVruntime(i)
-	var fallback *eevdfEnt
-	found := (*eevdfEnt)(nil)
-	e.rqs[i].tree.Ascend(func(ent *eevdfEnt) bool {
-		if fallback == nil {
-			fallback = ent
-		}
+	for _, ent := range q {
 		if ent.vr <= avg {
-			found = ent
-			return false
+			return ent
 		}
-		return true
-	})
-	if found != nil {
-		return found
 	}
 	// Everything is ineligible (can happen transiently from rounding):
 	// run the earliest deadline anyway rather than idling.
-	return fallback
+	return q[0]
 }
 
 // PickNext implements cpusim.Scheduler.
 func (e *EEVDF) PickNext(now simtime.Time, core int) (*task.Task, time.Duration) {
-	rq := &e.rqs[core]
-	if rq.tree.Len() == 0 && !e.steal(core) {
+	if len(e.rqs[core].q) == 0 && !e.steal(core) {
 		e.cur[core] = nil
 		return nil, 0
 	}
 	ent := e.pickEligible(core)
-	if ent == nil {
-		e.cur[core] = nil
-		return nil, 0
-	}
-	e.removeNode(ent)
+	e.remove(ent)
 	e.cur[core] = ent
 	return ent.t, baseSlice
 }
@@ -203,15 +203,15 @@ func (e *EEVDF) steal(core int) bool {
 		if i == core {
 			continue
 		}
-		if l := e.rqs[i].tree.Len(); l > busiestLen {
+		if l := len(e.rqs[i].q); l > busiestLen {
 			busiest, busiestLen = i, l
 		}
 	}
 	if busiest < 0 {
 		return false
 	}
-	ent := e.rqs[busiest].tree.Min().Value
-	e.removeNode(ent)
+	ent := e.rqs[busiest].q[0]
+	e.remove(ent)
 	// Renormalize the vruntime into the destination queue's frame.
 	ent.vr = ent.vr - e.rqs[busiest].min + e.rqs[core].min
 	e.insert(core, ent)
@@ -250,10 +250,6 @@ func (e *EEVDF) Descheduled(now simtime.Time, core int, t *task.Task, ran time.D
 func (e *EEVDF) WantsPreempt(now simtime.Time, core int) bool {
 	cur := e.cur[core]
 	if cur == nil {
-		return false
-	}
-	rq := &e.rqs[core]
-	if rq.tree.Len() == 0 {
 		return false
 	}
 	best := e.pickEligible(core)

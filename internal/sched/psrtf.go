@@ -43,9 +43,6 @@ func NewPSRTF(est *predict.Estimator) *PSRTF {
 // Name implements cpusim.Scheduler.
 func (s *PSRTF) Name() string { return "PSRTF" }
 
-// Estimator exposes the learning state for tests and harnesses.
-func (s *PSRTF) Estimator() *predict.Estimator { return s.est }
-
 // Bind implements cpusim.Scheduler; it starts an empty run queue.
 func (s *PSRTF) Bind(api cpusim.API) {
 	s.api = api

@@ -8,19 +8,24 @@ import (
 	"github.com/serverless-sched/sfs/internal/task"
 )
 
-// fifoQueue is a simple FIFO of tasks with O(1) amortized operations.
-type fifoQueue struct {
+// FIFOQueue is a first-in, first-out queue of tasks with O(1)
+// amortized operations. It is the run queue of FIFO, RR and
+// CoreGranular, and SFS's request queue. The zero value is an empty
+// queue.
+type FIFOQueue struct {
 	items []*task.Task
 	head  int
 }
 
-func (q *fifoQueue) Len() int { return len(q.items) - q.head }
+// Len returns the number of queued tasks.
+func (q *FIFOQueue) Len() int { return len(q.items) - q.head }
 
-func (q *fifoQueue) Push(t *task.Task) { q.items = append(q.items, t) }
+// Push appends t at the tail.
+func (q *FIFOQueue) Push(t *task.Task) { q.items = append(q.items, t) }
 
 // PushFront re-inserts a task at the head (used for preempted RT tasks,
 // which keep their position per POSIX).
-func (q *fifoQueue) PushFront(t *task.Task) {
+func (q *FIFOQueue) PushFront(t *task.Task) {
 	if q.head > 0 {
 		q.head--
 		q.items[q.head] = t
@@ -29,7 +34,11 @@ func (q *fifoQueue) PushFront(t *task.Task) {
 	q.items = append([]*task.Task{t}, q.items...)
 }
 
-func (q *fifoQueue) Pop() *task.Task {
+// Pop removes and returns the head, or nil when the queue is empty.
+// Once more than 1,024 popped slots make up over half the slice, the
+// live tail moves to a fresh slice, so a long-lived queue does not keep
+// every task it ever held.
+func (q *FIFOQueue) Pop() *task.Task {
 	if q.Len() == 0 {
 		return nil
 	}
@@ -43,7 +52,9 @@ func (q *fifoQueue) Pop() *task.Task {
 	return t
 }
 
-func (q *fifoQueue) Peek() *task.Task {
+// Peek returns the head without removing it, or nil when the queue is
+// empty.
+func (q *FIFOQueue) Peek() *task.Task {
 	if q.Len() == 0 {
 		return nil
 	}
@@ -56,7 +67,7 @@ func (q *fifoQueue) Peek() *task.Task {
 // stuck behind long ones.
 type FIFO struct {
 	api cpusim.API
-	q   fifoQueue
+	q   FIFOQueue
 }
 
 // NewFIFO returns a SCHED_FIFO model.
@@ -100,7 +111,7 @@ const DefaultRRSlice = 100 * time.Millisecond
 // task runs at most one quantum before rotating to the tail.
 type RR struct {
 	api   cpusim.API
-	q     fifoQueue
+	q     FIFOQueue
 	Slice time.Duration
 }
 

@@ -25,9 +25,9 @@ func (a *rqEntry[V]) before(b *rqEntry[V]) bool {
 // runQueue is the pop-min run queue of the schedulers that only ever
 // take their smallest entry (CFS by vruntime, SRTF and PSRTF by
 // remaining demand): a flat binary min-heap of value entries ordered
-// by (key, task ID, insertion sequence). The sequence reproduces a
-// red-black tree's FIFO order among entries with equal (key, ID), so
-// the heap pops exactly what an rbtree.Tree ordered by (key, ID) would.
+// by (key, task ID, insertion sequence). The sequence gives first-in,
+// first-out order among entries with equal (key, ID), so the pop order
+// is total and replays are deterministic.
 // The key is fixed at Insert; a caller whose key changes re-inserts.
 // The zero value is an empty queue. Popped slots are zeroed and the
 // slice keeps its capacity, so steady-state re-queueing allocates

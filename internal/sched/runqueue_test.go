@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/serverless-sched/sfs/internal/rbtree"
 	"github.com/serverless-sched/sfs/internal/rng"
 )
 
@@ -18,63 +17,67 @@ type rqItem struct {
 	tok int
 }
 
-// rqOracle drives the run-queue heap and, side by side, an rbtree.Tree
-// ordered by the (key, ID) less the schedulers used before the heap.
-// The tree places an entry after every equal one already queued, so it
-// pops equal (key, ID) entries in insertion order; the heap must too.
+// rqOracle drives the run-queue heap and, side by side, a linear-scan
+// model: a slice in insertion order whose pop takes the first entry of
+// least (key, ID). The model pops equal (key, ID) entries in insertion
+// order; the heap must too.
 type rqOracle struct {
-	q    runQueue[int]
-	tree *rbtree.Tree[rqItem]
-	next int
-}
-
-func newRQOracle() *rqOracle {
-	return &rqOracle{tree: rbtree.New(func(a, b rqItem) bool {
-		if a.key != b.key {
-			return a.key < b.key
-		}
-		return a.id < b.id
-	})}
+	q     runQueue[int]
+	model []rqItem
+	next  int
 }
 
 func (o *rqOracle) insert(key time.Duration, id int) {
 	o.q.Insert(key, id, o.next)
-	o.tree.Insert(rqItem{key: key, id: id, tok: o.next})
+	o.model = append(o.model, rqItem{key: key, id: id, tok: o.next})
 	o.next++
 }
 
-// pop pops both queues and reports any difference in what came out.
+// least is the index of the model's first entry of least (key, ID), or
+// -1 when the model is empty.
+func (o *rqOracle) least() int {
+	best := -1
+	for i, it := range o.model {
+		if best < 0 || it.key < o.model[best].key || it.key == o.model[best].key && it.id < o.model[best].id {
+			best = i
+		}
+	}
+	return best
+}
+
+// pop pops the heap and the model and reports any difference in what
+// came out.
 func (o *rqOracle) pop() error {
 	got, ok := o.q.PopMin()
-	n := o.tree.Min()
-	if n == nil {
+	i := o.least()
+	if i < 0 {
 		if ok {
-			return fmt.Errorf("heap popped token %d, tree is empty", got)
+			return fmt.Errorf("heap popped token %d, model is empty", got)
 		}
 		return nil
 	}
-	want := n.Value
-	o.tree.Delete(n)
+	want := o.model[i]
+	o.model = append(o.model[:i], o.model[i+1:]...)
 	if !ok || got != want.tok {
-		return fmt.Errorf("heap popped token %d (ok %v), tree pops token %d (key %v, id %d)",
+		return fmt.Errorf("heap popped token %d (ok %v), model pops token %d (key %v, id %d)",
 			got, ok, want.tok, want.key, want.id)
 	}
 	return nil
 }
 
-// check compares the two queues' sizes and minimum entries.
+// check compares the heap's and the model's sizes and minimum entries.
 func (o *rqOracle) check() error {
-	if o.q.Len() != o.tree.Len() {
-		return fmt.Errorf("heap holds %d entries, tree %d", o.q.Len(), o.tree.Len())
+	if o.q.Len() != len(o.model) {
+		return fmt.Errorf("heap holds %d entries, model %d", o.q.Len(), len(o.model))
 	}
 	key, tok, ok := o.q.Min()
-	n := o.tree.Min()
-	if ok != (n != nil) {
-		return fmt.Errorf("heap Min ok %v, tree Min %v", ok, n != nil)
+	i := o.least()
+	if ok != (i >= 0) {
+		return fmt.Errorf("heap Min ok %v, model holds %d entries", ok, len(o.model))
 	}
-	if n != nil && (key != n.Value.key || tok != n.Value.tok) {
-		return fmt.Errorf("heap Min is token %d at key %v, tree Min is token %d at key %v",
-			tok, key, n.Value.tok, n.Value.key)
+	if i >= 0 && (key != o.model[i].key || tok != o.model[i].tok) {
+		return fmt.Errorf("heap Min is token %d at key %v, model Min is token %d at key %v",
+			tok, key, o.model[i].tok, o.model[i].key)
 	}
 	return nil
 }
@@ -94,9 +97,9 @@ func (o *rqOracle) run(op byte) error {
 	return o.check()
 }
 
-// drain pops both queues to empty.
+// drain pops the heap and the model to empty.
 func (o *rqOracle) drain() error {
-	for o.tree.Len() > 0 || o.q.Len() > 0 {
+	for len(o.model) > 0 || o.q.Len() > 0 {
 		if err := o.pop(); err != nil {
 			return err
 		}
@@ -107,12 +110,12 @@ func (o *rqOracle) drain() error {
 	return nil
 }
 
-// TestRunQueueMatchesTree: over a long random op script the run-queue
+// TestRunQueueMatchesModel: over a long random op script the run-queue
 // heap pops exactly the entries, in exactly the order, of the
-// red-black tree it replaced, and reports the same Min after every op.
-// Phases alternate between growing and draining the queue.
-func TestRunQueueMatchesTree(t *testing.T) {
-	o := newRQOracle()
+// linear-scan model, and reports the same Min after every op. Phases
+// alternate between growing and draining the queue.
+func TestRunQueueMatchesModel(t *testing.T) {
+	o := &rqOracle{}
 	r := rng.New(11)
 	const ops = 20000
 	for i := 0; i < ops; i++ {
@@ -133,7 +136,8 @@ func TestRunQueueMatchesTree(t *testing.T) {
 }
 
 // FuzzRunQueueOrder runs arbitrary op scripts (see rqOracle.run)
-// through the run-queue heap and the red-black tree, then drains both.
+// through the run-queue heap and the linear-scan model, then drains
+// both.
 func FuzzRunQueueOrder(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 2, 2, 2})                   // three equal (key, ID) entries
 	f.Add([]byte{0x1c, 0x60, 0x00, 0x20, 3, 2, 2, 2}) // equal keys, distinct IDs
@@ -144,7 +148,7 @@ func FuzzRunQueueOrder(f *testing.F) {
 	}
 	f.Add(script)
 	f.Fuzz(func(t *testing.T, script []byte) {
-		o := newRQOracle()
+		o := &rqOracle{}
 		for i, op := range script {
 			if err := o.run(op); err != nil {
 				t.Fatalf("op %d (%#02x): %v", i, op, err)

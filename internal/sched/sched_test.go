@@ -228,3 +228,45 @@ func TestRunIdeal(t *testing.T) {
 		t.Fatalf("ideal IO RTE %v, want 50/80", got)
 	}
 }
+
+// TestFIFOQueueOrder: tasks leave in push order, a pushed-front task
+// leaves first, an empty queue pops and peeks nil, and the order holds
+// across the compaction that follows more than 1,024 pops.
+func TestFIFOQueueOrder(t *testing.T) {
+	var q sched.FIFOQueue
+	if q.Pop() != nil || q.Peek() != nil || q.Len() != 0 {
+		t.Fatal("an empty queue must pop and peek nil")
+	}
+	tasks := make([]*task.Task, 3000)
+	for i := range tasks {
+		tasks[i] = task.New(i, 0, time.Millisecond)
+	}
+	next := 0 // the index of the task that must leave next
+	for i, tk := range tasks {
+		q.Push(tk)
+		if i%3 == 2 { // pop two of every three pushes, so the queue grows
+			for k := 0; k < 2; k++ {
+				if got := q.Pop(); got != tasks[next] {
+					t.Fatalf("push %d: popped task %d, want %d", i, got.ID, next)
+				}
+				next++
+			}
+		}
+	}
+	front := task.New(-1, 0, time.Millisecond)
+	q.PushFront(front)
+	if q.Peek() != front || q.Pop() != front {
+		t.Fatal("a pushed-front task must leave first")
+	}
+	for ; next < len(tasks); next++ {
+		if q.Len() != len(tasks)-next {
+			t.Fatalf("%d tasks queued, want %d", q.Len(), len(tasks)-next)
+		}
+		if got := q.Pop(); got != tasks[next] {
+			t.Fatalf("drain: popped task %d, want %d", got.ID, next)
+		}
+	}
+	if q.Pop() != nil || q.Len() != 0 {
+		t.Fatal("a drained queue must be empty")
+	}
+}

@@ -9,7 +9,7 @@
 // the event pointer, so sifting compares entries without dereferencing
 // events.
 //
-// A Queue never advances on its own: Step (or Run/RunAll) pops the
+// A Queue never advances on its own: Step (or Run) pops the
 // earliest event and moves Now to its time, so whoever calls Step owns
 // the pace of time. cpusim.Engine.Run steps one queue to completion;
 // the cluster layer's serial mode instead interleaves many queues by
@@ -48,10 +48,9 @@ const Infinity Time = 1<<63 - 1
 // Event is a callback scheduled to fire at a virtual time. Event structs
 // are owned and recycled by the Queue; callers hold EventRef handles.
 type Event struct {
-	Fn   func(now Time)
-	idx  int // heap index; -1 when not queued
-	gen  uint32
-	dead bool
+	Fn  func(now Time)
+	idx int // heap index while queued
+	gen uint32
 }
 
 // EventRef is a value handle to a scheduled event. The zero EventRef is
@@ -65,9 +64,11 @@ type EventRef struct {
 
 // Cancelled reports whether the referenced event is no longer pending:
 // it fired, was cancelled, or its struct was recycled for a newer event.
-// The zero EventRef reports false.
+// Firing and cancelling both recycle the struct, bumping its
+// generation, so the generation alone tells. The zero EventRef reports
+// false.
 func (r EventRef) Cancelled() bool {
-	return r.e != nil && (r.e.gen != r.gen || r.e.dead)
+	return r.e != nil && r.e.gen != r.gen
 }
 
 // entry is one heap slot: an event with its ordering keys stored inline.
@@ -90,13 +91,10 @@ func (a *entry) before(b *entry) bool {
 // use. Queue is not safe for concurrent use; simulations are single
 // threaded by design.
 type Queue struct {
-	now    Time
-	seq    uint64
-	heap   []entry
-	free   []*Event // recycled event structs
-	fired  uint64
-	sched  uint64
-	cancel uint64
+	now  Time
+	seq  uint64
+	heap []entry
+	free []*Event // recycled event structs
 }
 
 // Now returns the current virtual time.
@@ -104,11 +102,6 @@ func (q *Queue) Now() Time { return q.now }
 
 // Len returns the number of pending events.
 func (q *Queue) Len() int { return len(q.heap) }
-
-// Stats returns counters of scheduled, fired, and cancelled events.
-func (q *Queue) Stats() (scheduled, fired, cancelled uint64) {
-	return q.sched, q.fired, q.cancel
-}
 
 // alloc takes an event struct from the free list or the heap allocator.
 func (q *Queue) alloc() *Event {
@@ -154,9 +147,8 @@ func (q *Queue) AtSeq(at Time, seq uint64, fn func(now Time)) EventRef {
 		at = q.now
 	}
 	e := q.alloc()
-	e.Fn, e.dead = fn, false
+	e.Fn = fn
 	q.push(entry{at: at, seq: seq, e: e})
-	q.sched++
 	return EventRef{e: e, gen: e.gen}
 }
 
@@ -192,15 +184,11 @@ func (q *Queue) After(d Time, fn func(now Time)) EventRef {
 // already-cancelled, or recycled ref is a no-op.
 func (q *Queue) Cancel(r EventRef) {
 	e := r.e
-	if e == nil || e.gen != r.gen || e.dead {
+	if e == nil || e.gen != r.gen {
 		return
 	}
-	e.dead = true
-	if e.idx >= 0 {
-		q.remove(e.idx)
-		q.cancel++
-		q.release(e)
-	}
+	q.remove(e.idx)
+	q.release(e)
 }
 
 // PeekTime returns the time of the next pending event, or Infinity if none.
@@ -214,44 +202,28 @@ func (q *Queue) PeekTime() Time {
 // Step fires the earliest pending event, advancing the clock to its time.
 // It returns false if the queue is empty.
 func (q *Queue) Step() bool {
-	for len(q.heap) > 0 {
-		at, e := q.heap[0].at, q.heap[0].e
-		q.remove(0)
-		if e.dead {
-			q.release(e)
-			continue
-		}
-		q.now = at
-		e.dead = true
-		q.fired++
-		fn := e.Fn
-		q.release(e)
-		fn(q.now)
-		return true
+	if len(q.heap) == 0 {
+		return false
 	}
-	return false
+	at, e := q.heap[0].at, q.heap[0].e
+	q.remove(0)
+	q.now = at
+	fn := e.Fn
+	q.release(e)
+	fn(q.now)
+	return true
 }
 
 // Run fires events until the queue drains or until the next event would be
 // after deadline. It returns the number of events fired.
 func (q *Queue) Run(deadline Time) int {
 	n := 0
-	for len(q.heap) > 0 && q.PeekTime() <= deadline {
-		if q.Step() {
-			n++
-		}
+	for len(q.heap) > 0 && q.heap[0].at <= deadline {
+		q.Step()
+		n++
 	}
 	if q.now < deadline && deadline < Infinity {
 		q.now = deadline
-	}
-	return n
-}
-
-// RunAll fires events until the queue is drained and returns the count.
-func (q *Queue) RunAll() int {
-	n := 0
-	for q.Step() {
-		n++
 	}
 	return n
 }
@@ -265,7 +237,6 @@ func (q *Queue) push(x entry) {
 // remove takes the entry at heap index i out of the heap.
 func (q *Queue) remove(i int) {
 	n := len(q.heap) - 1
-	q.heap[i].e.idx = -1
 	last := q.heap[n]
 	q.heap[n] = entry{}
 	q.heap = q.heap[:n]

@@ -9,13 +9,22 @@ import (
 	"github.com/serverless-sched/sfs/internal/rng"
 )
 
+// runAll steps q until it drains and returns how many events fired.
+func runAll(q *Queue) int {
+	n := 0
+	for q.Step() {
+		n++
+	}
+	return n
+}
+
 func TestFiringOrder(t *testing.T) {
 	q := &Queue{}
 	var got []int
 	q.At(30*time.Millisecond, func(Time) { got = append(got, 3) })
 	q.At(10*time.Millisecond, func(Time) { got = append(got, 1) })
 	q.At(20*time.Millisecond, func(Time) { got = append(got, 2) })
-	if n := q.RunAll(); n != 3 {
+	if n := runAll(q); n != 3 {
 		t.Fatalf("fired %d events, want 3", n)
 	}
 	for i, v := range got {
@@ -35,7 +44,7 @@ func TestSameInstantFIFO(t *testing.T) {
 		i := i
 		q.At(time.Millisecond, func(Time) { got = append(got, i) })
 	}
-	q.RunAll()
+	runAll(q)
 	for i, v := range got {
 		if v != i {
 			t.Fatalf("same-instant events fired out of order: %v", got)
@@ -49,7 +58,7 @@ func TestAfterRelative(t *testing.T) {
 	q.After(5*time.Millisecond, func(now Time) {
 		q.After(7*time.Millisecond, func(now2 Time) { at = now2 })
 	})
-	q.RunAll()
+	runAll(q)
 	if at != 12*time.Millisecond {
 		t.Fatalf("nested After fired at %v, want 12ms", at)
 	}
@@ -61,7 +70,7 @@ func TestSchedulingInPastClampsToNow(t *testing.T) {
 	q.After(10*time.Millisecond, func(now Time) {
 		q.At(now-5*time.Millisecond, func(at Time) { fired = at })
 	})
-	q.RunAll()
+	runAll(q)
 	if fired != 10*time.Millisecond {
 		t.Fatalf("past event fired at %v, want clamp to 10ms", fired)
 	}
@@ -71,7 +80,7 @@ func TestNegativeDelayClamps(t *testing.T) {
 	q := &Queue{}
 	fired := false
 	q.After(-time.Second, func(Time) { fired = true })
-	q.RunAll()
+	runAll(q)
 	if !fired || q.Now() != 0 {
 		t.Fatalf("negative delay: fired=%v now=%v", fired, q.Now())
 	}
@@ -86,13 +95,12 @@ func TestCancel(t *testing.T) {
 	if !e1.Cancelled() {
 		t.Fatal("event not marked cancelled")
 	}
-	q.RunAll()
+	if q.Len() != 1 {
+		t.Fatalf("%d events pending after the cancel, want 1", q.Len())
+	}
+	runAll(q)
 	if fired != 1 {
 		t.Fatalf("fired %d, want 1", fired)
-	}
-	_, f, c := q.Stats()
-	if f != 1 || c != 1 {
-		t.Fatalf("stats fired=%d cancelled=%d", f, c)
 	}
 }
 
@@ -102,7 +110,7 @@ func TestCancelNilAndDouble(t *testing.T) {
 	e := q.After(time.Millisecond, func(Time) {})
 	q.Cancel(e)
 	q.Cancel(e) // double cancel must not panic
-	q.RunAll()
+	runAll(q)
 }
 
 func TestCancelFromWithinEvent(t *testing.T) {
@@ -111,7 +119,7 @@ func TestCancelFromWithinEvent(t *testing.T) {
 	var victim EventRef
 	q.After(time.Millisecond, func(Time) { q.Cancel(victim) })
 	victim = q.After(2*time.Millisecond, func(Time) { fired = true })
-	q.RunAll()
+	runAll(q)
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
@@ -265,7 +273,7 @@ func BenchmarkScheduleFire(b *testing.B) {
 func TestEventRecycling(t *testing.T) {
 	q := &Queue{}
 	first := q.After(time.Millisecond, func(Time) {})
-	q.RunAll()
+	runAll(q)
 	if !first.Cancelled() {
 		t.Fatal("fired event's ref should report no longer pending")
 	}
@@ -276,7 +284,7 @@ func TestEventRecycling(t *testing.T) {
 	fired := false
 	second := q.After(time.Millisecond, func(Time) { fired = true })
 	q.Cancel(first) // stale: different generation
-	q.RunAll()
+	runAll(q)
 	if !fired {
 		t.Fatal("stale Cancel killed an unrelated recycled event")
 	}
@@ -288,7 +296,7 @@ func TestEventRecycling(t *testing.T) {
 	fired = false
 	fourth := q.After(time.Millisecond, func(Time) { fired = true })
 	q.Cancel(third) // stale double-cancel on a recycled struct
-	q.RunAll()
+	runAll(q)
 	if !fired {
 		t.Fatal("stale double-cancel killed a recycled event")
 	}
@@ -338,7 +346,7 @@ func TestReservedSequenceKeepsItsPlace(t *testing.T) {
 		t.Fatal("the reserved sequence must precede a same-instant event scheduled after it")
 	}
 	q.AtSeq(time.Millisecond, held, func(Time) { got = append(got, "reserved") })
-	q.RunAll()
+	runAll(q)
 	if !slices.Equal(got, []string{"reserved", "after"}) {
 		t.Fatalf("fired %v, want the reserved event first", got)
 	}
@@ -349,5 +357,27 @@ func TestReservedSequenceKeepsItsPlace(t *testing.T) {
 	q.Pass(2 * time.Millisecond)
 	if q.Now() != 5*time.Millisecond {
 		t.Fatalf("clock at %v after passing 5ms then 2ms, want 5ms", q.Now())
+	}
+}
+
+// TestCancelInsideOwnCallback: while an event's callback runs, its ref
+// already reports Cancelled (the struct is recycled before the call),
+// and cancelling it there is a no-op that leaves the other pending
+// events in place.
+func TestCancelInsideOwnCallback(t *testing.T) {
+	q := &Queue{}
+	var self EventRef
+	var got []int
+	self = q.After(time.Millisecond, func(Time) {
+		if !self.Cancelled() {
+			t.Error("a firing event's ref must report Cancelled")
+		}
+		q.Cancel(self)
+		got = append(got, 1)
+	})
+	q.After(2*time.Millisecond, func(Time) { got = append(got, 2) })
+	q.After(3*time.Millisecond, func(Time) { got = append(got, 3) })
+	if n := runAll(q); n != 3 || !slices.Equal(got, []int{1, 2, 3}) {
+		t.Fatalf("fired %d events in order %v, want 1 2 3", n, got)
 	}
 }

@@ -43,12 +43,6 @@ func NewP2(rank float64) *P2 {
 	return e
 }
 
-// Rank returns the percentile rank this estimator targets.
-func (e *P2) Rank() float64 { return e.p * 100 }
-
-// N returns the number of observations.
-func (e *P2) N() int64 { return e.n }
-
 // Add incorporates x.
 func (e *P2) Add(x float64) {
 	if e.n < 5 {
