@@ -209,6 +209,9 @@ type Injector struct {
 	names     map[string][]string // request app -> its stages' task Apps
 	workflows records
 	pending   int
+	// arena holds the sampled stage tasks (every stage but stage 0,
+	// which is the request task itself).
+	arena task.Arena
 	// free holds finished workflows' instances, per-stage slices
 	// included, for Expand to reuse.
 	free []*instance
@@ -316,7 +319,7 @@ func (in *Injector) Expand(t *task.Task) []*task.Task {
 				st.IOOps = nil // sampled payloads replace the request's I/O shape
 			}
 		} else {
-			st = task.New(in.nextID, t.Arrival, svc)
+			st = in.arena.New(in.nextID, t.Arrival, svc)
 			in.nextID++
 			st.Weight = t.Weight
 		}

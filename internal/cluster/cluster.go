@@ -192,6 +192,31 @@ type record struct {
 	at   simtime.Time // dispatch instant (== orig unless held centrally)
 }
 
+// records holds every admitted invocation's record in admission order,
+// in blocks that never move, so the central queue can point at a
+// record and a growing run copies no records. Blocks double from 16
+// records up to 1,024.
+type records struct {
+	blocks [][]record
+	n      int
+}
+
+// add appends r and returns where it lives.
+func (rs *records) add(r record) *record {
+	last := len(rs.blocks) - 1
+	if last < 0 || len(rs.blocks[last]) == cap(rs.blocks[last]) {
+		size := 16
+		if last >= 0 {
+			size = min(2*cap(rs.blocks[last]), 1024)
+		}
+		rs.blocks = append(rs.blocks, make([]record, 0, size))
+		last++
+	}
+	rs.blocks[last] = append(rs.blocks[last], r)
+	rs.n++
+	return &rs.blocks[last][len(rs.blocks[last])-1]
+}
+
 // HostResult is one host's share of a cluster run.
 type HostResult struct {
 	Run         metrics.Run
@@ -304,8 +329,8 @@ type Cluster struct {
 	netRNG *rng.RNG           // nil unless Config.NetDelay was set
 
 	shards  []*shard
-	records []record
-	central []int // indices into records of held invocations, FIFO
+	records records
+	central []*record // held invocations, FIFO
 	maxQ    int
 	now     simtime.Time // coordinator clock
 	lcNow   simtime.Time // lifecycle clock: the instant managers are read as of
@@ -601,13 +626,12 @@ func (c *Cluster) settle() error {
 // O(1) per decision instead of O(hosts).
 func (c *Cluster) syncLifecycle() { c.lcNow = c.now }
 
-// offer asks the dispatcher to place records[ri] at instant at. It
-// returns false, leaving the record for the caller to park, when the
+// offer asks the dispatcher to place rec's invocation at instant at.
+// It returns false, leaving the record for the caller to park, when the
 // dispatcher holds it, and an error when the dispatcher picks a host
 // that does not exist.
-func (c *Cluster) offer(at simtime.Time, ri int) (bool, error) {
+func (c *Cluster) offer(at simtime.Time, rec *record) (bool, error) {
 	c.syncLifecycle()
-	rec := &c.records[ri]
 	idx := c.cfg.Dispatcher.Pick(at, rec.t, c.views)
 	if idx == Hold {
 		return false, nil
@@ -659,14 +683,13 @@ func (c *Cluster) drainCentral() error {
 // dispatcher, parking it behind any already-held work so nothing
 // overtakes the central queue's FIFO order.
 func (c *Cluster) admit(t *task.Task, at simtime.Time) error {
-	c.records = append(c.records, record{t: t, orig: t.Arrival, host: Hold, at: -1})
-	ri := len(c.records) - 1
+	rec := c.records.add(record{t: t, orig: t.Arrival, host: Hold, at: -1})
 	if len(c.central) == 0 {
-		if placed, err := c.offer(at, ri); placed || err != nil {
+		if placed, err := c.offer(at, rec); placed || err != nil {
 			return err
 		}
 	}
-	c.central = append(c.central, ri)
+	c.central = append(c.central, rec)
 	c.maxQ = max(c.maxQ, len(c.central))
 	return nil
 }
@@ -689,7 +712,6 @@ func (c *Cluster) admitArrival(t *task.Task, at simtime.Time) error {
 // result restores original arrivals and assembles per-host and merged
 // metrics.
 func (c *Cluster) result(aborted bool) *Result {
-	records := c.records
 	schedName := c.cfg.NewScheduler().Name()
 	res := &Result{
 		Scheduler:       schedName,
@@ -699,27 +721,29 @@ func (c *Cluster) result(aborted bool) *Result {
 	}
 
 	perHost := make([][]*task.Task, len(c.nodes))
-	all := make([]*task.Task, 0, len(records))
+	all := make([]*task.Task, 0, c.records.n)
 	var delaySum time.Duration
-	for i := range records {
-		rec := &records[i]
-		rec.t.Arrival = rec.orig
-		all = append(all, rec.t)
-		if rec.host >= 0 {
-			perHost[rec.host] = append(perHost[rec.host], rec.t)
-			if d := rec.at - rec.orig; d > 0 {
-				delaySum += d
-				if d > res.QueueDelayMax {
-					res.QueueDelayMax = d
+	for _, block := range c.records.blocks {
+		for i := range block {
+			rec := &block[i]
+			rec.t.Arrival = rec.orig
+			all = append(all, rec.t)
+			if rec.host >= 0 {
+				perHost[rec.host] = append(perHost[rec.host], rec.t)
+				if d := rec.at - rec.orig; d > 0 {
+					delaySum += d
+					if d > res.QueueDelayMax {
+						res.QueueDelayMax = d
+					}
 				}
 			}
-		}
-		if f := rec.t.Finish; f > res.Makespan {
-			res.Makespan = f
+			if f := rec.t.Finish; f > res.Makespan {
+				res.Makespan = f
+			}
 		}
 	}
-	if len(records) > 0 {
-		res.QueueDelayMean = delaySum / time.Duration(len(records))
+	if c.records.n > 0 {
+		res.QueueDelayMean = delaySum / time.Duration(c.records.n)
 	}
 
 	label := fmt.Sprintf("%s x%d/%s", schedName, len(c.nodes), res.Dispatcher)

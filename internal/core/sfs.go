@@ -109,6 +109,7 @@ func (s workerState) String() string {
 // worker is the per-core SFS scheduling worker (a goroutine in the real
 // implementation).
 type worker struct {
+	core      int // the worker's core, for its timers' handlers
 	state     workerState
 	t         *task.Task
 	ev        simtime.EventRef // pending detect (aware) or deadline (oblivious) event
@@ -175,6 +176,10 @@ type SFS struct {
 	ents map[*task.Task]*ent
 	free []*ent // ents of tasks SFS no longer schedules, for reuse
 
+	// The workers' timer handlers, built once in New; each timer
+	// carries its *worker.
+	onBlockDetected, onObliviousDeadline simtime.Handler
+
 	// Stat holds the run's internal counters and timelines.
 	Stat Stats
 }
@@ -206,6 +211,8 @@ func New(cfg Config) *SFS {
 		ents:   make(map[*task.Task]*ent),
 	}
 	s.renewer, _ = second.(cpusim.Renewer)
+	s.onBlockDetected = func(now simtime.Time, arg any) { s.blockDetected(now, arg.(*worker)) }
+	s.onObliviousDeadline = func(now simtime.Time, arg any) { s.obliviousDeadline(now, arg.(*worker)) }
 	s.s = cfg.InitialSlice
 	if cfg.FixedSlice > 0 {
 		s.s = cfg.FixedSlice
@@ -236,6 +243,9 @@ func (s *SFS) Bind(api cpusim.API) {
 	s.api = api
 	s.cfs.Bind(api)
 	s.workers = make([]worker, api.NumCores())
+	for i := range s.workers {
+		s.workers[i].core = i
+	}
 	nq := 1
 	if s.cfg.PerCoreQueue {
 		nq = api.NumCores()
@@ -517,9 +527,7 @@ func (s *SFS) Descheduled(now simtime.Time, core int, t *task.Task, ran time.Dur
 			// worker. Until then the worker waits and only CFS can use
 			// the core.
 			w.state = wBlockWait
-			w.ev = s.api.After(s.nextPollDelay(now), func(at simtime.Time) {
-				s.onBlockDetected(at, core)
-			})
+			w.ev = s.api.After(s.nextPollDelay(now), s.onBlockDetected, w)
 		} else {
 			// Oblivious mode: slice keeps ticking on the wall clock; if
 			// the deadline passes while the task sleeps it is demoted.
@@ -528,19 +536,16 @@ func (s *SFS) Descheduled(now simtime.Time, core int, t *task.Task, ran time.Dur
 			if wait < 0 {
 				wait = 0
 			}
-			w.ev = s.api.After(wait, func(at simtime.Time) {
-				s.onObliviousDeadline(at, core)
-			})
+			w.ev = s.api.After(wait, s.onObliviousDeadline, w)
 		}
 	}
 }
 
-// onBlockDetected fires at the poll tick after a FILTER task blocked
+// blockDetected fires at the poll tick after w's FILTER task blocked
 // (aware mode): the worker charges the blocked-so-far wall time against
 // the slice, releases the task, and fetches new work.
-func (s *SFS) onBlockDetected(now simtime.Time, core int) {
+func (s *SFS) blockDetected(now simtime.Time, w *worker) {
 	s.Stat.SchedulingOps++
-	w := &s.workers[core]
 	if w.state != wBlockWait {
 		return // the task woke first and the event should have been cancelled
 	}
@@ -555,14 +560,13 @@ func (s *SFS) onBlockDetected(now simtime.Time, core int) {
 	}
 	// The freed worker may immediately fetch the next request,
 	// preempting any CFS task that sneaked onto the core.
-	s.api.Reschedule(core)
+	s.api.Reschedule(w.core)
 }
 
-// onObliviousDeadline fires when an attached sleeping task's wall-clock
-// slice deadline passes in I/O-oblivious mode.
-func (s *SFS) onObliviousDeadline(now simtime.Time, core int) {
+// obliviousDeadline fires when the wall-clock slice deadline of w's
+// attached sleeping task passes in I/O-oblivious mode.
+func (s *SFS) obliviousDeadline(now simtime.Time, w *worker) {
 	s.Stat.SchedulingOps++
-	w := &s.workers[core]
 	if w.state != wAttachedSleep {
 		return
 	}
@@ -571,7 +575,7 @@ func (s *SFS) onObliviousDeadline(now simtime.Time, core int) {
 	w.ev = simtime.EventRef{}
 	s.detach(w, e)
 	s.demote(now, t, e)
-	s.api.Reschedule(core)
+	s.api.Reschedule(w.core)
 }
 
 // WantsPreempt implements cpusim.Scheduler: FILTER work preempts CFS-mode

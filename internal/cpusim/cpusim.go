@@ -58,8 +58,11 @@ type API interface {
 	// RanFor returns how long the current task on core has been running
 	// in its current stint (0 if the core is idle).
 	RanFor(core int) time.Duration
-	// After schedules fn at now+d; the returned ref may be cancelled.
-	After(d time.Duration, fn func(now simtime.Time)) simtime.EventRef
+	// After schedules h with payload arg at now+d; the returned ref may
+	// be cancelled. A scheduler builds each of its handlers once and
+	// passes what differs per timer (say, a pointer to the worker it
+	// concerns) as arg, so arming a timer allocates nothing.
+	After(d time.Duration, h simtime.Handler, arg any) simtime.EventRef
 	// Cancel cancels a pending event scheduled via After. Cancelling a
 	// zero or stale ref is a safe no-op.
 	Cancel(ev simtime.EventRef)
@@ -116,6 +119,7 @@ type Renewer interface {
 
 // coreState tracks what a simulated core is doing.
 type coreState struct {
+	id       int // the core's index, for the stint-end handler
 	cur      *task.Task
 	runStart simtime.Time
 	budget   time.Duration // slice given at dispatch (0 = unbounded)
@@ -131,12 +135,10 @@ type coreState struct {
 	// landing exactly on Service with no floating-point drift.
 	cpuBudget time.Duration
 
-	// fire is the core's stint-end callback, built once at engine
-	// construction so the hot path schedules events without allocating
-	// a closure per stint. fireReason is the pending stint's end reason;
-	// only one stint event is ever outstanding per core, so a single
-	// slot suffices.
-	fire       func(now simtime.Time)
+	// fireReason is the pending stint's end reason, which the stint-end
+	// event (its payload is the core) reads when it fires; only one
+	// stint event is ever outstanding per core, so a single slot
+	// suffices.
 	fireReason DescheduleReason
 
 	// A held renewal (see Renewer): the pending stint ends in a slice
@@ -203,6 +205,10 @@ type Engine struct {
 	// pass moves the first renewal later and an unhold may drop it.
 	heldFirst int
 	chainEnd  simtime.Time // earliest chainEnd among held cores, else Infinity
+
+	// The engine's event handlers, built once in NewEngine: an arrival
+	// and an I/O wake carry their task, a stint end its *coreState.
+	onArrive, onWake, onStintEnd simtime.Handler
 }
 
 // NewEngine constructs an engine for the given scheduler. It panics on a
@@ -229,10 +235,13 @@ func NewEngine(cfg Config, s Scheduler) *Engine {
 	}
 	e.renewer, _ = s.(Renewer)
 	for i := range e.cores {
-		i := i
-		e.cores[i].fire = func(now simtime.Time) {
-			e.coreEvent(now, i, e.cores[i].fireReason)
-		}
+		e.cores[i].id = i
+	}
+	e.onArrive = func(now simtime.Time, arg any) { e.arrive(now, arg.(*task.Task)) }
+	e.onWake = func(now simtime.Time, arg any) { e.wake(now, arg.(*task.Task)) }
+	e.onStintEnd = func(now simtime.Time, arg any) {
+		c := arg.(*coreState)
+		e.coreEvent(now, c.id, c.fireReason)
 	}
 	s.Bind(e)
 	return e
@@ -257,8 +266,8 @@ func (e *Engine) RanFor(core int) time.Duration {
 }
 
 // After implements API.
-func (e *Engine) After(d time.Duration, fn func(now simtime.Time)) simtime.EventRef {
-	return e.q.After(d, fn)
+func (e *Engine) After(d time.Duration, h simtime.Handler, arg any) simtime.EventRef {
+	return e.q.After(d, h, arg)
 }
 
 // Cancel implements API.
@@ -282,13 +291,12 @@ func (e *Engine) Reschedule(core int) {
 // Arrival times. Must be called before Run.
 func (e *Engine) Submit(tasks ...*task.Task) {
 	for _, t := range tasks {
-		t := t
 		if err := t.Validate(); err != nil {
 			panic(err)
 		}
 		e.tasks = append(e.tasks, t)
 		e.pending++
-		e.q.At(t.Arrival, func(now simtime.Time) { e.arrive(now, t) })
+		e.q.At(t.Arrival, e.onArrive, t)
 	}
 }
 
@@ -423,6 +431,15 @@ func (e *Engine) arrive(now simtime.Time, t *task.Task) {
 	e.afterEnqueue(now, t)
 }
 
+// wake handles the end of t's I/O op: the task has slept since it
+// blocked and becomes runnable again.
+func (e *Engine) wake(now simtime.Time, t *task.Task) {
+	t.MarkWoken(now)
+	e.trace(TraceWake, -1, t)
+	e.sched.Enqueue(now, t)
+	e.afterEnqueue(now, t)
+}
+
 // afterEnqueue gives the scheduler a chance to place the new/woken task:
 // first by filling idle cores, then via a single preemption if the
 // scheduler asks for one.
@@ -518,7 +535,7 @@ func (e *Engine) place(now simtime.Time, core int, t *task.Task, slice time.Dura
 		e.hold(core, now+slice+c.penalty, now+c.penalty+e.chainLength(demand, slice, cpuFor))
 		return
 	}
-	c.event = e.q.After(wallFor+c.penalty, c.fire)
+	c.event = e.q.After(wallFor+c.penalty, e.onStintEnd, c)
 }
 
 // renews reports whether the scheduler promises that a slice expiry on
@@ -658,7 +675,7 @@ func (e *Engine) recheckHeld() {
 		c := &e.cores[core]
 		next := c.nextHeld
 		if !e.renews(core, c.budget) {
-			c.event = e.q.AtSeq(c.heldAt, c.heldSeq, c.fire)
+			c.event = e.q.AtSeq(c.heldAt, c.heldSeq, e.onStintEnd, c)
 			e.unhold(core)
 		}
 		core = next
@@ -698,7 +715,7 @@ func (e *Engine) pass(core int) {
 	e.unhold(core)
 	c.cpuBudget = cpu
 	c.fireReason = reason
-	c.event = e.q.After(e.wallOf(cpu), c.fire)
+	c.event = e.q.After(e.wallOf(cpu), e.onStintEnd, c)
 }
 
 // wallOf converts a CPU-demand duration to the wall time this host
@@ -801,15 +818,9 @@ func (e *Engine) coreEvent(now simtime.Time, core int, reason DescheduleReason) 
 		}
 		t.PopIO()
 		t.MarkSleeping(now)
-		dur := io.Dur
 		e.trace(TraceBlock, core, t)
 		e.sched.Descheduled(now, core, t, ran, ReasonBlocked)
-		e.q.After(dur, func(wake simtime.Time) {
-			t.MarkWoken(wake, dur)
-			e.trace(TraceWake, -1, t)
-			e.sched.Enqueue(wake, t)
-			e.afterEnqueue(wake, t)
-		})
+		e.q.After(io.Dur, e.onWake, t)
 	case ReasonPreempted:
 		// Slice expiry. The scheduler accounts the stint and picks the
 		// successor; if it re-picks the same task this is a slice

@@ -214,7 +214,7 @@ func PredictedDigest(family string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	res, err := cl.Run(trace.FromTasks(family, trace.CloneTasks(tasks)))
+	res, err := cl.Run(trace.FromTasks(family, tasks))
 	if err != nil {
 		return "", err
 	}

@@ -164,7 +164,8 @@ func checkAdvance(t *testing.T, c advanceCase) (held int64) {
 		bound = max(earliest-earliest%c.lookahead, bound) + c.lookahead
 		for ; next < len(c.subs) && c.subs[next].at <= bound; next++ {
 			sub := c.subs[next]
-			gt, ot := trace.CloneTask(sub.t), trace.CloneTask(sub.t)
+			clones := trace.CloneTasks([]*task.Task{sub.t, sub.t})
+			gt, ot := clones[0], clones[1]
 			gTasks, oTasks = append(gTasks, gt), append(oTasks, ot)
 			g.Enqueue(int(sub.idx), sub.at, gt)
 			o.enqueue(int(sub.idx), sub.at, ot)

@@ -107,6 +107,9 @@ type Runtime struct {
 	expanders []Expander
 	pend      hookQueue // released arrivals, in (time, release) order
 	queued    int       // assigned but not yet submitted (sharded windows)
+	// expand's scratch: the tasks entering an expander and those it
+	// produced, swapped after each expander and kept across calls.
+	expIn, expOut []*task.Task
 }
 
 // New wraps eng in a runtime running the given stage pipeline. Stages
@@ -179,17 +182,19 @@ func (rt *Runtime) Release(t *task.Task) { rt.pend.push(t) }
 
 // expand applies the pipeline's Expanders to an admitted source
 // invocation in order. With no expanders the invocation passes through
-// untouched (and the caller takes an allocation-free path).
+// untouched (and the caller skips the call). The returned slice is the
+// runtime's scratch, valid until the next expand.
 func (rt *Runtime) expand(t *task.Task) []*task.Task {
-	tasks := []*task.Task{t}
+	in, out := append(rt.expIn[:0], t), rt.expOut
 	for _, ex := range rt.expanders {
-		var out []*task.Task
-		for _, tt := range tasks {
+		out = out[:0]
+		for _, tt := range in {
 			out = append(out, ex.Expand(tt)...)
 		}
-		tasks = out
+		in, out = out, in
 	}
-	return tasks
+	rt.expIn, rt.expOut = in, out
+	return in
 }
 
 // Drive pulls src to exhaustion through the stage pipeline and runs

@@ -99,9 +99,8 @@ type Container struct {
 
 	mb        int
 	busy      bool
-	idleSince simtime.Time       // when the container last went idle
-	expires   simtime.EventRef   // pending expiry while idle
-	expire    func(simtime.Time) // the expiry's callback, kept across lives
+	idleSince simtime.Time     // when the container last went idle
+	expires   simtime.EventRef // pending expiry while idle
 	dead      bool
 }
 
@@ -157,13 +156,14 @@ func (s *Stats) Add(other Stats) {
 	s.OvercommitMB += other.OvercommitMB
 }
 
-// prewarm is an application's reusable pre-warm record. It is armed
-// while its event is queued, so at most one pre-warm is pending per
-// app, and its callback is built once, so arming allocates nothing.
+// prewarm is an application's reusable pre-warm record, the payload of
+// its pre-warm event. It is armed while that event is queued, so at
+// most one pre-warm is pending per app, and arming it allocates
+// nothing.
 type prewarm struct {
+	app   string
 	armed bool
 	keep  time.Duration // idle window once materialized
-	fire  func(now simtime.Time)
 }
 
 // Manager is the container lifecycle state of one host. It is not safe
@@ -179,6 +179,10 @@ type Manager struct {
 	usedMB   int
 	stats    Stats
 	spare    []*Container // destroyed containers, for newContainer to reuse
+
+	// The event handlers, built once in New: an expiry carries its
+	// *Container, a pre-warm its *prewarm.
+	onExpire, onPrewarm simtime.Handler
 }
 
 // New builds a Manager. Negative capacities are rejected; zero values
@@ -205,13 +209,16 @@ func New(cfg Config) (*Manager, error) {
 	if cfg.SandboxBoot == nil {
 		cfg.SandboxBoot = DefaultSandboxBoot()
 	}
-	return &Manager{
+	m := &Manager{
 		cfg:      cfg,
 		policy:   cfg.Policy,
 		r:        rng.New(cfg.Seed ^ 0xc01d),
 		idle:     map[string][]*Container{},
 		prewarms: map[string]*prewarm{},
-	}, nil
+	}
+	m.onExpire = func(_ simtime.Time, arg any) { m.expire(arg.(*Container)) }
+	m.onPrewarm = func(now simtime.Time, arg any) { m.materializePrewarm(now, arg.(*prewarm)) }
+	return m, nil
 }
 
 // NewByName builds a manager running the named keep-alive policy with
@@ -386,19 +393,15 @@ func (m *Manager) destroy(c *Container) {
 }
 
 // newContainer returns an idle, live container for app with no other
-// state, recycling a destroyed one when there is one. A recycled
-// container keeps its expiry callback, so only a new struct allocates
-// one.
+// state, recycling a destroyed one when there is one.
 func (m *Manager) newContainer(app string) *Container {
 	n := len(m.spare)
 	if n == 0 {
-		c := &Container{App: app, mb: m.cfg.ContainerMB}
-		c.expire = func(simtime.Time) { m.expire(c) }
-		return c
+		return &Container{App: app, mb: m.cfg.ContainerMB}
 	}
 	c := m.spare[n-1]
 	m.spare = m.spare[:n-1]
-	*c = Container{App: app, mb: m.cfg.ContainerMB, expire: c.expire}
+	*c = Container{App: app, mb: m.cfg.ContainerMB}
 	return c
 }
 
@@ -406,7 +409,7 @@ func (m *Manager) newContainer(app string) *Container {
 // event: the container stays until evicted.
 func (m *Manager) scheduleExpiry(now simtime.Time, c *Container, keep time.Duration) {
 	if keep != KeepForever {
-		c.expires = m.events.At(now+keep, c.expire)
+		c.expires = m.events.At(now+keep, m.onExpire, c)
 	}
 }
 
@@ -431,21 +434,20 @@ func (m *Manager) cancelExpiry(c *Container) {
 func (m *Manager) schedulePrewarm(now simtime.Time, app string, d Decision) {
 	p := m.prewarms[app]
 	if p == nil {
-		p = &prewarm{}
-		p.fire = func(at simtime.Time) { m.materializePrewarm(at, app, p) }
+		p = &prewarm{app: app}
 		m.prewarms[app] = p
 	}
 	if p.armed {
 		return
 	}
 	p.armed, p.keep = true, d.PrewarmFor
-	m.events.At(now+d.PrewarmIn, p.fire)
+	m.events.At(now+d.PrewarmIn, m.onPrewarm, p)
 }
 
-// materializePrewarm disarms app's pre-warm record p and creates the
-// pre-warmed idle container if it fits without evicting anyone
-// (pre-warms are best-effort).
-func (m *Manager) materializePrewarm(at simtime.Time, app string, p *prewarm) {
+// materializePrewarm disarms the pre-warm record p and creates the
+// pre-warmed idle container for its app if it fits without evicting
+// anyone (pre-warms are best-effort).
+func (m *Manager) materializePrewarm(at simtime.Time, p *prewarm) {
 	p.armed = false
 	mb := m.cfg.ContainerMB
 	if cap := m.cfg.MemoryMB; cap > 0 && m.usedMB+mb > cap {
@@ -456,9 +458,9 @@ func (m *Manager) materializePrewarm(at simtime.Time, app string, p *prewarm) {
 	if m.usedMB > m.stats.MemPeakMB {
 		m.stats.MemPeakMB = m.usedMB
 	}
-	c := m.newContainer(app)
+	c := m.newContainer(p.app)
 	c.Prewarmed, c.idleSince = true, at
-	m.idle[app] = append(m.idle[app], c)
+	m.idle[p.app] = append(m.idle[p.app], c)
 	m.stats.Prewarms++
 	keep := p.keep
 	if keep == 0 {

@@ -582,11 +582,11 @@ func Scenarios(quick bool, seed uint64) []Scenario {
 				for i := range delays {
 					delays[i] = time.Duration(r.Intn(2*pending)) * time.Microsecond
 				}
-				fn := func(simtime.Time) {}
+				fn := func(simtime.Time, any) {}
 				var q simtime.Queue
 				var ring [16]simtime.EventRef // the last 16 events scheduled
 				for i := 0; i < pending; i++ {
-					ring[i%len(ring)] = q.After(delays[i], fn)
+					ring[i%len(ring)] = q.After(delays[i], fn, nil)
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
@@ -595,9 +595,9 @@ func Scenarios(quick bool, seed uint64) []Scenario {
 						slot := j % len(ring)
 						if old := ring[slot]; j%4 == 0 && !old.Cancelled() {
 							q.Cancel(old)
-							q.After(delays[(j+1)%cycles], fn)
+							q.After(delays[(j+1)%cycles], fn, nil)
 						}
-						ring[slot] = q.After(delays[j], fn)
+						ring[slot] = q.After(delays[j], fn, nil)
 						q.Step()
 					}
 				}
@@ -795,13 +795,15 @@ func (h stubHost) Speed() float64  { return h.speed }
 // hand: a fixed core count, nothing running and no timers.
 type stubAPI struct{ cores int }
 
-func (a stubAPI) Now() simtime.Time                                        { return 0 }
-func (a stubAPI) NumCores() int                                            { return a.cores }
-func (a stubAPI) Running(int) *task.Task                                   { return nil }
-func (a stubAPI) RanFor(int) time.Duration                                 { return 0 }
-func (a stubAPI) After(time.Duration, func(simtime.Time)) simtime.EventRef { return simtime.EventRef{} }
-func (a stubAPI) Cancel(simtime.EventRef)                                  {}
-func (a stubAPI) Reschedule(int)                                           {}
+func (a stubAPI) Now() simtime.Time        { return 0 }
+func (a stubAPI) NumCores() int            { return a.cores }
+func (a stubAPI) Running(int) *task.Task   { return nil }
+func (a stubAPI) RanFor(int) time.Duration { return 0 }
+func (a stubAPI) After(time.Duration, simtime.Handler, any) simtime.EventRef {
+	return simtime.EventRef{}
+}
+func (a stubAPI) Cancel(simtime.EventRef) {}
+func (a stubAPI) Reschedule(int)          {}
 
 // Run executes the harness and assembles a Report (not yet written to
 // disk; see WriteFile).

@@ -16,13 +16,15 @@ import (
 // hand: a fixed core count, nothing running and no timers.
 type stubAPI struct{ cores int }
 
-func (a stubAPI) Now() simtime.Time                                        { return 0 }
-func (a stubAPI) NumCores() int                                            { return a.cores }
-func (a stubAPI) Running(int) *task.Task                                   { return nil }
-func (a stubAPI) RanFor(int) time.Duration                                 { return 0 }
-func (a stubAPI) After(time.Duration, func(simtime.Time)) simtime.EventRef { return simtime.EventRef{} }
-func (a stubAPI) Cancel(simtime.EventRef)                                  {}
-func (a stubAPI) Reschedule(int)                                           {}
+func (a stubAPI) Now() simtime.Time        { return 0 }
+func (a stubAPI) NumCores() int            { return a.cores }
+func (a stubAPI) Running(int) *task.Task   { return nil }
+func (a stubAPI) RanFor(int) time.Duration { return 0 }
+func (a stubAPI) After(time.Duration, simtime.Handler, any) simtime.EventRef {
+	return simtime.EventRef{}
+}
+func (a stubAPI) Cancel(simtime.EventRef) {}
+func (a stubAPI) Reschedule(int)          {}
 
 // TestDescheduledRejectsTaskNotOnCore: CFS and EEVDF take a descheduled
 // task's entity from the core it ran on instead of looking it up, so a

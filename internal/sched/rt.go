@@ -36,8 +36,8 @@ func (q *FIFOQueue) PushFront(t *task.Task) {
 
 // Pop removes and returns the head, or nil when the queue is empty.
 // Once more than 1,024 popped slots make up over half the slice, the
-// live tail moves to a fresh slice, so a long-lived queue does not keep
-// every task it ever held.
+// live tail moves to the front of the same array, so a long-lived queue
+// neither grows without bound nor allocates to shrink.
 func (q *FIFOQueue) Pop() *task.Task {
 	if q.Len() == 0 {
 		return nil
@@ -46,8 +46,9 @@ func (q *FIFOQueue) Pop() *task.Task {
 	q.items[q.head] = nil
 	q.head++
 	if q.head > 1024 && q.head*2 > len(q.items) {
-		q.items = append([]*task.Task(nil), q.items[q.head:]...)
-		q.head = 0
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items, q.head = q.items[:n], 0
 	}
 	return t
 }

@@ -9,6 +9,14 @@
 // the event pointer, so sifting compares entries without dereferencing
 // events.
 //
+// Every event has one shape: a Handler and a payload. An owner builds
+// each of its handlers once — the engine one for arrivals, one for I/O
+// wakes and one for stint ends; SFS one per timer kind; a lifecycle
+// manager one for expiries and one for pre-warms — and passes what
+// differs per event as the payload: the task, core, worker, container
+// or pre-warm record it concerns. A pointer payload boxes into an any
+// without allocating, so scheduling an event builds no closure.
+//
 // A Queue never advances on its own: Step (or Run) pops the
 // earliest event and moves Now to its time, so whoever calls Step owns
 // the pace of time. cpusim.Engine.Run steps one queue to completion;
@@ -27,9 +35,11 @@
 // moves the clock when the owner handles it (AtSeq queues it after all).
 // cpusim holds slice renewals this way.
 //
-// Event structs are pooled: once an event fires or is cancelled, its
-// struct is recycled for a later At/After call, so steady-state
-// simulations allocate no event memory at all. Handles are therefore
+// Event structs come from blocks that start at 16 structs and double up
+// to 4,096, and once an event fires or is cancelled its struct drops its
+// handler and payload and is recycled for a later At/After call, so a
+// queue allocates a few blocks for its high-water mark of pending events
+// and nothing in steady state. Handles are therefore
 // value-type EventRefs carrying a generation counter — a ref to a
 // recycled event simply stops matching, which keeps Cancel on stale
 // handles a safe no-op instead of a use-after-free on someone else's
@@ -45,13 +55,25 @@ type Time = time.Duration
 // will schedule.
 const Infinity Time = 1<<63 - 1
 
-// Event is a callback scheduled to fire at a virtual time. Event structs
-// are owned and recycled by the Queue; callers hold EventRef handles.
+// Handler is an event's callback. It receives the instant the event fires
+// and the payload the event was scheduled with.
+type Handler func(now Time, arg any)
+
+// Event is a handler and its payload scheduled to fire at a virtual
+// time. Event structs are owned and recycled by the Queue; callers hold
+// EventRef handles.
 type Event struct {
-	Fn  func(now Time)
-	idx int // heap index while queued
+	h   Handler
+	arg any
+	idx int32 // heap index while queued
 	gen uint32
 }
+
+// Event blocks start at firstBlock structs and double up to maxBlock.
+const (
+	firstBlock = 16
+	maxBlock   = 4096
+)
 
 // EventRef is a value handle to a scheduled event. The zero EventRef is
 // valid and refers to no event. Because event structs are recycled, a
@@ -91,10 +113,12 @@ func (a *entry) before(b *entry) bool {
 // use. Queue is not safe for concurrent use; simulations are single
 // threaded by design.
 type Queue struct {
-	now  Time
-	seq  uint64
-	heap []entry
-	free []*Event // recycled event structs
+	now   Time
+	seq   uint64
+	heap  []entry
+	free  []*Event // recycled event structs
+	block []Event  // the newest block's structs not yet handed out
+	size  int      // the newest block's size
 }
 
 // Now returns the current virtual time.
@@ -103,7 +127,9 @@ func (q *Queue) Now() Time { return q.now }
 // Len returns the number of pending events.
 func (q *Queue) Len() int { return len(q.heap) }
 
-// alloc takes an event struct from the free list or the heap allocator.
+// alloc takes an event struct from the free list, or else from the
+// newest block, starting a block twice the last one's size (at most
+// maxBlock) when that is used up.
 func (q *Queue) alloc() *Event {
 	if n := len(q.free); n > 0 {
 		e := q.free[n-1]
@@ -111,23 +137,32 @@ func (q *Queue) alloc() *Event {
 		q.free = q.free[:n-1]
 		return e
 	}
-	return &Event{}
+	if len(q.block) == 0 {
+		q.size = min(max(2*q.size, firstBlock), maxBlock)
+		q.block = make([]Event, q.size)
+	}
+	e := &q.block[0]
+	q.block = q.block[1:]
+	return e
 }
 
 // release returns a finished event struct to the free list, bumping its
-// generation so outstanding refs to its previous life go stale.
+// generation so outstanding refs to its previous life go stale, and
+// drops its handler and payload so a recycled struct keeps nothing
+// alive.
 func (q *Queue) release(e *Event) {
 	e.gen++
-	e.Fn = nil
+	e.h, e.arg = nil, nil
 	q.free = append(q.free, e)
 }
 
-// At schedules fn at absolute virtual time at. Scheduling in the past (or
-// at the current instant) fires the event at the current time on the next
-// Step; this is valid and used for "immediate" follow-up work. The returned
-// EventRef may be passed to Cancel.
-func (q *Queue) At(at Time, fn func(now Time)) EventRef {
-	return q.AtSeq(at, q.Reserve(), fn)
+// At schedules h with payload arg at absolute virtual time at.
+// Scheduling in the past (or at the current instant) fires the event at
+// the current time on the next Step; this is valid and used for
+// "immediate" follow-up work. The returned EventRef may be passed to
+// Cancel.
+func (q *Queue) At(at Time, h Handler, arg any) EventRef {
+	return q.AtSeq(at, q.Reserve(), h, arg)
 }
 
 // Reserve takes the sequence number the next At would use. An owner
@@ -142,12 +177,12 @@ func (q *Queue) Reserve() uint64 {
 }
 
 // AtSeq is At under a sequence number taken earlier with Reserve.
-func (q *Queue) AtSeq(at Time, seq uint64, fn func(now Time)) EventRef {
+func (q *Queue) AtSeq(at Time, seq uint64, h Handler, arg any) EventRef {
 	if at < q.now {
 		at = q.now
 	}
 	e := q.alloc()
-	e.Fn = fn
+	e.h, e.arg = h, arg
 	q.push(entry{at: at, seq: seq, e: e})
 	return EventRef{e: e, gen: e.gen}
 }
@@ -172,12 +207,13 @@ func (q *Queue) Pass(at Time) {
 	}
 }
 
-// After schedules fn after delay d from the current virtual time.
-func (q *Queue) After(d Time, fn func(now Time)) EventRef {
+// After schedules h with payload arg after delay d from the current
+// virtual time.
+func (q *Queue) After(d Time, h Handler, arg any) EventRef {
 	if d < 0 {
 		d = 0
 	}
-	return q.At(q.now+d, fn)
+	return q.At(q.now+d, h, arg)
 }
 
 // Cancel removes a pending event. Cancelling a zero, already-fired,
@@ -187,7 +223,7 @@ func (q *Queue) Cancel(r EventRef) {
 	if e == nil || e.gen != r.gen {
 		return
 	}
-	q.remove(e.idx)
+	q.remove(int(e.idx))
 	q.release(e)
 }
 
@@ -208,9 +244,9 @@ func (q *Queue) Step() bool {
 	at, e := q.heap[0].at, q.heap[0].e
 	q.remove(0)
 	q.now = at
-	fn := e.Fn
+	h, arg := e.h, e.arg
 	q.release(e)
-	fn(q.now)
+	h(q.now, arg)
 	return true
 }
 
@@ -242,7 +278,7 @@ func (q *Queue) remove(i int) {
 	q.heap = q.heap[:n]
 	if i < n {
 		q.down(i, last)
-		if last.e.idx == i {
+		if int(last.e.idx) == i {
 			q.up(i, last)
 		}
 	}
@@ -258,11 +294,11 @@ func (q *Queue) up(i int, x entry) {
 			break
 		}
 		h[i] = h[p]
-		h[i].e.idx = i
+		h[i].e.idx = int32(i)
 		i = p
 	}
 	h[i] = x
-	x.e.idx = i
+	x.e.idx = int32(i)
 }
 
 // down places x at heap index i, the slot it sifts down from, moving
@@ -282,9 +318,9 @@ func (q *Queue) down(i int, x entry) {
 			break
 		}
 		h[i] = h[c]
-		h[i].e.idx = i
+		h[i].e.idx = int32(i)
 		i = c
 	}
 	h[i] = x
-	x.e.idx = i
+	x.e.idx = int32(i)
 }

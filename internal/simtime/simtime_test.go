@@ -2,7 +2,6 @@ package simtime
 
 import (
 	"slices"
-	"sort"
 	"testing"
 	"time"
 
@@ -18,12 +17,21 @@ func runAll(q *Queue) int {
 	return n
 }
 
+// appendInt is a handler recording its int payload in *got.
+func appendInt(got *[]int) Handler {
+	return func(_ Time, arg any) { *got = append(*got, arg.(int)) }
+}
+
+// nop is a handler that does nothing.
+func nop(Time, any) {}
+
 func TestFiringOrder(t *testing.T) {
 	q := &Queue{}
 	var got []int
-	q.At(30*time.Millisecond, func(Time) { got = append(got, 3) })
-	q.At(10*time.Millisecond, func(Time) { got = append(got, 1) })
-	q.At(20*time.Millisecond, func(Time) { got = append(got, 2) })
+	h := appendInt(&got)
+	q.At(30*time.Millisecond, h, 3)
+	q.At(10*time.Millisecond, h, 1)
+	q.At(20*time.Millisecond, h, 2)
 	if n := runAll(q); n != 3 {
 		t.Fatalf("fired %d events, want 3", n)
 	}
@@ -40,9 +48,9 @@ func TestFiringOrder(t *testing.T) {
 func TestSameInstantFIFO(t *testing.T) {
 	q := &Queue{}
 	var got []int
+	h := appendInt(&got)
 	for i := 0; i < 10; i++ {
-		i := i
-		q.At(time.Millisecond, func(Time) { got = append(got, i) })
+		q.At(time.Millisecond, h, i)
 	}
 	runAll(q)
 	for i, v := range got {
@@ -55,9 +63,8 @@ func TestSameInstantFIFO(t *testing.T) {
 func TestAfterRelative(t *testing.T) {
 	q := &Queue{}
 	var at Time
-	q.After(5*time.Millisecond, func(now Time) {
-		q.After(7*time.Millisecond, func(now2 Time) { at = now2 })
-	})
+	inner := func(now Time, _ any) { at = now }
+	q.After(5*time.Millisecond, func(Time, any) { q.After(7*time.Millisecond, inner, nil) }, nil)
 	runAll(q)
 	if at != 12*time.Millisecond {
 		t.Fatalf("nested After fired at %v, want 12ms", at)
@@ -67,9 +74,10 @@ func TestAfterRelative(t *testing.T) {
 func TestSchedulingInPastClampsToNow(t *testing.T) {
 	q := &Queue{}
 	var fired Time = -1
-	q.After(10*time.Millisecond, func(now Time) {
-		q.At(now-5*time.Millisecond, func(at Time) { fired = at })
-	})
+	past := func(at Time, _ any) { fired = at }
+	q.After(10*time.Millisecond, func(now Time, _ any) {
+		q.At(now-5*time.Millisecond, past, nil)
+	}, nil)
 	runAll(q)
 	if fired != 10*time.Millisecond {
 		t.Fatalf("past event fired at %v, want clamp to 10ms", fired)
@@ -79,7 +87,7 @@ func TestSchedulingInPastClampsToNow(t *testing.T) {
 func TestNegativeDelayClamps(t *testing.T) {
 	q := &Queue{}
 	fired := false
-	q.After(-time.Second, func(Time) { fired = true })
+	q.After(-time.Second, func(Time, any) { fired = true }, nil)
 	runAll(q)
 	if !fired || q.Now() != 0 {
 		t.Fatalf("negative delay: fired=%v now=%v", fired, q.Now())
@@ -89,8 +97,9 @@ func TestNegativeDelayClamps(t *testing.T) {
 func TestCancel(t *testing.T) {
 	q := &Queue{}
 	fired := 0
-	e1 := q.After(time.Millisecond, func(Time) { fired++ })
-	q.After(2*time.Millisecond, func(Time) { fired++ })
+	count := func(Time, any) { fired++ }
+	e1 := q.After(time.Millisecond, count, nil)
+	q.After(2*time.Millisecond, count, nil)
 	q.Cancel(e1)
 	if !e1.Cancelled() {
 		t.Fatal("event not marked cancelled")
@@ -107,7 +116,7 @@ func TestCancel(t *testing.T) {
 func TestCancelNilAndDouble(t *testing.T) {
 	q := &Queue{}
 	q.Cancel(EventRef{}) // must not panic
-	e := q.After(time.Millisecond, func(Time) {})
+	e := q.After(time.Millisecond, nop, nil)
 	q.Cancel(e)
 	q.Cancel(e) // double cancel must not panic
 	runAll(q)
@@ -117,8 +126,8 @@ func TestCancelFromWithinEvent(t *testing.T) {
 	q := &Queue{}
 	fired := false
 	var victim EventRef
-	q.After(time.Millisecond, func(Time) { q.Cancel(victim) })
-	victim = q.After(2*time.Millisecond, func(Time) { fired = true })
+	q.After(time.Millisecond, func(Time, any) { q.Cancel(victim) }, nil)
+	victim = q.After(2*time.Millisecond, func(Time, any) { fired = true }, nil)
 	runAll(q)
 	if fired {
 		t.Fatal("cancelled event fired")
@@ -128,8 +137,9 @@ func TestCancelFromWithinEvent(t *testing.T) {
 func TestRunDeadline(t *testing.T) {
 	q := &Queue{}
 	fired := 0
+	count := func(Time, any) { fired++ }
 	for i := 1; i <= 10; i++ {
-		q.After(time.Duration(i)*time.Millisecond, func(Time) { fired++ })
+		q.After(time.Duration(i)*time.Millisecond, count, nil)
 	}
 	n := q.Run(5 * time.Millisecond)
 	if n != 5 || fired != 5 {
@@ -148,110 +158,25 @@ func TestPeekTime(t *testing.T) {
 	if q.PeekTime() != Infinity {
 		t.Fatal("empty queue PeekTime should be Infinity")
 	}
-	q.After(3*time.Millisecond, func(Time) {})
+	q.After(3*time.Millisecond, nop, nil)
 	if q.PeekTime() != 3*time.Millisecond {
 		t.Fatalf("PeekTime %v, want 3ms", q.PeekTime())
 	}
 }
 
-// TestHeapStress randomly schedules, cancels and steps events against
-// a reference model: the pending events sorted by (time, scheduling
-// order). Each Step must fire the model's head, no cancelled event may
-// ever fire, every other event must fire exactly once, and PeekTime
-// must equal the model's head time after every op.
+// TestHeapStress runs a seeded random script of every queue operation
+// against the (time, sequence) model of runQueueScript: 200 events, then
+// a mix of cancels (of pending, fired and recycled refs), schedules,
+// reservations, steps and runs, then a drain. Each Step must fire the
+// model's head with its own payload, no cancelled event may ever fire,
+// every other event must fire exactly once, and PeekTime and Len must
+// match the model after every op.
 func TestHeapStress(t *testing.T) {
-	type event struct {
-		at  Time
-		id  int // scheduling order
-		ref EventRef
-	}
-	q := &Queue{}
-	r := rng.New(7)
-	var (
-		all       []event // every event ever scheduled, by id
-		pending   []event // the model: sorted by (at, id)
-		fired     []int   // ids in firing order
-		cancelled = map[int]bool{}
-	)
-	schedule := func(d Time) {
-		id := len(all)
-		e := event{at: q.Now() + d, id: id}
-		e.ref = q.After(d, func(Time) { fired = append(fired, id) })
-		all = append(all, e)
-		i := sort.Search(len(pending), func(i int) bool {
-			p := pending[i]
-			return p.at > e.at || p.at == e.at && p.id > e.id
-		})
-		pending = slices.Insert(pending, i, e)
-	}
-	checkPeek := func(op int) {
-		want := Infinity
-		if len(pending) > 0 {
-			want = pending[0].at
-		}
-		if got := q.PeekTime(); got != want {
-			t.Fatalf("op %d: PeekTime %v, model head %v", op, got, want)
-		}
-		if q.Len() != len(pending) {
-			t.Fatalf("op %d: %d pending, model %d", op, q.Len(), len(pending))
-		}
-	}
-	for i := 0; i < 200; i++ {
-		schedule(time.Duration(r.Intn(1000)) * time.Millisecond)
-		checkPeek(i)
-	}
-	for op := 200; q.Len() > 0; op++ {
-		switch r.Intn(4) {
-		case 0:
-			// Cancel any event ever scheduled: pending, fired or
-			// already cancelled.
-			e := all[r.Intn(len(all))]
-			q.Cancel(e.ref)
-			if i := slices.IndexFunc(pending, func(p event) bool { return p.id == e.id }); i >= 0 {
-				pending = slices.Delete(pending, i, i+1)
-				cancelled[e.id] = true
-			}
-		case 1:
-			if len(all) < 1000 {
-				// Small delays collide often, exercising the FIFO
-				// tie-break among same-instant events.
-				schedule(time.Duration(r.Intn(50)) * time.Millisecond)
-			}
-		default:
-			n := len(fired)
-			q.Step()
-			if len(pending) == 0 {
-				if len(fired) != n {
-					t.Fatalf("op %d: an event fired from an empty model", op)
-				}
-				break
-			}
-			head := pending[0]
-			pending = pending[1:]
-			if len(fired) != n+1 || fired[n] != head.id {
-				t.Fatalf("op %d: fired %v, model head is event %d at %v", op, fired[n:], head.id, head.at)
-			}
-			if q.Now() != head.at {
-				t.Fatalf("op %d: clock %v after firing event %d at %v", op, q.Now(), head.id, head.at)
-			}
-		}
-		checkPeek(op)
-	}
-	count := make([]int, len(all))
-	for _, id := range fired {
-		count[id]++
-	}
-	for id, c := range count {
-		switch {
-		case cancelled[id] && c != 0:
-			t.Fatalf("cancelled event %d fired", id)
-		case !cancelled[id] && c != 1:
-			t.Fatalf("event %d fired %d times, want 1", id, c)
-		}
-	}
-	if len(cancelled) == 0 || len(fired) < len(all)/2 {
+	fired, cancelled, scheduled := runQueueScript(t, heapStressScript())
+	t.Logf("%d of %d events fired, %d cancelled", fired, scheduled, cancelled)
+	if cancelled == 0 || fired < scheduled/2 {
 		t.Fatalf("%d of %d events fired, %d cancelled: the script must exercise both",
-			len(fired), len(all), len(cancelled))
+			fired, scheduled, cancelled)
 	}
 }
 
@@ -259,11 +184,11 @@ func BenchmarkScheduleFire(b *testing.B) {
 	q := &Queue{}
 	r := rng.New(9)
 	for i := 0; i < 1024; i++ {
-		q.After(time.Duration(r.Intn(1_000_000)), func(Time) {})
+		q.After(time.Duration(r.Intn(1_000_000)), nop, nil)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q.After(time.Duration(r.Intn(1_000_000)), func(Time) {})
+		q.After(time.Duration(r.Intn(1_000_000)), nop, nil)
 		q.Step()
 	}
 }
@@ -272,7 +197,7 @@ func BenchmarkScheduleFire(b *testing.B) {
 // later schedules, and stale refs to their previous lives are inert.
 func TestEventRecycling(t *testing.T) {
 	q := &Queue{}
-	first := q.After(time.Millisecond, func(Time) {})
+	first := q.After(time.Millisecond, nop, nil)
 	runAll(q)
 	if !first.Cancelled() {
 		t.Fatal("fired event's ref should report no longer pending")
@@ -282,7 +207,8 @@ func TestEventRecycling(t *testing.T) {
 	// schedule reuses it. Cancelling the stale ref must not touch the
 	// new event.
 	fired := false
-	second := q.After(time.Millisecond, func(Time) { fired = true })
+	mark := func(Time, any) { fired = true }
+	second := q.After(time.Millisecond, mark, nil)
 	q.Cancel(first) // stale: different generation
 	runAll(q)
 	if !fired {
@@ -291,10 +217,10 @@ func TestEventRecycling(t *testing.T) {
 	_ = second
 
 	// Same for a cancelled (never fired) event.
-	third := q.After(time.Millisecond, func(Time) {})
+	third := q.After(time.Millisecond, nop, nil)
 	q.Cancel(third)
 	fired = false
-	fourth := q.After(time.Millisecond, func(Time) { fired = true })
+	fourth := q.After(time.Millisecond, mark, nil)
 	q.Cancel(third) // stale double-cancel on a recycled struct
 	runAll(q)
 	if !fired {
@@ -317,14 +243,13 @@ func TestZeroEventRef(t *testing.T) {
 // cycle runs allocation-free thanks to event recycling.
 func BenchmarkScheduleFireAllocs(b *testing.B) {
 	q := &Queue{}
-	fn := func(Time) {}
 	for i := 0; i < 64; i++ {
-		q.After(time.Duration(i), fn)
+		q.After(time.Duration(i), nop, nil)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q.After(time.Duration(i%1000), fn)
+		q.After(time.Duration(i%1000), nop, nil)
 		q.Step()
 	}
 }
@@ -337,15 +262,16 @@ func BenchmarkScheduleFireAllocs(b *testing.B) {
 func TestReservedSequenceKeepsItsPlace(t *testing.T) {
 	q := &Queue{}
 	var got []string
+	appendStr := func(_ Time, arg any) { got = append(got, arg.(string)) }
 	held := q.Reserve()
-	q.At(time.Millisecond, func(Time) { got = append(got, "after") })
+	q.At(time.Millisecond, appendStr, "after")
 	if q.Precedes(time.Millisecond, held+1) {
 		t.Fatal("a later sequence at the head's instant must not precede it")
 	}
 	if !q.Precedes(time.Millisecond, held) {
 		t.Fatal("the reserved sequence must precede a same-instant event scheduled after it")
 	}
-	q.AtSeq(time.Millisecond, held, func(Time) { got = append(got, "reserved") })
+	q.AtSeq(time.Millisecond, held, appendStr, "reserved")
 	runAll(q)
 	if !slices.Equal(got, []string{"reserved", "after"}) {
 		t.Fatalf("fired %v, want the reserved event first", got)
@@ -368,15 +294,16 @@ func TestCancelInsideOwnCallback(t *testing.T) {
 	q := &Queue{}
 	var self EventRef
 	var got []int
-	self = q.After(time.Millisecond, func(Time) {
+	h := appendInt(&got)
+	self = q.After(time.Millisecond, func(now Time, arg any) {
 		if !self.Cancelled() {
 			t.Error("a firing event's ref must report Cancelled")
 		}
 		q.Cancel(self)
-		got = append(got, 1)
-	})
-	q.After(2*time.Millisecond, func(Time) { got = append(got, 2) })
-	q.After(3*time.Millisecond, func(Time) { got = append(got, 3) })
+		h(now, arg)
+	}, 1)
+	q.After(2*time.Millisecond, h, 2)
+	q.After(3*time.Millisecond, h, 3)
 	if n := runAll(q); n != 3 || !slices.Equal(got, []int{1, 2, 3}) {
 		t.Fatalf("fired %d events in order %v, want 1 2 3", n, got)
 	}

@@ -1,6 +1,7 @@
 package task
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
@@ -76,5 +77,50 @@ func TestArenaReset(t *testing.T) {
 	io2 := a.IO(2)
 	if io2[0] != (IOOp{}) {
 		t.Fatalf("IO slice not zeroed after Reset: %+v", io2[0])
+	}
+}
+
+// TestArenaBlocksDouble: task blocks start at 16 structs and double up
+// to arenaBlock, so an arena that hands out 50 tasks holds 112 structs,
+// and a large one adds one arenaBlock-sized block at a time; IO blocks
+// grow the same way. A Reset arena hands its blocks out again without
+// allocating.
+func TestArenaBlocksDouble(t *testing.T) {
+	sizes := func(a *Arena) (tasks, ios []int) {
+		for _, b := range a.taskBlocks {
+			tasks = append(tasks, len(b))
+		}
+		for _, b := range a.ioBlocks {
+			ios = append(ios, len(b))
+		}
+		return tasks, ios
+	}
+	a := NewArena()
+	for i := 0; i < 50; i++ {
+		a.New(i, 0, time.Millisecond)
+		a.IO(1)
+	}
+	if tasks, ios := sizes(a); !slices.Equal(tasks, []int{16, 32, 64}) || !slices.Equal(ios, []int{16, 32, 64}) {
+		t.Fatalf("50 tasks and ops took task blocks %v and IO blocks %v, want 16, 32 and 64 each", tasks, ios)
+	}
+	want := []int{16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 4096}
+	full := 0
+	for _, n := range want {
+		full += n
+	}
+	for i := 50; i < full; i++ {
+		a.New(i, 0, time.Millisecond)
+	}
+	if tasks, _ := sizes(a); !slices.Equal(tasks, want) {
+		t.Fatalf("%d tasks took blocks %v, want %v", full, tasks, want)
+	}
+	n := a.Len()
+	if allocs := testing.AllocsPerRun(3, func() {
+		a.Reset()
+		for i := 0; i < n; i++ {
+			a.New(i, 0, time.Millisecond)
+		}
+	}); allocs != 0 {
+		t.Fatalf("re-filling a reset arena allocated %v times, want 0", allocs)
 	}
 }

@@ -79,7 +79,7 @@ type Task struct {
 	nextIO       int           // index of next pending IOOp
 	lastReady    simtime.Time  // when the task last became runnable
 	lastCore     int           // core of previous dispatch (-1 initially)
-	wokeAt       simtime.Time  // when the task last woke from sleep
+	sleptAt      simtime.Time  // when the task last blocked on I/O
 	DemotedToCFS bool          // true once a FILTER task is demoted (SFS only)
 
 	// --- scheduler-owned scratch ---
@@ -182,14 +182,13 @@ func (t *Task) MarkRunning(now simtime.Time, core int) {
 // MarkSleeping records an I/O block beginning at now.
 func (t *Task) MarkSleeping(now simtime.Time) {
 	t.State = StateSleeping
-	t.wokeAt = -1
-	_ = now
+	t.sleptAt = now
 }
 
-// MarkWoken records the end of an I/O block of duration d at now.
-func (t *Task) MarkWoken(now simtime.Time, d time.Duration) {
-	t.IOTime += d
-	t.wokeAt = now
+// MarkWoken records the end at now of the I/O block MarkSleeping began,
+// charging the time between the two to IOTime.
+func (t *Task) MarkWoken(now simtime.Time) {
+	t.IOTime += now - t.sleptAt
 	t.MarkReady(now)
 }
 

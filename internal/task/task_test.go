@@ -69,7 +69,7 @@ func TestLifecycleAccounting(t *testing.T) {
 	}
 	tk.CPUUsed = 10 * time.Millisecond
 	tk.MarkSleeping(35 * time.Millisecond)
-	tk.MarkWoken(45*time.Millisecond, 10*time.Millisecond)
+	tk.MarkWoken(45 * time.Millisecond)
 	if tk.IOTime != 10*time.Millisecond {
 		t.Fatalf("io time %v", tk.IOTime)
 	}
