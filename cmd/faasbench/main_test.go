@@ -221,6 +221,7 @@ func TestGoldenReplay(t *testing.T) {
 	var golden strings.Builder
 	reports := map[string]string{}
 	for _, cmd := range []string{
+		"-in T.csv -cores 8 -sched SFS",
 		"-in T.csv -cores 8 -sched SFS -keepalive HIST -memory 1024",
 		"-in T.csv -cores 8 -sched IDEAL",
 		"-in T.csv -sched ''",

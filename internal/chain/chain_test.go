@@ -8,8 +8,10 @@ import (
 
 	"github.com/serverless-sched/sfs/internal/cpusim"
 	"github.com/serverless-sched/sfs/internal/dist"
+	"github.com/serverless-sched/sfs/internal/host"
 	"github.com/serverless-sched/sfs/internal/lifecycle"
 	"github.com/serverless-sched/sfs/internal/sched"
+	"github.com/serverless-sched/sfs/internal/simtime"
 	"github.com/serverless-sched/sfs/internal/task"
 	"github.com/serverless-sched/sfs/internal/trace"
 )
@@ -410,5 +412,66 @@ func TestInjectorReusesFinishedWorkflows(t *testing.T) {
 	id := 1000
 	if avg := testing.AllocsPerRun(50, func() { request(3*id + 1); id++ }); avg > 2 {
 		t.Fatalf("a line request allocates %v objects, want 2: the request and its one stage task", avg)
+	}
+}
+
+// TestArrivalUnchangedAtCompletion: on the standalone Drive loop with
+// container cold starts and chain releases, every task carries its own
+// arrival at its completion instant, not only once the run is over: a
+// request the arrival its source emitted, a released stage the
+// completion instant of the upstream stage that released it. So a
+// finished task's Turnaround is end to end the moment it finishes.
+func TestArrivalUnchangedAtCompletion(t *testing.T) {
+	mgr, err := lifecycle.New(lifecycle.Config{Policy: lifecycle.NewFixedTTL(ms(40)), Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := Linear(FamilyConfig{Depth: 3, Service: dist.Uniform{Lo: ms(2), Hi: ms(30)}})
+	inj, err := NewInjector(Config{Specs: map[string]Spec{"wf": spec}, Seed: 17})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := make([]*task.Task, 60)
+	for i := range reqs {
+		reqs[i] = task.New(i, time.Duration(i)*ms(9), ms(4+i%13))
+		reqs[i].App = "wf"
+		if i%4 == 3 {
+			reqs[i].App = "solo" // no workflow: passes through
+		}
+	}
+	src := trace.FromTasks("reqs", reqs)
+	arrivals := map[*task.Task]simtime.Time{} // source invocations
+	recorded := trace.New("recorded", func() (*task.Task, bool) {
+		tk, ok := src.Next()
+		if ok {
+			arrivals[tk] = tk.Arrival
+		}
+		return tk, ok
+	})
+	finishes := map[simtime.Time]bool{}
+	requests, stages := 0, 0
+	check := host.FinishFunc(func(at simtime.Time, tk *task.Task) {
+		if want, ok := arrivals[tk]; ok {
+			requests++
+			if tk.Arrival != want {
+				t.Errorf("request %d finished at %v carrying arrival %v, want its source's %v", tk.ID, at, tk.Arrival, want)
+			}
+		} else {
+			stages++
+			if !finishes[tk.Arrival] {
+				t.Errorf("stage %d (%s) finished at %v carrying arrival %v, which is no upstream completion", tk.ID, tk.App, at, tk.Arrival)
+			}
+		}
+		finishes[at] = true
+	})
+	eng := cpusim.NewEngine(cpusim.Config{Cores: 2}, sched.NewCFS())
+	if _, err := host.New(eng, lifecycle.NewHostStage(mgr), NewHostStage(inj), check).Drive(recorded); err != nil {
+		t.Fatal(err)
+	}
+	if requests != len(reqs) || stages != 2*45 {
+		t.Fatalf("%d requests and %d released stages finished, want %d and %d", requests, stages, len(reqs), 2*45)
+	}
+	if st := mgr.Stats(); st.ColdStarts == 0 {
+		t.Fatalf("no cold start delayed any task: %+v", st)
 	}
 }

@@ -14,7 +14,7 @@ import (
 // downstream stages whose dependencies are met, and released stages
 // re-enter the loop as ordinary arrivals at the completion instant.
 // With a non-nil lifecycle manager, every stage additionally acquires a
-// container at its own arrival — a cold start shifts the instant the
+// container at its own arrival — a cold start delays the instant the
 // stage becomes runnable — and releases it the moment it finishes, so
 // chains interact with per-app warm pools stage by stage.
 //
@@ -23,9 +23,9 @@ import (
 // runtime's Drive loop — engine events before same-instant arrivals,
 // released stages before same-instant requests, exactly as the cluster
 // loop orders them — so same-seed replays are byte-identical. The
-// engine must be fresh. Turnarounds measured afterwards are
-// end-to-end: the original arrivals are restored, so cold-start
-// latency counts against each stage (and therefore the workflow).
+// engine must be fresh. A stage's arrival stays its request's or
+// release instant, so turnarounds are end-to-end: cold-start latency
+// counts against each stage (and therefore the workflow).
 func Run(src trace.Source, inj *Injector, mgr *lifecycle.Manager, eng *cpusim.Engine) (simtime.Time, error) {
 	var stages []host.Stage
 	if mgr != nil {

@@ -183,13 +183,12 @@ func (n *node) assigned() int {
 	return n.rt.Queued()
 }
 
-// record remembers an invocation's pre-dispatch identity so metrics can
-// be computed against original arrival times after the run.
+// record remembers where and when an invocation was dispatched, for
+// the per-host results and the central queue's delay statistics.
 type record struct {
 	t    *task.Task
-	orig simtime.Time // arrival as emitted by the source
 	host int
-	at   simtime.Time // dispatch instant (== orig unless held centrally)
+	at   simtime.Time // dispatch instant (== t.Arrival unless held centrally)
 }
 
 // records holds every admitted invocation's record in admission order,
@@ -235,8 +234,8 @@ type Result struct {
 	Scheduler  string // per-host scheduler name
 	Dispatcher string
 	// Merged views every invocation cluster-wide, in source order, with
-	// turnarounds measured from original arrival — central-queue delay
-	// under pull-based policies counts against the request.
+	// turnarounds measured from the request's arrival — central-queue
+	// delay under pull-based policies counts against the request.
 	Merged  metrics.Run
 	PerHost []HostResult
 	// Makespan is the latest finish time across all hosts.
@@ -454,8 +453,6 @@ func (c *Cluster) Run(src trace.Source) (*Result, error) {
 	// delivers each arrival at once at the coordinator clock, which
 	// holds a late invocation until the clock's instant; it keeps doing
 	// so because the TRIGGER family's queue batches can go backwards.
-	// Admission moves Task.Arrival, so the check compares with the
-	// instant the source emitted, saved in last.
 	var (
 		next  *task.Task
 		more  bool
@@ -641,26 +638,21 @@ func (c *Cluster) offer(at simtime.Time, rec *record) (bool, error) {
 	}
 	rec.host = idx
 	rec.at = at
-	// A held invocation is claimed after its arrival; move its
-	// engine-visible arrival to the claim instant so the host's event
-	// order stays causal. The original arrival is restored before
-	// metrics are computed.
-	if at > rec.t.Arrival {
-		rec.t.Arrival = at
-	}
-	// Network delay between dispatcher and host postpones the instant
-	// the invocation is runnable; the dispatch instant itself (rec.at,
-	// queue-delay accounting) is unaffected. Delays are drawn in global
-	// dispatch order, so the stream is identical at any shard count.
-	// The host's lifecycle stage acquires a container on delivery; a
-	// cold start further delays runnability there.
-	rec.t.Arrival += c.netDelayOf()
+	// The host places the invocation at the dispatch instant, which is
+	// the claim instant for held work. Network delay between dispatcher
+	// and host postpones the instant the invocation is runnable; the
+	// dispatch instant itself (rec.at, queue-delay accounting) is
+	// unaffected. Delays are drawn in global dispatch order, so the
+	// stream is identical at any shard count. The host's lifecycle stage
+	// acquires a container on delivery; a cold start further delays
+	// runnability there.
+	delay := c.netDelayOf()
 	n := c.nodes[idx]
 	n.dispatched++
 	if c.cfg.Shards == 0 {
-		n.sh.grp.Deliver(idx-n.sh.base, at, rec.t)
+		n.sh.grp.Deliver(idx-n.sh.base, at, delay, rec.t)
 	} else {
-		n.sh.grp.Enqueue(idx-n.sh.base, at, rec.t)
+		n.sh.grp.Enqueue(idx-n.sh.base, at, delay, rec.t)
 	}
 	return true, nil
 }
@@ -683,7 +675,7 @@ func (c *Cluster) drainCentral() error {
 // dispatcher, parking it behind any already-held work so nothing
 // overtakes the central queue's FIFO order.
 func (c *Cluster) admit(t *task.Task, at simtime.Time) error {
-	rec := c.records.add(record{t: t, orig: t.Arrival, host: Hold, at: -1})
+	rec := c.records.add(record{t: t, host: Hold, at: -1})
 	if len(c.central) == 0 {
 		if placed, err := c.offer(at, rec); placed || err != nil {
 			return err
@@ -709,8 +701,7 @@ func (c *Cluster) admitArrival(t *task.Task, at simtime.Time) error {
 	return nil
 }
 
-// result restores original arrivals and assembles per-host and merged
-// metrics.
+// result assembles per-host and merged metrics.
 func (c *Cluster) result(aborted bool) *Result {
 	schedName := c.cfg.NewScheduler().Name()
 	res := &Result{
@@ -726,11 +717,10 @@ func (c *Cluster) result(aborted bool) *Result {
 	for _, block := range c.records.blocks {
 		for i := range block {
 			rec := &block[i]
-			rec.t.Arrival = rec.orig
 			all = append(all, rec.t)
 			if rec.host >= 0 {
 				perHost[rec.host] = append(perHost[rec.host], rec.t)
-				if d := rec.at - rec.orig; d > 0 {
+				if d := rec.at - rec.t.Arrival; d > 0 {
 					delaySum += d
 					if d > res.QueueDelayMax {
 						res.QueueDelayMax = d

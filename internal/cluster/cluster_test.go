@@ -6,7 +6,10 @@ import (
 	"time"
 
 	"github.com/serverless-sched/sfs/internal/cpusim"
+	"github.com/serverless-sched/sfs/internal/dist"
+	"github.com/serverless-sched/sfs/internal/lifecycle"
 	"github.com/serverless-sched/sfs/internal/metrics"
+	"github.com/serverless-sched/sfs/internal/sched"
 	"github.com/serverless-sched/sfs/internal/schedulers"
 	"github.com/serverless-sched/sfs/internal/simtime"
 	"github.com/serverless-sched/sfs/internal/task"
@@ -259,6 +262,67 @@ func TestConfigValidation(t *testing.T) {
 	for i, cfg := range cases {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("case %d: config %+v should be rejected", i, cfg)
+		}
+	}
+}
+
+// arrivalWatch wraps a dispatcher and checks, at every completion the
+// cluster reports, that the finished task still carries the arrival
+// its source emitted.
+type arrivalWatch struct {
+	Dispatcher
+	t        *testing.T
+	arrivals map[int]simtime.Time // by task ID
+	checked  int
+}
+
+func (w *arrivalWatch) TaskFinished(now simtime.Time, host int, tk *task.Task) {
+	w.checked++
+	if want := w.arrivals[tk.ID]; tk.Arrival != want {
+		w.t.Errorf("task %d finished on host %d at %v carrying arrival %v, want its source's %v", tk.ID, host, now, tk.Arrival, want)
+	}
+}
+
+// TestArrivalUnchangedAtCompletion: in serial and sharded runs alike,
+// with a network delay, cold starts and PULL holding work in the
+// central queue, every task carries its source's arrival when it
+// finishes, not only once the run is over, so its Turnaround is end
+// to end the moment it finishes.
+func TestArrivalUnchangedAtCompletion(t *testing.T) {
+	const hosts, cores, n, seed = 4, 2, 400, 9
+	tasks := trace.Collect(workload.Stream(workload.Spec{N: n, Cores: hosts * cores, Load: 1.4, Seed: seed}))
+	arrivals := map[int]simtime.Time{}
+	for _, tk := range tasks {
+		arrivals[tk.ID] = tk.Arrival
+	}
+	for _, shards := range []int{0, 2} {
+		d, err := NewDispatcher("PULL", FactoryConfig{Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := &arrivalWatch{Dispatcher: d, t: t, arrivals: arrivals}
+		res := runSharded(t, Config{
+			Hosts:        hosts,
+			CoresPerHost: cores,
+			NewScheduler: func() cpusim.Scheduler { return sched.NewCFS() },
+			Dispatcher:   w,
+			NetDelay:     dist.Uniform{Lo: 100 * time.Microsecond, Hi: 3 * time.Millisecond},
+			NetDelaySeed: seed,
+			NewLifecycle: func() *lifecycle.Manager {
+				m, err := lifecycle.New(lifecycle.Config{Policy: lifecycle.NewFixedTTL(time.Second), Seed: seed})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return m
+			},
+			Shards: shards,
+		}, trace.FromTasks("watched", tasks))
+		if w.checked != n {
+			t.Fatalf("shards=%d: %d completions checked, want %d", shards, w.checked, n)
+		}
+		if res.CentralQueueMax == 0 || res.Lifecycle.ColdStarts == 0 {
+			t.Fatalf("shards=%d: central queue high-water %d, %d cold starts; want work held and cold-started",
+				shards, res.CentralQueueMax, res.Lifecycle.ColdStarts)
 		}
 	}
 }

@@ -287,17 +287,28 @@ func (e *Engine) Reschedule(core int) {
 	}
 }
 
-// Submit registers tasks; their arrival events are scheduled at their
-// Arrival times. Must be called before Run.
+// Submit registers tasks with arrival events at their Arrival times
+// (see SubmitAt).
 func (e *Engine) Submit(tasks ...*task.Task) {
 	for _, t := range tasks {
-		if err := t.Validate(); err != nil {
-			panic(err)
-		}
-		e.tasks = append(e.tasks, t)
-		e.pending++
-		e.q.At(t.Arrival, e.onArrive, t)
+		e.SubmitAt(t.Arrival, t)
 	}
+}
+
+// SubmitAt registers t with its arrival event at instant at, the
+// instant its driver computed: a request's Arrival plus whatever
+// delayed it on the way (a cold start, the network). t.Arrival is left
+// as it is, so Turnaround stays end to end. A driver may submit
+// between events; the event takes its queue sequence number now, and
+// an instant before the engine's clock is taken as the clock
+// (simtime.Queue.At clamps).
+func (e *Engine) SubmitAt(at simtime.Time, t *task.Task) {
+	if err := t.Validate(); err != nil {
+		panic(err)
+	}
+	e.tasks = append(e.tasks, t)
+	e.pending++
+	e.q.At(at, e.onArrive, t)
 }
 
 // Run drives the simulation until every submitted task finishes (or the

@@ -4,19 +4,19 @@
 // for the SFS port, a UDP notification hop between the sandbox server and
 // the SFS scheduler (Fig 5).
 //
-// The platform is a wrapper around the cpusim engine: it perturbs each
-// request's OS-level arrival by sampled dispatch overheads, runs the
-// scheduler, and then restores end-to-end timestamps so turnaround and
-// RTE include the platform costs — reproducing the paper's observation
-// that OpenLambda overheads "diminish the performance benefits of SFS to
-// some extent" while leaving the majority improvement intact.
+// The platform is a stage on the host runtime (internal/host): each
+// request reaches the OS a sampled dispatch overhead after its HTTP
+// invocation, and its finish is extended by the response path, so
+// turnaround and RTE include the platform costs — reproducing the
+// paper's observation that OpenLambda overheads "diminish the
+// performance benefits of SFS to some extent" while leaving the
+// majority improvement intact.
 //
 // Containers are pre-warmed and auto-scaling is off, as in the paper,
 // so no request pays a cold start.
 package faas
 
 import (
-	"sort"
 	"time"
 
 	"github.com/serverless-sched/sfs/internal/cpusim"
@@ -24,6 +24,7 @@ import (
 	"github.com/serverless-sched/sfs/internal/host"
 	"github.com/serverless-sched/sfs/internal/metrics"
 	"github.com/serverless-sched/sfs/internal/rng"
+	"github.com/serverless-sched/sfs/internal/simtime"
 	"github.com/serverless-sched/sfs/internal/task"
 	"github.com/serverless-sched/sfs/internal/trace"
 	"github.com/serverless-sched/sfs/internal/workload"
@@ -115,62 +116,50 @@ func sample(d dist.Distribution, r *rng.RNG) time.Duration {
 	return v
 }
 
-// RunTrace executes an invocation stream on the platform under the given
-// scheduler. The stream's Arrival fields are interpreted as HTTP
-// invocation times; the engine sees them shifted by the sampled dispatch
-// overheads, and afterwards the timestamps are restored so
-// Turnaround()/RTE() are end-to-end.
-func (p *Platform) RunTrace(src trace.Source, s cpusim.Scheduler) Result {
-	tasks := trace.Collect(src)
-	r := rng.New(p.cfg.Seed ^ 0xfaa5)
-	pre := make([]time.Duration, len(tasks))
-	post := make([]time.Duration, len(tasks))
-	var overheadSum time.Duration
-	for i, t := range tasks {
-		d := sample(p.cfg.Overheads.Gateway, r) +
-			sample(p.cfg.Overheads.Worker, r) +
-			sample(p.cfg.Overheads.Sandbox, r)
-		if p.cfg.SFSPort {
-			d += sample(p.cfg.Overheads.UDPNotify, r)
-		}
-		pre[i] = d
-		post[i] = sample(p.cfg.Overheads.Response, r)
-		overheadSum += d
-		t.Arrival += d
-	}
+// requestPath is the platform as a host stage: each request's
+// BeforeSubmit draws its request-path overhead, which delays the
+// instant the OS sees it, and its response-path delay, kept in source
+// order for RunTrace to add to its finish.
+type requestPath struct {
+	host.Base
+	cfg  *Config
+	r    *rng.RNG
+	sum  time.Duration   // request-path overheads drawn so far
+	post []time.Duration // each request's response-path delay
+}
 
+// BeforeSubmit implements host.Stage.
+func (rp *requestPath) BeforeSubmit(simtime.Time, *task.Task) time.Duration {
+	oh := rp.cfg.Overheads
+	d := sample(oh.Gateway, rp.r) + sample(oh.Worker, rp.r) + sample(oh.Sandbox, rp.r)
+	if rp.cfg.SFSPort {
+		d += sample(oh.UDPNotify, rp.r)
+	}
+	rp.post = append(rp.post, sample(oh.Response, rp.r))
+	rp.sum += d
+	return d
+}
+
+// RunTrace executes an invocation stream on the platform under the given
+// scheduler. The stream's Arrival fields are HTTP invocation times and
+// stay so; each request becomes runnable on the host its sampled
+// dispatch overhead later, and its finish is extended by the response
+// path, so Turnaround()/RTE() are end-to-end. It panics when src fails
+// (trace.Err).
+func (p *Platform) RunTrace(src trace.Source, s cpusim.Scheduler) Result {
 	eng := cpusim.NewEngine(cpusim.Config{
 		Cores:         p.cfg.Cores,
 		CtxSwitchCost: p.cfg.CtxSwitchCost,
-		Deadline:      1000 * time.Hour,
 	}, s)
-	// The host sees each invocation when the worker dispatches it —
-	// after the platform overheads — so it must see arrivals in
-	// perturbed order, which the per-hop sampling can locally scramble.
-	// The source hands out the collected pointers themselves, so the
-	// finish times land in tasks.
-	ordered := append([]*task.Task(nil), tasks...)
-	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].Arrival < ordered[j].Arrival })
-	next := 0
-	perturbed := trace.New(src.String(), func() (*task.Task, bool) {
-		if next >= len(ordered) {
-			return nil, false
-		}
-		t := ordered[next]
-		next++
-		return t, true
-	})
-	makespan, err := host.New(eng).Drive(perturbed)
+	rp := &requestPath{cfg: &p.cfg, r: rng.New(p.cfg.Seed ^ 0xfaa5)}
+	makespan, err := host.New(eng, rp).Drive(src)
 	if err != nil {
-		panic(err) // the source cannot fail: the slice was collected
+		panic(err)
 	}
-
-	// Restore end-to-end timestamps: arrival back to HTTP invocation
-	// time, finish extended by the response path.
+	tasks := eng.Tasks() // in source order, as Drive submits them
 	for i, t := range tasks {
-		t.Arrival -= pre[i]
 		if t.Finish >= 0 {
-			t.Finish += post[i]
+			t.Finish += rp.post[i]
 		}
 	}
 	res := Result{
@@ -179,7 +168,7 @@ func (p *Platform) RunTrace(src trace.Source, s cpusim.Scheduler) Result {
 		Engine:   eng,
 	}
 	if len(tasks) > 0 {
-		res.MeanDispatchOverhead = overheadSum / time.Duration(len(tasks))
+		res.MeanDispatchOverhead = rp.sum / time.Duration(len(tasks))
 	}
 	return res
 }

@@ -60,7 +60,7 @@ func TestPlatformRestoresEndToEndTimestamps(t *testing.T) {
 	res := replay(p, w, sched.NewFIFO())
 	for i, tk := range res.Run.Tasks {
 		if tk.Arrival != w[i].Arrival {
-			t.Fatalf("task %d arrival not restored: %v vs %v", i, tk.Arrival, w[i].Arrival)
+			t.Fatalf("task %d arrival moved: %v vs %v", i, tk.Arrival, w[i].Arrival)
 		}
 		// End-to-end turnaround strictly exceeds the ideal (overheads).
 		if tk.Turnaround() <= tk.IdealDuration() {

@@ -2,6 +2,7 @@ package host
 
 import (
 	"fmt"
+	"time"
 
 	"github.com/serverless-sched/sfs/internal/simtime"
 	"github.com/serverless-sched/sfs/internal/task"
@@ -9,11 +10,13 @@ import (
 
 // submission is one placed invocation traveling to its runtime: it was
 // assigned by a dispatcher and will enter the runtime's engine at `at`
-// during the group's next Advance window.
+// during the group's next Advance window, runnable delay after that
+// (see Runtime.Place).
 type submission struct {
-	t   *task.Task
-	at  simtime.Time
-	idx int32 // group-local runtime index
+	t     *task.Task
+	at    simtime.Time
+	delay time.Duration
+	idx   int32 // group-local runtime index
 	// next links the runtime's next submission in the window Advance is
 	// running (an index into Group.subs), or is -1 after its last.
 	next int32
@@ -85,22 +88,23 @@ func (g *Group) Step(i int) (completions int) {
 }
 
 // Deliver hands t to runtime i at instant `at` — through the runtime's
-// full stage pipeline — and re-keys it. This is serial mode's
+// full stage pipeline, runnable delay after `at` plus the stages' own
+// delays (see Runtime.Place) — and re-keys it. This is serial mode's
 // immediate delivery. It panics when `at` precedes the runtime's
 // engine clock (see onTime).
-func (g *Group) Deliver(i int, at simtime.Time, t *task.Task) {
+func (g *Group) Deliver(i int, at simtime.Time, delay time.Duration, t *task.Task) {
 	g.onTime(i, at)
-	g.rts[i].Place(at, t)
+	g.rts[i].Place(at, delay, t)
 	g.hh.Update(i, g.key(i))
 }
 
-// Enqueue defers delivery of t to runtime i until Advance reaches
-// instant `at`. Submissions must be enqueued in non-decreasing `at`
-// order (the coordinator's dispatch order guarantees this);
-// the runtime's Queued count reflects the assignment immediately so
-// dispatchers see same-window placements.
-func (g *Group) Enqueue(i int, at simtime.Time, t *task.Task) {
-	g.subs = append(g.subs, submission{t: t, at: at, idx: int32(i)})
+// Enqueue defers delivery of t to runtime i, with Deliver's delay,
+// until Advance reaches instant `at`. Submissions must be enqueued in
+// non-decreasing `at` order (the coordinator's dispatch order
+// guarantees this); the runtime's Queued count reflects the assignment
+// immediately so dispatchers see same-window placements.
+func (g *Group) Enqueue(i int, at simtime.Time, delay time.Duration, t *task.Task) {
+	g.subs = append(g.subs, submission{t: t, at: at, delay: delay, idx: int32(i)})
 	g.rts[i].queued++
 }
 
@@ -187,7 +191,7 @@ func (g *Group) run(i int, bound simtime.Time) (completions int) {
 		}
 		rt.queued--
 		g.onTime(i, sub.at)
-		rt.Place(sub.at, sub.t)
+		rt.Place(sub.at, sub.delay, sub.t)
 		unfinished++
 		k = sub.next
 	}

@@ -37,8 +37,8 @@ func (o *steppedGroup) key(i int) simtime.Time {
 	return o.rts[i].NextEventTime()
 }
 
-func (o *steppedGroup) enqueue(i int, at simtime.Time, t *task.Task) {
-	o.subs = append(o.subs, submission{t: t, at: at, idx: int32(i)})
+func (o *steppedGroup) enqueue(i int, at simtime.Time, delay time.Duration, t *task.Task) {
+	o.subs = append(o.subs, submission{t: t, at: at, delay: delay, idx: int32(i)})
 	o.rts[i].queued++
 }
 
@@ -79,15 +79,14 @@ func (o *steppedGroup) advance(bound simtime.Time) (completions int) {
 		o.subs = o.subs[1:]
 		rt := o.rts[sub.idx]
 		rt.queued--
-		rt.Place(sub.at, sub.t)
+		rt.Place(sub.at, sub.delay, sub.t)
 		o.hh.Update(int(sub.idx), o.key(int(sub.idx)))
 	}
 }
 
 // advanceCase is one input for both drivers: a fleet, and submissions
-// in delivery order, each with its target host and the task it carries
-// (whose Arrival may trail the delivery instant, as a network delay
-// makes it).
+// in delivery order, each with its target host, the task it carries and
+// the delay, say a network hop, before that task is runnable.
 type advanceCase struct {
 	hosts, cores int
 	sfs          bool // SFS engines, else CFS
@@ -167,8 +166,8 @@ func checkAdvance(t *testing.T, c advanceCase) (held int64) {
 			clones := trace.CloneTasks([]*task.Task{sub.t, sub.t})
 			gt, ot := clones[0], clones[1]
 			gTasks, oTasks = append(gTasks, gt), append(oTasks, ot)
-			g.Enqueue(int(sub.idx), sub.at, gt)
-			o.enqueue(int(sub.idx), sub.at, ot)
+			g.Enqueue(int(sub.idx), sub.at, sub.delay, gt)
+			o.enqueue(int(sub.idx), sub.at, sub.delay, ot)
 		}
 		gc, oc := g.Advance(bound), o.advance(bound)
 		where := fmt.Sprintf("%v, window %d ending %v", c, window, bound)
@@ -217,7 +216,7 @@ func checkAdvance(t *testing.T, c advanceCase) (held int64) {
 
 // randomCase draws a fleet and a submission stream from r: short and
 // long requests (long ones renew their slices, held when alone on a
-// core under CFS or demoted by SFS), some with I/O, some arriving a
+// core under CFS or demoted by SFS), some with I/O, some runnable a
 // little after their delivery instant, in bursts of same-instant
 // submissions to one or several hosts, mostly on whole milliseconds so
 // many land exactly on window edges and on engine events.
@@ -253,10 +252,11 @@ func randomCase(r *rng.RNG, sfs, everyInstant bool) advanceCase {
 		if r.Intn(4) == 0 {
 			tk.WithIO(svc/3, time.Duration(r.Intn(20))*time.Millisecond)
 		}
+		var delay time.Duration
 		if r.Intn(5) == 0 {
-			tk.Arrival += time.Duration(r.Intn(2000)) * time.Microsecond
+			delay = time.Duration(r.Intn(2000)) * time.Microsecond
 		}
-		c.subs = append(c.subs, submission{t: tk, at: at, idx: int32(r.Intn(c.hosts))})
+		c.subs = append(c.subs, submission{t: tk, at: at, delay: delay, idx: int32(r.Intn(c.hosts))})
 	}
 	return c
 }
@@ -315,10 +315,11 @@ func FuzzGroupAdvance(f *testing.F) {
 			if b0&0x10 != 0 {
 				tk.WithIO(svc/2, time.Duration(b0>>6)*5*time.Millisecond)
 			}
+			var delay time.Duration
 			if b0&0x20 != 0 {
-				tk.Arrival += 300 * time.Microsecond
+				delay = 300 * time.Microsecond
 			}
-			c.subs = append(c.subs, submission{t: tk, at: at, idx: int32(int(b0&0xf) % c.hosts)})
+			c.subs = append(c.subs, submission{t: tk, at: at, delay: delay, idx: int32(int(b0&0xf) % c.hosts)})
 		}
 		checkAdvance(t, c)
 	})
@@ -350,22 +351,22 @@ func TestLateDeliveryPanics(t *testing.T) {
 	}
 
 	g, eng := fresh()
-	g.Deliver(0, 10*ms, task.New(0, 10*ms, 20*ms))
+	g.Deliver(0, 10*ms, 0, task.New(0, 10*ms, 20*ms))
 	for eng.Pending() > 0 {
 		g.Step(0)
 	}
 	if eng.Now() != 30*ms {
 		t.Fatalf("engine clock at %v after the task finished, want 30ms", eng.Now())
 	}
-	late("Deliver", func() { g.Deliver(0, 20*ms, task.New(1, 20*ms, ms)) })
-	g.Deliver(0, 30*ms, task.New(2, 30*ms, ms))
+	late("Deliver", func() { g.Deliver(0, 20*ms, 0, task.New(1, 20*ms, ms)) })
+	g.Deliver(0, 30*ms, 0, task.New(2, 30*ms, ms))
 
 	g, eng = fresh()
-	g.Enqueue(0, 10*ms, task.New(0, 10*ms, 20*ms))
+	g.Enqueue(0, 10*ms, 0, task.New(0, 10*ms, 20*ms))
 	g.Advance(100 * ms)
 	if eng.Now() != 30*ms {
 		t.Fatalf("engine clock at %v after the first window, want 30ms", eng.Now())
 	}
-	g.Enqueue(0, 20*ms, task.New(1, 20*ms, ms))
+	g.Enqueue(0, 20*ms, 0, task.New(1, 20*ms, ms))
 	late("Advance", func() { g.Advance(200 * ms) })
 }

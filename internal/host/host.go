@@ -15,13 +15,19 @@
 //     same-instant source arrivals, because they originate from earlier
 //     completions;
 //   - at an arrival, stages hook in pipeline order: Expand rewrites the
-//     admitted invocation, then each BeforeSubmit may delay the
-//     engine-visible arrival (cold starts); at a completion, OnFinish
+//     admitted invocation, then each BeforeSubmit may delay the instant
+//     the task becomes runnable (cold starts); at a completion, OnFinish
 //     runs in the same pipeline order.
 //
-// The public drivers are thin shells over this core: lifecycle.Run and
-// chain.Run are stage configurations of Runtime.Drive, the faas
-// platform composes both, and the cluster coordinator drives many
+// A task's Arrival stays the instant its request arrived. The driver
+// hands the engine the instant the task becomes runnable — its
+// placement instant plus the delays on the way (the cluster's network
+// hop, each stage's BeforeSubmit) — so a finished task's Turnaround is
+// end to end the moment it finishes.
+//
+// The public drivers are thin shells over this core: lifecycle.Run,
+// chain.Run and the faas platform are stage configurations of
+// Runtime.Drive, and the cluster coordinator drives many
 // Runtimes through one Group per shard — serial mode steps a single
 // Group over every host one event at a time, sharded mode advances
 // each shard's Group through whole windows — and every delivery takes
@@ -33,6 +39,7 @@
 package host
 
 import (
+	"fmt"
 	"time"
 
 	"github.com/serverless-sched/sfs/internal/cpusim"
@@ -47,23 +54,24 @@ import (
 // deterministic instants, so a stage list plus a seed fully determines
 // a run.
 //
-// Stages that rewrite admitted invocations additionally implement
+// A stage that rewrites admitted invocations additionally implements
 // Expander; stages that release follow-up arrivals implement Binder to
 // receive the Runtime they feed.
 type Stage interface {
 	// BeforeSubmit fires when t is about to enter the engine at instant
-	// at. The returned delay postpones the engine-visible arrival — a
-	// container cold start — without moving the instant the stage
+	// at. The returned delay postpones the instant t becomes runnable —
+	// a container cold start — without moving the instant the stage
 	// itself observed. Stages must not retain t past OnFinish.
 	BeforeSubmit(at simtime.Time, t *task.Task) time.Duration
 	// OnFinish fires at t's completion instant.
 	OnFinish(at simtime.Time, t *task.Task)
 }
 
-// Expander is implemented by stages that rewrite an admitted source
+// Expander is implemented by a stage that rewrites an admitted source
 // invocation into the task(s) actually entering the host — the chain
 // stage expands a request into its workflow's root stages. Only source
-// admissions are expanded; tasks released mid-run re-enter as-is.
+// admissions are expanded; tasks released mid-run re-enter as-is. A
+// pipeline holds at most one Expander.
 type Expander interface {
 	Expand(t *task.Task) []*task.Task
 }
@@ -102,23 +110,24 @@ func (f FinishFunc) OnFinish(at simtime.Time, t *task.Task) { f(at, t) }
 // tracer installed — because the Runtime owns the engine's tracer when
 // any stage is present.
 type Runtime struct {
-	eng       *cpusim.Engine
-	stages    []Stage
-	expanders []Expander
-	pend      hookQueue // released arrivals, in (time, release) order
-	queued    int       // assigned but not yet submitted (sharded windows)
-	// expand's scratch: the tasks entering an expander and those it
-	// produced, swapped after each expander and kept across calls.
-	expIn, expOut []*task.Task
+	eng    *cpusim.Engine
+	stages []Stage
+	exp    Expander  // the stage expanding source admissions, or nil
+	pend   hookQueue // released arrivals, in (time, release) order
+	queued int       // assigned but not yet submitted (sharded windows)
 }
 
 // New wraps eng in a runtime running the given stage pipeline. Stages
 // hook in the order given; stages implementing Binder are bound here.
+// It panics when more than one stage implements Expander.
 func New(eng *cpusim.Engine, stages ...Stage) *Runtime {
 	rt := &Runtime{eng: eng, stages: stages}
 	for _, s := range stages {
 		if ex, ok := s.(Expander); ok {
-			rt.expanders = append(rt.expanders, ex)
+			if rt.exp != nil {
+				panic("host: more than one stage implements Expander")
+			}
+			rt.exp = ex
 		}
 		if b, ok := s.(Binder); ok {
 			b.BindRuntime(rt)
@@ -154,21 +163,27 @@ func (rt *Runtime) NextEventTime() simtime.Time { return rt.eng.NextPendingEvent
 // held renewal, passing the held renewals before it.
 func (rt *Runtime) StepEvent() bool { return rt.eng.StepEvent() }
 
-// Place runs the pipeline's BeforeSubmit hooks for t at instant at —
-// each returned delay postpones the engine-visible arrival — and hands
-// the task to the engine. This is the single submit path shared by
-// every driver: the standalone Drive loop and the cluster's delivery in
-// either mode. Every engine event up to at has fired by then; the
-// engine first passes the held renewals due by at, so the arrival takes
-// the queue sequence number it would take if renewals were events.
-func (rt *Runtime) Place(at simtime.Time, t *task.Task) {
+// Place runs the pipeline's BeforeSubmit hooks for t at instant at and
+// hands the task to the engine, runnable at at plus delay (the driver's
+// own, say a network hop) plus each delay a stage returns. t.Arrival is
+// not touched, and Place panics when at precedes it. This is the single
+// submit path shared by every driver: the standalone Drive loop and the
+// cluster's delivery in either mode. Every engine event up to at has
+// fired by then; the engine first passes the held renewals due by at,
+// so the arrival takes the queue sequence number it would take if
+// renewals were events.
+func (rt *Runtime) Place(at simtime.Time, delay time.Duration, t *task.Task) {
+	if at < t.Arrival {
+		panic(fmt.Sprintf("host: %v placed at %v, before its arrival", t, at))
+	}
 	rt.eng.CatchUp(at)
+	runnable := at + delay
 	for _, s := range rt.stages {
 		if d := s.BeforeSubmit(at, t); d > 0 {
-			t.Arrival += d
+			runnable += d
 		}
 	}
-	rt.eng.Submit(t)
+	rt.eng.SubmitAt(runnable, t)
 }
 
 // Release queues t as a future arrival of this runtime at t.Arrival.
@@ -180,40 +195,14 @@ func (rt *Runtime) Place(at simtime.Time, t *task.Task) {
 // arrives before the last release still queued.
 func (rt *Runtime) Release(t *task.Task) { rt.pend.push(t) }
 
-// expand applies the pipeline's Expanders to an admitted source
-// invocation in order. With no expanders the invocation passes through
-// untouched (and the caller skips the call). The returned slice is the
-// runtime's scratch, valid until the next expand.
-func (rt *Runtime) expand(t *task.Task) []*task.Task {
-	in, out := append(rt.expIn[:0], t), rt.expOut
-	for _, ex := range rt.expanders {
-		out = out[:0]
-		for _, tt := range in {
-			out = append(out, ex.Expand(tt)...)
-		}
-		in, out = out, in
-	}
-	rt.expIn, rt.expOut = in, out
-	return in
-}
-
 // Drive pulls src to exhaustion through the stage pipeline and runs
 // the engine to completion on one event loop — the standalone (1-host)
 // driver every single-host entry point shells out to. Engine events
 // fire before same-instant arrivals, and released arrivals precede
 // same-instant source arrivals, exactly as the cluster coordinator
-// orders them. Turnarounds measured afterwards are end-to-end: original
-// arrivals are restored, so stage-injected delays (cold starts) count
-// against the request.
+// orders them. Each task is placed at its Arrival, so stage-injected
+// delays (cold starts) count against the request in its Turnaround.
 func (rt *Runtime) Drive(src trace.Source) (simtime.Time, error) {
-	var tasks []*task.Task
-	var orig []simtime.Time // tasks[i]'s arrival before Place delayed it
-	submit := func(t *task.Task) {
-		tasks = append(tasks, t)
-		orig = append(orig, t.Arrival)
-		rt.Place(t.Arrival, t)
-	}
-
 	next, more := src.Next()
 	for {
 		evT := rt.NextEventTime()
@@ -239,25 +228,18 @@ func (rt *Runtime) Drive(src trace.Source) (simtime.Time, error) {
 			continue
 		}
 		if fromQueue {
-			submit(rt.pend.pop())
+			t := rt.pend.pop()
+			rt.Place(t.Arrival, 0, t)
 			continue
 		}
-		if len(rt.expanders) == 0 {
-			submit(next)
+		if rt.exp == nil {
+			rt.Place(next.Arrival, 0, next)
 		} else {
-			for _, t := range rt.expand(next) {
-				submit(t)
+			for _, t := range rt.exp.Expand(next) {
+				rt.Place(t.Arrival, 0, t)
 			}
 		}
 		next, more = src.Next()
 	}
-	if err := trace.Err(src); err != nil {
-		return rt.eng.Now(), err
-	}
-	// Restore end-to-end arrivals: turnaround and RTE must charge
-	// stage-injected delays to the request, not hide them.
-	for i, t := range tasks {
-		t.Arrival = orig[i]
-	}
-	return rt.eng.Now(), nil
+	return rt.eng.Now(), trace.Err(src)
 }

@@ -162,6 +162,6 @@ func TestRunColdDelaysArrival(t *testing.T) {
 		t.Fatalf("turnaround %v, want service+cold = %v", got, want)
 	}
 	if eng.Tasks()[0].Arrival != 0 {
-		t.Fatalf("original arrival not restored: %v", eng.Tasks()[0].Arrival)
+		t.Fatalf("arrival moved to %v", eng.Tasks()[0].Arrival)
 	}
 }

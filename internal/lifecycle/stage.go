@@ -10,8 +10,8 @@ import (
 
 // HostStage adapts a container lifecycle Manager to the host-runtime
 // stage pipeline: every submitted invocation acquires a warm or cold
-// container at its placement instant (a cold start delays the
-// engine-visible arrival), and the container returns to the warm pool
+// container at its placement instant (a cold start delays the instant
+// it becomes runnable), and the container returns to the warm pool
 // the instant the invocation finishes. One HostStage serves one host;
 // it tracks which container each in-flight invocation holds.
 type HostStage struct {

@@ -34,6 +34,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"github.com/serverless-sched/sfs/internal/stats"
 )
 
 // Mode is the scheduling level an invocation finished in.
@@ -161,9 +163,7 @@ type Scheduler struct {
 
 	mu          sync.Mutex
 	s           time.Duration
-	window      []time.Duration
-	windowPos   int
-	windowLen   int
+	window      *stats.Window // the last WindowSize inter-arrival times
 	lastArrival time.Time
 	haveArrival bool
 	sinceRecalc int
@@ -195,7 +195,7 @@ func New(cfg Config) *Scheduler {
 		cfg:    cfg,
 		queue:  make(chan *invocation, cfg.QueueCapacity),
 		stop:   make(chan struct{}),
-		window: make([]time.Duration, cfg.WindowSize),
+		window: stats.NewWindow(cfg.WindowSize),
 		s:      cfg.InitialSlice,
 	}
 	if cfg.FixedSlice > 0 {
@@ -273,22 +273,13 @@ func (s *Scheduler) Submit(name string, fn Function) (*Future, error) {
 // observeIAT updates the window and recomputes S every WindowSize
 // arrivals. Caller holds s.mu.
 func (s *Scheduler) observeIAT(iat time.Duration) {
-	s.window[s.windowPos] = iat
-	s.windowPos = (s.windowPos + 1) % len(s.window)
-	if s.windowLen < len(s.window) {
-		s.windowLen++
-	}
+	s.window.Push(iat)
 	s.sinceRecalc++
 	if s.sinceRecalc < s.cfg.WindowSize || s.cfg.FixedSlice > 0 {
 		return
 	}
 	s.sinceRecalc = 0
-	var sum time.Duration
-	for i := 0; i < s.windowLen; i++ {
-		sum += s.window[i]
-	}
-	mean := sum / time.Duration(s.windowLen)
-	next := mean * time.Duration(s.cfg.Workers)
+	next := s.window.Mean() * time.Duration(s.cfg.Workers)
 	if next < time.Millisecond {
 		next = time.Millisecond
 	}

@@ -660,7 +660,7 @@ func Scenarios(quick bool, seed uint64) []Scenario {
 					}
 					grp := host.NewGroup(rts, false)
 					for k, t := range trace.CloneTasks(tasks) {
-						grp.Enqueue(k%hosts, t.Arrival, t)
+						grp.Enqueue(k%hosts, t.Arrival, 0, t)
 					}
 					if done := grp.Advance(simtime.Infinity); done != len(tasks) {
 						b.Fatalf("%d of %d tasks completed", done, len(tasks))

@@ -40,8 +40,8 @@ type RateSpec struct {
 // rateSource generates arrivals lazily by thinning a non-homogeneous
 // Poisson process against the caller's rate function: candidates are
 // drawn at the Peak rate and accepted with probability Rate(t)/Peak, so
-// no arrival table is ever materialized — the same algorithm as the
-// shape-catalog synthetic source, generalized to any profile.
+// no arrival table is ever materialized. The shape-catalog synthetic
+// source (NewSynthetic) is one of its profiles.
 type rateSource struct {
 	spec RateSpec
 	arrR *rng.RNG

@@ -7,9 +7,6 @@ import (
 	"time"
 
 	"github.com/serverless-sched/sfs/internal/dist"
-	"github.com/serverless-sched/sfs/internal/rng"
-	"github.com/serverless-sched/sfs/internal/simtime"
-	"github.com/serverless-sched/sfs/internal/task"
 )
 
 // Shape selects the request-rate profile of a synthetic trace, mirroring
@@ -127,23 +124,11 @@ func (s SynthSpec) Validate() error {
 	return nil
 }
 
-// synthSource generates arrivals lazily via thinning of a
-// non-homogeneous Poisson process: candidate arrivals are drawn at the
-// peak rate and accepted with probability rate(t)/peak, so no arrival
-// table is ever materialized. Every invocation's App is "synth".
-type synthSource struct {
-	spec    SynthSpec
-	horizon time.Duration
-	arrR    *rng.RNG
-	durR    *rng.RNG
-	t       float64 // elapsed ns
-	id      int
-	done    bool
-}
-
-// NewSynthetic builds a synthetic source. It panics on an unusable spec
-// (no positive rate, no horizon, or nil duration distribution) because
-// specs are programmer-provided, as elsewhere in the generator layer.
+// NewSynthetic builds a synthetic source: a rate source (NewRate)
+// thinned against the shape's rate, whose invocations are all App
+// "synth". It panics on an unusable spec (no positive rate, no horizon,
+// or nil duration distribution) because specs are programmer-provided,
+// as elsewhere in the generator layer.
 func NewSynthetic(spec SynthSpec) Source {
 	if spec.Shape == "" {
 		spec.Shape = ShapeRamp
@@ -157,49 +142,16 @@ func NewSynthetic(spec SynthSpec) Source {
 	if spec.Duration == nil {
 		panic("trace: synthetic trace needs a duration distribution")
 	}
-	r := rng.New(spec.Seed)
-	return &synthSource{
-		spec:    spec,
-		horizon: spec.horizon(),
-		arrR:    r.Split(),
-		durR:    r.Split(),
-	}
-}
-
-// Next implements Source.
-func (s *synthSource) Next() (*task.Task, bool) {
-	if s.done {
-		return nil, false
-	}
-	if s.spec.N > 0 && s.id >= s.spec.N {
-		s.done = true
-		return nil, false
-	}
-	peak := s.spec.peakRPS() / float64(time.Second) // arrivals per ns
-	for {
-		s.t += s.arrR.ExpFloat64() / peak
-		at := time.Duration(s.t)
-		if at >= s.horizon {
-			s.done = true
-			return nil, false
-		}
-		accept := s.spec.rps(at, s.horizon) / s.spec.peakRPS()
-		if s.arrR.Float64() >= accept {
-			continue
-		}
-		d := s.spec.Duration.Sample(s.durR)
-		if d <= 0 {
-			d = time.Millisecond
-		}
-		t := task.New(s.id, simtime.Time(at), d)
-		t.App = "synth"
-		s.id++
-		return t, true
-	}
-}
-
-// String implements Source.
-func (s *synthSource) String() string {
-	return fmt.Sprintf("synth(shape=%s, rps=%g..%g, horizon=%v, dur=%s, seed=%d)",
-		s.spec.Shape, s.spec.StartRPS, s.spec.TargetRPS, s.horizon, s.spec.Duration, s.spec.Seed)
+	horizon := spec.horizon()
+	return NewRate(RateSpec{
+		Desc: fmt.Sprintf("synth(shape=%s, rps=%g..%g, horizon=%v, dur=%s, seed=%d)",
+			spec.Shape, spec.StartRPS, spec.TargetRPS, horizon, spec.Duration, spec.Seed),
+		Rate:     func(t time.Duration) float64 { return spec.rps(t, horizon) },
+		Peak:     spec.peakRPS(),
+		Horizon:  horizon,
+		N:        spec.N,
+		Duration: spec.Duration,
+		App:      "synth",
+		Seed:     spec.Seed,
+	})
 }
