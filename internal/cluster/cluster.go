@@ -125,10 +125,6 @@ type Config struct {
 	// handoffs) costs at least one latency. Zero defaults to
 	// DefaultDispatchLatency. Ignored when Shards == 0.
 	DispatchLatency time.Duration
-	// Workers caps the goroutines advancing shards inside a window in
-	// sharded mode; 0 uses GOMAXPROCS. Output is identical at any
-	// worker count. Ignored when Shards == 0.
-	Workers int
 }
 
 // node pairs one host runtime with its dispatch accounting and
@@ -371,9 +367,6 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.DispatchLatency < 0 {
 		return nil, fmt.Errorf("cluster: negative dispatch latency %v", cfg.DispatchLatency)
 	}
-	if cfg.Workers < 0 {
-		return nil, fmt.Errorf("cluster: negative worker count %d", cfg.Workers)
-	}
 	if len(cfg.Speeds) > 0 && len(cfg.Speeds) != cfg.Hosts {
 		return nil, fmt.Errorf("cluster: %d speed factors for %d hosts", len(cfg.Speeds), cfg.Hosts)
 	}
@@ -440,10 +433,7 @@ func (c *Cluster) Run(src trace.Source) (*Result, error) {
 	if deadline != simtime.Infinity {
 		horizon = deadline + 1
 	}
-	// Lookahead windows must visit every instant a host's state changes,
-	// held slice renewals included, because the windows visited move the
-	// lifecycle clock; serial and batched runs step real events only.
-	c.partition(nShards, !serial && !batched)
+	c.partition(nShards)
 	runWindow, stop := c.windowRunner()
 	defer stop()
 
@@ -524,13 +514,14 @@ func (c *Cluster) Run(src trace.Source) (*Result, error) {
 			continue
 		}
 
-		// Placement sees host state as of the window's start plus this
-		// window's own assignments. A batched run's window has no
-		// lookahead limit: it admits up to obliviousBatch arrivals and
-		// ends at the next batch's first one.
-		bound, batch := windowBound(earliest, c.now, lookahead, horizon), math.MaxInt
-		if batched {
-			bound, batch = horizon, obliviousBatch
+		// Placement sees host state, lifecycle state included, as of the
+		// window's start plus this window's own assignments. A batched
+		// run's window has no lookahead limit: it admits up to
+		// obliviousBatch arrivals and ends at the next batch's first one.
+		bound, batch := horizon, obliviousBatch
+		if !batched {
+			c.now, bound = window(earliest, c.now, lookahead, horizon)
+			batch = math.MaxInt
 		}
 		for n := 0; n < batch && more && next.Arrival < bound; n++ {
 			if err := c.admitArrival(next, next.Arrival); err != nil {

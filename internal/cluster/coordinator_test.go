@@ -128,9 +128,11 @@ func (d *badDispatcher) Pick(_ simtime.Time, _ *task.Task, hosts []Host) int {
 
 // TestDispatcherOutOfRangeIsError: a dispatcher that picks a host
 // outside [0, Hosts) — other than Hold — makes Run return an error, in
-// either mode, with no worker goroutine left running.
+// either mode, with no worker goroutine left running. GOMAXPROCS is 4,
+// so a 4-shard run starts four workers.
 func TestDispatcherOutOfRangeIsError(t *testing.T) {
 	const hosts = 4
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	for _, pick := range []int{hosts, -2} {
 		for _, shards := range []int{0, 1, 4} {
 			before := runtime.NumGoroutine()
@@ -140,7 +142,6 @@ func TestDispatcherOutOfRangeIsError(t *testing.T) {
 				NewScheduler: func() cpusim.Scheduler { return sched.NewCFS() },
 				Dispatcher:   &badDispatcher{valid: 50, pick: pick},
 				Shards:       shards,
-				Workers:      4,
 			})
 			if err != nil {
 				t.Fatal(err)

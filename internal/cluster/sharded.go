@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"cmp"
 	"runtime"
 	"sync"
 	"time"
@@ -118,7 +117,7 @@ func (sh *shard) advance(bound simtime.Time) { sh.completions += sh.grp.Advance(
 // by at most one, and wires each host's stage pipeline: the lifecycle
 // stage releases containers as tasks finish, and completions queue in
 // the owning shard's report for the coordinator.
-func (c *Cluster) partition(n int, windowed bool) {
+func (c *Cluster) partition(n int) {
 	c.shards = make([]*shard, n)
 	per, rem := len(c.nodes)/n, len(c.nodes)%n
 	base := 0
@@ -143,38 +142,37 @@ func (c *Cluster) partition(n int, windowed bool) {
 			nd.sh = sh
 			rts[i] = nd.rt
 		}
-		sh.grp = host.NewGroup(rts, windowed)
+		sh.grp = host.NewGroup(rts)
 		c.shards[s] = sh
 		base += size
 	}
 }
 
-// windowBound returns the end of the next window: the window on the
-// fixed L-grid containing the earliest event, never starting before
+// window returns the next lookahead window [start, end): the window on
+// the fixed L-grid containing the earliest event, never starting before
 // now. The fixed grid (rather than [earliest, earliest+L)) keeps
 // window boundaries independent of per-window content. A window never
 // reaches past horizon, the instant after the deadline; the next
 // barrier then aborts.
-func windowBound(earliest, now simtime.Time, lookahead time.Duration, horizon simtime.Time) simtime.Time {
-	t0 := max(earliest-earliest%lookahead, now)
-	bound := t0 + lookahead
-	if bound < t0 {
-		bound = simtime.Infinity // overflow far beyond any trace
+func window(earliest, now simtime.Time, lookahead time.Duration, horizon simtime.Time) (start, end simtime.Time) {
+	start = max(earliest-earliest%lookahead, now)
+	end = start + lookahead
+	if end < start {
+		end = simtime.Infinity // overflow far beyond any trace
 	}
-	return min(bound, horizon)
+	return start, min(end, horizon)
 }
 
 // windowRunner returns run, which advances every shard to a bound, and
 // stop, which ends its worker goroutines and waits for them to exit.
-// Each of up to Config.Workers workers (GOMAXPROCS when zero) owns a
-// contiguous run of ⌈shards/workers⌉ shards; channel sends carry the
-// happens-before edges that make coordinator access between windows
-// race-free. The assignment of shards to workers affects neither
-// results — shards are independent within a window — nor the
-// coordinator, so any -workers value is byte-equivalent. One shard
-// (serial mode) needs no workers.
+// Each of up to GOMAXPROCS workers owns a contiguous run of
+// ⌈shards/workers⌉ shards; channel sends carry the happens-before edges
+// that make coordinator access between windows race-free. The
+// assignment of shards to workers affects neither results — shards are
+// independent within a window — nor the coordinator, so any GOMAXPROCS
+// is byte-equivalent. One shard (serial mode) needs no workers.
 func (c *Cluster) windowRunner() (run func(bound simtime.Time), stop func()) {
-	nWorkers := min(cmp.Or(c.cfg.Workers, runtime.GOMAXPROCS(0)), len(c.shards))
+	nWorkers := min(runtime.GOMAXPROCS(0), len(c.shards))
 	per := (len(c.shards) + nWorkers - 1) / nWorkers
 	nWorkers = (len(c.shards) + per - 1) / per // every worker owns a shard
 	if nWorkers <= 1 {

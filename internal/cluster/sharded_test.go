@@ -2,11 +2,13 @@ package cluster
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/serverless-sched/sfs/internal/cpusim"
+	"github.com/serverless-sched/sfs/internal/dist"
 	"github.com/serverless-sched/sfs/internal/lifecycle"
 	"github.com/serverless-sched/sfs/internal/sched"
 	"github.com/serverless-sched/sfs/internal/simtime"
@@ -24,7 +26,7 @@ type shardedCase struct {
 
 // shardedConfig assembles a cluster config for one matrix cell; the
 // returned source factory yields a fresh identical stream per run.
-func shardedConfig(t *testing.T, tc shardedCase, hosts, cores, shards, workers int) (Config, func() trace.Source) {
+func shardedConfig(t *testing.T, tc shardedCase, hosts, cores, shards int) (Config, func() trace.Source) {
 	t.Helper()
 	const n, seed = 240, 11
 	d, err := NewDispatcher(tc.dispatch, FactoryConfig{Hosts: hosts, Seed: seed})
@@ -37,7 +39,6 @@ func shardedConfig(t *testing.T, tc shardedCase, hosts, cores, shards, workers i
 		NewScheduler: func() cpusim.Scheduler { return sched.NewCFS() },
 		Dispatcher:   d,
 		Shards:       shards,
-		Workers:      workers,
 	}
 	if tc.lifecycle {
 		cfg.NewLifecycle = func() *lifecycle.Manager {
@@ -118,8 +119,9 @@ func runSharded(t *testing.T, cfg Config, src trace.Source) *Result {
 
 // TestShardedDeterminismMatrix: -shards 8 must reproduce -shards 1
 // byte-identically for every dispatch policy, with and without chain
-// expansion and container lifecycles. Workers is left at GOMAXPROCS so
-// the race detector sees the parallel window path.
+// expansion and container lifecycles. The window runner uses
+// GOMAXPROCS workers, so the race detector sees the parallel window
+// path.
 func TestShardedDeterminismMatrix(t *testing.T) {
 	const hosts, cores = 16, 2
 	for _, dispatch := range Names() {
@@ -128,9 +130,9 @@ func TestShardedDeterminismMatrix(t *testing.T) {
 				tc := shardedCase{dispatch: dispatch, chain: withChain, lifecycle: withLifecycle}
 				name := fmt.Sprintf("%s/chain=%v/lifecycle=%v", dispatch, withChain, withLifecycle)
 				t.Run(name, func(t *testing.T) {
-					cfg1, mkSource := shardedConfig(t, tc, hosts, cores, 1, 0)
+					cfg1, mkSource := shardedConfig(t, tc, hosts, cores, 1)
 					ref := shardedFP(runSharded(t, cfg1, mkSource()))
-					cfg8, _ := shardedConfig(t, tc, hosts, cores, 8, 0)
+					cfg8, _ := shardedConfig(t, tc, hosts, cores, 8)
 					got := shardedFP(runSharded(t, cfg8, mkSource()))
 					if got != ref {
 						t.Errorf("shards=8 diverges from shards=1:\n%s", firstDiff(ref, got))
@@ -147,8 +149,8 @@ func TestShardedDeterminismMatrix(t *testing.T) {
 // matrix above never does — the sharded engine at 8 shards must
 // reproduce its -shards 1 run byte-identically. (Serial mode is
 // compared in TestSerialShardedOracle.) Runs under -race via the usual
-// test invocation; workers stays at GOMAXPROCS so the parallel window
-// path is exercised.
+// test invocation; the window runner's GOMAXPROCS workers exercise the
+// parallel window path.
 func TestShardedFamilyParity(t *testing.T) {
 	const hosts, cores, seed = 16, 2, 11
 	mk := func(family string) trace.Source {
@@ -184,14 +186,16 @@ func TestShardedFamilyParity(t *testing.T) {
 	}
 }
 
-// TestShardedWorkerCountInvariance: the worker pool size must not
-// influence results, only wall-clock.
+// TestShardedWorkerCountInvariance: the worker pool size, GOMAXPROCS,
+// must not influence results, only wall-clock.
 func TestShardedWorkerCountInvariance(t *testing.T) {
 	const hosts, cores = 16, 2
 	tc := shardedCase{dispatch: "JSQ", chain: true, lifecycle: true}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	var ref string
 	for _, workers := range []int{1, 3, 8} {
-		cfg, mkSource := shardedConfig(t, tc, hosts, cores, 8, workers)
+		runtime.GOMAXPROCS(workers)
+		cfg, mkSource := shardedConfig(t, tc, hosts, cores, 8)
 		fp := shardedFP(runSharded(t, cfg, mkSource()))
 		if ref == "" {
 			ref = fp
@@ -207,7 +211,7 @@ func TestShardedCompletesAllTasks(t *testing.T) {
 	const hosts, cores, n = 16, 2, 240
 	for _, dispatch := range Names() {
 		t.Run(dispatch, func(t *testing.T) {
-			cfg, mkSource := shardedConfig(t, shardedCase{dispatch: dispatch}, hosts, cores, 8, 0)
+			cfg, mkSource := shardedConfig(t, shardedCase{dispatch: dispatch}, hosts, cores, 8)
 			res := runSharded(t, cfg, mkSource())
 			if res.Aborted {
 				t.Fatal("run aborted")
@@ -237,7 +241,7 @@ func TestShardedDeadlineParity(t *testing.T) {
 	const hosts, cores = 16, 2
 	var fps []string
 	for _, shards := range []int{1, 8} {
-		cfg, mkSource := shardedConfig(t, shardedCase{dispatch: "RR"}, hosts, cores, shards, 0)
+		cfg, mkSource := shardedConfig(t, shardedCase{dispatch: "RR"}, hosts, cores, shards)
 		cfg.Deadline = 200 * simtime.Time(time.Millisecond)
 		res := runSharded(t, cfg, mkSource())
 		if !res.Aborted {
@@ -282,9 +286,9 @@ func TestShardedStallError(t *testing.T) {
 // host per shard and still matches the single-shard reference.
 func TestShardedClampsShardCount(t *testing.T) {
 	const hosts, cores = 4, 2
-	cfg1, mkSource := shardedConfig(t, shardedCase{dispatch: "LEASTLOADED"}, hosts, cores, 1, 0)
+	cfg1, mkSource := shardedConfig(t, shardedCase{dispatch: "LEASTLOADED"}, hosts, cores, 1)
 	ref := shardedFP(runSharded(t, cfg1, mkSource()))
-	cfg64, _ := shardedConfig(t, shardedCase{dispatch: "LEASTLOADED"}, hosts, cores, 64, 0)
+	cfg64, _ := shardedConfig(t, shardedCase{dispatch: "LEASTLOADED"}, hosts, cores, 64)
 	res := runSharded(t, cfg64, mkSource())
 	if res.Shards != hosts {
 		t.Fatalf("Shards = %d, want clamp to %d", res.Shards, hosts)
@@ -303,4 +307,113 @@ func firstDiff(a, b string) string {
 		}
 	}
 	return fmt.Sprintf("lengths differ: %d vs %d lines", len(al), len(bl))
+}
+
+// warmProbe wraps a dispatcher and records, at every pick, how many
+// idle containers of the invocation's app the hosts report in total.
+type warmProbe struct {
+	Dispatcher
+	warm []int
+}
+
+func (p *warmProbe) Pick(now simtime.Time, t *task.Task, hosts []Host) int {
+	w := 0
+	for _, h := range hosts {
+		w += h.Warm(t.App)
+	}
+	p.warm = append(p.warm, w)
+	return p.Dispatcher.Pick(now, t, hosts)
+}
+
+// TestWindowReadsLifecycleAtItsStart: a lookahead window's placements
+// read every host's warm pool as of the window's start, however long
+// the run went without an instant before it. App a's container on host
+// 0 expires at about 21ms, while host 0's only task sleeps on I/O from
+// 6ms to 106ms; so the windows between 7ms and 106ms hold no instant,
+// and b arrives in [50ms, 51ms). WARMFIRST must see no warm a there and
+// place b on idle host 1, not on host 0 behind a container that is
+// gone.
+func TestWindowReadsLifecycleAtItsStart(t *testing.T) {
+	const ms = time.Millisecond
+	for _, shards := range []int{1, 2} {
+		a := task.New(0, 0, ms)
+		a.App = "a"
+		d := task.New(1, 5*ms, 2*ms).WithIO(ms, 100*ms)
+		d.App = "d"
+		b := task.New(2, 50*ms+500*time.Microsecond, ms)
+		b.App = "a"
+		probe := &warmProbe{Dispatcher: warmFirst{}}
+		res := runSharded(t, Config{
+			Hosts:        2,
+			CoresPerHost: 1,
+			NewScheduler: func() cpusim.Scheduler { return sched.NewCFS() },
+			Dispatcher:   probe,
+			Shards:       shards,
+			NewLifecycle: func() *lifecycle.Manager {
+				m, err := lifecycle.New(lifecycle.Config{
+					Policy:      lifecycle.NewFixedTTL(20 * ms),
+					ImagePull:   dist.Constant{Value: 100 * time.Microsecond},
+					SandboxBoot: dist.Constant{Value: 100 * time.Microsecond},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return m
+			},
+		}, trace.FromTasks("expiry", []*task.Task{a, d, b}))
+		if len(probe.warm) != 3 || probe.warm[2] != 0 {
+			t.Errorf("shards=%d: warm a containers seen at each pick %v, want none at b's pick", shards, probe.warm)
+		}
+		if got := []int{res.PerHost[0].Dispatches, res.PerHost[1].Dispatches}; got[1] != 1 {
+			t.Errorf("shards=%d: dispatches per host %v, want b alone on host 1", shards, got)
+		}
+	}
+}
+
+// TestWindowedRunSkipsRenewalOnlyWindows: a windowed run hands off only
+// for windows that hold a real event. One long CFS task alone on its
+// host renews its slice about twenty times, each renewal after the
+// first held on the core, yet the run visits only the windows in which
+// the same task on a standalone engine has an event.
+func TestWindowedRunSkipsRenewalOnlyWindows(t *testing.T) {
+	long := []*task.Task{task.New(0, 0, 500*time.Millisecond)}
+	eng := cpusim.NewEngine(cpusim.Config{Cores: 1}, sched.NewCFS())
+	eng.Submit(trace.CloneTasks(long)...)
+	windows := map[simtime.Time]bool{}
+	for eng.Pending() > 0 {
+		at := eng.NextPendingEventTime()
+		windows[at-at%DefaultDispatchLatency] = true
+		eng.StepEvent()
+	}
+	if eng.HeldRenewals < 10 {
+		t.Fatalf("%d renewals held, want the task's slice renewals held on its core", eng.HeldRenewals)
+	}
+
+	d, err := NewDispatcher("JSQ", FactoryConfig{Hosts: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := New(Config{
+		Hosts:        1,
+		CoresPerHost: 1,
+		NewScheduler: func() cpusim.Scheduler { return sched.NewCFS() },
+		Dispatcher:   d,
+		Shards:       1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := cl.Run(trace.FromTasks("long", long))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fin := res.Merged.Tasks[0].Finish; fin != 500*time.Millisecond || res.Aborted {
+		t.Fatalf("task finished at %v (aborted %v), want 500ms", fin, res.Aborted)
+	}
+	if held := cl.nodes[0].eng.HeldRenewals; held != eng.HeldRenewals {
+		t.Errorf("%d renewals held, standalone %d", held, eng.HeldRenewals)
+	}
+	if cl.handoffs != len(windows) {
+		t.Errorf("%d handoffs, want %d: one per window holding a real event", cl.handoffs, len(windows))
+	}
 }

@@ -336,8 +336,9 @@ func (e *Engine) Run() simtime.Time {
 // gated on unfinished work: it returns simtime.Infinity once every
 // submitted task has completed, even if the event queue still holds
 // timer events that would otherwise spin an external driver forever.
-// This is the key the serial and batched drive loops (internal/host)
-// order hosts by.
+// It is the key every drive loop orders hosts by (internal/host), serial,
+// batched and windowed: held renewals are never an instant a driver
+// visits.
 func (e *Engine) NextPendingEventTime() simtime.Time {
 	if e.pending == 0 {
 		return simtime.Infinity
@@ -368,29 +369,12 @@ func (e *Engine) StepEvent() bool {
 
 // CatchUp passes the held renewals due at or before at. A driver calls
 // it once every event up to at has fired: before it submits work at
-// instant at, at the end of a lookahead window whose last instant is
-// at, and when a deadline at at aborts the run. The engine's state then
-// matches an engine that fired each renewal as an event.
+// instant at, and when a deadline at at aborts the run. The engine's
+// state then matches an engine that fired each renewal as an event.
 func (e *Engine) CatchUp(at simtime.Time) {
 	if e.heldHead >= 0 {
 		e.catchUp(at)
 	}
-}
-
-// NextInstant returns the earliest instant at which the engine's state
-// changes, held renewals included, with NextPendingEventTime's gating.
-// A driver that must see every such instant (the sharded coordinator's
-// lookahead windows) keys on it; after it has fired the events before
-// an instant, CatchUp passes the renewals before it.
-func (e *Engine) NextInstant() simtime.Time {
-	if e.pending == 0 {
-		return simtime.Infinity
-	}
-	at := e.q.PeekTime()
-	if e.heldHead >= 0 {
-		at = min(at, e.cores[e.firstHeld()].heldAt)
-	}
-	return at
 }
 
 // BusyCores returns the number of cores currently running a task.

@@ -38,16 +38,15 @@ type submission struct {
 //
 // A group keys its runtimes by their next event that is not a held
 // slice renewal (see cpusim.Renewer), so a host whose tasks only renew
-// their slices is not stepped until real work is due. A group built
-// with everyInstant keys them by every instant, held renewals
-// included, and Advance passes a host's renewals up to the window's
-// end: the sharded coordinator's lookahead windows need that, because
-// which windows it visits moves its lifecycle clock.
+// their slices is not stepped until real work is due: the next
+// StepEvent or Place passes the renewals due before it. No driver
+// needs to visit a renewal, because the sharded coordinator reads
+// lifecycle state as of a window's start, an instant on its fixed grid,
+// not as of the last window it visited.
 type Group struct {
-	rts          []*Runtime
-	hh           *Heap
-	subs         []submission // time-ordered; coordinator appends, Advance consumes
-	everyInstant bool
+	rts  []*Runtime
+	hh   *Heap
+	subs []submission // time-ordered; coordinator appends, Advance consumes
 	// Advance's scratch, kept across windows: each runtime's first
 	// submission in the window (an index into subs, linked onward
 	// through submission.next, or -1 when it has none), and the
@@ -57,11 +56,10 @@ type Group struct {
 	touched []int32
 }
 
-// NewGroup builds a group over rts, keyed by real events or, with
-// everyInstant, by every instant. The runtimes must be fresh: their
+// NewGroup builds a group over rts. The runtimes must be fresh: their
 // engines hold no work, so every heap key starts at Infinity.
-func NewGroup(rts []*Runtime, everyInstant bool) *Group {
-	return &Group{rts: rts, hh: NewHeap(len(rts)), everyInstant: everyInstant}
+func NewGroup(rts []*Runtime) *Group {
+	return &Group{rts: rts, hh: NewHeap(len(rts))}
 }
 
 // Min returns the runtime with the earliest key (lowest index on ties)
@@ -69,12 +67,7 @@ func NewGroup(rts []*Runtime, everyInstant bool) *Group {
 func (g *Group) Min() (idx int, at simtime.Time) { return g.hh.Min() }
 
 // key is runtime i's key in the group's heap.
-func (g *Group) key(i int) simtime.Time {
-	if g.everyInstant {
-		return g.rts[i].eng.NextInstant()
-	}
-	return g.rts[i].NextEventTime()
-}
+func (g *Group) key(i int) simtime.Time { return g.rts[i].NextEventTime() }
 
 // Step fires runtime i's earliest pending event that is not a held
 // renewal, re-keys it, and returns the number of tasks that completed.
@@ -174,12 +167,9 @@ func (g *Group) onTime(i int, at simtime.Time) {
 // run advances runtime i to bound: it delivers the runtime's linked
 // window submissions in time order, each after the engine events at or
 // before its instant (engine events first on ties, as everywhere
-// else), then fires the events left before bound. An every-instant
-// group also passes the held renewals before bound, so the runtime's
-// key lands at or after bound like every other's; a key left inside
-// the window would make Advance visit the runtime forever, so it
-// panics instead. run re-keys the runtime once and returns how many
-// tasks completed.
+// else), then fires the events left before bound. run re-keys the
+// runtime once, at or after bound, and returns how many tasks
+// completed.
 func (g *Group) run(i int, bound simtime.Time) (completions int) {
 	rt := g.rts[i]
 	eng := rt.eng
@@ -199,13 +189,6 @@ func (g *Group) run(i int, bound simtime.Time) (completions int) {
 	for rt.NextEventTime() < bound {
 		eng.StepEvent()
 	}
-	if g.everyInstant {
-		eng.CatchUp(bound - 1)
-	}
-	k := g.key(i)
-	if k < bound {
-		panic(fmt.Sprintf("host: runtime %d keyed at %v inside the window ending at %v", i, k, bound))
-	}
-	g.hh.Update(i, k)
+	g.hh.Update(i, g.key(i))
 	return unfinished - eng.Pending()
 }

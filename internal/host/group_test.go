@@ -20,37 +20,16 @@ import (
 // submissions driven in global (time, index) order, one host event or
 // one delivery at a time — engine events before same-instant
 // submissions, ties between hosts to the lowest index — the order
-// serial mode drives hosts in. An every-instant oracle handles held
-// slice renewals as instants of their own, keyed and stepped by
-// instant.
+// serial mode drives hosts in.
 type steppedGroup struct {
-	rts          []*Runtime
-	hh           *Heap
-	subs         []submission
-	everyInstant bool
-}
-
-func (o *steppedGroup) key(i int) simtime.Time {
-	if o.everyInstant {
-		return o.rts[i].eng.NextInstant()
-	}
-	return o.rts[i].NextEventTime()
+	rts  []*Runtime
+	hh   *Heap
+	subs []submission
 }
 
 func (o *steppedGroup) enqueue(i int, at simtime.Time, delay time.Duration, t *task.Task) {
 	o.subs = append(o.subs, submission{t: t, at: at, delay: delay, idx: int32(i)})
 	o.rts[i].queued++
-}
-
-// stepInstant handles an engine's earliest instant: the held renewals
-// due then, when they come before its next real event, or else that
-// event together with the renewals the engine passes before it.
-func stepInstant(eng *cpusim.Engine) {
-	if at := eng.NextInstant(); at < eng.NextPendingEventTime() {
-		eng.CatchUp(at)
-		return
-	}
-	eng.StepEvent()
 }
 
 func (o *steppedGroup) advance(bound simtime.Time) (completions int) {
@@ -66,12 +45,8 @@ func (o *steppedGroup) advance(bound simtime.Time) (completions int) {
 		if ht <= st {
 			eng := o.rts[hi].eng
 			before := eng.Pending()
-			if o.everyInstant {
-				stepInstant(eng)
-			} else {
-				eng.StepEvent()
-			}
-			o.hh.Update(hi, o.key(hi))
+			eng.StepEvent()
+			o.hh.Update(hi, o.rts[hi].NextEventTime())
 			completions += before - eng.Pending()
 			continue
 		}
@@ -80,7 +55,7 @@ func (o *steppedGroup) advance(bound simtime.Time) (completions int) {
 		rt := o.rts[sub.idx]
 		rt.queued--
 		rt.Place(sub.at, sub.delay, sub.t)
-		o.hh.Update(int(sub.idx), o.key(int(sub.idx)))
+		o.hh.Update(int(sub.idx), rt.NextEventTime())
 	}
 }
 
@@ -90,15 +65,14 @@ func (o *steppedGroup) advance(bound simtime.Time) (completions int) {
 type advanceCase struct {
 	hosts, cores int
 	sfs          bool // SFS engines, else CFS
-	everyInstant bool
 	lookahead    time.Duration
 	speeds       []float64 // per host
 	subs         []submission
 }
 
 func (c advanceCase) String() string {
-	return fmt.Sprintf("%d hosts x %d cores, sfs=%v everyInstant=%v lookahead=%v, %d submissions",
-		c.hosts, c.cores, c.sfs, c.everyInstant, c.lookahead, len(c.subs))
+	return fmt.Sprintf("%d hosts x %d cores, sfs=%v lookahead=%v, %d submissions",
+		c.hosts, c.cores, c.sfs, c.lookahead, len(c.subs))
 }
 
 // coldStage delays some arrivals the way a container cold start does.
@@ -147,8 +121,8 @@ func checkAdvance(t *testing.T, c advanceCase) (held int64) {
 	t.Helper()
 	gRts, gLogs := c.fleet()
 	oRts, oLogs := c.fleet()
-	g := NewGroup(gRts, c.everyInstant)
-	o := &steppedGroup{rts: oRts, hh: NewHeap(c.hosts), everyInstant: c.everyInstant}
+	g := NewGroup(gRts)
+	o := &steppedGroup{rts: oRts, hh: NewHeap(c.hosts)}
 	var gTasks, oTasks []*task.Task
 	next, bound := 0, simtime.Time(0)
 	for window := 0; ; window++ {
@@ -220,13 +194,12 @@ func checkAdvance(t *testing.T, c advanceCase) (held int64) {
 // little after their delivery instant, in bursts of same-instant
 // submissions to one or several hosts, mostly on whole milliseconds so
 // many land exactly on window edges and on engine events.
-func randomCase(r *rng.RNG, sfs, everyInstant bool) advanceCase {
+func randomCase(r *rng.RNG, sfs bool) advanceCase {
 	c := advanceCase{
-		hosts:        1 + r.Intn(7),
-		cores:        1 + r.Intn(4),
-		sfs:          sfs,
-		everyInstant: everyInstant,
-		lookahead:    []time.Duration{time.Millisecond, 2 * time.Millisecond, 5 * time.Millisecond}[r.Intn(3)],
+		hosts:     1 + r.Intn(7),
+		cores:     1 + r.Intn(4),
+		sfs:       sfs,
+		lookahead: []time.Duration{time.Millisecond, 2 * time.Millisecond, 5 * time.Millisecond}[r.Intn(3)],
 	}
 	for i := 0; i < c.hosts; i++ {
 		c.speeds = append(c.speeds, []float64{1, 1, 0.5, 1.5}[r.Intn(4)])
@@ -264,26 +237,23 @@ func randomCase(r *rng.RNG, sfs, everyInstant bool) advanceCase {
 // TestGroupAdvanceMatchesStepping: advancing a group window by window,
 // each host to the window's end in one go, equals driving the same
 // runtimes in global (time, index) order, task record for task record,
-// under both keyings and on CFS and SFS engines, and windows on the
-// every-instant keying pass held renewals up to their end.
+// on CFS and SFS engines whose renewals are held.
 func TestGroupAdvanceMatchesStepping(t *testing.T) {
 	r := rng.New(5)
-	for _, everyInstant := range []bool{false, true} {
-		for _, sfs := range []bool{false, true} {
-			held := int64(0)
-			for round := 0; round < 25; round++ {
-				held += checkAdvance(t, randomCase(r, sfs, everyInstant))
-			}
-			if held == 0 {
-				t.Errorf("sfs=%v everyInstant=%v: no renewal was held", sfs, everyInstant)
-			}
+	for _, sfs := range []bool{false, true} {
+		held := int64(0)
+		for round := 0; round < 25; round++ {
+			held += checkAdvance(t, randomCase(r, sfs))
+		}
+		if held == 0 {
+			t.Errorf("sfs=%v: no renewal was held", sfs)
 		}
 	}
 }
 
 // FuzzGroupAdvance checks arbitrary fleets and submission scripts
-// against the stepped oracle. mode's low bits pick SFS engines and the
-// every-instant keying, and its next two bits the lookahead; each
+// against the stepped oracle. mode's low bit picks SFS engines, its
+// second bit is unused, and its next two bits pick the lookahead; each
 // three script bytes are a submission: the host and whether it has I/O
 // or a network delay, the gap since the previous one in quarter
 // milliseconds (0 is a same-instant tie), and its service.
@@ -294,11 +264,10 @@ func FuzzGroupAdvance(f *testing.F) {
 	f.Add(uint8(1), uint8(0), uint8(1), []byte{0, 0, 255, 16, 0, 2, 32, 4, 200, 0, 4, 0})
 	f.Fuzz(func(t *testing.T, hosts, cores, mode uint8, script []byte) {
 		c := advanceCase{
-			hosts:        1 + int(hosts%8),
-			cores:        1 + int(cores%4),
-			sfs:          mode&1 != 0,
-			everyInstant: mode&2 != 0,
-			lookahead:    []time.Duration{time.Millisecond, 2 * time.Millisecond, 5 * time.Millisecond, 10 * time.Millisecond}[mode>>2&3],
+			hosts:     1 + int(hosts%8),
+			cores:     1 + int(cores%4),
+			sfs:       mode&1 != 0,
+			lookahead: []time.Duration{time.Millisecond, 2 * time.Millisecond, 5 * time.Millisecond, 10 * time.Millisecond}[mode>>2&3],
 		}
 		for i := 0; i < c.hosts; i++ {
 			c.speeds = append(c.speeds, []float64{1, 0.5, 1.5}[i%3])
@@ -333,7 +302,7 @@ func TestLateDeliveryPanics(t *testing.T) {
 	const ms = time.Millisecond
 	fresh := func() (*Group, *cpusim.Engine) {
 		eng := cpusim.NewEngine(cpusim.Config{Cores: 1}, sched.NewFIFO())
-		return NewGroup([]*Runtime{New(eng)}, false), eng
+		return NewGroup([]*Runtime{New(eng)}), eng
 	}
 	late := func(path string, deliver func()) {
 		t.Helper()

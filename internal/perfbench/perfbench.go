@@ -658,7 +658,7 @@ func Scenarios(quick bool, seed uint64) []Scenario {
 					for h := range rts {
 						rts[h] = host.New(cpusim.NewEngine(cpusim.Config{Cores: cores}, core.New(core.DefaultConfig())))
 					}
-					grp := host.NewGroup(rts, false)
+					grp := host.NewGroup(rts)
 					for k, t := range trace.CloneTasks(tasks) {
 						grp.Enqueue(k%hosts, t.Arrival, 0, t)
 					}
