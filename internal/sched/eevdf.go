@@ -20,7 +20,7 @@ const baseSlice = 3 * time.Millisecond
 type eevdfEnt struct {
 	t        *task.Task
 	vr       time.Duration // virtual runtime
-	deadline time.Duration // virtual deadline = vr + baseSlice at (re)queue
+	deadline time.Duration // virtual deadline = vr + baseSlice/weight at (re)queue
 	rq       int
 	everRan  bool
 }
@@ -50,9 +50,11 @@ type eevdfRQ struct {
 // SFS is OS-scheduler-agnostic, so its second level can be EEVDF (see
 // the ablation experiments).
 //
-// Model summary: each entity accrues vruntime while running; at
-// (re)queue time it receives a virtual deadline vr + baseSlice. A
-// queued entity is eligible when its vruntime is at or below the
+// Model summary: each entity accrues vruntime while running, at a rate
+// inverse to its weight; at (re)queue time it receives a virtual
+// deadline vr + baseSlice/weight (Linux's request of slice/weight, in
+// the same weighted frame), so a heavy entity's deadline comes sooner.
+// A queued entity is eligible when its vruntime is at or below the
 // queue's average; the scheduler runs the eligible entity with the
 // earliest virtual deadline.
 type EEVDF struct {
@@ -102,13 +104,14 @@ func (e *EEVDF) leastLoaded() int {
 
 // avgVruntime returns the runqueue's average vruntime over queued plus
 // running entities (the zero-lag point against which eligibility is
-// judged).
+// judged). The running entity's current stint counts weighted, as
+// Descheduled will charge it.
 func (e *EEVDF) avgVruntime(i int) time.Duration {
 	rq := &e.rqs[i]
 	sum := rq.vrSum
 	n := len(rq.q)
 	if cur := e.cur[i]; cur != nil {
-		sum += cur.vr + e.api.RanFor(i)
+		sum += cur.vr + weighted(e.api.RanFor(i), cur.t.Weight)
 		n++
 	}
 	if n == 0 {
@@ -122,7 +125,7 @@ func (e *EEVDF) avgVruntime(i int) time.Duration {
 // keep their insertion order.
 func (e *EEVDF) insert(i int, ent *eevdfEnt) {
 	ent.rq = i
-	ent.deadline = ent.vr + baseSlice
+	ent.deadline = ent.vr + weighted(baseSlice, ent.t.Weight)
 	rq := &e.rqs[i]
 	k := sort.Search(len(rq.q), func(j int) bool { return ent.before(rq.q[j]) })
 	rq.q = slices.Insert(rq.q, k, ent)
@@ -246,7 +249,9 @@ func (e *EEVDF) Descheduled(now simtime.Time, core int, t *task.Task, ran time.D
 }
 
 // WantsPreempt implements cpusim.Scheduler: a queued eligible entity
-// with an earlier virtual deadline than the running one preempts it.
+// with an earlier virtual deadline than the running one preempts it;
+// the running entity's deadline is its live vruntime plus its weighted
+// request, as if it were queued again now.
 func (e *EEVDF) WantsPreempt(now simtime.Time, core int) bool {
 	cur := e.cur[core]
 	if cur == nil {
@@ -257,5 +262,5 @@ func (e *EEVDF) WantsPreempt(now simtime.Time, core int) bool {
 		return false
 	}
 	liveVR := cur.vr + weighted(e.api.RanFor(core), cur.t.Weight)
-	return best.deadline < liveVR+baseSlice && best.vr <= e.avgVruntime(core)
+	return best.deadline < liveVR+weighted(baseSlice, cur.t.Weight) && best.vr <= e.avgVruntime(core)
 }

@@ -239,6 +239,48 @@ func TestEEVDFPickEligibleScansDeadlineOrder(t *testing.T) {
 	}
 }
 
+// TestEEVDFWeightScalesRequest: a heavy entity's request, and so its
+// virtual deadline, shrinks with its weight, which is what makes
+// eligibility decide anything. A 4x-weight entity queued ahead of its
+// vruntime holds the earliest deadline yet sits above the average, so
+// pickEligible skips it for the lighter eligible one; a running heavy
+// entity's stint counts weighted in the average, and its short request
+// keeps a later deadline from preempting it.
+func TestEEVDFWeightScalesRequest(t *testing.T) {
+	const ms = time.Millisecond
+	heavyEnt := func(id int, vr time.Duration) *eevdfEnt {
+		ent := newEnt(id, vr)
+		ent.t.Weight = 4 * task.DefaultWeight
+		return ent
+	}
+
+	e := handEEVDF(1)
+	heavy, light := heavyEnt(1, 4*ms), newEnt(2, 2*ms)
+	e.insert(0, heavy)
+	e.insert(0, light)
+	if heavy.deadline != 4*ms+baseSlice/4 || light.deadline != 2*ms+baseSlice {
+		t.Fatalf("deadlines %v and %v, want vr plus baseSlice/weight: %v and %v",
+			heavy.deadline, light.deadline, 4*ms+baseSlice/4, 2*ms+baseSlice)
+	}
+	if got := ids(e.rqs[0].q); got[0] != 1 {
+		t.Fatalf("queue %v, want the heavy task's earlier deadline first", got)
+	}
+	if got := e.pickEligible(0); got != light {
+		t.Fatalf("picked task %d, want 2: task 1's vruntime 4ms is above the average 3ms", got.t.ID)
+	}
+
+	e = handEEVDF(1)
+	e.api = handAPI{cores: 1, ran: 4 * ms}
+	e.cur[0] = heavyEnt(1, 0)
+	e.insert(0, newEnt(2, -ms))
+	if avg := e.avgVruntime(0); avg != 0 {
+		t.Fatalf("average vruntime %v, want 0: the heavy task's 4ms stint counts as 1ms", avg)
+	}
+	if e.WantsPreempt(0, 0) {
+		t.Fatal("an eligible task with deadline 2ms preempted a heavy task whose request ends at 1.75ms")
+	}
+}
+
 // TestEEVDFRequeueAllocFree: once a run queue has reached its working
 // size, taking an entity off (the head, as PickNext does, or any
 // other, as a steal from a busy queue can) and queueing it again
