@@ -43,7 +43,7 @@
 // and pre-warm events are processed in (time, sequence) order, and
 // sources are deterministic in their spec — so the same
 // spec/seed/host-count/policy yields identical metrics on every run,
-// and sharded output is identical at any shard and worker count.
+// and sharded output is identical at any shard count and GOMAXPROCS.
 package cluster
 
 import (

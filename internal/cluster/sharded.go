@@ -39,20 +39,26 @@ import (
 // order. Everything the coordinator computes (dispatch decisions,
 // window bounds, admission order) is a function of barrier-time state
 // that is itself shard-count-independent, so the same seed yields
-// byte-identical results at any -shards / -workers setting.
+// byte-identical results at any shard count and GOMAXPROCS.
 //
 // Dispatch decisions observe host state as of the window's start (plus
 // assignments already made this window, via the runtime's Queued
-// count), where serial mode observes the exact decision instant. With
-// a dispatcher that ignores host state (RR, RANDOM, HASH) the two modes
-// place every invocation identically and produce identical results;
-// the one modeled difference is that sharded mode moves its lifecycle
-// clock to each window's end, so a run can count expirations serial
-// mode never reaches (TestSerialShardedOracle). With state-reading
-// dispatchers sharded mode models a cluster whose dispatcher works from
-// slightly stale state — the price of the latency it models, not a
-// bug; determinism is defined within sharded mode, with -shards 1 as
-// the reference.
+// count), where serial mode observes the exact decision instant. That
+// includes the lifecycle clock: the coordinator moves it to the
+// window's start, an instant on the fixed grid, before it admits the
+// window's arrivals, so what a dispatcher reads never depends on which
+// earlier windows it visited. The coordinator visits only windows that
+// hold a real event, never one in which a host merely renews a slice
+// (see cpusim.Renewer). With a dispatcher that ignores host state (RR,
+// RANDOM, HASH) the two modes place every invocation identically and
+// produce identical results; the one modeled difference is that
+// sharded mode moves its lifecycle clock to each window's end once the
+// window has run, so a run can count expirations serial mode never
+// reaches (TestSerialShardedOracle). With state-reading dispatchers
+// sharded mode models a cluster whose dispatcher works from slightly
+// stale state — the price of the latency it models, not a bug;
+// determinism is defined within sharded mode, with -shards 1 as the
+// reference.
 //
 // When nothing crosses shards the lookahead is unbounded. That holds
 // under a host-oblivious dispatcher (RR, RANDOM, HASH: it reads no host

@@ -66,9 +66,6 @@ func NewGroup(rts []*Runtime) *Group {
 // and that key; idle runtimes report simtime.Infinity.
 func (g *Group) Min() (idx int, at simtime.Time) { return g.hh.Min() }
 
-// key is runtime i's key in the group's heap.
-func (g *Group) key(i int) simtime.Time { return g.rts[i].NextEventTime() }
-
 // Step fires runtime i's earliest pending event that is not a held
 // renewal, re-keys it, and returns the number of tasks that completed.
 // This is serial mode's event-granular advance.
@@ -76,7 +73,7 @@ func (g *Group) Step(i int) (completions int) {
 	eng := g.rts[i].eng
 	before := eng.Pending()
 	eng.StepEvent()
-	g.hh.Update(i, g.key(i))
+	g.hh.Update(i, g.rts[i].NextEventTime())
 	return before - eng.Pending()
 }
 
@@ -88,7 +85,7 @@ func (g *Group) Step(i int) (completions int) {
 func (g *Group) Deliver(i int, at simtime.Time, delay time.Duration, t *task.Task) {
 	g.onTime(i, at)
 	g.rts[i].Place(at, delay, t)
-	g.hh.Update(i, g.key(i))
+	g.hh.Update(i, g.rts[i].NextEventTime())
 }
 
 // Enqueue defers delivery of t to runtime i, with Deliver's delay,
@@ -189,6 +186,6 @@ func (g *Group) run(i int, bound simtime.Time) (completions int) {
 	for rt.NextEventTime() < bound {
 		eng.StepEvent()
 	}
-	g.hh.Update(i, g.key(i))
+	g.hh.Update(i, rt.NextEventTime())
 	return unfinished - eng.Pending()
 }
